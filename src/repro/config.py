@@ -96,15 +96,6 @@ class SystemConfig:
         its frozen sibling is still being flushed before ingest blocks
         on the flush completing.  None = ``flush_fraction`` (transient
         overshoot is bounded by one flush budget B).
-    columnar:
-        Store the hot memory tier as array-backed posting columns with
-        interned key ids (see ``docs/ARCHITECTURE.md``, "Columnar
-        memory tier").  Off by default; answers are identical either
-        way, digestion is a multiple faster with it on.
-    columnar_cost:
-        Budget memory under the columnar byte layout instead of the
-        legacy object layout.  Requires ``columnar=True``; changes
-        flush cadence, so the differential tests leave it off.
     """
 
     policy: str = "kflushing"
@@ -140,15 +131,6 @@ class SystemConfig:
     flush_queue_limit: Union[int, None] = None
     #: Active-overlay budget fraction before backpressure (None = B).
     pipelined_overlay_fraction: Union[float, None] = None
-    #: Columnar memory tier: array-backed posting columns plus interned
-    #: key ids on every hot dict (off = the legacy object layout, kept as
-    #: the differential reference — same pattern as ``use_runs``).
-    columnar: bool = False
-    #: Budget memory under the columnar byte layout (24-byte postings,
-    #: array headers per entry).  Separate from ``columnar`` so the
-    #: default columnar run keeps legacy budget math — and therefore a
-    #: bit-identical flush cadence — for the differential tests.
-    columnar_cost: bool = False
     #: Adaptive memory allocation (``repro.core.adaptive``): a
     #: deterministic feedback controller retunes per-key retention
     #: depths, phase-escalation slack, and (sharded) budget slices at
@@ -239,11 +221,6 @@ class SystemConfig:
             raise ConfigurationError(
                 f"pipelined_overlay_fraction must be None or in (0, 1], got "
                 f"{self.pipelined_overlay_fraction}"
-            )
-        if self.columnar_cost and not self.columnar:
-            raise ConfigurationError(
-                "columnar_cost requires columnar=True (it prices the "
-                "columnar layout, which is not in use otherwise)"
             )
         if self.adaptive_interval < 1:
             raise ConfigurationError(
@@ -376,14 +353,6 @@ class SystemConfig:
         if self.flight_recorder_path is not None:
             return self.flight_recorder_path
         return "flight_recorder_dump.jsonl"
-
-    def effective_memory_model(self) -> MemoryModel:
-        """The byte-cost model engines and archives should budget with:
-        the configured model, re-priced for the columnar layout when
-        ``columnar_cost`` is on."""
-        if self.columnar_cost:
-            return self.memory_model.columnar_layout()
-        return self.memory_model
 
     def build_attribute(self) -> AttributeExtractor:
         """Resolve the configured attribute to an extractor instance."""

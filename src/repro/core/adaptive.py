@@ -97,11 +97,8 @@ def _stable_top(counts: dict, n: int) -> list[tuple[Hashable, int]]:
 class KeyHeat:
     """Per-key query/miss/eviction counters (the controller's input).
 
-    ``queried``/``missed`` are keyed by *raw* query keys (fed by the
-    executor's feedback hook); ``evicted`` is keyed by *index* keys —
-    interned ids under the columnar layout — because it is fed straight
-    from ``note_eviction``.  The two spaces are translated only at
-    decision/snapshot boundaries, never on the hot path.
+    ``queried``/``missed`` are fed by the executor's feedback hook,
+    ``evicted`` straight from ``note_eviction``.
     """
 
     __slots__ = ("queried", "missed", "evicted")
@@ -237,14 +234,6 @@ class AdaptiveController:
 
     # -- decisions -----------------------------------------------------
 
-    def _index_key(self, engine, key: Hashable) -> Optional[Hashable]:
-        """Translate a raw query key into the engine's index key space
-        (interned id under the columnar layout); None when the key was
-        never ingested — nothing to deepen."""
-        if getattr(engine, "columnar", False):
-            return engine.interner.maybe(key)
-        return key
-
     def retune(self, engine) -> None:
         registry = engine.obs.registry
         registry.counter("adaptive.retune_cycles").inc()
@@ -262,22 +251,21 @@ class AdaptiveController:
             for key, _count in heat.top_queried(
                 settings.hot_keys
             ) + heat.top_missed(settings.hot_keys):
-                ikey = self._index_key(engine, key)
-                if ikey is None or ikey in hot:
+                if key in hot:
                     continue
-                hot.add(ikey)
-                current = allocator.depth_of(ikey)
+                hot.add(key)
+                current = allocator.depth_of(key)
                 target = min(k_max, max(current * 4, current + 1))
                 if target != current:
-                    allocator.set_depth(ikey, target)
-                    engine.index.refresh_overflow(ikey)
+                    allocator.set_depth(key, target)
+                    engine.index.refresh_overflow(key)
                     promotions += 1
-            for ikey in allocator.deepened_keys():
-                if ikey in hot:
+            for key in allocator.deepened_keys():
+                if key in hot:
                     continue
-                current = allocator.depth_of(ikey)
-                allocator.set_depth(ikey, max(allocator.base_k, current // 2))
-                engine.index.refresh_overflow(ikey)
+                current = allocator.depth_of(key)
+                allocator.set_depth(key, max(allocator.base_k, current // 2))
+                engine.index.refresh_overflow(key)
                 demotions += 1
             if promotions:
                 registry.counter("adaptive.promotions").inc(promotions)

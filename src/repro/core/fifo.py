@@ -34,9 +34,7 @@ class FIFOEngine(MemoryEngine):
         # segments, and the oldest segment doubles as the write buffer
         # (the paper notes FIFO needs no separate flush buffer).
         segment_capacity = max(1, int(self.capacity_bytes * self.flush_fraction))
-        self.segmented = SegmentedIndex(
-            self.model, segment_capacity, columnar=self.columnar
-        )
+        self.segmented = SegmentedIndex(self.model, segment_capacity)
 
     # ------------------------------------------------------------------
     # Data path
@@ -46,18 +44,11 @@ class FIFOEngine(MemoryEngine):
         keys = self.attribute.keys(record)
         if not keys:
             return False
-        if self.columnar:
-            keys = tuple(map(self.interner.intern, keys))
         self.segmented.insert(record, keys, self.ranking.score(record))
         return True
 
     def lookup(self, key: Hashable, depth: Optional[int] = None) -> LookupResult:
-        index_key = key
-        if self.columnar:
-            index_key = self.interner.maybe(key)
-            if index_key is None:
-                return LookupResult(key, (), self.segmented.flushed_floor)
-        candidates = self.segmented.candidates(index_key, depth=depth)
+        candidates = self.segmented.candidates(key, depth=depth)
         return LookupResult(key, tuple(candidates), self.segmented.flushed_floor)
 
     def get_record(self, blog_id: int) -> Optional[Microblog]:
@@ -89,40 +80,15 @@ class FIFOEngine(MemoryEngine):
         while report.freed_bytes < target and self.segmented.record_count() > 0:
             segment = self.segmented.pop_oldest()
             freed = segment.bytes_used
-            interned_commit = (
-                self.columnar
-                and getattr(self.disk, "_interner", None) is self.interner
-            )
-            if self.columnar:
-                # Segment entries are keyed by interned id; the ledger
-                # stays id-keyed (eviction_cause translates on read).
-                # When the disk shares the interner, each entry's columns
-                # travel to disk as one drained block under its id — no
-                # Posting tuple and no unintern/re-intern round trip.
-                unintern = self.interner.unintern
-                postings_by_key = {}
-                for kid, entry in segment.entries.items():
-                    block = entry.drain()
-                    key = kid if interned_commit else unintern(kid)
-                    postings_by_key[key] = block
-                    if self.eviction_ledger is not None:
-                        self.note_eviction(
-                            kid, CAUSE_WHOLE_KEY_FIFO, now, len(block)
-                        )
-            else:
-                postings_by_key: dict[Hashable, list[Posting]] = {
-                    key: list(entry) for key, entry in segment.entries.items()
-                }
-                if self.eviction_ledger is not None:
-                    # Segment eviction is all-or-nothing: every key in the
-                    # popped segment loses its postings wholesale.
-                    for key, postings in postings_by_key.items():
-                        self.note_eviction(key, CAUSE_WHOLE_KEY_FIFO, now, len(postings))
-            written = self.disk.commit_flush(
-                segment.records.values(),
-                postings_by_key,
-                keys_interned=interned_commit,
-            )
+            postings_by_key: dict[Hashable, list[Posting]] = {
+                key: list(entry) for key, entry in segment.entries.items()
+            }
+            if self.eviction_ledger is not None:
+                # Segment eviction is all-or-nothing: every key in the
+                # popped segment loses its postings wholesale.
+                for key, postings in postings_by_key.items():
+                    self.note_eviction(key, CAUSE_WHOLE_KEY_FIFO, now, len(postings))
+            written = self.disk.commit_flush(segment.records.values(), postings_by_key)
             report.freed_bytes += freed
             report.records_flushed += len(segment.records)
             report.postings_flushed += sum(len(p) for p in postings_by_key.values())
@@ -144,11 +110,7 @@ class FIFOEngine(MemoryEngine):
         return self.segmented.k_filled_count(self.k)
 
     def frequency_snapshot(self) -> dict[Hashable, int]:
-        counts = self.segmented.key_posting_counts()
-        if not self.columnar:
-            return counts
-        unintern = self.interner.unintern
-        return {unintern(kid): count for kid, count in counts.items()}
+        return self.segmented.key_posting_counts()
 
     def record_count(self) -> int:
         return self.segmented.record_count()

@@ -59,12 +59,7 @@ class FlushCycleCache:
     # ------------------------------------------------------------------
 
     def topk_ids(self, key: Hashable, entry: "PostingList") -> frozenset[int]:
-        """The entry's top-k blog ids, memoized for the flush.
-
-        Built by the entry itself (``topk_id_set``) so the columnar
-        layout can slice its id column directly instead of materializing
-        ``Posting`` tuples first; both layouts produce the same set.
-        """
+        """The entry's top-k blog ids, memoized for the flush."""
         ids = self._topk_ids.get(key)
         if ids is None:
             ids = entry.topk_id_set(self._k)

@@ -16,10 +16,9 @@ from repro.core.flush_cache import FlushCycleCache
 from repro.core.phases import FlushContext, run_phase1, run_phase2, run_phase3
 from repro.core.policy import FlushReport, LookupResult, MemoryEngine
 from repro.model.microblog import Microblog
-from repro.storage.columnar import ColumnarPostingList
 from repro.storage.flush_buffer import FlushBuffer
 from repro.storage.inverted_index import HashInvertedIndex
-from repro.storage.posting_list import MIN_SORT_KEY, Posting, PostingList, SortKey
+from repro.storage.posting_list import MIN_SORT_KEY, Posting, SortKey
 from repro.storage.raw_store import RawDataStore
 
 __all__ = ["KFlushingEngine"]
@@ -55,16 +54,8 @@ class KFlushingEngine(MemoryEngine):
         #: bit-identical to pre-adaptive builds; the controller raises it
         #: when wholesale evictions dominate the miss causes.
         self.escalation_slack: float = 0.0
-        # Columnar mode keys the index (and every derived hot dict) by
-        # interned id and stores each entry as primitive columns; the
-        # legacy object layout stays the differential reference.
-        self.index = HashInvertedIndex(
-            self.model,
-            self.k,
-            entry_factory=ColumnarPostingList if self.columnar else PostingList,
-            allocator=self.allocator,
-        )
-        self.buffer = FlushBuffer(self.model, self.disk, interner=self.interner)
+        self.index = HashInvertedIndex(self.model, self.k, allocator=self.allocator)
+        self.buffer = FlushBuffer(self.model, self.disk)
         #: Best sort key ever evicted by whole-entry removal; seeds the
         #: completeness floor of entries (re-)created afterwards.
         self.global_floor: SortKey = MIN_SORT_KEY
@@ -87,21 +78,6 @@ class KFlushingEngine(MemoryEngine):
         if not keys:
             return False
         self.raw.add(record, pcount=len(keys))
-        if self.columnar:
-            # Scalar ingest: no Posting tuple is allocated at all — the
-            # score/timestamp/id triple lands straight in each entry's
-            # columns, keyed by interned id, one fused call per record.
-            timestamp = record.timestamp
-            self.index.insert_record_scalars(
-                keys,
-                self.ranking.score(record),
-                timestamp,
-                record.blog_id,
-                timestamp,
-                self.global_floor,
-                interner=self.interner,
-            )
-            return True
         posting = Posting(self.ranking.score(record), record.timestamp, record.blog_id)
         for key in keys:
             self.index.insert(
@@ -110,14 +86,7 @@ class KFlushingEngine(MemoryEngine):
         return True
 
     def lookup(self, key: Hashable, depth: Optional[int] = None) -> LookupResult:
-        index_key = key
-        if self.columnar:
-            # Non-growing probe: a query on a never-ingested key must not
-            # allocate an interner id.
-            index_key = self.interner.maybe(key)
-            if index_key is None:
-                return LookupResult(key, (), self.global_floor)
-        entry = self.index.get(index_key)
+        entry = self.index.get(key)
         if entry is None:
             return LookupResult(key, (), self.global_floor)
         if depth is None:
@@ -138,13 +107,6 @@ class KFlushingEngine(MemoryEngine):
         # Phase 3 orders victims by last query time; per Section III-C this
         # is one timestamp per entry, not per item, so accessed ids are
         # deliberately ignored.
-        if self.columnar:
-            maybe = self.interner.maybe
-            for key in keys:
-                kid = maybe(key)
-                if kid is not None:
-                    self.index.touch_query(kid, now)
-            return
         for key in keys:
             self.index.touch_query(key, now)
 
@@ -228,12 +190,7 @@ class KFlushingEngine(MemoryEngine):
         """
         record = self.raw.get(blog_id)
         cache = self.flush_cache
-        columnar = self.columnar
         for key in self.attribute.keys(record):
-            if columnar:
-                # Record keys were interned at ingest; ``exclude_key``
-                # arrives from the phases already as an id.
-                key = self.interner.intern(key)
             if key == exclude_key:
                 continue
             entry = self.index.get(key)
@@ -255,10 +212,7 @@ class KFlushingEngine(MemoryEngine):
         """
         record = self.raw.get(blog_id)
         cache = self.flush_cache
-        columnar = self.columnar
         for key in self.attribute.keys(record):
-            if columnar:
-                key = self.interner.intern(key)
             if key == exclude_key:
                 continue
             entry = self.index.get(key)
@@ -296,18 +250,10 @@ class KFlushingEngine(MemoryEngine):
         return self.index.k_filled_count(self.k)
 
     def frequency_snapshot(self) -> dict[Hashable, int]:
-        snapshot = self.index.frequency_snapshot()
-        if not self.columnar:
-            return snapshot
-        # Snapshot boundary: translate interned ids back to raw keys.
-        unintern = self.interner.unintern
-        return {unintern(kid): count for kid, count in snapshot.items()}
+        return self.index.frequency_snapshot()
 
     def record_count(self) -> int:
         return len(self.raw)
-
-    def posting_count(self) -> int:
-        return self.index.posting_count()
 
     def set_k(self, k: int) -> None:
         super().set_k(k)
@@ -320,14 +266,6 @@ class KFlushingEngine(MemoryEngine):
     def check_integrity(self) -> None:
         self.raw.check_integrity()
         self.index.check_integrity()
-        if self.columnar:
-            # Every index key must be a live interned id that round-trips
-            # through the interner (raw key -> id -> raw key).
-            self.interner.check_integrity()
-            for kid in self.index.keys():
-                assert isinstance(kid, int) and 0 <= kid < len(self.interner), (
-                    f"index key {kid!r} is not a valid interned id"
-                )
         # Every posting must reference a resident record, and reference
         # counts must equal the number of entries referencing the record.
         refs: dict[int, int] = {}

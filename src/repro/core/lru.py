@@ -20,10 +20,9 @@ from repro.core.eviction_ledger import CAUSE_TRIMMED_TOPK, CAUSE_WHOLE_KEY_LRU
 from repro.core.policy import FlushReport, LookupResult, MemoryEngine
 from repro.core.recency_list import RecencyList
 from repro.model.microblog import Microblog
-from repro.storage.columnar import ColumnarPostingList
 from repro.storage.flush_buffer import FlushBuffer
 from repro.storage.inverted_index import HashInvertedIndex
-from repro.storage.posting_list import MIN_SORT_KEY, Posting, PostingList, SortKey
+from repro.storage.posting_list import MIN_SORT_KEY, Posting, SortKey
 from repro.storage.raw_store import RawDataStore
 
 __all__ = ["LRUEngine"]
@@ -37,12 +36,8 @@ class LRUEngine(MemoryEngine):
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
         self.raw = RawDataStore(self.model)
-        self.index = HashInvertedIndex(
-            self.model,
-            self.k,
-            entry_factory=ColumnarPostingList if self.columnar else PostingList,
-        )
-        self.buffer = FlushBuffer(self.model, self.disk, interner=self.interner)
+        self.index = HashInvertedIndex(self.model, self.k)
+        self.buffer = FlushBuffer(self.model, self.disk)
         #: Global recency order: the H-Store doubly-linked list, with a
         #: real node per record and a lock per mutation (see RecencyList).
         self._recency = RecencyList()
@@ -58,20 +53,6 @@ class LRUEngine(MemoryEngine):
         if not keys:
             return False
         self.raw.add(record, pcount=len(keys))
-        if self.columnar:
-            timestamp = record.timestamp
-            blog_id = record.blog_id
-            self.index.insert_record_scalars(
-                keys,
-                self.ranking.score(record),
-                timestamp,
-                blog_id,
-                timestamp,
-                self.global_floor,
-                interner=self.interner,
-            )
-            self._recency.push(blog_id)
-            return True
         posting = Posting(self.ranking.score(record), record.timestamp, record.blog_id)
         for key in keys:
             self.index.insert(
@@ -82,12 +63,7 @@ class LRUEngine(MemoryEngine):
         return True
 
     def lookup(self, key: Hashable, depth: Optional[int] = None) -> LookupResult:
-        index_key = key
-        if self.columnar:
-            index_key = self.interner.maybe(key)
-            if index_key is None:
-                return LookupResult(key, (), self.global_floor)
-        entry = self.index.get(index_key)
+        entry = self.index.get(key)
         if entry is None:
             return LookupResult(key, (), self.global_floor)
         if depth is None:
@@ -158,10 +134,7 @@ class LRUEngine(MemoryEngine):
         """Remove one record from the raw store and all of its entries."""
         record = self.raw.remove(blog_id)
         freed = self.model.record_bytes(record)
-        columnar = self.columnar
         for key in self.attribute.keys(record):
-            if columnar:
-                key = self.interner.intern(key)
             entry = self.index.get(key)
             if entry is None:
                 continue
@@ -199,17 +172,10 @@ class LRUEngine(MemoryEngine):
         return self.index.k_filled_count(self.k)
 
     def frequency_snapshot(self) -> dict[Hashable, int]:
-        snapshot = self.index.frequency_snapshot()
-        if not self.columnar:
-            return snapshot
-        unintern = self.interner.unintern
-        return {unintern(kid): count for kid, count in snapshot.items()}
+        return self.index.frequency_snapshot()
 
     def record_count(self) -> int:
         return len(self.raw)
-
-    def posting_count(self) -> int:
-        return self.index.posting_count()
 
     def set_k(self, k: int) -> None:
         super().set_k(k)
@@ -218,8 +184,6 @@ class LRUEngine(MemoryEngine):
     def check_integrity(self) -> None:
         self.raw.check_integrity()
         self.index.check_integrity()
-        if self.columnar:
-            self.interner.check_integrity()
         assert set(self._recency.ids_lru_to_mru()) == {
             r.blog_id for r in self.raw
         }, "recency list out of sync with raw store"

@@ -92,31 +92,6 @@ def _evict_posting(
     return freed
 
 
-def _evict_block(
-    engine: "KFlushingEngine",
-    ctx: FlushContext,
-    key: Hashable,
-    block,
-) -> int:
-    """Columnar twin of :func:`_evict_posting` for one arena batch.
-
-    One buffer staging, one batched decref, one batched record staging —
-    the totals (and the order records reach the buffer) are identical to
-    running the per-posting loop over the block's expansion, because the
-    raw store walks ``block.ids`` in the same sequence.
-    """
-    ctx.buffer.add_posting_block(key, block)
-    n = len(block)
-    ctx.postings_flushed += n
-    freed = engine.model.posting_bytes * n
-    released, record_bytes = engine.raw.decref_many(block.ids)
-    if released:
-        ctx.buffer.add_records(released, record_bytes)
-        ctx.records_flushed += len(released)
-        freed += record_bytes
-    return freed
-
-
 def _note_phase(
     engine: "KFlushingEngine", ctx: FlushContext, phase: str, freed: int
 ) -> None:
@@ -144,17 +119,7 @@ def run_phase1(engine: "KFlushingEngine", ctx: FlushContext) -> None:
                 engine.index.clear_overflow(key)
                 continue
             depth = k if allocator is None else allocator.depth_of(key)
-            if engine.columnar:
-                if engine.mk_enabled:
-                    removed = entry.trim_if_ids(
-                        depth,
-                        keep_id=lambda bid, _key=key: engine.in_top_elsewhere(
-                            bid, _key
-                        ),
-                    )
-                else:
-                    removed = entry.trim_beyond(depth)
-            elif engine.mk_enabled:
+            if engine.mk_enabled:
                 removed = entry.trim_if(
                     depth,
                     keep=lambda p, _key=key: engine.in_top_elsewhere(
@@ -168,11 +133,8 @@ def run_phase1(engine: "KFlushingEngine", ctx: FlushContext) -> None:
                 if engine.flush_cache is not None:
                     engine.flush_cache.invalidate(key)
                 engine.note_eviction(key, PHASE_REGULAR, ctx.now, len(removed))
-                if engine.columnar:
-                    freed += _evict_block(engine, ctx, key, removed)
-                else:
-                    for posting in removed:
-                        freed += _evict_posting(engine, ctx, key, posting)
+                for posting in removed:
+                    freed += _evict_posting(engine, ctx, key, posting)
             if len(entry) <= depth:
                 engine.index.clear_overflow(key)
         # The paper wipes L after Phase 1 completes.  Under MK, entries whose
@@ -201,14 +163,7 @@ def _flush_entry(
     entry = engine.index.get(key)
     if entry is None:
         return 0
-    if engine.columnar:
-        if spare_k_filled_residents:
-            removed = entry.drain_if_ids(
-                keep_id=lambda bid: engine.exists_in_k_filled(bid, key)
-            )
-        else:
-            removed = entry.drain()
-    elif spare_k_filled_residents:
+    if spare_k_filled_residents:
         removed = entry.drain_if(
             keep=lambda p: engine.exists_in_k_filled(p.blog_id, key)
         )
@@ -221,16 +176,9 @@ def _flush_entry(
             cache.invalidate(key)
         engine.note_eviction(key, cause, ctx.now, len(removed))
     freed = 0
-    if engine.columnar:
-        if removed:
-            freed += _evict_block(engine, ctx, key, removed)
-            # Drained columns are ascending, so the block's best key is
-            # the max the legacy per-posting loop would have noted.
-            ctx.note_wholesale(removed.best_sort_key())
-    else:
-        for posting in removed:
-            freed += _evict_posting(engine, ctx, key, posting)
-            ctx.note_wholesale(posting.sort_key)
+    for posting in removed:
+        freed += _evict_posting(engine, ctx, key, posting)
+        ctx.note_wholesale(posting.sort_key)
     if len(entry) == 0:
         engine.index.remove_entry(key)
         freed += engine.model.entry_overhead

@@ -33,7 +33,6 @@ from repro.model.microblog import Microblog
 from repro.model.ranking import RankingFunction
 from repro.obs import Instrumentation
 from repro.storage.disk import DiskArchive
-from repro.storage.interner import KeyInterner, get_global_interner
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import MIN_SORT_KEY, Posting, SortKey
 
@@ -110,8 +109,6 @@ class MemoryEngine(ABC):
         flush_fraction: float,
         disk: DiskArchive,
         obs: Optional[Instrumentation] = None,
-        columnar: bool = False,
-        interner: Optional[KeyInterner] = None,
         ledger_capacity: Optional[int] = None,
         adaptive: Optional[AdaptiveSettings] = None,
     ) -> None:
@@ -123,15 +120,6 @@ class MemoryEngine(ABC):
             raise ConfigurationError(
                 f"flush_fraction must be in (0, 1], got {flush_fraction}"
             )
-        #: Columnar memory tier: array-backed posting columns + interned
-        #: key ids on every hot dict.  Off by default; the legacy object
-        #: layout stays the reference path for differential tests.
-        self.columnar = columnar
-        self.interner: Optional[KeyInterner] = (
-            (interner if interner is not None else get_global_interner())
-            if columnar
-            else None
-        )
         self.model = model
         self.ranking = ranking
         self.attribute = attribute
@@ -239,16 +227,10 @@ class MemoryEngine(ABC):
 
     def eviction_cause(self, key: Hashable) -> Optional[EvictionRecord]:
         """The latest eviction record for ``key``, or None (also None
-        whenever attribution is off).  Accepts raw keys: a columnar
-        engine's ledger is keyed by interned id, so the key is translated
-        here — a never-ingested key trivially has no eviction record."""
+        whenever attribution is off)."""
         ledger = self.eviction_ledger
         if ledger is None:
             return None
-        if self.columnar:
-            key = self.interner.maybe(key)
-            if key is None:
-                return None
         return ledger.get(key)
 
     def run_flush(self, now: float) -> FlushReport:
@@ -273,16 +255,6 @@ class MemoryEngine(ABC):
                 trace_ctx.fields["at"] = now
         self.flush_reports.append(report)
         registry = self.obs.registry
-        if self.columnar:
-            # Refresh the columnar gauges once per flush cycle: how many
-            # keys the process-wide interner holds and the raw bytes the
-            # posting columns occupy (24 bytes per resident posting).
-            registry.gauge("memory.columnar.interner_keys").set(
-                len(self.interner)
-            )
-            registry.gauge("memory.columnar.column_bytes").set(
-                24 * self.posting_count()
-            )
         registry.counter("flush.count").inc()
         registry.counter("flush.freed_bytes").inc(report.freed_bytes)
         registry.counter("flush.records_flushed").inc(report.records_flushed)
@@ -338,13 +310,12 @@ class MemoryEngine(ABC):
         heat = self.key_heat
         if heat is None:
             return {}
-        unintern = self.interner.unintern if self.columnar else None
         return {
             "most_queried": [
                 [str(key), count] for key, count in heat.top_queried(n)
             ],
             "most_evicted": [
-                [str(key if unintern is None else unintern(key)), count]
+                [str(key), count]
                 for key, count in heat.top_evicted(n)
             ],
         }
@@ -397,10 +368,6 @@ class MemoryEngine(ABC):
     @abstractmethod
     def record_count(self) -> int:
         """Records currently resident in memory."""
-
-    def posting_count(self) -> int:
-        """Total in-memory postings; overridden where tracked in O(1)."""
-        return sum(self.frequency_snapshot().values())
 
     def set_k(self, k: int) -> None:
         """Dynamic k (Section IV-C): takes effect at the next flush."""

@@ -51,7 +51,6 @@ from repro.model.microblog import Microblog
 from repro.obs import Instrumentation
 from repro.obs.runtime import get_active
 from repro.storage.disk import DiskArchive
-from repro.storage.interner import get_global_interner
 
 __all__ = [
     "ShardRouter",
@@ -167,13 +166,8 @@ class Shard:
     ) -> None:
         self.shard_id = shard_id
         self.capacity_bytes = config.shard_capacity(shard_id)
-        model = config.effective_memory_model()
-        # Shards share one process-wide interner: routing happens on raw
-        # keys before any shard sees them, so a shared id space is safe
-        # and keeps cross-shard snapshots consistent.
-        interner = get_global_interner() if config.columnar else None
         self.disk = DiskArchive(
-            model,
+            config.memory_model,
             config.disk_cost,
             obs=obs,
             shard_id=shard_id,
@@ -181,12 +175,11 @@ class Shard:
             # is sliced the same way the memory budget is.
             cache_bytes=config.disk_cache_capacity(shard_id),
             elide_empty=config.disk_elide_empty,
-            interner=interner,
         )
         self.attribute = ShardAttributeView(attribute, router, shard_id)
         self.engine: MemoryEngine = create_engine(
             config.policy,
-            model=model,
+            model=config.memory_model,
             ranking=ranking,
             attribute=self.attribute,
             k=config.k,
@@ -194,8 +187,6 @@ class Shard:
             flush_fraction=config.flush_fraction,
             disk=self.disk,
             obs=obs,
-            columnar=config.columnar,
-            interner=interner,
             ledger_capacity=config.eviction_ledger_capacity,
             # Each shard runs its own controller over its own keys; the
             # facade adds the cross-shard budget balancer on top.
@@ -449,7 +440,7 @@ class ShardedMicroblogSystem(MicroblogSystemBase):
             # Overlays stay non-adaptive (see the unsharded facade).
             return create_engine(
                 config.policy,
-                model=config.effective_memory_model(),
+                model=config.memory_model,
                 ranking=self.ranking,
                 attribute=shard.attribute,
                 k=shard.engine.k,
@@ -457,8 +448,6 @@ class ShardedMicroblogSystem(MicroblogSystemBase):
                 flush_fraction=config.flush_fraction,
                 disk=shard.disk,
                 obs=self.obs,
-                columnar=config.columnar,
-                interner=shard.engine.interner,
                 ledger_capacity=config.eviction_ledger_capacity,
             )
 

@@ -39,7 +39,6 @@ from repro.obs.runtime import get_active
 from repro.obs.slo import SLOTracker
 from repro.obs.watermarks import WatermarkTracker
 from repro.storage.disk import DiskArchive
-from repro.storage.interner import get_global_interner
 
 __all__ = ["MicroblogSystem", "MicroblogSystemBase"]
 
@@ -295,19 +294,16 @@ class MicroblogSystem(MicroblogSystemBase):
         self.obs = self._resolve_obs(config, obs)
         self.attribute = config.build_attribute()
         self.ranking = config.build_ranking()
-        model = config.effective_memory_model()
-        interner = get_global_interner() if config.columnar else None
         self.disk = DiskArchive(
-            model,
+            config.memory_model,
             config.disk_cost,
             obs=self.obs,
             cache_bytes=config.disk_cache_bytes,
             elide_empty=config.disk_elide_empty,
-            interner=interner,
         )
         self.engine: MemoryEngine = create_engine(
             config.policy,
-            model=model,
+            model=config.memory_model,
             ranking=self.ranking,
             attribute=self.attribute,
             k=config.k,
@@ -315,8 +311,6 @@ class MicroblogSystem(MicroblogSystemBase):
             flush_fraction=config.flush_fraction,
             disk=self.disk,
             obs=self.obs,
-            columnar=config.columnar,
-            interner=interner,
             ledger_capacity=config.eviction_ledger_capacity,
             adaptive=config.adaptive_settings(),
         )
@@ -388,7 +382,7 @@ class MicroblogSystem(MicroblogSystemBase):
         # the heat, the allocator, and the retune schedule.
         return create_engine(
             config.policy,
-            model=config.effective_memory_model(),
+            model=config.memory_model,
             ranking=self.ranking,
             attribute=self.attribute,
             k=self.engine.k,
@@ -396,8 +390,6 @@ class MicroblogSystem(MicroblogSystemBase):
             flush_fraction=config.flush_fraction,
             disk=self.disk,
             obs=self.obs,
-            columnar=config.columnar,
-            interner=self.engine.interner,
             ledger_capacity=config.eviction_ledger_capacity,
         )
 

@@ -22,17 +22,12 @@ machine-dependent — compare trajectories on one machine only):
   wall-clock, hit ratio, and effective digestion rate at N ∈ {1, 2, 4}
   hash-partitioned shards over a fixed total budget;
 * ``disk``     — disk-tier micro-benchmarks on a skewed synthetic flush
-  workload: ``commit_flush`` posting throughput under the segmented-runs
-  layout vs the flat per-posting ``insort`` it replaced, bounded top-k
-  lookup latency under both, and the cost of an unbounded lookup (lazy
-  merged view vs the old full reversed copy);
+  workload: ``commit_flush`` posting throughput, bounded top-k lookup
+  latency, and the cost of an unbounded lookup (lazy merged view);
 * ``pipeline`` — ingest-stall distribution (p99/max/total pause before a
   record is digested) under synchronous inline flushing vs pipelined
   memtable rotation with a background flush worker, plus the headline
   p99 reduction ratio;
-* ``columnar`` — the same warmed digestion workload under the legacy
-  tuple-per-posting memory tier vs the array-backed columnar layout with
-  interned key ids, plus the headline digestion speedup ratio;
 * ``adaptive`` — the adaptive-vs-static kFlushing matrix: each scenario
   in {uniform, zipf-hot, flash-crowd, multi-key} × {tight, normal}
   memory budgets replays the identical stream and query sequence twice,
@@ -71,7 +66,6 @@ from repro.experiments.scale import PRESETS, ScalePreset
 from repro.obs import Instrumentation
 from repro.workload.queryload import QueryLoad, QueryLoadConfig
 from repro.storage.disk import DiskArchive
-from repro.storage.interner import reset_global_interner
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import Posting
 
@@ -83,7 +77,6 @@ __all__ = [
     "bench_shard_scaling",
     "bench_disk_tier",
     "bench_pipelined_stalls",
-    "bench_columnar_digestion",
     "bench_obs_overhead",
     "bench_adaptive_matrix",
     "run_bench",
@@ -280,10 +273,9 @@ def _disk_flush_batches(
     """Skewed synthetic flush batches: one hot key plus a cold tail.
 
     Every batch is internally rank-sorted (the shape ``FlushBuffer``
-    produces) but batch score ranges overlap, so the flat layout insorts
-    most postings mid-list — the paper's append-heavy reality where new
-    flushes interleave with history — while the runs layout appends each
-    batch O(1).
+    produces) but batch score ranges overlap — the paper's append-heavy
+    reality where new flushes interleave with history — so each batch
+    lands as its own run and compaction has real work to do.
     """
     rng = random.Random(seed)
     out: list[dict[Hashable, list[Posting]]] = []
@@ -315,86 +307,37 @@ def bench_disk_tier(
     cold_keys: int = 8,
     cold_batch: int = 4,
 ) -> list[BenchRecord]:
-    """Disk-tier commit/lookup micro-benchmarks, runs layout vs flat.
+    """Disk-tier commit/lookup micro-benchmarks.
 
-    Two archives ingest the identical skewed flush workload: one with the
-    segmented-runs index (``use_runs=True``, the default) and one with
-    the flat per-posting-``insort`` index it replaced.  Both must agree
-    on every lookup (asserted here, not just in tests); the records
-    quantify commit throughput, bounded top-k lookup latency, and the
-    cost of the unbounded-lookup call (lazy merged view vs the old full
-    reversed copy — the copy the AND miss path immediately dict-ified).
+    One archive ingests the skewed flush workload; the records quantify
+    commit throughput, bounded top-k lookup latency, and the cost of the
+    unbounded-lookup call (a lazy merged view over the live runs).
     """
     workload = _disk_flush_batches(seed, batches, hot_batch, cold_keys, cold_batch)
     total_postings = sum(
         len(postings) for by_key in workload for postings in by_key.values()
     )
-    model = MemoryModel()
-    archives = {
-        "segmented-runs": DiskArchive(model, use_runs=True),
-        "flat-insort": DiskArchive(model, use_runs=False),
-    }
-    records: list[BenchRecord] = []
-    rates: dict[str, float] = {}
-    for name, archive in archives.items():
-        start = time.perf_counter()
-        for by_key in workload:
-            archive.commit_flush((), by_key)
-        elapsed = time.perf_counter() - start
-        rates[name] = total_postings / elapsed if elapsed > 0 else float("inf")
-        records.append(
-            BenchRecord(
-                "disk_commit_postings_per_s", name, rates[name], "postings/s", seed
-            )
-        )
-    runs, flat = archives["segmented-runs"], archives["flat-insort"]
-    assert list(runs.lookup("hot", limit=50)) == list(flat.lookup("hot", limit=50)), (
-        "segmented-runs lookup diverged from the flat reference"
-    )
-    assert list(runs.lookup("hot")) == list(flat.lookup("hot")), (
-        "unbounded merged view diverged from the flat reference"
-    )
-    records.append(
+    archive = DiskArchive(MemoryModel())
+    start = time.perf_counter()
+    for by_key in workload:
+        archive.commit_flush((), by_key)
+    elapsed = time.perf_counter() - start
+    rate = total_postings / elapsed if elapsed > 0 else float("inf")
+    records = [
         BenchRecord(
-            "disk_commit_speedup",
-            "runs-vs-flat",
-            rates["segmented-runs"] / rates["flat-insort"],
-            "x",
-            seed,
+            "disk_commit_postings_per_s", "segmented-runs", rate, "postings/s", seed
         )
-    )
+    ]
     lookup_repeats = 400
-    for name, archive in archives.items():
+    for metric, policy, limit in (
+        ("disk_lookup_top20_us", "segmented-runs", 20),
+        ("disk_lookup_unbounded_us", "merged-view", None),
+    ):
         start = time.perf_counter()
         for _ in range(lookup_repeats):
-            archive.lookup("hot", limit=20)
-        top_us = (time.perf_counter() - start) / lookup_repeats * 1e6
-        records.append(
-            BenchRecord("disk_lookup_top20_us", name, top_us, "us", seed)
-        )
-    # The unbounded-lookup call itself: the old path eagerly built a full
-    # reversed copy of the hot key's postings; the merged view is O(runs)
-    # to construct and merges lazily as the caller drains it.
-    unbounded_us: dict[str, float] = {}
-    for name, archive in (("merged-view", runs), ("reversed-copy", flat)):
-        start = time.perf_counter()
-        for _ in range(lookup_repeats):
-            archive.lookup("hot")
-        unbounded_us[name] = (time.perf_counter() - start) / lookup_repeats * 1e6
-        records.append(
-            BenchRecord(
-                "disk_lookup_unbounded_us", name, unbounded_us[name], "us", seed
-            )
-        )
-    records.append(
-        BenchRecord(
-            "disk_lookup_unbounded_speedup",
-            "view-vs-copy",
-            unbounded_us["reversed-copy"] / unbounded_us["merged-view"],
-            "x",
-            seed,
-        )
-    )
+            archive.lookup("hot", limit=limit)
+        micros = (time.perf_counter() - start) / lookup_repeats * 1e6
+        records.append(BenchRecord(metric, policy, micros, "us", seed))
     return records
 
 
@@ -472,113 +415,6 @@ def bench_pipelined_stalls(preset: ScalePreset, seed: int) -> list[BenchRecord]:
             "ingest_stall_p99_reduction",
             "sync-vs-pipelined",
             p99["sync"] / max(p99["pipelined"], 1e-9),
-            "x",
-            seed,
-        )
-    )
-    return records
-
-
-#: Tag-count distribution of the columnar digestion workload: 7–8 keys
-#: per record.  The layouts differ only in per-(record, key) posting
-#: work, so the bench amortizes the shared per-record costs (raw-store
-#: accounting, budget check, stream driving) over a posting-dense
-#: stream — the regime the tentpole optimizes.
-_COLUMNAR_BENCH_TAG_PROBS = (0.0,) * 6 + (0.3, 0.7)
-#: Timed repetitions per layout; the reported rate is the *fastest* rep
-#: (timeit-style min: robust against CPU-steal noise on shared runners).
-_COLUMNAR_BENCH_REPS = 3
-
-
-def _columnar_bench_spec(preset: ScalePreset, seed: int, columnar: bool) -> TrialSpec:
-    """The fixed kFlushing digestion workload both layouts replay.
-
-    Small k plus a skewed, posting-dense stream keeps every flush inside
-    Phase 1 (top-k trims), where eviction is pure posting movement —
-    per-tuple staging under the legacy layout, column-slice cuts under
-    the columnar one."""
-    return TrialSpec(
-        policy="kflushing",
-        scale=preset,
-        seed=seed,
-        columnar=columnar,
-        k=5,
-        flush_budget=0.1,
-        keyword_zipf=1.2,
-        memory_gb=30,
-    )
-
-
-def bench_columnar_digestion(preset: ScalePreset, seed: int) -> list[BenchRecord]:
-    """Digestion rate under the legacy vs the columnar memory tier.
-
-    Both layouts replay the identical warmed kFlushing workload; the
-    only difference is the hot-tier layout.  The legacy run allocates
-    one ``Posting`` NamedTuple per (record, key) and evicts
-    posting-by-posting; the columnar run appends primitive scalars to
-    ``array``-backed columns keyed by interned ids and evicts whole
-    column slices.  The timed region is the engine-level digestion loop
-    (insert + budget check + inline flushes), repeated
-    :data:`_COLUMNAR_BENCH_REPS` times per layout with the fastest rep
-    reported.  Both layouts were proven answer-identical by the
-    differential tests, so this measures the same work done cheaper.
-    """
-    import dataclasses
-    import gc
-
-    from repro.workload.stream import MicroblogStream
-
-    def one_rep(columnar: bool) -> float:
-        reset_global_interner()
-        spec = _columnar_bench_spec(preset, seed, columnar)
-        system = spec.build_system()
-        base_cfg = spec.build_stream().config
-        stream = MicroblogStream(
-            dataclasses.replace(
-                base_cfg, tags_per_record_probs=_COLUMNAR_BENCH_TAG_PROBS
-            )
-        )
-        warmed = 0
-        while (
-            len(system.flush_reports()) < spec.scale.warm_flushes
-            and warmed < spec.scale.max_warm_records
-        ):
-            system.ingest_many(stream.take(_WARM_CHUNK))
-            warmed += _WARM_CHUNK
-        batch = stream.take(spec.scale.eval_records * 6)
-        engine = system.engine
-        insert, needs, flush = engine.insert, engine.needs_flush, engine.run_flush
-        gc.collect()
-        start = time.perf_counter()
-        for record in batch:
-            insert(record)
-            if needs():
-                flush(record.timestamp)
-        elapsed = time.perf_counter() - start
-        rate = len(batch) / elapsed if elapsed > 0 else 0.0
-        system.close()
-        return rate
-
-    records: list[BenchRecord] = []
-    rates: dict[str, float] = {}
-    # Interleave the layouts so slow phases of a noisy shared host hit
-    # both sides instead of biasing whichever ran second.
-    reps: dict[str, list[float]] = {"legacy": [], "columnar": []}
-    for _ in range(_COLUMNAR_BENCH_REPS):
-        reps["legacy"].append(one_rep(False))
-        reps["columnar"].append(one_rep(True))
-    for mode in ("legacy", "columnar"):
-        rates[mode] = max(reps[mode])
-        records.append(
-            BenchRecord(
-                f"{mode}_digestion_rate", "kflushing", rates[mode], "records/s", seed
-            )
-        )
-    records.append(
-        BenchRecord(
-            "columnar_speedup",
-            "columnar-vs-legacy",
-            rates["columnar"] / rates["legacy"] if rates["legacy"] > 0 else float("inf"),
             "x",
             seed,
         )
@@ -774,19 +610,24 @@ _OBS_OVERHEAD_SPEC = json.dumps(
         ]
     }
 )
-#: Timed repetitions per side; fastest rep reported (see columnar bench).
+#: Tag-count distribution of the overhead bench's stream: 7–8 keys per
+#: record, so per-posting work dominates the shared per-record costs.
+_OBS_BENCH_TAG_PROBS = (0.0,) * 6 + (0.3, 0.7)
+#: Timed repetitions per side; the reported rate is the *fastest* rep
+#: (timeit-style min: robust against CPU-steal noise on shared runners).
 _OBS_BENCH_REPS = 3
 
 
 def bench_obs_overhead(preset: ScalePreset, seed: int) -> list[BenchRecord]:
     """Digestion rate with the SLO tracker + flight recorder on vs off.
 
-    Both sides replay the identical warmed kFlushing digestion workload
-    from the columnar bench (legacy layout); the ``slo`` side adds a
-    two-objective always-compliant SLO spec ticked at every flush
-    boundary plus a 256-event flight-recorder ring.  The acceptance bar
-    is that the enabled side digests within 2 % of the disabled side —
-    the observability tax rides on flush boundaries, never on the
+    Both sides replay the identical warmed, posting-dense kFlushing
+    digestion workload (small k and a skewed stream keep every flush
+    inside Phase 1); the ``slo`` side adds a two-objective
+    always-compliant SLO spec ticked at every flush boundary plus a
+    256-event flight-recorder ring.  The acceptance bar is that the
+    enabled side digests within 2 % of the disabled side — the
+    observability tax rides on flush boundaries, never on the
     per-record path.
     """
     import dataclasses
@@ -795,8 +636,15 @@ def bench_obs_overhead(preset: ScalePreset, seed: int) -> list[BenchRecord]:
     from repro.workload.stream import MicroblogStream
 
     def one_rep(with_obs: bool) -> float:
-        reset_global_interner()
-        spec = _columnar_bench_spec(preset, seed, columnar=False)
+        spec = TrialSpec(
+            policy="kflushing",
+            scale=preset,
+            seed=seed,
+            k=5,
+            flush_budget=0.1,
+            keyword_zipf=1.2,
+            memory_gb=30,
+        )
         if with_obs:
             spec = dataclasses.replace(
                 spec, slo_spec=_OBS_OVERHEAD_SPEC, flight_recorder_events=256
@@ -805,7 +653,7 @@ def bench_obs_overhead(preset: ScalePreset, seed: int) -> list[BenchRecord]:
         base_cfg = spec.build_stream().config
         stream = MicroblogStream(
             dataclasses.replace(
-                base_cfg, tags_per_record_probs=_COLUMNAR_BENCH_TAG_PROBS
+                base_cfg, tags_per_record_probs=_OBS_BENCH_TAG_PROBS
             )
         )
         warmed = 0
@@ -817,9 +665,9 @@ def bench_obs_overhead(preset: ScalePreset, seed: int) -> list[BenchRecord]:
             warmed += _WARM_CHUNK
         batch = stream.take(spec.scale.eval_records * 6)
         # Timed region is the facade-level digestion loop (ingest +
-        # inline flush): unlike the columnar bench this must go through
-        # the system so SLO ticks and watermark sampling are in the
-        # timed path — they hook the facade's flush boundary.
+        # inline flush): it must go through the system so SLO ticks and
+        # watermark sampling are in the timed path — they hook the
+        # facade's flush boundary.
         ingest = system.ingest
         gc.collect()
         start = time.perf_counter()
@@ -861,7 +709,6 @@ ALL_SUITES: dict[str, Callable[..., list[BenchRecord]]] = {
     "shards": lambda preset, seed, jobs: bench_shard_scaling(preset, seed),
     "disk": lambda preset, seed, jobs: bench_disk_tier(preset, seed),
     "pipeline": lambda preset, seed, jobs: bench_pipelined_stalls(preset, seed),
-    "columnar": lambda preset, seed, jobs: bench_columnar_digestion(preset, seed),
     "adaptive": lambda preset, seed, jobs: bench_adaptive_matrix(preset, seed),
     "obs_overhead": lambda preset, seed, jobs: bench_obs_overhead(preset, seed),
 }

@@ -139,7 +139,6 @@ def fig1_snapshot(
     shards: int = 1,
     disk_cache_bytes: int = 0,
     disk_elide_empty: bool = False,
-    columnar: bool = False,
     adaptive: bool = False,
     slo_spec: Optional[str] = None,
     flight_recorder_events: int = 0,
@@ -162,7 +161,6 @@ def fig1_snapshot(
             shards=shards,
             disk_cache_bytes=disk_cache_bytes,
             disk_elide_empty=disk_elide_empty,
-            columnar=columnar,
             adaptive=adaptive,
             slo_spec=slo_spec,
             flight_recorder_events=flight_recorder_events,

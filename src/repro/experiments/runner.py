@@ -81,13 +81,6 @@ class TrialSpec:
     #: Worker threads for pipelined ingest (None = one per shard;
     #: 0 = deterministic inline drain, the differential tests' mode).
     flush_workers: int | None = None
-    #: Array-backed posting columns with interned key ids (False = the
-    #: legacy tuple-per-posting layout, bit-identical to the seed).
-    columnar: bool = False
-    #: Charge the memory budget at the columnar layout's per-posting cost
-    #: (requires ``columnar``; False keeps the legacy budget math so
-    #: flush cadence stays comparable across layouts).
-    columnar_cost: bool = False
     #: Run the adaptive retention/budget controller at flush boundaries
     #: (False = the paper's static kFlushing tuning, bit-identical to it).
     adaptive: bool = False
@@ -118,8 +111,6 @@ class TrialSpec:
             disk_elide_empty=self.disk_elide_empty,
             pipelined_ingest=self.pipelined_ingest,
             flush_workers=self.flush_workers,
-            columnar=self.columnar,
-            columnar_cost=self.columnar_cost,
             adaptive=self.adaptive,
             adaptive_interval=self.adaptive_interval,
             slo_spec=self.slo_spec,

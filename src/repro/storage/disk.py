@@ -16,9 +16,7 @@ Index layout (PR 4): the attribute index is log-structured.  Each key
 holds a :class:`_PostingRuns` — a set of sorted *runs* appended O(1) per
 flush batch (flush batches arrive rank-ordered from the posting lists),
 lazily k-way-merged on read, and size-tiered-compacted when the run count
-exceeds ``max_runs_per_key``.  This replaces the per-posting ``insort``
-of the flat layout; the flat layout survives behind the class switch
-``DiskArchive.use_runs = False`` as the differential/bench reference.
+exceeds ``max_runs_per_key``.
 
 Two config-gated read optimizations ride on top, both off by default so
 the paper's cost accounting stays bit-identical:
@@ -31,17 +29,14 @@ the paper's cost accounting stays bit-identical:
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from heapq import merge as _heap_merge
 from itertools import islice
-from typing import Hashable, Iterable, Optional, Sequence, Union
+from typing import Hashable, Iterable, Optional, Sequence
 
 from repro.model.microblog import Microblog
 from repro.obs import Instrumentation
-from repro.storage.columnar import PostingBlock
 from repro.storage.disk_cache import DiskReadCache
-from repro.storage.interner import KeyInterner
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import Posting
 from repro.storage.topk import MergedRunsView
@@ -110,59 +105,19 @@ class _PostingRuns:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def append_batch(
-        self, postings: Union[Sequence[Posting], PostingBlock]
-    ) -> int:
+    def append_batch(self, postings: Sequence[Posting]) -> int:
         """Append one flush batch; returns the count of fresh postings.
 
         Postings whose blog id is already indexed under this key are
         dropped (idempotent re-flush).  The batch lands as one new run —
         or extends the newest run in place when it ranks entirely above
         it — so the per-batch cost is O(batch), not O(list).
-
-        A columnar :class:`PostingBlock` with no id collisions is stored
-        *as the run itself* — three set operations, zero tuples — and
-        only expanded to ``Posting`` tuples when this key is first read
-        (or when a collision forces the per-posting dedup path).  Blocks
-        come off ascending posting lists, so they are sorted by
-        construction.
         """
-        if type(postings) is PostingBlock:
-            block_ids = postings.ids
-            ids = self.ids
-            if ids.isdisjoint(block_ids):
-                ids.update(block_ids)
-                runs = self.runs
-                if runs:
-                    tail = runs[-1]
-                    worst = (
-                        postings.scores[0],
-                        postings.times[0],
-                        block_ids[0],
-                    )
-                    if type(tail) is PostingBlock:
-                        if worst > (
-                            tail.scores[-1],
-                            tail.times[-1],
-                            tail.ids[-1],
-                        ):
-                            tail.scores.extend(postings.scores)
-                            tail.times.extend(postings.times)
-                            tail.ids.extend(block_ids)
-                            return len(block_ids)
-                    elif worst > tail[-1]:
-                        tail.extend(postings.postings())
-                        return len(block_ids)
-                runs.append(postings)
-                return len(block_ids)
-            # Id collision with an earlier flush: fall back to the
-            # per-posting dedup path on the expanded block.
-            postings = postings.postings()
         ids = self.ids
         fresh = []
         for p in postings:
             # Membership check against ids as we go also drops duplicate
-            # blog ids *within* one batch, matching the flat layout.
+            # blog ids *within* one batch.
             if p.blog_id not in ids:
                 ids.add(p.blog_id)
                 fresh.append(p)
@@ -175,29 +130,11 @@ class _PostingRuns:
                 fresh.sort()
                 break
         runs = self.runs
-        if runs:
-            tail = runs[-1]
-            if type(tail) is PostingBlock:
-                # Mixed case (loose postings after a block run): expand
-                # the tail once; later block appends extend it as a list.
-                tail = runs[-1] = tail.postings()
-            if fresh[0] > tail[-1]:
-                tail.extend(fresh)
-                return len(fresh)
-        runs.append(fresh)
+        if runs and fresh[0] > runs[-1][-1]:
+            runs[-1].extend(fresh)
+        else:
+            runs.append(fresh)
         return len(fresh)
-
-    def _materialized(self) -> list[list[Posting]]:
-        """Expand any block runs to ``Posting`` lists, in place.
-
-        Read paths call this; a key that is only ever written keeps its
-        runs as raw column blocks for its whole lifetime.
-        """
-        runs = self.runs
-        for i, run in enumerate(runs):
-            if type(run) is PostingBlock:
-                runs[i] = run.postings()
-        return runs
 
     def compact(self, target: int) -> int:
         """Merge the smallest runs until at most ``target`` remain.
@@ -210,7 +147,6 @@ class _PostingRuns:
         runs = self.runs
         if len(runs) <= target:
             return 0
-        runs = self._materialized()
         runs.sort(key=len, reverse=True)
         victims = runs[max(1, target) - 1 :]
         del runs[max(1, target) - 1 :]
@@ -219,7 +155,7 @@ class _PostingRuns:
 
     def top(self, limit: int) -> list[Posting]:
         """Best ``limit`` postings, best rank first, reading run tails."""
-        runs = self._materialized()
+        runs = self.runs
         if len(runs) == 1:
             run = runs[0]
             # C-speed tail slice: the last `limit` postings, reversed.
@@ -230,7 +166,7 @@ class _PostingRuns:
 
     def best_first_view(self) -> MergedRunsView:
         """Zero-copy best-first view over all runs (unbounded lookup)."""
-        return MergedRunsView(self._materialized())
+        return MergedRunsView(self.runs)
 
 
 class DiskArchive:
@@ -245,14 +181,6 @@ class DiskArchive:
     still resident.
     """
 
-    #: Class-level default for the index layout.  ``True`` is the
-    #: segmented-runs layout; flipping to ``False`` (or passing
-    #: ``use_runs=False``) restores the flat ``insort`` layout of the
-    #: pre-PR-4 archive — kept as the reference path for differential
-    #: tests and before/after benchmarks, like
-    #: ``KFlushingEngine.use_flush_cache``.
-    use_runs: bool = True
-
     def __init__(
         self,
         model: MemoryModel,
@@ -262,23 +190,12 @@ class DiskArchive:
         *,
         cache_bytes: int = 0,
         elide_empty: bool = False,
-        use_runs: Optional[bool] = None,
         max_runs_per_key: int = 8,
-        interner: Optional[KeyInterner] = None,
     ) -> None:
         self._model = model
         self._cost = cost_model or DiskCostModel()
         self._records: dict[int, Microblog] = {}
-        self._use_runs = type(self).use_runs if use_runs is None else use_runs
-        #: When set (columnar systems), ``_index`` is keyed by interned id
-        #: and every public method translates at its boundary: writes
-        #: intern, reads probe without growing the table.  Keys on the
-        #: wire (commit batches, lookups) stay raw either way.
-        self._interner = interner
-        #: key -> per-key postings.  Runs layout: a ``_PostingRuns``.
-        #: Flat layout: a plain ascending ``list[Posting]`` (best at the
-        #: end), the same layout as the in-memory posting lists.
-        self._index: dict[Hashable, Union[_PostingRuns, list[Posting]]] = {}
+        self._index: dict[Hashable, _PostingRuns] = {}
         if max_runs_per_key < 1:
             raise ValueError(
                 f"max_runs_per_key must be >= 1, got {max_runs_per_key}"
@@ -304,19 +221,6 @@ class DiskArchive:
         if self._shard_prefix is not None:
             registry.counter(self._shard_prefix + name).inc(amount)
 
-    def _probe(self, key: Hashable) -> Hashable:
-        """Read-side key translation (no-op without an interner).
-
-        A key the interner has never seen maps to ``-1`` — a valid dict
-        probe that can never collide with a real id (ids are dense and
-        non-negative), so the read path behaves exactly as for any other
-        absent key without growing the interner.
-        """
-        if self._interner is None:
-            return key
-        kid = self._interner.maybe(key)
-        return -1 if kid is None else kid
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -333,17 +237,13 @@ class DiskArchive:
         return blog_id in self._records
 
     def posting_count(self, key: Hashable) -> int:
-        postings = self._index.get(self._probe(key))
+        postings = self._index.get(key)
         return 0 if postings is None else len(postings)
 
     def run_count(self, key: Hashable) -> int:
-        """Number of stored runs for ``key`` (1 for the flat layout)."""
-        entry = self._index.get(self._probe(key))
-        if entry is None:
-            return 0
-        if isinstance(entry, _PostingRuns):
-            return len(entry.runs)
-        return 1
+        """Number of stored runs for ``key``."""
+        entry = self._index.get(key)
+        return 0 if entry is None else len(entry.runs)
 
     # ------------------------------------------------------------------
     # Writes (called by the flush buffer on commit)
@@ -352,9 +252,7 @@ class DiskArchive:
     def commit_flush(
         self,
         records: Iterable[Microblog],
-        postings_by_key: dict[Hashable, Union[list[Posting], PostingBlock]],
-        *,
-        keys_interned: bool = False,
+        postings_by_key: dict[Hashable, list[Posting]],
     ) -> int:
         """Persist one flush batch; returns modelled bytes written.
 
@@ -362,13 +260,6 @@ class DiskArchive:
         and re-flushed later (e.g. alongside its record body) is written
         once — re-commits neither inflate ``posting_count`` nor widen the
         merge inputs of later lookups.
-
-        Columnar fast path: a flush buffer that shares this archive's
-        interner passes ``keys_interned=True`` with the keys already as
-        dense ids (skipping the unintern/re-intern round trip) and may
-        pass whole :class:`PostingBlock` column slices as values — the
-        runs layout stores an uncontended block without materializing a
-        single ``Posting`` tuple.
         """
         nbytes = 0
         nrecords = 0
@@ -381,23 +272,10 @@ class DiskArchive:
                 nbytes += self._model.record_bytes(record)
                 nrecords += 1
         npostings = 0
-        intern = None if self._interner is None else self._interner.intern
-        if keys_interned:
-            if self._interner is None:
-                raise ValueError(
-                    "keys_interned=True requires an interned archive"
-                )
-            intern = None
         for key, postings in postings_by_key.items():
             if not postings:
                 continue
-            if intern is not None:
-                key = intern(key)
-            fresh = (
-                self._commit_key_runs(key, postings)
-                if self._use_runs
-                else self._commit_key_flat(key, postings)
-            )
+            fresh = self._commit_key(key, postings)
             if not fresh:
                 continue
             npostings += fresh
@@ -415,8 +293,8 @@ class DiskArchive:
         self._count("bytes_written", nbytes)
         return nbytes
 
-    def _commit_key_runs(self, key: Hashable, postings: list[Posting]) -> int:
-        """Runs layout: O(1) batch append plus occasional compaction."""
+    def _commit_key(self, key: Hashable, postings: list[Posting]) -> int:
+        """O(1) batch append plus occasional compaction."""
         entry = self._index.get(key)
         if entry is None:
             entry = _PostingRuns()
@@ -429,28 +307,6 @@ class DiskArchive:
             entry.compact(max(1, self._max_runs // 2))
             self.stats.compactions += 1
             self._count("compactions")
-        return fresh
-
-    def _commit_key_flat(self, key: Hashable, postings) -> int:
-        """Flat layout: per-posting append-or-insort (pre-PR-4 path)."""
-        if type(postings) is PostingBlock:
-            postings = postings.postings()
-        target = self._index.get(key)
-        if target is None:
-            target = self._index[key] = []
-        seen = {p.blog_id for p in target}
-        fresh = 0
-        for posting in postings:
-            if posting.blog_id in seen:
-                continue
-            seen.add(posting.blog_id)
-            if not target or posting.sort_key >= target[-1].sort_key:
-                target.append(posting)
-            else:
-                insort(target, posting)
-            fresh += 1
-        if not target:
-            del self._index[key]
         return fresh
 
     # ------------------------------------------------------------------
@@ -466,7 +322,7 @@ class DiskArchive:
         ``disk.lookups_elided``.  Always ``False`` with the gate off, so
         default behaviour (every miss pays the lookup) is unchanged.
         """
-        if not self.elide_empty or self._probe(key) in self._index:
+        if not self.elide_empty or key in self._index:
             return False
         self.stats.lookups_elided += 1
         self._count("lookups_elided")
@@ -487,13 +343,12 @@ class DiskArchive:
         becomes a ``disk.lookup`` child span recording cache outcome,
         runs merged, and postings returned.
         """
-        index_key = self._probe(key)
         if self.obs.current_trace is None:
-            return self._lookup(index_key, limit, None)
+            return self._lookup(key, limit, None)
         with self.obs.trace_span(
             "disk.lookup", key=str(key), shard=self.shard_id
         ) as extra:
-            result = self._lookup(index_key, limit, extra)
+            result = self._lookup(key, limit, extra)
             extra["postings"] = len(result)
             extra["runs"] = self.run_count(key)
             return result
@@ -528,15 +383,9 @@ class DiskArchive:
         entry = self._index.get(key)
         if entry is None:
             return [] if limit is not None else MergedRunsView(())
-        if isinstance(entry, _PostingRuns):
-            if limit is not None:
-                return entry.top(limit)
-            return entry.best_first_view()
-        # Flat layout: the pre-PR-4 slice-and-reverse copies, kept verbatim
-        # as the micro-benchmark reference for the zero-copy view above.
         if limit is not None:
-            return entry[-limit:][::-1]
-        return entry[::-1]
+            return entry.top(limit)
+        return entry.best_first_view()
 
     def _charge_read(
         self, result: Sequence[Posting], *, seek: bool

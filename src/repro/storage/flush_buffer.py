@@ -16,9 +16,7 @@ from collections import deque
 from typing import Hashable
 
 from repro.model.microblog import Microblog
-from repro.storage.columnar import PostingBlock
 from repro.storage.disk import DiskArchive
-from repro.storage.interner import KeyInterner
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import Posting
 
@@ -26,30 +24,13 @@ __all__ = ["FlushBuffer"]
 
 
 class FlushBuffer:
-    """Accumulates one flush batch, then commits it in a single write.
+    """Accumulates one flush batch, then commits it in a single write."""
 
-    Columnar engines stage whole :class:`PostingBlock` column slices
-    (``add_posting_block``) instead of per-posting tuples, and key the
-    buffer by interned id; ``interner`` translates back to raw keys at
-    the commit boundary, so the disk archive always sees the same wire
-    format regardless of the memory-tier layout.
-    """
-
-    def __init__(
-        self,
-        model: MemoryModel,
-        disk: DiskArchive,
-        interner: KeyInterner | None = None,
-    ) -> None:
+    def __init__(self, model: MemoryModel, disk: DiskArchive) -> None:
         self._model = model
         self._disk = disk
-        self._interner = interner
         self._records: list[Microblog] = []
         self._postings: dict[Hashable, list[Posting]] = {}
-        #: Arena batches staged by the columnar eviction path, in staging
-        #: order per key (each block is internally ascending by sort key,
-        #: exactly the order the legacy path staged individual postings).
-        self._blocks: dict[Hashable, list[PostingBlock]] = {}
         self._bytes = 0
         #: Largest modelled size the buffer ever reached.
         self.peak_bytes = 0
@@ -65,25 +46,12 @@ class FlushBuffer:
 
     @property
     def is_empty(self) -> bool:
-        return not self._records and not self._postings and not self._blocks
+        return not self._records and not self._postings
 
     def add_record(self, record: Microblog) -> None:
         """Stage a record whose reference count reached zero."""
         self._records.append(record)
         self._bytes += self._model.record_bytes(record)
-        self.peak_bytes = max(self.peak_bytes, self._bytes)
-
-    def add_records(self, records: list[Microblog], total_bytes: int) -> None:
-        """Stage a batch of released records with their pre-summed cost.
-
-        The arena eviction path already knows the exact bytes freed (the
-        raw store's memoized per-record costs), so the buffer charges the
-        batch without re-tokenizing any record.
-        """
-        if not records:
-            return
-        self._records.extend(records)
-        self._bytes += total_bytes
         self.peak_bytes = max(self.peak_bytes, self._bytes)
 
     def add_posting(self, key: Hashable, posting: Posting) -> None:
@@ -98,19 +66,6 @@ class FlushBuffer:
             return
         self._postings.setdefault(key, []).extend(postings)
         self._bytes += self._model.postings_bytes(len(postings))
-        self.peak_bytes = max(self.peak_bytes, self._bytes)
-
-    def add_posting_block(self, key: Hashable, block: PostingBlock) -> None:
-        """Stage one evicted column slice under ``key`` (columnar path).
-
-        The block is kept intact — three primitive arrays — until the
-        commit boundary; no per-posting tuple exists while the batch sits
-        in the buffer.
-        """
-        if not block:
-            return
-        self._blocks.setdefault(key, []).append(block)
-        self._bytes += self._model.postings_bytes(len(block))
         self.peak_bytes = max(self.peak_bytes, self._bytes)
 
     @property
@@ -140,88 +95,12 @@ class FlushBuffer:
         self._records.extend(other._records)
         for key, postings in other._postings.items():
             self._postings.setdefault(key, []).extend(postings)
-        for key, blocks in other._blocks.items():
-            self._blocks.setdefault(key, []).extend(blocks)
         self._bytes += adopted
         self.peak_bytes = max(self.peak_bytes, self._bytes)
         other._records = []
         other._postings = {}
-        other._blocks = {}
         other._bytes = 0
         return adopted
-
-    def _assemble_postings(self) -> dict[Hashable, list[Posting]]:
-        """Flatten staged blocks and translate interned keys for commit.
-
-        The fast path — no blocks, no interner — hands the staged dict
-        through untouched (the legacy wire format, byte for byte).
-        """
-        if not self._blocks and self._interner is None:
-            return self._postings
-        unintern = (
-            self._interner.unintern if self._interner is not None else None
-        )
-        assembled: dict[Hashable, list[Posting]] = {}
-        for key, postings in self._postings.items():
-            raw = key if unintern is None else unintern(key)
-            assembled.setdefault(raw, []).extend(postings)
-        for key, blocks in self._blocks.items():
-            raw = key if unintern is None else unintern(key)
-            target = assembled.setdefault(raw, [])
-            for block in blocks:
-                target.extend(block.postings())
-        return assembled
-
-    def _assemble_interned(self) -> dict[Hashable, object]:
-        """Commit payload for a disk that shares our interner.
-
-        Keys stay as dense ids (the disk skips its own re-intern), and a
-        key whose staged evictions are exactly one block passes that
-        block through *unexpanded* — the common Phase 1/2/3 case — so no
-        ``Posting`` tuple is built between eviction and disk storage.
-        Keys with loose postings or several blocks fall back to one
-        flattened list in staging order (identical to the legacy wire
-        format).
-        """
-        if not self._blocks:
-            return self._postings
-        assembled: dict[Hashable, object] = dict(self._postings)
-        for key, blocks in self._blocks.items():
-            loose = assembled.get(key)
-            if loose is None:
-                combined = blocks[0]
-                for block in blocks[1:]:
-                    if combined is None:
-                        break
-                    if (
-                        block.scores[0],
-                        block.times[0],
-                        block.ids[0],
-                    ) > combined.best_sort_key():
-                        # Staging order is ascending across one flush's
-                        # blocks for a key (Phase 1 trims the worst
-                        # postings before a later phase drains the rest),
-                        # so concatenating the columns keeps one sorted
-                        # block on the wire.
-                        if combined is blocks[0]:
-                            combined = PostingBlock(
-                                combined.scores[:],
-                                combined.times[:],
-                                combined.ids[:],
-                            )
-                        combined.scores.extend(block.scores)
-                        combined.times.extend(block.times)
-                        combined.ids.extend(block.ids)
-                    else:
-                        combined = None
-                if combined is not None:
-                    assembled[key] = combined
-                    continue
-            merged: list[Posting] = list(loose) if loose is not None else []
-            for block in blocks:
-                merged.extend(block.postings())
-            assembled[key] = merged
-        return assembled
 
     def commit(self) -> int:
         """Write everything staged to disk in one batch; returns bytes
@@ -229,17 +108,8 @@ class FlushBuffer:
         if self.is_empty:
             return 0
         self._recent_commit_bytes.append(self._bytes)
-        interner = self._interner
-        if interner is not None and getattr(self._disk, "_interner", None) is interner:
-            written = self._disk.commit_flush(
-                self._records, self._assemble_interned(), keys_interned=True
-            )
-        else:
-            written = self._disk.commit_flush(
-                self._records, self._assemble_postings()
-            )
+        written = self._disk.commit_flush(self._records, self._postings)
         self._records = []
         self._postings = {}
-        self._blocks = {}
         self._bytes = 0
         return written

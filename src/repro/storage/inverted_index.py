@@ -36,22 +36,13 @@ _UNSET: object = object()
 
 
 class HashInvertedIndex:
-    """A byte-accounted hash inverted index with overflow tracking.
+    """A byte-accounted hash inverted index with overflow tracking."""
 
-    ``entry_factory`` selects the per-key entry layout: the default
-    builds the legacy list-of-tuples :class:`PostingList`; the columnar
-    engines pass :class:`~repro.storage.columnar.ColumnarPostingList`.
-    Both share one API, so the index itself is layout-agnostic.
-    """
-
-    def __init__(
-        self, model: MemoryModel, k: int, entry_factory=PostingList, allocator=None
-    ) -> None:
+    def __init__(self, model: MemoryModel, k: int, allocator=None) -> None:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         self._model = model
         self._k = k
-        self._entry_factory = entry_factory
         #: Per-key retention depths (``repro.core.adaptive.KAllocator``,
         #: ``depth_of(key) >= k`` always).  None — the default — keeps
         #: every threshold at the global ``k``, the legacy fast path.
@@ -221,7 +212,7 @@ class HashInvertedIndex:
         """
         entry = self._entries.get(key)
         if entry is None:
-            entry = self._entry_factory(key, created_at=now, floor=created_floor)
+            entry = PostingList(key, created_at=now, floor=created_floor)
             self._entries[key] = entry
             self._bytes += self._model.entry_overhead
         entry.insert(posting)
@@ -236,110 +227,6 @@ class HashInvertedIndex:
         if key not in self._k_filled and entry.is_k_filled(self._k):
             self._k_filled.add(key)
         return entry
-
-    def insert_scalar(
-        self,
-        key: Hashable,
-        score: float,
-        timestamp: float,
-        blog_id: int,
-        now: float,
-        created_floor: SortKey = MIN_SORT_KEY,
-    ) -> PostingList:
-        """Scalar twin of :meth:`insert` for columnar entries.
-
-        Identical bookkeeping, but the posting travels as three scalars
-        straight into the entry's columns — the ingest hot path allocates
-        no ``Posting`` tuple at all.
-        """
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = self._entry_factory(key, created_at=now, floor=created_floor)
-            self._entries[key] = entry
-            self._bytes += self._model.entry_overhead
-        entry.insert_scalar(score, timestamp, blog_id)
-        self._bytes += self._model.posting_bytes
-        self._postings_total += 1
-        if len(entry) > self._k:
-            allocator = self._allocator
-            if allocator is None or len(entry) > allocator.depth_of(key):
-                self._overflow.add(key)
-        if key not in self._k_filled and entry.is_k_filled(self._k):
-            self._k_filled.add(key)
-        return entry
-
-    def insert_record_scalars(
-        self,
-        keys,
-        score: float,
-        timestamp: float,
-        blog_id: int,
-        now: float,
-        created_floor: SortKey = MIN_SORT_KEY,
-        interner=None,
-    ) -> None:
-        """Fused ingest of one record under all of its keys at once.
-
-        Requires columnar entries (touches their columns directly): the
-        append fast path — a new posting ranking best-so-far, i.e. every
-        insert under temporal ranking — runs inline here, so the whole
-        record costs one call frame instead of two per key.  Bookkeeping
-        is identical to calling :meth:`insert_scalar` per key.
-
-        With ``interner`` given, ``keys`` are *raw* keys and the
-        string→id translation happens inside the same loop (one pass
-        over the record's keys instead of an intern pass plus an insert
-        pass).
-        """
-        entries = self._entries
-        entries_get = entries.get
-        factory = self._entry_factory
-        k = self._k
-        allocator = self._allocator
-        overflow = self._overflow
-        k_filled = self._k_filled
-        model = self._model
-        if interner is not None:
-            ids_get = interner._ids.get
-            id_table = interner._keys
-        n_keys = 0
-        for key in keys:
-            if interner is not None:
-                kid = ids_get(key)
-                if kid is None:
-                    kid = len(id_table)
-                    interner._ids[key] = kid
-                    id_table.append(key)
-                key = kid
-            entry = entries_get(key)
-            if entry is None:
-                entry = factory(key, created_at=now, floor=created_floor)
-                entries[key] = entry
-                self._bytes += model.entry_overhead
-            scores = entry._scores
-            if scores and (
-                score < scores[-1]
-                or (
-                    score == scores[-1]
-                    and (timestamp, blog_id) < (entry._times[-1], entry._ids[-1])
-                )
-            ):
-                entry.insert_scalar(score, timestamp, blog_id)
-            else:
-                scores.append(score)
-                entry._times.append(timestamp)
-                entry._ids.append(blog_id)
-                if timestamp > entry.last_arrival:
-                    entry.last_arrival = timestamp
-            n = len(scores)
-            if n >= k:
-                if n > k and (allocator is None or n > allocator.depth_of(key)):
-                    overflow.add(key)
-                if key not in k_filled and entry.is_k_filled(k):
-                    k_filled.add(key)
-            n_keys += 1
-        self._bytes += model.posting_bytes * n_keys
-        self._postings_total += n_keys
 
     def touch_query(self, key: Hashable, now: float) -> None:
         """Record a query access on ``key`` (Phase 3's order key)."""
@@ -413,10 +300,6 @@ class HashInvertedIndex:
             # Overflow may be stale-high after set_k shrinks k mid-cycle,
             # but must never contain entries at or below k postings when k
             # is unchanged; Phase 1 tolerates no-op trims either way.
-        for entry in self._entries.values():
-            check_columns = getattr(entry, "check_columns", None)
-            if check_columns is not None:
-                check_columns()
         if self._k_filled_dirty:
             self._rebuild_k_filled()
         expected_k_filled = {

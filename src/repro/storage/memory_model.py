@@ -20,7 +20,7 @@ approximate a compact Java layout like the paper's implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.model.microblog import Microblog
@@ -92,20 +92,3 @@ class MemoryModel:
     def postings_bytes(self, posting_count: int) -> int:
         """Bytes of just the posting pointers (no entry overhead)."""
         return posting_count * self.posting_bytes
-
-    def columnar_layout(self) -> "MemoryModel":
-        """The cost model for the columnar memory tier.
-
-        A columnar posting stores its full (id, score, timestamp) triple
-        inline — 24 bytes of raw column data instead of an 8-byte pointer
-        to a shared object — while each entry carries three array headers
-        on top of the legacy entry overhead.  Opt-in via
-        ``SystemConfig.columnar_cost`` so the default columnar run keeps
-        the legacy budget math (and hence bit-identical flush cadence)
-        for the differential tests.
-        """
-        return replace(
-            self,
-            posting_bytes=24,
-            entry_overhead=self.entry_overhead + 48,
-        )

@@ -112,35 +112,6 @@ class RawDataStore:
         self._bytes -= self._costs.pop(blog_id)
         return record
 
-    def decref_many(self, blog_ids) -> tuple[list[Microblog], int]:
-        """Batch :meth:`decref` over an iterable of ids.
-
-        Returns the records whose reference count reached zero (in input
-        order — identical to calling :meth:`decref` per id) together with
-        the total bytes freed.  This is the arena-eviction path: one call
-        per flushed :class:`~repro.storage.columnar.PostingBlock` instead
-        of one per posting.
-        """
-        pcounts = self._pcounts
-        released: list[Microblog] = []
-        freed = 0
-        for blog_id in blog_ids:
-            try:
-                count = pcounts[blog_id]
-            except KeyError:
-                raise UnknownRecordError(blog_id) from None
-            if count <= 0:
-                raise ValueError(f"pcount underflow for blog_id={blog_id}")
-            count -= 1
-            if count > 0:
-                pcounts[blog_id] = count
-                continue
-            released.append(self._records.pop(blog_id))
-            del pcounts[blog_id]
-            freed += self._costs.pop(blog_id)
-        self._bytes -= freed
-        return released, freed
-
     def remove(self, blog_id: int) -> Microblog:
         """Forcibly remove a record regardless of its reference count.
 

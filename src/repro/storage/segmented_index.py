@@ -16,7 +16,6 @@ from typing import Hashable, Iterator, Optional
 
 from repro.errors import DuplicateRecordError
 from repro.model.microblog import Microblog
-from repro.storage.columnar import ColumnarPostingList
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import MIN_SORT_KEY, Posting, PostingList, SortKey
 from repro.storage.topk import merge_run_tails
@@ -27,24 +26,9 @@ __all__ = ["Segment", "SegmentedIndex"]
 class Segment:
     """One temporally disjoint slice: its records plus its own hash index."""
 
-    __slots__ = (
-        "seg_id",
-        "start_time",
-        "end_time",
-        "records",
-        "entries",
-        "_bytes",
-        "_model",
-        "_columnar",
-    )
+    __slots__ = ("seg_id", "start_time", "end_time", "records", "entries", "_bytes", "_model")
 
-    def __init__(
-        self,
-        seg_id: int,
-        start_time: float,
-        model: MemoryModel,
-        columnar: bool = False,
-    ) -> None:
+    def __init__(self, seg_id: int, start_time: float, model: MemoryModel) -> None:
         self.seg_id = seg_id
         self.start_time = start_time
         #: Set when the segment is sealed; open segments have None.
@@ -52,9 +36,6 @@ class Segment:
         self.records: dict[int, Microblog] = {}
         self.entries: dict[Hashable, PostingList] = {}
         self._model = model
-        #: Columnar mode stores each per-segment entry as primitive
-        #: columns (the caller keys ``entries`` by interned id).
-        self._columnar = columnar
         self._bytes = model.segment_overhead
 
     @property
@@ -74,18 +55,6 @@ class Segment:
             raise DuplicateRecordError(record.blog_id)
         self.records[record.blog_id] = record
         self._bytes += self._model.record_bytes(record)
-        if self._columnar:
-            timestamp = record.timestamp
-            blog_id = record.blog_id
-            for key in keys:
-                entry = self.entries.get(key)
-                if entry is None:
-                    entry = ColumnarPostingList(key, created_at=timestamp)
-                    self.entries[key] = entry
-                    self._bytes += self._model.entry_overhead
-                entry.insert_scalar(score, timestamp, blog_id)
-                self._bytes += self._model.posting_bytes
-            return
         posting = Posting(score, record.timestamp, record.blog_id)
         for key in keys:
             entry = self.entries.get(key)
@@ -118,7 +87,6 @@ class SegmentedIndex:
         model: MemoryModel,
         segment_capacity_bytes: int,
         start_time: float = 0.0,
-        columnar: bool = False,
     ) -> None:
         if segment_capacity_bytes <= 0:
             raise ValueError(
@@ -126,7 +94,6 @@ class SegmentedIndex:
             )
         self._model = model
         self._segment_capacity = segment_capacity_bytes
-        self._columnar = columnar
         self._next_seg_id = 0
         self._segments: deque[Segment] = deque()
         self._segments.append(self._new_segment(start_time))
@@ -134,9 +101,7 @@ class SegmentedIndex:
         self.flushed_floor: SortKey = MIN_SORT_KEY
 
     def _new_segment(self, start_time: float) -> Segment:
-        segment = Segment(
-            self._next_seg_id, start_time, self._model, columnar=self._columnar
-        )
+        segment = Segment(self._next_seg_id, start_time, self._model)
         self._next_seg_id += 1
         return segment
 

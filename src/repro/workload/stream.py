@@ -182,8 +182,9 @@ class MicroblogStream:
                     ranks[j] = self.cooccurrence.sample_companion(primary, rng)
             cursor += count
             # De-duplicate tags within one record (a Zipf head tag can be
-            # drawn twice); order is irrelevant to the index.
-            keywords = tuple({vocab.tag(r) for r in ranks})
+            # drawn twice) in first-appearance order: key order is index
+            # insert order, so a set would tie the stream to the hash seed.
+            keywords = tuple(dict.fromkeys(vocab.tag(r) for r in ranks))
             user_id = int(user_ranks[i])
             location = None
             if points is not None:

@@ -123,12 +123,11 @@ class TestPostingIdempotency:
         disk.commit_flush([], {"a": [posting(1), posting(1), posting(2)]})
         assert disk.posting_count("a") == 2
 
-    def test_flat_layout_also_idempotent(self, model):
-        flat = DiskArchive(model, use_runs=False)
-        flat.commit_flush([], {"a": [posting(1)]})
-        flat.commit_flush([], {"a": [posting(1), posting(2)]})
-        assert flat.posting_count("a") == 2
-        assert [p.blog_id for p in flat.lookup("a")] == [2, 1]
+    def test_partly_reflushed_batch_writes_only_the_fresh(self, disk):
+        disk.commit_flush([], {"a": [posting(1)]})
+        disk.commit_flush([], {"a": [posting(1), posting(2)]})
+        assert disk.posting_count("a") == 2
+        assert [p.blog_id for p in disk.lookup("a")] == [2, 1]
 
 
 class TestSegmentedRuns:
@@ -173,23 +172,30 @@ class TestSegmentedRuns:
         assert len(view) == 2
         assert view == [posting(2), posting(1)]
 
-    def test_flat_and_runs_layouts_agree(self, model):
-        runs = DiskArchive(model, use_runs=True)
-        flat = DiskArchive(model, use_runs=False)
+    def test_lookups_agree_with_sorted_reference(self, model):
+        runs = DiskArchive(model)
+        cost = DiskCostModel()
         batches = [
             {"a": [posting(3), posting(7)], "b": [posting(2)]},
             {"a": [posting(1), posting(5)]},
             {"a": [posting(9)], "b": [posting(4)]},
         ]
+        # The reference: per key, everything committed, best rank first.
+        committed = {"a": [], "b": [], "ghost": []}
+        io_seconds = 0.0
         for batch in batches:
             runs.commit_flush([], batch)
-            flat.commit_flush([], batch)
-        for key in ("a", "b", "ghost"):
-            assert list(runs.lookup(key)) == list(flat.lookup(key))
-            assert list(runs.lookup(key, limit=2)) == list(flat.lookup(key, limit=2))
-        assert runs.stats.simulated_io_seconds == pytest.approx(
-            flat.stats.simulated_io_seconds
-        )
+            for key, postings in batch.items():
+                committed[key] = sorted(committed[key] + postings, reverse=True)
+            io_seconds += cost.write_cost(
+                model.postings_bytes(sum(map(len, batch.values())))
+            )
+        for key, expected in committed.items():
+            assert list(runs.lookup(key)) == expected
+            assert list(runs.lookup(key, limit=2)) == expected[:2]
+            io_seconds += cost.read_cost(model.postings_bytes(len(expected)))
+            io_seconds += cost.read_cost(model.postings_bytes(len(expected[:2])))
+        assert runs.stats.simulated_io_seconds == pytest.approx(io_seconds)
 
 
 class TestReadCache:

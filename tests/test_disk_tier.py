@@ -2,15 +2,15 @@
 
 Three families of guarantees:
 
-* **Differential** — the segmented-runs layout, the read cache, and
-  negative-lookup elision each preserve the trial-level results of the
-  paper's accounting: with the gates off, ``TrialResult`` is
-  bit-identical to the flat pre-PR-4 archive; with a gate on, answers
-  never change (only disk-lookup counts and simulated latency may).
+* **Differential** — under real trial traffic every lookup of the
+  segmented-runs layout, and its simulated I/O, equal a sorted,
+  id-deduplicated list of what was committed; with the read cache or
+  negative-lookup elision on, answers never change (only disk-lookup
+  counts and simulated latency may).
 * **Property** (hypothesis) — per-key disk postings stay globally
   rank-sorted and duplicate-free under arbitrary interleavings of
   commits (including re-flushed postings) and compactions, and always
-  match the flat reference layout; cache-on lookups equal cache-off
+  match that sorted reference; cache-on lookups equal cache-off
   lookups under random interleavings of commits and reads.
 * **Sharded routing** — ``_RoutedDisk.elides`` consults exactly the
   shard that owns the key.
@@ -26,7 +26,7 @@ from repro.config import SystemConfig
 from repro.engine.sharded import build_system
 from repro.experiments.runner import TrialSpec, run_trial
 from repro.experiments.scale import ScalePreset
-from repro.storage.disk import DiskArchive
+from repro.storage.disk import DiskArchive, DiskCostModel
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import Posting
 from repro.workload.queryload import QueryLoad, QueryLoadConfig
@@ -65,57 +65,101 @@ def posting(i: int, score: float | None = None) -> Posting:
 
 
 # ----------------------------------------------------------------------
-# Differential: runs layout vs the flat pre-PR-4 reference
+# Differential: runs layout vs a sorted list of what was committed
 # ----------------------------------------------------------------------
 
 
+def _check_against_reference(disk: DiskArchive, model: MemoryModel) -> dict:
+    """Wrap ``disk``'s own methods so every lookup is compared with the
+    reference — per key, everything committed, id-deduplicated, best rank
+    first — and the simulated I/O the reference implies is summed up."""
+    cost = DiskCostModel()
+    committed: dict = {}
+    records: dict = {}
+    seen = {"lookups": 0, "io_seconds": 0.0}
+    commit, lookup, fetch = disk.commit_flush, disk.lookup, disk.fetch_record
+
+    def commit_flush(new_records, postings_by_key):
+        new_records = list(new_records)
+        nbytes = 0
+        for record in new_records:
+            if records.setdefault(record.blog_id, record) is record:
+                nbytes += model.record_bytes(record)
+        for key, postings in postings_by_key.items():
+            by_id = committed.setdefault(key, {})
+            before = len(by_id)
+            for p in postings:
+                by_id.setdefault(p.blog_id, p)
+            nbytes += model.postings_bytes(len(by_id) - before)
+        seen["io_seconds"] += cost.write_cost(nbytes)
+        return commit(new_records, postings_by_key)
+
+    def checked_lookup(key, limit=None):
+        result = lookup(key, limit)
+        expected = sorted(committed.get(key, {}).values(), reverse=True)[:limit]
+        assert list(result) == expected
+        seen["lookups"] += 1
+        seen["io_seconds"] += cost.read_cost(model.postings_bytes(len(expected)))
+        return result
+
+    def fetch_record(blog_id):
+        record = fetch(blog_id)
+        assert record is records.get(blog_id)
+        if record is not None:
+            seen["io_seconds"] += cost.read_cost(model.record_bytes(record))
+        return record
+
+    disk.commit_flush, disk.lookup, disk.fetch_record = (
+        commit_flush,
+        checked_lookup,
+        fetch_record,
+    )
+    return seen
+
+
 class TestRunsLayoutDifferential:
-    """DiskArchive.use_runs=False restores the pre-PR-4 archive; both
-    layouts must produce bit-identical trials with the gates off."""
+    """Real trial traffic: what the archive answers, and what it charges,
+    must equal the sorted reference of what was committed."""
 
     @pytest.mark.parametrize("policy", ["fifo", "kflushing", "kflushing-mk", "lru"])
-    def test_trial_identical_across_layouts(self, policy):
-        new = run_trial(TrialSpec(policy=policy, scale=MICRO, seed=11))
-        assert DiskArchive.use_runs is True
-        DiskArchive.use_runs = False
-        try:
-            old = run_trial(TrialSpec(policy=policy, scale=MICRO, seed=11))
-        finally:
-            DiskArchive.use_runs = True
-        for name in DETERMINISTIC_FIELDS:
-            assert getattr(new, name) == getattr(old, name), name
+    def test_trial_lookups_match_reference(self, policy):
+        spec = TrialSpec(policy=policy, scale=MICRO, seed=11)
+        system = spec.build_system()
+        seen = _check_against_reference(system.disk, system.config.memory_model)
+        stream = spec.build_stream()
+        queries = spec.build_queries(stream)
+        for record in stream.take(MICRO.max_warm_records // 2):
+            system.ingest(record)
+            system.search(queries.next_query())
+        assert len(system.flush_reports()) >= MICRO.warm_flushes
+        assert seen["lookups"] > 0
 
-    def test_simulated_io_identical_across_layouts(self):
-        def io_seconds() -> float:
-            config = SystemConfig(
-                policy="kflushing",
-                memory_capacity_bytes=200_000,
-                and_scan_depth=100,
-                and_disk_limit=100,
-            )
-            system = build_system(config)
-            stream = MicroblogStream(
+    def test_simulated_io_matches_reference(self):
+        config = SystemConfig(
+            policy="kflushing",
+            memory_capacity_bytes=200_000,
+            and_scan_depth=100,
+            and_disk_limit=100,
+        )
+        system = build_system(config)
+        seen = _check_against_reference(system.disk, config.memory_model)
+        stream = MicroblogStream(
+            StreamConfig(seed=5, vocabulary_size=300, with_locations=False)
+        )
+        load = QueryLoad(
+            QueryLoadConfig(seed=6, mode="correlated"),
+            MicroblogStream(
                 StreamConfig(seed=5, vocabulary_size=300, with_locations=False)
-            )
-            load = QueryLoad(
-                QueryLoadConfig(seed=6, mode="correlated"),
-                MicroblogStream(
-                    StreamConfig(seed=5, vocabulary_size=300, with_locations=False)
-                ),
-            )
-            for i, record in enumerate(stream.take(8_000)):
-                system.ingest(record)
-                if i % 10 == 0:
-                    system.search(load.next_query())
-            return system.disk.stats.simulated_io_seconds
-
-        new = io_seconds()
-        DiskArchive.use_runs = False
-        try:
-            old = io_seconds()
-        finally:
-            DiskArchive.use_runs = True
-        assert new == pytest.approx(old)
+            ),
+        )
+        for i, record in enumerate(stream.take(8_000)):
+            system.ingest(record)
+            if i % 10 == 0:
+                system.search(load.next_query())
+        assert system.disk.stats.simulated_io_seconds == pytest.approx(
+            seen["io_seconds"]
+        )
+        assert system.disk.stats.simulated_io_seconds > 0
 
 
 # ----------------------------------------------------------------------
@@ -248,15 +292,13 @@ batches_strategy = st.lists(
 @settings(max_examples=60, deadline=None)
 def test_postings_rank_sorted_after_any_interleaving(batches, max_runs):
     """Global rank order and dedup survive arbitrary commit/compaction
-    interleavings — and always match the flat reference layout."""
+    interleavings — and always match the sorted reference."""
     model = MemoryModel()
     runs = DiskArchive(model, max_runs_per_key=max_runs)
-    flat = DiskArchive(model, use_runs=False)
     committed: dict[str, set[int]] = {}
     for by_key in batches:
         batch = {key: [posting(i) for i in ids] for key, ids in by_key.items()}
         runs.commit_flush([], batch)
-        flat.commit_flush([], batch)
         for key, ids in by_key.items():
             committed.setdefault(key, set()).update(ids)
     for key, ids in committed.items():
@@ -266,8 +308,9 @@ def test_postings_rank_sorted_after_any_interleaving(batches, max_runs):
         assert {p.blog_id for p in result} == ids
         assert len(result) == len(ids)  # no duplicates survive
         assert runs.run_count(key) <= max_runs
-        assert result == list(flat.lookup(key))
-        assert list(runs.lookup(key, limit=7)) == list(flat.lookup(key, limit=7))
+        reference = sorted((posting(i) for i in ids), reverse=True)
+        assert result == reference
+        assert list(runs.lookup(key, limit=7)) == reference[:7]
 
 
 @given(

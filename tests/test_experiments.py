@@ -1,7 +1,10 @@
 """Tests for the experiment harness: presets, runner, figures, reporting."""
 
+import dataclasses
+
 import pytest
 
+from repro.config import SystemConfig
 from repro.experiments.figures import (
     FigureResult,
     SweepResult,
@@ -97,6 +100,45 @@ class TestRunTrial:
         )
         assert result.effective_digestion_rate > 0
         assert "queries_issued" in result.extras
+
+
+#: One non-default value per field name ``TrialSpec`` shares with
+#: ``SystemConfig`` (the plumbing ``build_system`` threads by hand).
+_SHARED_FIELD_VALUES = {
+    "adaptive": True,
+    "adaptive_interval": 3,
+    "attribute": "user",
+    "disk_cache_bytes": 4_096,
+    "disk_elide_empty": True,
+    "flight_recorder_events": 64,
+    "flight_recorder_path": "black_box.jsonl",
+    "flush_workers": 0,
+    "k": 7,
+    "pipelined_ingest": True,
+    "policy": "lru",
+    "shards": 2,
+    "slo_spec": '{"objectives": [{"metric": "flush.count", "min": 0}]}',
+}
+
+
+class TestSpecPlumbing:
+    def test_every_shared_field_is_probed(self):
+        shared = {f.name for f in dataclasses.fields(TrialSpec)} & {
+            f.name for f in dataclasses.fields(SystemConfig)
+        }
+        assert shared == set(_SHARED_FIELD_VALUES)
+
+    @pytest.mark.parametrize("name", sorted(_SHARED_FIELD_VALUES))
+    def test_forwards(self, name):
+        value = _SHARED_FIELD_VALUES[name]
+        defaults = {f.name: f.default for f in dataclasses.fields(SystemConfig)}
+        assert value != defaults[name]
+        spec = TrialSpec(**{"policy": "kflushing", "scale": MICRO, name: value})
+        system = spec.build_system()
+        try:
+            assert getattr(system.config, name) == value
+        finally:
+            system.close()
 
 
 class TestFigureHarness:

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.core.kflushing import KFlushingEngine
+from repro.engine.system import MicroblogSystem
 from repro.storage.disk import DiskArchive
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import MIN_SORT_KEY
+from repro.workload.stream import MicroblogStream, StreamConfig
 from tests.conftest import engine_kwargs, make_blog, make_blogs
 
 
@@ -351,3 +354,25 @@ class TestBookkeeping:
         eng.insert(make_blog(keywords=("a", "b")))
         eng.insert(make_blog(keywords=("a",)))
         assert eng.frequency_snapshot() == {"a": 2, "b": 1}
+
+
+def test_needs_flush_fast_path_agrees_with_property():
+    system = MicroblogSystem(
+        SystemConfig(
+            policy="kflushing",
+            k=5,
+            memory_capacity_bytes=300_000,
+            and_scan_depth=50,
+            and_disk_limit=50,
+        )
+    )
+    engine = system.engine
+    stream = MicroblogStream(
+        StreamConfig(seed=9, vocabulary_size=500, with_locations=False)
+    )
+    for record in stream.take(1_500):
+        system.ingest(record)
+        assert engine.needs_flush() == (
+            engine.memory_bytes >= engine.capacity_bytes
+        )
+    system.close()

@@ -108,6 +108,18 @@ class TestBestFirstView:
         assert view[1:3] == materialized[1:3]
         assert list(entry.iter_best_first()) == list(materialized)
 
+    def test_slice_returns_tuple_without_full_copy(self):
+        entry = PostingList("k", created_at=0.0)
+        for i in range(10):
+            entry.insert(posting(i))
+        view = entry.best_first()
+        assert view[:3] == (posting(9), posting(8), posting(7))
+        assert view[8:20] == (posting(1), posting(0))
+        assert view[3:3] == ()
+        assert view[1:10:2] == tuple(posting(i) for i in (8, 6, 4, 2, 0))
+        with pytest.raises(IndexError):
+            view[10]
+
     def test_lookup_depth_none_is_zero_copy(self, model_disk_engine):
         """Unbounded lookup must not materialize the posting list."""
         eng = model_disk_engine

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import DuplicateRecordError, UnknownRecordError
 from repro.storage.memory_model import MemoryModel
 from repro.storage.raw_store import RawDataStore
+from repro.workload.stream import MicroblogStream, StreamConfig
 from tests.conftest import make_blog
 
 
@@ -108,3 +109,32 @@ class TestIntegrity:
         model = MemoryModel()
         expected = sum(model.record_bytes(b) for b in blogs[5:])
         assert store.bytes_used == expected
+
+
+@pytest.fixture
+def stream_records():
+    stream = MicroblogStream(
+        StreamConfig(seed=11, vocabulary_size=500, with_locations=False)
+    )
+    return stream.take(64)
+
+
+def test_raw_store_releases_memoized_cost_not_recomputed(
+    stream_records, monkeypatch
+):
+    model = MemoryModel()
+    store = RawDataStore(model)
+    record = stream_records[0]
+    charged = store.add(record, pcount=2)
+    assert charged == model.record_bytes(record)
+    assert store.bytes_used == charged
+    # A mid-run change in model pricing must not skew release accounting:
+    # the store frees exactly what it charged at insert time.
+    original = MemoryModel.record_bytes
+    monkeypatch.setattr(
+        MemoryModel, "record_bytes", lambda self, r: original(self, r) + 1_000
+    )
+    assert store.decref(record.blog_id) is None
+    released = store.decref(record.blog_id)
+    assert released is record
+    assert store.bytes_used == 0

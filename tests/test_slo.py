@@ -36,7 +36,6 @@ from repro.obs import (
     attach_flight_recorder,
     evaluate_registry,
 )
-from repro.storage.interner import reset_global_interner
 from repro.workload.stream import MicroblogStream, StreamConfig
 from tests.test_experiments import MICRO
 
@@ -426,7 +425,6 @@ _PERMISSIVE = json.dumps(
 
 
 def _drive(config: SystemConfig, records: int = 15_000):
-    reset_global_interner()
     system = build_system(config)
     stream = MicroblogStream(
         StreamConfig(seed=11, vocabulary_size=2_000, with_locations=False)
@@ -562,7 +560,6 @@ def _comparable(result):
 def test_trial_results_bit_identical_with_slo_and_recorder(overrides):
     results = {}
     for enabled in (False, True):
-        reset_global_interner()
         extra = (
             dict(slo_spec=_PERMISSIVE, flight_recorder_events=128)
             if enabled
