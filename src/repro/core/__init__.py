@@ -1,8 +1,8 @@
 """Flushing policies: kFlushing (+MK) and the FIFO / LRU baselines.
 
 Engines are instantiated through a **registry** rather than an
-if-chain so that (a) the sharded system builder can create one engine
-per shard from the same policy name, and (b) downstream extensions can
+if-chain so that (a) every partition of the system can create its
+engine from the same policy name, and (b) downstream extensions can
 register additional policies without editing this package
 (:func:`register_engine`).
 """

@@ -20,10 +20,10 @@ flush-cycle boundaries so the query and ingest hot paths stay untouched:
   evicting entries that were about to be queried; when phase-1 causes
   dominate again the slack decays back to zero (the paper's behaviour).
 * **Shard budget rebalancing** (:class:`ShardBudgetBalancer`): the
-  sharded facade periodically shifts a bounded slice of the byte budget
-  from the coldest shard to the hottest one.  Routing is untouched, so
-  sharded==unsharded answer equality is preserved by construction; only
-  flush cadence per shard changes.
+  facade (with several partitions) periodically shifts a bounded slice
+  of the byte budget from the coldest shard to the hottest one.
+  Routing is untouched, so sharded==unsharded answer equality is
+  preserved by construction; only flush cadence per shard changes.
 
 Everything here is deterministic: decisions depend only on logical
 counters (query/eviction counts, flush counts, miss causes), ties break
@@ -302,7 +302,7 @@ class ShardBudgetBalancer:
     flushed most in the window takes up to ``shard_step`` of the total
     byte budget from the shard that flushed least, floored at half of
     each shard's original budget so no shard can be starved.  Capacities
-    are updated on both the :class:`~repro.engine.sharded.Shard` and its
+    are updated on both the :class:`~repro.engine.system.Partition` and its
     engine (``needs_flush`` reads the engine's own field).
     """
 
@@ -321,7 +321,7 @@ class ShardBudgetBalancer:
         self.rebalance(system)
 
     def rebalance(self, system) -> None:
-        shards = system.shards
+        shards = system.partitions
         counts = [len(shard.engine.flush_reports) for shard in shards]
         window = [c - p for c, p in zip(counts, self._last_counts)]
         self._last_counts = counts

@@ -13,14 +13,9 @@ from repro.engine.queries import (
     TopKQuery,
     UserQuery,
 )
-from repro.engine.sharded import (
-    Shard,
-    ShardedMicroblogSystem,
-    ShardRouter,
-    build_system,
-)
+from repro.engine.sharded import ShardRouter, build_system
 from repro.engine.stats import IngestStats, QueryStats, SystemStats, TimelinePoint
-from repro.engine.system import MicroblogSystem, MicroblogSystemBase
+from repro.engine.system import MicroblogSystem, Partition
 
 __all__ = [
     "AndQuery",
@@ -30,15 +25,13 @@ __all__ = [
     "LatencyHistogram",
     "LogicalClock",
     "MicroblogSystem",
-    "MicroblogSystemBase",
     "OrQuery",
+    "Partition",
     "QueryCostModel",
     "QueryExecutor",
     "QueryResult",
     "QueryStats",
-    "Shard",
     "ShardRouter",
-    "ShardedMicroblogSystem",
     "build_system",
     "parse_query",
     "SpatialQuery",

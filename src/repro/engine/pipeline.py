@@ -2,7 +2,7 @@
 
 The paper runs flushing on a separate thread "so that the flushing
 process does not interrupt the continuous digestion of incoming data"
-(Section III).  The synchronous facades instead flush inline: every
+(Section III).  A synchronous partition instead flushes inline: every
 capacity crossing freezes the write path for the whole flush.  This
 module supplies the rotation machinery that removes that stall while
 *preserving the flushing policy's semantics* — unlike an LSM memtable
@@ -14,7 +14,7 @@ overlay that absorbed writes in the meantime.
 
 Rotation lifecycle (all driven from the ingest thread except the drain):
 
-1. **rotate** — the engine crosses its budget: the facade samples the
+1. **rotate** — the engine crosses its budget: the partition samples the
    "before" timeline point, a fresh *overlay* engine (same policy class)
    becomes the active memtable, and a drain task is queued to the
    bounded :class:`FlushWorkerPool`;
@@ -170,7 +170,7 @@ class PipelinedEngine:
     """Rotation coordinator wrapping one long-lived policy engine.
 
     Duck-types the :class:`~repro.core.policy.MemoryEngine` surface the
-    query executor and the facades use (``insert``, ``lookup``,
+    query executor and the facade use (``insert``, ``lookup``,
     ``note_query``, ``get_record``, ``eviction_cause``, metrics), adding
     the active/immutable split underneath.  All state transitions happen
     on the ingest thread; the worker thread only runs ``run_flush`` on
@@ -184,20 +184,24 @@ class PipelinedEngine:
         overlay_factory: Callable[[], MemoryEngine],
         overlay_capacity_bytes: int,
         pool: FlushWorkerPool,
-        obs: Optional[Instrumentation] = None,
-        record_stall: Optional[Callable[[float], None]] = None,
-        on_before_flush: Optional[Callable[[float], None]] = None,
-        on_after_flush: Optional[Callable[[FlushReport, float], None]] = None,
-        label: str = "",
+        obs: Instrumentation,
+        record_stall: Callable[[float], None],
+        on_before_flush: Callable[[float], None],
+        on_after_flush: Callable[[FlushReport, float], None],
+        label: str,
     ) -> None:
         self.engine = engine
         self.overlay_factory = overlay_factory
         self.overlay_capacity_bytes = overlay_capacity_bytes
         self.pool = pool
-        self.obs = obs if obs is not None else Instrumentation()
-        self._record_stall = record_stall or (lambda seconds: None)
-        self._on_before_flush = on_before_flush or (lambda now: None)
-        self._on_after_flush = on_after_flush or (lambda report, now: None)
+        self.obs = obs
+        #: The owning partition's flush-cycle hooks: the same stall,
+        #: before and after accounting its synchronous flush runs.
+        self._record_stall = record_stall
+        self._on_before_flush = on_before_flush
+        self._on_after_flush = on_after_flush
+        #: Prefix of the per-shard copies of the rotation counters; empty
+        #: for a lone partition, whose copies would equal the globals.
         self.label = label
         #: Held by the worker for the whole drain; taken by query-path
         #: reads of the frozen engine (and by :class:`LockedDiskView`
@@ -388,7 +392,7 @@ class PipelinedEngine:
 
     @property
     def wants_query_feedback(self) -> bool:
-        return getattr(self.engine, "wants_query_feedback", False)
+        return self.engine.wants_query_feedback
 
     def observe_query_feedback(self, keys, hit, cause) -> None:
         # Heat/controller state lives on the long-lived engine only; the
@@ -396,9 +400,6 @@ class PipelinedEngine:
         # counters touched are plain int increments, safe against a
         # concurrent worker drain under the GIL.
         self.engine.observe_query_feedback(keys, hit, cause)
-
-    def hot_keys(self, n: int = 10) -> dict:
-        return self.engine.hot_keys(n)
 
     # ------------------------------------------------------------------
     # Metrics surface (facade-facing; active + immutable aggregates)
@@ -411,10 +412,6 @@ class PipelinedEngine:
         if overlay is not None:
             total += overlay.memory_bytes
         return total
-
-    @property
-    def flush_reports(self) -> list[FlushReport]:
-        return self.engine.flush_reports
 
     @property
     def policy_overhead_bytes(self) -> int:

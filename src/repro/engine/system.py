@@ -1,35 +1,41 @@
 """The system facade: ingestion, flushing, and query serving in one object.
 
-:class:`MicroblogSystem` wires a configured memory engine (policy + store
-layout), the simulated disk archive, the query executor, and the metrics
-together, reproducing the environment of the paper's Figure 2:
+:class:`MicroblogSystem` reproduces the environment of the paper's
+Figure 2 over a list of :class:`Partition` slices:
 
 * a stream of microblogs is *digested* into the in-memory store;
-* when the memory budget fills, the flushing policy evicts at least the
-  flushing budget B to disk;
+* when a partition's memory budget fills, its flushing policy evicts at
+  least the flushing budget B to disk;
 * incoming top-k queries are answered memory-first, falling back to disk
   on a miss — and the hit ratio is the headline metric.
 
-:class:`MicroblogSystemBase` holds the facade surface shared with the
-hash-partitioned sibling (:class:`repro.engine.sharded.ShardedMicroblogSystem`):
-experiment harnesses program against the base contract and work with
-either build.  Use :func:`repro.engine.sharded.build_system` to construct
-whichever the config asks for.
+The paper's system is the one-partition case; ``config.shards > 1``
+hash-partitions the key space over N such slices behind the same facade
+(:mod:`repro.engine.sharded` has the router and scatter-gather adapters).
+A single partition is wired to the executor directly, with no router:
+routing one partition is the identity and costs 11-21 % throughput
+(docs/PERFORMANCE.md, "Why a single partition is not routed").
 """
 
 from __future__ import annotations
 
 import time
-from abc import ABC, abstractmethod
 from typing import Hashable, Iterable, Optional
 
 from repro.config import SystemConfig
 from repro.core import create_engine
+from repro.core.adaptive import ShardBudgetBalancer
 from repro.core.policy import FlushReport, MemoryEngine
 from repro.engine.clock import LogicalClock
 from repro.engine.executor import QueryExecutor, QueryResult
 from repro.engine.pipeline import FlushWorkerPool, LockedDiskView, PipelinedEngine
 from repro.engine.queries import TopKQuery
+from repro.engine.sharded import (
+    ShardAttributeView,
+    ShardRouter,
+    _RoutedDisk,
+    _RoutedEngine,
+)
 from repro.engine.stats import SystemStats
 from repro.errors import CapacityError
 from repro.model.microblog import Microblog
@@ -40,28 +46,245 @@ from repro.obs.slo import SLOTracker
 from repro.obs.watermarks import WatermarkTracker
 from repro.storage.disk import DiskArchive
 
-__all__ = ["MicroblogSystem", "MicroblogSystemBase"]
+__all__ = ["MicroblogSystem", "Partition"]
 
 
-class MicroblogSystemBase(ABC):
-    """Facade contract shared by the single-partition and sharded systems.
+class Partition:
+    """One vertical slice: engine + budget + flush cycle + disk namespace.
 
-    Subclass ``__init__`` must set ``config``, ``obs``, ``executor``,
-    ``clock``, and ``stats``; the base class implements everything that
-    is agnostic to how many partitions sit behind the executor.
+    With a ``router`` the slice is one of several: its engine indexes
+    only the keys it owns (:class:`ShardAttributeView`) and its flushes
+    additionally feed the ``shard.<i>.*`` series and the per-shard
+    timeline.  Without one it is the whole system, and those series —
+    exact copies of the global ones — are not emitted.
     """
 
-    config: SystemConfig
-    obs: Instrumentation
-    executor: QueryExecutor
-    clock: LogicalClock
-    stats: SystemStats
-    #: Black-box ring buffer (``config.flight_recorder_events > 0``).
-    flight_recorder: Optional[FlightRecorder]
-    #: Error-budget tracker (``config.slo_spec`` set), ticked per flush.
-    slo_tracker: Optional[SLOTracker]
-    #: Resource high-water marks, sampled at flush boundaries.
-    watermarks: WatermarkTracker
+    def __init__(
+        self, system: "MicroblogSystem", shard_id: int, router: Optional[ShardRouter]
+    ) -> None:
+        config = system.config
+        self.system = system
+        self.shard_id = shard_id
+        #: Prefix of this slice's own series; empty when it is the only one.
+        self.label = f"shard.{shard_id}." if router is not None else ""
+        self.capacity_bytes = config.shard_capacity(shard_id)
+        self.disk = DiskArchive(
+            config.memory_model,
+            config.disk_cost,
+            obs=system.obs,
+            shard_id=shard_id if router is not None else None,
+            # Each partition caches its own key namespace; the global
+            # budget is sliced the same way the memory budget is.
+            cache_bytes=config.disk_cache_capacity(shard_id),
+            elide_empty=config.disk_elide_empty,
+        )
+        self.attribute = system.attribute
+        if router is not None:
+            self.attribute = ShardAttributeView(system.attribute, router, shard_id)
+        # Each partition runs its own adaptive controller over its own
+        # keys; the facade adds the cross-shard budget balancer on top.
+        self.engine: MemoryEngine = self._build_engine(
+            config.k, self.capacity_bytes, config.adaptive_settings()
+        )
+        #: Rotation coordinator when ``config.pipelined_ingest`` is on.
+        self.pipeline: Optional[PipelinedEngine] = None
+        #: What the executor and the metrics surface talk to: the bare
+        #: engine and archive, or the pipeline (active + immutable
+        #: memtables) and its lock-taking disk adapter.
+        self.store = self.engine
+        self.disk_view = self.disk
+        if system._pool is not None:
+            self.pipeline = self.store = PipelinedEngine(
+                engine=self.engine,
+                overlay_factory=self._build_overlay,
+                overlay_capacity_bytes=config.overlay_capacity(shard_id),
+                pool=system._pool,
+                obs=system.obs,
+                record_stall=system._record_stall,
+                on_before_flush=self._before_flush,
+                on_after_flush=self._after_flush,
+                label=self.label,
+            )
+            self.disk_view = LockedDiskView(self.disk, self.pipeline.lock)
+
+    def _build_engine(self, k: int, capacity_bytes: int, adaptive=None) -> MemoryEngine:
+        system, config = self.system, self.system.config
+        return create_engine(
+            config.policy,
+            model=config.memory_model,
+            ranking=system.ranking,
+            attribute=self.attribute,
+            k=k,
+            capacity_bytes=capacity_bytes,
+            flush_fraction=config.flush_fraction,
+            disk=self.disk,
+            obs=system.obs,
+            ledger_capacity=config.eviction_ledger_capacity,
+            adaptive=adaptive,
+        )
+
+    def _build_overlay(self) -> MemoryEngine:
+        """A fresh same-policy engine to digest into while the long-lived
+        engine is frozen for a background flush."""
+        # Overlays stay non-adaptive: they live for one rotation window
+        # and are absorbed back into the long-lived engine, which owns
+        # the heat, the allocator, and the retune schedule.
+        return self._build_engine(
+            self.engine.k, self.system.config.overlay_capacity(self.shard_id)
+        )
+
+    # ------------------------------------------------------------------
+    # Flush cycle
+    # ------------------------------------------------------------------
+
+    def maybe_flush(self) -> None:
+        """Post-insert budget check: rotate to the flush workers when
+        pipelined, flush inline otherwise."""
+        if self.pipeline is not None:
+            self.pipeline.maybe_rotate(self.system.now)
+        elif self.engine.needs_flush():
+            now = self.system.now
+            self._before_flush(now)
+            report = self.engine.run_flush(now)
+            # The synchronous flush stalls ingest for its whole wall time
+            # — the baseline pause the pipelined mode exists to remove.
+            self.system._record_stall(report.wall_seconds)
+            self._after_flush(report, now)
+
+    def _sample(self, now: float, kind: str, own: int, total: int) -> None:
+        """One timeline point per level, so before/after always pair up:
+        this shard's (when it is one of several) and the system's."""
+        stats, capacity = self.system.stats, self.system.config.total_capacity_bytes
+        if self.label:
+            stats.sample_memory(
+                now, own, self.capacity_bytes, kind=kind, shard=self.shard_id
+            )
+        stats.sample_memory(now, total, capacity, kind=kind)
+
+    def _before_flush(self, now: float) -> None:
+        total = self.system.total_memory_bytes()
+        self._sample(now, "before", self.engine.memory_bytes, total)
+
+    def _after_flush(self, report: FlushReport, now: float) -> None:
+        """Post-flush accounting; runs on the worker thread when a drain
+        completes in the background, inline otherwise."""
+        system = self.system
+        system.stats.ingest.flush_seconds += report.wall_seconds
+        system._flush_reports.append(report)
+        after = self.engine.memory_bytes
+        # This flush's outcome is the flushed engine, not its store: what
+        # an overlay digested during the drain is not part of it, so an
+        # inline drain samples exactly what a synchronous flush does.
+        total = after + sum(
+            p.store.memory_bytes for p in system.partitions if p is not self
+        )
+        self._sample(now, "after", after, total)
+        registry = system.obs.registry
+        registry.gauge("memory.bytes_used").set(total)
+        registry.gauge("memory.capacity_bytes").set(system.config.total_capacity_bytes)
+        if self.label:
+            prefix = self.label
+            registry.counter(prefix + "flush.count").inc()
+            registry.counter(prefix + "flush.freed_bytes").inc(report.freed_bytes)
+            registry.gauge(prefix + "memory.bytes_used").set(after)
+            registry.gauge(prefix + "memory.capacity_bytes").set(self.capacity_bytes)
+        if report.freed_bytes <= 0 and after >= self.capacity_bytes:
+            who = f"shard {self.shard_id} flush" if self.label else "flush"
+            raise CapacityError(
+                f"{who} freed nothing at {after} bytes used of "
+                f"{self.capacity_bytes}; a single record may exceed the "
+                "memory budget"
+            )
+        if system._balancer is not None:
+            system._balancer.on_shard_flush(system)
+        system._service_level_tick()
+
+
+class MicroblogSystem:
+    """A complete microblogs data-management system (Figure 2), over one
+    partition or many."""
+
+    def __init__(
+        self,
+        config: SystemConfig,
+        strict_and: bool = False,
+        obs: Optional[Instrumentation] = None,
+    ) -> None:
+        self.config = config
+        #: Instrumentation shared by every component of this system.  An
+        #: explicit argument wins; otherwise the enclosing
+        #: ``repro.obs.activated`` scope (experiment runs) or a private
+        #: registry (the library default).  When the flight recorder is
+        #: configured the resolved instance is forked with the recorder
+        #: ring buffer tee'd in front of the sink — before any component
+        #: is built, so everything traces through the recorder.
+        self.obs = obs if obs is not None else (get_active() or Instrumentation())
+        #: Black-box ring buffer (``config.flight_recorder_events > 0``).
+        self.flight_recorder: Optional[FlightRecorder] = None
+        if config.flight_recorder_events > 0:
+            self.obs, self.flight_recorder = attach_flight_recorder(
+                self.obs, config.flight_recorder_events
+            )
+        self.attribute = config.build_attribute()
+        self.ranking = config.build_ranking()
+        self.clock = LogicalClock()
+        self.stats = SystemStats()
+        #: Every partition's flushes, in the order they completed.
+        self._flush_reports: list[FlushReport] = []
+        #: One worker pool shared by all partitions' drain tasks when
+        #: pipelined ingest is on (the queue bound is global, so total
+        #: in-flight flush work is capped system-wide).
+        self._pool: Optional[FlushWorkerPool] = None
+        if config.pipelined_ingest:
+            self._pool = FlushWorkerPool(
+                config.resolved_flush_workers(),
+                config.resolved_flush_queue_limit(),
+                obs=self.obs,
+            )
+        #: Key -> partition assignment; None with a single partition,
+        #: which owns every key.
+        self.router = ShardRouter(config.shards) if config.shards > 1 else None
+        self.partitions = [
+            Partition(self, i, self.router) for i in range(config.shards)
+        ]
+        # The pre-partition attribute names, kept because the benchmark's
+        # tracer and most call sites read them: one partition exposes its
+        # ``engine``/``disk`` and no ``shards``; several expose ``shards``
+        # (and ``router``) and no single engine or archive.
+        self.shards = self.engine = self.disk = None
+        #: Cross-shard budget rebalancer: shifts bounded budget slices
+        #: toward hot shards at flush boundaries.  None keeps the
+        #: construction-time budgets fixed, the static reference.
+        self._balancer: Optional[ShardBudgetBalancer] = None
+        if self.router is None:
+            (only,) = self.partitions
+            self.engine, self.disk = only.engine, only.disk
+            store, disk_view = only.store, only.disk_view
+        else:
+            self.shards = self.partitions
+            store = _RoutedEngine(self.partitions, self.router, self.obs)
+            disk_view = _RoutedDisk(self.partitions, self.router, self.obs)
+            settings = config.adaptive_settings()
+            if settings is not None:
+                self._balancer = ShardBudgetBalancer(settings, self.partitions)
+            self.obs.registry.gauge("shards.count").set(config.shards)
+        self.executor = QueryExecutor(
+            store,
+            disk_view,
+            strict_and=strict_and,
+            and_scan_depth=config.and_scan_depth,
+            and_disk_limit=config.and_disk_limit,
+            obs=self.obs,
+        )
+        #: Resource high-water marks, sampled at flush boundaries.
+        self.watermarks = WatermarkTracker(self.obs.registry)
+        #: Error-budget tracker (``config.slo_spec`` set), ticked per flush.
+        self.slo_tracker: Optional[SLOTracker] = None
+        spec = config.build_slo_spec()
+        if spec is not None:
+            self.slo_tracker = SLOTracker(spec, self.obs.registry, emit=self.obs.event)
+            if self.flight_recorder is not None:
+                self.slo_tracker.add_breach_callback(self._dump_on_breach)
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -71,7 +294,6 @@ class MicroblogSystemBase(ABC):
     def now(self) -> float:
         return self.clock.now
 
-    @abstractmethod
     def ingest(self, record: Microblog) -> bool:
         """Digest one record; triggers a flush when memory fills.
 
@@ -79,6 +301,33 @@ class MicroblogSystemBase(ABC):
         attribute (e.g. a tweet without hashtags in a keyword system) and
         was skipped.
         """
+        self.clock.advance_to(record.timestamp)
+        ingest = self.stats.ingest
+        ingest.offered += 1
+        start = time.perf_counter()
+        if self.router is None:
+            owners = self.partitions
+            indexed = owners[0].store.insert(record)
+        else:
+            # Fan-out: every partition owning one of the record's keys
+            # indexes it under those keys only (its attribute view
+            # filters); the record body is replicated to each.
+            owners = [
+                self.partitions[i]
+                for i in self.router.shards_for(self.attribute.keys(record))
+            ]
+            indexed = False
+            for partition in owners:
+                if partition.store.insert(record):
+                    indexed = True
+        ingest.insert_seconds += time.perf_counter() - start
+        if not indexed:
+            ingest.skipped += 1
+            return False
+        ingest.indexed += 1
+        for partition in owners:
+            partition.maybe_flush()
+        return True
 
     def ingest_many(self, records: Iterable[Microblog]) -> int:
         """Digest a batch; returns how many records were indexed."""
@@ -87,6 +336,15 @@ class MicroblogSystemBase(ABC):
             if self.ingest(record):
                 indexed += 1
         return indexed
+
+    def _record_stall(self, seconds: float) -> None:
+        """Account one ingest-path pause: a synchronous/inline flush, a
+        pipelined backpressure wait, or a non-empty reconcile.  Feeds the
+        ``ingest.stall_seconds`` histogram — the p99 of these pauses is
+        the pipelined-ingest headline metric."""
+        self.stats.ingest.record_stall(seconds)
+        self.obs.registry.counter("ingest.stalls").inc()
+        self.obs.registry.histogram("ingest.stall_seconds").record(seconds)
 
     # ------------------------------------------------------------------
     # Queries
@@ -114,54 +372,32 @@ class MicroblogSystemBase(ABC):
 
     def quiesce(self) -> None:
         """Wait for any in-flight background flush work and fold rotated
-        memtables back in.  No-op for synchronous builds; pipelined
-        builds override it.  Call before reading final metrics."""
+        memtables back in (a no-op for synchronous builds); call before
+        reading final metrics.  Every partition is visited even when a
+        drain failed; the first worker-side error is re-raised after."""
+        errors = []
+        for partition in self.partitions:
+            if partition.pipeline is not None:
+                try:
+                    partition.pipeline.quiesce(self.now)
+                except Exception as exc:
+                    errors.append(exc)
+        if errors:
+            raise errors[0]
 
     def close(self) -> None:
-        """Quiesce and release background resources (worker threads).
-        Idempotent; no-op for synchronous builds."""
-        self.quiesce()
-
-    def _record_stall(self, seconds: float) -> None:
-        """Account one ingest-path pause: a synchronous/inline flush, a
-        pipelined backpressure wait, or a non-empty reconcile.  Feeds the
-        ``ingest.stall_seconds`` histogram — the p99 of these pauses is
-        the pipelined-ingest headline metric."""
-        self.stats.ingest.record_stall(seconds)
-        self.obs.registry.counter("ingest.stalls").inc()
-        self.obs.registry.histogram("ingest.stall_seconds").record(seconds)
+        """Quiesce and release background resources (worker threads),
+        which stop even when the quiesce re-raises a flush error.
+        Idempotent; a no-op for synchronous builds."""
+        try:
+            self.quiesce()
+        finally:
+            if self._pool is not None:
+                self._pool.close()
 
     # ------------------------------------------------------------------
     # Service levels (SLO tracker, flight recorder, watermarks)
     # ------------------------------------------------------------------
-
-    def _resolve_obs(
-        self, config: SystemConfig, obs: Optional[Instrumentation]
-    ) -> Instrumentation:
-        """Resolve the system's Instrumentation (explicit arg > active
-        scope > private) and, when the flight recorder is configured,
-        fork it with the recorder tee'd in front of the sink.  Must run
-        before any component is built so everything traces through the
-        recorder."""
-        resolved = obs if obs is not None else (get_active() or Instrumentation())
-        self.flight_recorder = None
-        if config.flight_recorder_events > 0:
-            resolved, self.flight_recorder = attach_flight_recorder(
-                resolved, config.flight_recorder_events
-            )
-        return resolved
-
-    def _init_service_levels(self) -> None:
-        """Build the watermark tracker and (when configured) the SLO
-        tracker; called at the end of subclass ``__init__``."""
-        self.watermarks = WatermarkTracker(self.obs.registry)
-        self.slo_tracker = None
-        spec = self.config.build_slo_spec()
-        if spec is not None:
-            tracker = SLOTracker(spec, self.obs.registry, emit=self.obs.event)
-            if self.flight_recorder is not None:
-                tracker.add_breach_callback(self._dump_on_breach)
-            self.slo_tracker = tracker
 
     def _service_level_tick(self) -> None:
         """One flush-boundary heartbeat: sample resource watermarks,
@@ -173,7 +409,33 @@ class MicroblogSystemBase(ABC):
             self.slo_tracker.tick()
 
     def _sample_watermarks(self) -> None:
-        """Feed the watermark tracker; subclasses override."""
+        # All reads here are lock-free (plain attribute/dict reads under
+        # the GIL), so this is safe from the flush-worker threads.
+        watermarks = self.watermarks
+        total = overlay = 0
+        for partition in self.partitions:
+            used = partition.store.memory_bytes
+            total += used
+            overlay += max(0, used - partition.engine.memory_bytes)
+            if partition.label:
+                watermarks.observe(partition.label + "memory.bytes_used", used)
+        watermarks.observe("memory.bytes_used", total)
+        if self._pool is not None:
+            watermarks.observe("memory.overlay_bytes", overlay)
+            depth = self.obs.registry.get_gauge("pipeline.queue_depth")
+            if depth is not None:
+                watermarks.observe("pipeline.queue_depth", depth.value)
+        # One rule at any partition count: a source is observed whenever
+        # it is configured, from the first sample on (an empty ledger or
+        # cache reads 0, it is not skipped).
+        if self.config.disk_cache_bytes > 0:
+            caches = [p.disk.cache for p in self.partitions]
+            watermarks.observe(
+                "disk.cache_bytes", sum(c.bytes_used for c in caches if c is not None)
+            )
+        ledgers = [p.engine.eviction_ledger for p in self.partitions]
+        if ledgers[0] is not None:
+            watermarks.observe("eviction_ledger.entries", sum(map(len, ledgers)))
 
     def slo_state(self) -> Optional[dict]:
         """The SLO tracker's state dict, or None when no spec is set."""
@@ -189,11 +451,10 @@ class MicroblogSystemBase(ABC):
         recorder is off."""
         if self.flight_recorder is None:
             return None
-        target = (
-            path if path is not None else self.config.resolved_flight_recorder_path()
-        )
+        if path is None:
+            path = self.config.resolved_flight_recorder_path()
         return self.flight_recorder.dump(
-            target,
+            path,
             registry=self.obs.registry,
             slo_state=self.slo_state(),
             reason=reason,
@@ -206,16 +467,14 @@ class MicroblogSystemBase(ABC):
     # Control and metrics
     # ------------------------------------------------------------------
 
-    @abstractmethod
     def set_k(self, k: int) -> None:
         """Change k at run time (Section IV-C); applies from the next
         flush cycle onward."""
+        for partition in self.partitions:
+            partition.store.set_k(k)
 
-    def snapshot(self) -> dict:
-        """Point-in-time view of the instrumentation registry: every
-        counter, gauge, and histogram this system's components recorded
-        (flush spans, per-mode query hits/misses, disk I/O, ...)."""
-        return self.obs.registry.snapshot()
+    def total_memory_bytes(self) -> int:
+        return sum(partition.store.memory_bytes for partition in self.partitions)
 
     def hit_ratio(self) -> float:
         return self.stats.queries.hit_ratio
@@ -227,21 +486,26 @@ class MicroblogSystemBase(ABC):
         (and at least one miss occurred)."""
         return self.obs.registry.counter_values("query.miss.cause.")
 
-    @abstractmethod
     def k_filled_count(self) -> int:
         """Keys whose provable in-memory top-k is complete (Fig 7)."""
+        # Keys are partitioned (each owned by exactly one partition), so
+        # the per-partition counts sum without overlap.
+        return sum(p.store.k_filled_count() for p in self.partitions)
 
-    @abstractmethod
     def memory_utilization(self) -> float:
         """Used fraction of the (total) memory budget."""
+        return self.total_memory_bytes() / self.config.total_capacity_bytes
 
-    @abstractmethod
     def frequency_snapshot(self) -> dict[Hashable, int]:
         """Key -> in-memory posting count (the Figure 1 snapshot)."""
+        merged: dict[Hashable, int] = {}
+        for partition in self.partitions:
+            merged.update(partition.store.frequency_snapshot())
+        return merged
 
-    @abstractmethod
     def flush_reports(self) -> list[FlushReport]:
         """Every flush this system ran, in chronological order."""
+        return self._flush_reports
 
     def digestion_rate(self) -> float:
         """Pure insert-path digestion rate (records per wall second)."""
@@ -261,246 +525,106 @@ class MicroblogSystemBase(ABC):
             return 0.0
         return ingest.indexed / total
 
-    @abstractmethod
     def policy_overhead_bytes(self) -> int:
         """Modelled bytes of the policy's private bookkeeping (Fig 10a)."""
+        return sum(p.store.policy_overhead_bytes for p in self.partitions)
 
     def latency_percentile(self, p: float) -> float:
         """Simulated query-latency percentile (the intro's SLO measure):
         memory hits cost microseconds, misses pay simulated disk I/O."""
         return self.stats.queries.latency.percentile(p)
 
-    @abstractmethod
-    def check_integrity(self) -> None:
-        """Assert the system's internal invariants."""
+    def shard_skew(self) -> dict:
+        """Hot-shard summary: how unevenly the hash partitions the load.
 
-
-class MicroblogSystem(MicroblogSystemBase):
-    """A complete microblogs data-management system (Figure 2)."""
-
-    def __init__(
-        self,
-        config: SystemConfig,
-        strict_and: bool = False,
-        obs: Optional[Instrumentation] = None,
-    ) -> None:
-        self.config = config
-        #: Instrumentation shared by every component of this system.  An
-        #: explicit argument wins; otherwise the enclosing
-        #: ``repro.obs.activated`` scope (experiment runs) or a private
-        #: registry (the library default).  When the flight recorder is
-        #: configured the resolved instance is forked with the recorder
-        #: ring buffer tee'd in front of the sink.
-        self.obs = self._resolve_obs(config, obs)
-        self.attribute = config.build_attribute()
-        self.ranking = config.build_ranking()
-        self.disk = DiskArchive(
-            config.memory_model,
-            config.disk_cost,
-            obs=self.obs,
-            cache_bytes=config.disk_cache_bytes,
-            elide_empty=config.disk_elide_empty,
-        )
-        self.engine: MemoryEngine = create_engine(
-            config.policy,
-            model=config.memory_model,
-            ranking=self.ranking,
-            attribute=self.attribute,
-            k=config.k,
-            capacity_bytes=config.memory_capacity_bytes,
-            flush_fraction=config.flush_fraction,
-            disk=self.disk,
-            obs=self.obs,
-            ledger_capacity=config.eviction_ledger_capacity,
-            adaptive=config.adaptive_settings(),
-        )
-        #: Rotation coordinator when ``config.pipelined_ingest`` is on;
-        #: None keeps the synchronous inline-flush path byte-for-byte.
-        self._pipeline: Optional[PipelinedEngine] = None
-        self._pool: Optional[FlushWorkerPool] = None
-        if config.pipelined_ingest:
-            self._pool = FlushWorkerPool(
-                config.resolved_flush_workers(),
-                config.resolved_flush_queue_limit(),
-                obs=self.obs,
-            )
-            self._pipeline = PipelinedEngine(
-                engine=self.engine,
-                overlay_factory=self._build_overlay,
-                overlay_capacity_bytes=config.overlay_capacity(0),
-                pool=self._pool,
-                obs=self.obs,
-                record_stall=self._record_stall,
-                on_before_flush=self._sample_flush_before,
-                on_after_flush=self._note_flush_complete,
-            )
-        #: Store the executor and the metrics surface talk to: the
-        #: pipeline (active + immutable memtables) or the bare engine.
-        self._store = self._pipeline if self._pipeline is not None else self.engine
-        self.executor = QueryExecutor(
-            self._store,
-            LockedDiskView(self.disk, self._pipeline.lock)
-            if self._pipeline is not None
-            else self.disk,
-            strict_and=strict_and,
-            and_scan_depth=config.and_scan_depth,
-            and_disk_limit=config.and_disk_limit,
-            obs=self.obs,
-        )
-        self.clock = LogicalClock()
-        self.stats = SystemStats()
-        self._init_service_levels()
-
-    # ------------------------------------------------------------------
-    # Ingestion
-    # ------------------------------------------------------------------
-
-    def ingest(self, record: Microblog) -> bool:
-        self.clock.advance_to(record.timestamp)
-        self.stats.ingest.offered += 1
-        pipeline = self._pipeline
-        start = time.perf_counter()
-        indexed = self._store.insert(record)
-        self.stats.ingest.insert_seconds += time.perf_counter() - start
-        if indexed:
-            self.stats.ingest.indexed += 1
-        else:
-            self.stats.ingest.skipped += 1
-            return False
-        if pipeline is not None:
-            pipeline.maybe_rotate(self.now)
-        elif self.engine.needs_flush():
-            self._flush()
-        return True
-
-    def _build_overlay(self) -> MemoryEngine:
-        """A fresh same-policy engine to digest into while the long-lived
-        engine is frozen for a background flush."""
-        config = self.config
-        # Overlays stay non-adaptive: they live for one rotation window
-        # and are absorbed back into the long-lived engine, which owns
-        # the heat, the allocator, and the retune schedule.
-        return create_engine(
-            config.policy,
-            model=config.memory_model,
-            ranking=self.ranking,
-            attribute=self.attribute,
-            k=self.engine.k,
-            capacity_bytes=config.overlay_capacity(0),
-            flush_fraction=config.flush_fraction,
-            disk=self.disk,
-            obs=self.obs,
-            ledger_capacity=config.eviction_ledger_capacity,
-        )
-
-    def _flush(self) -> FlushReport:
-        self._sample_flush_before(self.now)
-        report = self.engine.run_flush(self.now)
-        # The synchronous flush stalls ingest for its whole wall time —
-        # the baseline pause the pipelined mode exists to remove.
-        self._record_stall(report.wall_seconds)
-        self._note_flush_complete(report, self.now)
-        return report
-
-    def _sample_flush_before(self, now: float) -> None:
-        self.stats.sample_memory(
-            now,
-            self.engine.memory_bytes,
-            self.config.memory_capacity_bytes,
-            kind="before",
-        )
-
-    def _note_flush_complete(self, report: FlushReport, now: float) -> None:
-        """Post-flush accounting; runs on the worker thread when a drain
-        completes in the background, inline otherwise."""
-        self.stats.ingest.flush_seconds += report.wall_seconds
-        after = self.engine.memory_bytes
-        self.stats.sample_memory(
-            now, after, self.config.memory_capacity_bytes, kind="after"
-        )
-        self.obs.registry.gauge("memory.bytes_used").set(after)
-        self.obs.registry.gauge("memory.capacity_bytes").set(
-            self.config.memory_capacity_bytes
-        )
-        if report.freed_bytes <= 0 and after >= self.config.memory_capacity_bytes:
-            raise CapacityError(
-                f"flush freed nothing at {after} bytes used of "
-                f"{self.config.memory_capacity_bytes}; a single record may "
-                "exceed the memory budget"
-            )
-        self._service_level_tick()
-
-    def _sample_watermarks(self) -> None:
-        # All reads here are lock-free (plain attribute/dict reads under
-        # the GIL), so this is safe from the flush-worker thread.
-        watermarks = self.watermarks
-        total = self._store.memory_bytes
-        watermarks.observe("memory.bytes_used", total)
-        if self._pipeline is not None:
-            watermarks.observe(
-                "memory.overlay_bytes", max(0, total - self.engine.memory_bytes)
-            )
-            depth = self.obs.registry.get_gauge("pipeline.queue_depth")
-            if depth is not None:
-                watermarks.observe("pipeline.queue_depth", depth.value)
-        cache = getattr(self.disk, "cache", None)
-        if cache is not None:
-            watermarks.observe("disk.cache_bytes", cache.bytes_used)
-        ledger = getattr(self.engine, "eviction_ledger", None)
-        if ledger is not None:
-            watermarks.observe("eviction_ledger.entries", len(ledger))
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def quiesce(self) -> None:
-        if self._pipeline is not None:
-            self._pipeline.quiesce(self.now)
-
-    def close(self) -> None:
-        self.quiesce()
-        if self._pool is not None:
-            self._pool.close()
-
-    # ------------------------------------------------------------------
-    # Control and metrics
-    # ------------------------------------------------------------------
-
-    def set_k(self, k: int) -> None:
-        self._store.set_k(k)
-
-    def k_filled_count(self) -> int:
-        return self._store.k_filled_count()
-
-    def memory_utilization(self) -> float:
-        return self._store.memory_bytes / self.config.memory_capacity_bytes
-
-    def frequency_snapshot(self) -> dict[Hashable, int]:
-        return self._store.frequency_snapshot()
+        ``record_skew`` is max-over-mean resident records (1.0 = perfectly
+        balanced); ``flush_skew`` is the same ratio over per-shard flush
+        counts (0.0 when no shard has flushed yet).
+        """
+        records = [p.store.record_count() for p in self.partitions]
+        flushes = [len(p.engine.flush_reports) for p in self.partitions]
+        utils = [p.store.memory_bytes / p.capacity_bytes for p in self.partitions]
+        mean_records = sum(records) / len(records)
+        mean_flushes = sum(flushes) / len(flushes)
+        hot = max(range(len(records)), key=lambda i: records[i])
+        return {
+            "shards": self.config.shards,
+            "hot_shard": hot,
+            "max_records": max(records),
+            "mean_records": mean_records,
+            "record_skew": (max(records) / mean_records) if mean_records else 0.0,
+            "flush_skew": (max(flushes) / mean_flushes) if mean_flushes else 0.0,
+            "max_utilization": max(utils),
+            "min_utilization": min(utils),
+        }
 
     def snapshot(self) -> dict:
-        """Registry snapshot extended with the per-key hotness table
-        (``hot_keys``) whenever heat tracking is on (attribution or
-        adaptive mode)."""
-        snap = super().snapshot()
-        hot = self.engine.hot_keys()
+        """Point-in-time view of the instrumentation registry: every
+        counter, gauge, and histogram this system's components recorded
+        (flush spans, per-mode query hits/misses, disk I/O, ...), plus
+        the per-key hotness table (``hot_keys``) when heat tracking is
+        on and, with several partitions, refreshed ``shard.<i>.*`` gauges,
+        per-shard state (``shards``) and the ``shard_skew`` summary."""
+        registry = self.obs.registry
+        if self.router is None:
+            snap = registry.snapshot()
+        else:
+            skew = self.shard_skew()
+            registry.gauge("shards.record_skew").set(skew["record_skew"])
+            registry.gauge("shards.flush_skew").set(skew["flush_skew"])
+            per_shard = {}
+            for p in self.partitions:
+                info = per_shard[str(p.shard_id)] = {
+                    "capacity_bytes": p.capacity_bytes,
+                    "memory_bytes": p.store.memory_bytes,
+                    "utilization": p.store.memory_bytes / p.capacity_bytes,
+                    "records": p.store.record_count(),
+                    "k_filled": p.store.k_filled_count(),
+                    "flush_count": len(p.engine.flush_reports),
+                    "disk_records": p.disk.record_count,
+                    "disk_keys": p.disk.key_count,
+                }
+                prefix = p.label
+                registry.gauge(prefix + "memory.bytes_used").set(info["memory_bytes"])
+                registry.gauge(prefix + "memory.capacity_bytes").set(p.capacity_bytes)
+                registry.gauge(prefix + "memory.utilization").set(info["utilization"])
+                registry.gauge(prefix + "records").set(info["records"])
+                registry.gauge(prefix + "k_filled").set(info["k_filled"])
+            snap = registry.snapshot()
+            snap["shards"] = per_shard
+            snap["shard_skew"] = skew
+        hot = self.hot_keys()
         if hot:
             snap["hot_keys"] = hot
         return snap
 
-    def flush_reports(self) -> list[FlushReport]:
-        return self.engine.flush_reports
-
-    def policy_overhead_bytes(self) -> int:
-        return self._store.policy_overhead_bytes
+    def hot_keys(self, n: int = 10) -> dict:
+        """Top-``n`` most-queried / most-evicted keys across partitions.
+        Each key is owned by exactly one partition, so the per-partition
+        tables concatenate without double counting; the merged tables
+        re-rank on count with the same stable tie-break."""
+        tables = [p.engine.hot_keys(n) for p in self.partitions]
+        if len(tables) == 1:
+            return tables[0]
+        merged: dict[str, list] = {}
+        for table in tables:
+            for section, rows in table.items():
+                merged.setdefault(section, []).extend(rows)
+        return {
+            section: sorted(rows, key=lambda row: (-row[1], row[0]))[:n]
+            for section, rows in merged.items()
+        }
 
     def check_integrity(self) -> None:
-        self._store.check_integrity()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"MicroblogSystem(policy={self.config.policy!r}, "
-            f"attr={self.attribute.name!r}, k={self.engine.k}, "
-            f"records={self.engine.record_count()})"
-        )
+        """Assert the system's internal invariants: every partition's
+        engine invariants plus, when routed, the partitioning invariant —
+        every key a partition holds is owned by it under the router."""
+        for partition in self.partitions:
+            partition.store.check_integrity()
+            owned = partition.engine.frequency_snapshot() if self.router else ()
+            for key in owned:
+                owner = self.router.shard_of(key)
+                assert owner == partition.shard_id, (
+                    f"key {key!r} resident in shard {partition.shard_id} but "
+                    f"routed to shard {owner}"
+                )

@@ -233,7 +233,7 @@ def bench_shard_scaling(
 
     Each point runs the standard ``run_trial`` protocol with the *same*
     total memory budget hash-partitioned over N shards.  Wall-clock
-    prices the routing/fan-out overhead of the sharded facade; the hit
+    prices the routing/fan-out overhead of the routed wiring; the hit
     ratio and effective digestion rate track what partitioning does to
     the paper's headline metrics (deterministic given the seed).
     """

@@ -76,7 +76,7 @@ def format_miss_attribution(
     hit ratio move" report).
 
     ``causes`` maps cause name → miss count (see
-    ``MicroblogSystemBase.miss_attribution`` and
+    ``MicroblogSystem.miss_attribution`` and
     ``repro.obs.traceview.miss_cause_table``).  ``total_misses``
     defaults to the table's own sum; pass the registry's per-mode miss
     total to surface attribution gaps.

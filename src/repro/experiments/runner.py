@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Union
 
 from repro.config import SystemConfig
 from repro.engine.queries import CombineMode
 from repro.engine.sharded import build_system as build_system_from_config
-from repro.engine.system import MicroblogSystemBase
+from repro.engine.system import MicroblogSystem
 from repro.engine.stats import QueryStats
 from repro.errors import ConfigurationError
 from repro.obs import Instrumentation, JsonlSink
@@ -68,9 +68,6 @@ class TrialSpec:
     strict_and: bool = False
     #: Hash-partitioned shard count (1 = the paper's single partition).
     shards: int = 1
-    #: Build the sharded facade even at ``shards=1`` (the differential
-    #: test's hook for proving the sharded path is bit-identical).
-    force_sharded: bool = False
     #: Modelled disk read-cache budget (0 = off, the paper's accounting).
     disk_cache_bytes: int = 0
     #: Skip provably-empty disk lookups on the executor miss paths.
@@ -96,33 +93,19 @@ class TrialSpec:
     #: Breach-dump path (None = ``flight_recorder_dump.jsonl``).
     flight_recorder_path: str | None = None
 
-    def build_system(self, obs: Optional[Instrumentation] = None) -> MicroblogSystemBase:
+    def build_system(self, obs: Optional[Instrumentation] = None) -> MicroblogSystem:
+        # Every field this spec shares with SystemConfig is forwarded by
+        # name; only the scale-derived ones are spelled out.
+        shared = {f.name for f in fields(SystemConfig)} & {f.name for f in fields(self)}
         config = SystemConfig(
-            policy=self.policy,
-            attribute=self.attribute,
-            k=self.k,
+            **{name: getattr(self, name) for name in shared},
             memory_capacity_bytes=self.scale.capacity_bytes(self.memory_gb),
             flush_fraction=self.flush_budget,
             and_scan_depth=max(self.scale.and_scan_depth, self.k),
             and_disk_limit=max(self.scale.and_disk_limit, self.k),
             tile_side_degrees=self.scale.tile_side_degrees,
-            shards=self.shards,
-            disk_cache_bytes=self.disk_cache_bytes,
-            disk_elide_empty=self.disk_elide_empty,
-            pipelined_ingest=self.pipelined_ingest,
-            flush_workers=self.flush_workers,
-            adaptive=self.adaptive,
-            adaptive_interval=self.adaptive_interval,
-            slo_spec=self.slo_spec,
-            flight_recorder_events=self.flight_recorder_events,
-            flight_recorder_path=self.flight_recorder_path,
         )
-        return build_system_from_config(
-            config,
-            strict_and=self.strict_and,
-            obs=obs,
-            force_sharded=self.force_sharded,
-        )
+        return build_system_from_config(config, strict_and=self.strict_and, obs=obs)
 
     def build_stream(self) -> MicroblogStream:
         kwargs = dict(
@@ -171,7 +154,7 @@ class TrialResult:
         return 100.0 * self.hit_ratio
 
 
-def _warm_up(system: MicroblogSystemBase, stream: MicroblogStream, spec: TrialSpec) -> int:
+def _warm_up(system: MicroblogSystem, stream: MicroblogStream, spec: TrialSpec) -> int:
     """Ingest until steady state (several flushes) and return the count."""
     warmed = 0
     while (
@@ -207,7 +190,7 @@ def _trial_obs(metrics_path: Optional[Union[str, Path]]) -> Optional[Instrumenta
 
 
 def _finish_trial_metrics(
-    system: MicroblogSystemBase, spec: TrialSpec, obs: Optional[Instrumentation]
+    system: MicroblogSystem, spec: TrialSpec, obs: Optional[Instrumentation]
 ) -> None:
     """Append the end-of-trial registry snapshot and release the sink."""
     if obs is None:
@@ -223,7 +206,7 @@ def _finish_trial_metrics(
     obs.close()
 
 
-def _ingest_baseline(system: MicroblogSystemBase) -> tuple:
+def _ingest_baseline(system: MicroblogSystem) -> tuple:
     """Ingest counters at the start of the measurement window."""
     ingest = system.stats.ingest
     return (
@@ -236,7 +219,7 @@ def _ingest_baseline(system: MicroblogSystemBase) -> tuple:
 
 
 def _collect_result(
-    system: MicroblogSystemBase,
+    system: MicroblogSystem,
     spec: TrialSpec,
     ingest0: tuple,
     book0: float,

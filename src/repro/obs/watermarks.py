@@ -8,7 +8,7 @@ of every resource it is shown and mirrors each one into a
 registry snapshot, the Prometheus export, and the flight-recorder dump
 with zero extra plumbing.
 
-The facades sample at flush-cycle boundaries — the moments memory,
+The facade samples at flush-cycle boundaries — the moments memory,
 queue depth, and cache occupancy peak (a flush fires precisely because
 memory crossed its budget), so per-record sampling would add hot-path
 cost without raising any watermark.  Always on: the cost is a handful

@@ -5,7 +5,7 @@ Four families of guarantees:
 * **Differential** — with ``pipelined_ingest=True, flush_workers=0``
   (inline drain) every ``TrialResult`` field the paper's accounting
   depends on is bit-identical to the synchronous flush path, for every
-  policy and through the sharded facade.
+  policy and at several partitions.
 * **Answer equality** — while a rotation window is held open (worker
   deliberately wedged), strict-AND queries over active + immutable +
   disk return exactly the answers a synchronous reference system fed
@@ -30,7 +30,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.engine.pipeline import FlushWorkerPool
 from repro.engine.queries import KeywordQuery
-from repro.engine.sharded import ShardedMicroblogSystem, build_system
+from repro.engine.sharded import build_system
 from repro.engine.system import MicroblogSystem
 from repro.experiments.runner import TrialSpec, run_trial
 from repro.experiments.scale import ScalePreset
@@ -81,11 +81,9 @@ def _wait_queue_empty(pool: FlushWorkerPool, timeout: float = 2.0) -> None:
 
 def _window_open(system) -> bool:
     """True if any engine in the system has a rotation window open."""
-    if isinstance(system, ShardedMicroblogSystem):
-        return any(
-            s.pipeline is not None and s.pipeline.flushing for s in system.shards
-        )
-    return system._pipeline is not None and system._pipeline.flushing
+    return any(
+        p.pipeline is not None and p.pipeline.flushing for p in system.partitions
+    )
 
 
 # ----------------------------------------------------------------------
@@ -127,6 +125,33 @@ class TestPipelinedDifferential:
         )
         for name in DETERMINISTIC_FIELDS:
             assert getattr(piped, name) == getattr(sync, name), name
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_inline_timeline_identical(self, shards):
+        # A flush's "after" point is the flushed engine plus the other
+        # partitions — not its own overlay (an empty FIFO overlay still
+        # models one segment's bytes) — at any partition count.
+        observed = []
+        for extra in ({}, {"pipelined_ingest": True, "flush_workers": 0}):
+            system = build_system(
+                SystemConfig(
+                    policy="fifo", shards=shards, memory_capacity_bytes=30_000, **extra
+                )
+            )
+            stream = MicroblogStream(StreamConfig(seed=3, vocabulary_size=100))
+            system.ingest_many(stream.take(3_000))
+            assert system.flush_reports()
+            observed.append(
+                (
+                    [
+                        (p.time, p.bytes_used, p.capacity, p.kind, p.shard)
+                        for p in system.stats.timeline
+                    ],
+                    system.snapshot()["gauges"]["memory.bytes_used"],
+                )
+            )
+            system.close()
+        assert observed[0] == observed[1]
 
     def test_inline_stall_accounting_matches_sync(self):
         # Inline mode must account exactly one stall per flush, the same
@@ -329,7 +354,7 @@ class TestShutdown:
             memory_capacity_bytes=20_000,
         )
         pool = system._pool
-        pipeline = system._pipeline
+        pipeline = system.partitions[0].pipeline
         threads = list(pool._threads)
         pool.pause()
         _wait_queue_empty(pool)
@@ -349,6 +374,46 @@ class TestShutdown:
         system = tiny_system()
         system.quiesce()
         system.close()  # must not raise
+
+    def test_close_joins_workers_after_flush_error(self):
+        # Both shards' drains fail on the worker, so close() finds two
+        # pending errors: it must still visit every partition, stop the
+        # workers, and re-raise the first error.
+        system = build_system(
+            SystemConfig(
+                shards=2,
+                memory_capacity_bytes=40_000,
+                pipelined_ingest=True,
+                flush_workers=1,
+                # Room to keep digesting while the wedged worker holds
+                # the first shard's window open.
+                pipelined_overlay_fraction=1.0,
+            )
+        )
+
+        def boom(now):
+            raise RuntimeError("flush failed")
+
+        for partition in system.partitions:
+            partition.engine.run_flush = boom
+        pool = system._pool
+        threads = list(pool._threads)
+        pool.pause()
+        _wait_queue_empty(pool)
+        stream = MicroblogStream(StreamConfig(seed=5, vocabulary_size=200))
+        for record in stream.take(5_000):
+            system.ingest(record)
+            if all(p.pipeline.flushing for p in system.partitions):
+                break
+        assert all(p.pipeline.flushing for p in system.partitions)
+        pool.resume()
+        pool.drain()
+        with pytest.raises(RuntimeError, match="flush failed"):
+            system.close()
+        for thread in threads:
+            thread.join(timeout=5.0)
+        assert all(not t.is_alive() for t in threads)  # workers stopped
+        system.close()  # nothing pending, nothing left to stop
 
 
 # ----------------------------------------------------------------------

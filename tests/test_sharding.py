@@ -2,9 +2,9 @@
 
 The correctness anchors of the hash-partitioned system:
 
-* **shards=1 differential** — a trial run through the sharded facade at
-  N=1 must be bit-identical (in every deterministic ``TrialResult``
-  field) to the plain :class:`MicroblogSystem` path;
+* **routed reference** — routing one partition is the identity: the
+  scatter-gather adapters over the single partition of a ``shards=1``
+  system answer every query exactly as its directly wired executor;
 * **answer equality** — for any shard count, scatter-gather answers on
   single-, OR-, and AND-mode queries must equal the unsharded system's
   exactly (same postings, same order), under the strict/unbounded
@@ -14,20 +14,22 @@ The correctness anchors of the hash-partitioned system:
   writes, with no worker shard files left behind.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.config import SystemConfig
+from repro.engine.executor import QueryExecutor
 from repro.engine.sharded import (
-    Shard,
     ShardAttributeView,
-    ShardedMicroblogSystem,
     ShardRouter,
+    _RoutedDisk,
+    _RoutedEngine,
     build_system,
     stable_key_hash,
 )
-from repro.engine.system import MicroblogSystem
+from repro.engine.system import MicroblogSystem, Partition
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import run_trials
 from repro.experiments.runner import TrialSpec, run_trial
@@ -149,64 +151,100 @@ class TestShardAttributeView:
 
 
 class TestBuildSystem:
+    """One class at any ``shards``; only the wiring follows the count."""
+
     def test_unsharded_by_default(self):
-        assert isinstance(build_system(SystemConfig()), MicroblogSystem)
+        system = build_system(SystemConfig())
+        assert type(system) is MicroblogSystem
+        assert len(system.partitions) == 1
+        assert system.shards is None and system.router is None
+        assert system.engine is system.partitions[0].engine
+        assert system.disk is system.partitions[0].disk
+        # Wired directly: no attribute view, no routed adapters.
+        assert system.engine.attribute is system.attribute
+        assert system.executor._engine is system.engine
 
     def test_sharded_when_asked(self):
         system = build_system(SystemConfig(shards=3))
-        assert isinstance(system, ShardedMicroblogSystem)
-        assert len(system.shards) == 3
-        assert all(isinstance(s, Shard) for s in system.shards)
-
-    def test_force_sharded_at_n1(self):
-        system = build_system(SystemConfig(), force_sharded=True)
-        assert isinstance(system, ShardedMicroblogSystem)
-        assert len(system.shards) == 1
+        assert type(system) is MicroblogSystem
+        assert system.shards is system.partitions and len(system.shards) == 3
+        assert all(isinstance(s, Partition) for s in system.shards)
+        assert system.router.shard_count == 3
+        assert system.engine is None and system.disk is None
 
 
-class TestShardedDifferential:
-    """shards=1 through the sharded facade == the plain system, bit for bit."""
+class TestRoutedReference:
+    """Routing one partition is the identity: the scatter-gather adapters
+    over a ``shards=1`` system's single partition give the answers of its
+    directly wired executor."""
 
     @pytest.mark.parametrize("policy", ["fifo", "kflushing", "kflushing-mk", "lru"])
-    def test_forced_n1_trial_identical(self, policy):
-        plain = run_trial(TrialSpec(policy=policy, scale=MICRO, seed=11))
-        forced = run_trial(
-            TrialSpec(policy=policy, scale=MICRO, seed=11, shards=1, force_sharded=True)
+    def test_routing_one_partition_is_identity(self, policy):
+        direct = _strict_system(1, policy)
+        router = ShardRouter(1)
+        routed = QueryExecutor(
+            _RoutedEngine(direct.partitions, router, direct.obs),
+            _RoutedDisk(direct.partitions, router, direct.obs),
+            strict_and=True,
+            and_scan_depth=None,
+            and_disk_limit=None,
+            obs=direct.obs,
         )
-        for name in DETERMINISTIC_FIELDS:
-            assert getattr(plain, name) == getattr(forced, name), name
+        modes_seen = set()
+        for query in _query_mix():
+            modes_seen.add(query.mode.value)
+            a = direct.executor.execute(query, direct.now)
+            b = routed.execute(query, direct.now)
+            # The latency is a difference of the archive's running I/O
+            # total, so it carries float rounding; all else is exact.
+            assert b.simulated_latency == pytest.approx(a.simulated_latency)
+            assert a == dataclasses.replace(
+                b, simulated_latency=a.simulated_latency
+            ), f"result mismatch on {query!r}"
+            assert [r.blog_id for r in direct.executor.materialize(a)] == [
+                r.blog_id for r in routed.materialize(b)
+            ]
+        assert modes_seen == {"single", "and", "or"}
 
 
-def _ingested_pair(shards: int, policy: str = "kflushing", seed: int = 21):
-    """An unsharded and an N-sharded system fed the identical stream.
-
-    Both run strict AND semantics with unbounded scan/disk depth, so
-    every answer either system produces is provably exact — and exact
-    answers over a unique sort key are unique, which is what makes
-    answer-set equality a meaningful oracle.
-    """
+def _strict_system(shards: int, policy: str = "kflushing", seed: int = 21):
+    """A loaded system under strict AND semantics with unbounded
+    scan/disk depth, so every answer it produces is provably exact — and
+    exact answers over a unique sort key are unique, which is what makes
+    answer-set equality a meaningful oracle."""
     config = SystemConfig(
         policy=policy,
+        shards=shards,
         memory_capacity_bytes=250_000,
         and_scan_depth=None,
         and_disk_limit=None,
     )
-    unsharded = build_system(config, strict_and=True)
-    sharded = build_system(config.with_overrides(shards=shards), strict_and=True)
-    assert isinstance(sharded, (ShardedMicroblogSystem, MicroblogSystem))
-    for system in (unsharded, sharded):
-        stream = MicroblogStream(
-            StreamConfig(seed=seed, vocabulary_size=300, with_locations=False)
-        )
-        system.ingest_many(stream.take(9_000))
+    system = build_system(config, strict_and=True)
+    stream = MicroblogStream(
+        StreamConfig(seed=seed, vocabulary_size=300, with_locations=False)
+    )
+    system.ingest_many(stream.take(9_000))
+    return system
+
+
+def _query_mix(seed: int = 21):
+    """400 correlated single/AND/OR queries over the same vocabulary."""
     query_stream = MicroblogStream(
         StreamConfig(seed=seed, vocabulary_size=300, with_locations=False)
     )
     load = QueryLoad(
         QueryLoadConfig(seed=seed + 1, mode="correlated"), query_stream
     )
-    queries = [load.next_query() for _ in range(400)]
-    return unsharded, sharded, queries
+    return [load.next_query() for _ in range(400)]
+
+
+def _ingested_pair(shards: int, policy: str = "kflushing", seed: int = 21):
+    """An unsharded and an N-sharded system fed the identical stream."""
+    return (
+        _strict_system(1, policy, seed),
+        _strict_system(shards, policy, seed),
+        _query_mix(seed),
+    )
 
 
 class TestScatterGatherEquality:

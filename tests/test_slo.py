@@ -411,7 +411,7 @@ class TestFlightRecorder:
 
 
 # ----------------------------------------------------------------------
-# End-to-end through the system facades
+# End-to-end through the system facade
 # ----------------------------------------------------------------------
 
 _UNMEETABLE = json.dumps(
@@ -496,6 +496,38 @@ class TestSystemIntegration:
                 )
         finally:
             system.close()
+
+
+def test_watermark_names_do_not_depend_on_shard_count():
+    """One sampling rule: with every optional source on (ledger, disk
+    cache, pipeline), the watermark set at 4 shards is the one-partition
+    set plus the per-shard memory marks — from the first sample on, when
+    the ledgers are still empty."""
+    names = {}
+    for shards in (1, 4):
+        config = SystemConfig(
+            memory_capacity_bytes=400_000,
+            shards=shards,
+            disk_cache_bytes=50_000,
+            pipelined_ingest=True,
+            flush_workers=0,
+        )
+        system = build_system(config, obs=Instrumentation(attribution=True))
+        try:
+            system._sample_watermarks()
+            names[shards] = {
+                name
+                for name in system.obs.registry.snapshot()["gauges"]
+                if name.startswith("watermark.")
+            }
+        finally:
+            system.close()
+    assert "watermark.eviction_ledger.entries" in names[1]
+    assert "watermark.disk.cache_bytes" in names[1]
+    assert names[4] - names[1] == {
+        f"watermark.shard.{i}.memory.bytes_used" for i in range(4)
+    }
+    assert names[1] <= names[4]
 
 
 def test_on_demand_dump_without_breach(tmp_path):

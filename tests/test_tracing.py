@@ -14,7 +14,7 @@ from repro.core.eviction_ledger import (
     EvictionRecord,
 )
 from repro.engine.queries import AndQuery, KeywordQuery, OrQuery
-from repro.engine.sharded import ShardedMicroblogSystem, ShardRouter
+from repro.engine.sharded import ShardRouter
 from repro.engine.system import MicroblogSystem
 from repro.obs import (
     Histogram,
@@ -45,11 +45,7 @@ def traced_system(policy="kflushing", shards=1, **overrides):
     sink = ListSink()
     obs = Instrumentation(sink=sink, tracing=True, attribution=True)
     config = SystemConfig(**defaults)
-    if shards > 1:
-        system = ShardedMicroblogSystem(config, obs=obs)
-    else:
-        system = MicroblogSystem(config, obs=obs)
-    return system, obs, sink
+    return MicroblogSystem(config, obs=obs), obs, sink
 
 
 def churn(system, records=240):
