@@ -17,13 +17,6 @@ Subcommands
     event of the run (flush spans, query events, final snapshot) to a
     JSONL file — parallel workers write per-trial metric shards that are
     merged into the same file after the pool drains.
-``bench [--preset tiny] [--seed 42] [--jobs 2] [--out BENCH_PR9.json] [--profile]``
-    Run the performance benchmark suites (k-filled sampling, digestion
-    rate, flush cost, sweep wall-clock, shard scaling, disk tier,
-    pipelined ingest stalls, adaptive-vs-static
-    matrix) and write the perf-trajectory JSON (see
-    docs/PERFORMANCE.md); ``--profile`` also writes a cProfile
-    top-cumulative table beside the JSON.
 ``stats [--shards 4] [--disk-cache-bytes N] [--disk-elide-empty] [--pipelined]``
     Run a tiny synthetic workload and dump the instrumentation registry
     (flush phase spans, per-mode query counters, disk I/O, per-shard
@@ -37,11 +30,11 @@ Subcommands
     wall-time attribution per phase, the eviction-cause miss table, and
     the count of orphan spans dropped during reconstruction
     (``--strict`` turns orphans into a non-zero exit).
-``slo spec.json (--events m.jsonl | --bench BENCH.json | --url http://...) [--check]``
+``slo spec.json (--events m.jsonl | --url http://...) [--check]``
     Evaluate a declarative SLO spec against captured metrics (registry
-    snapshots inside an events JSONL), a benchmark-trajectory JSON, or
-    a live ops endpoint's ``/snapshot``; exits non-zero on any violated
-    objective (``--check`` also fails objectives with no data).
+    snapshots inside an events JSONL) or a live ops endpoint's
+    ``/snapshot``; exits non-zero on any violated objective (``--check``
+    also fails objectives with no data).
 ``serve [--port 8080] [--policy kflushing] [--duration 0]``
     Standalone ops-endpoint demo: drive a continuous synthetic workload
     while serving ``/metrics`` (Prometheus), ``/snapshot`` (JSON) and
@@ -65,7 +58,6 @@ from typing import Optional, Sequence
 from repro.config import SystemConfig
 from repro.engine.sharded import build_system
 from repro.engine.system import MicroblogSystem
-from repro.experiments.bench import ALL_SUITES, run_bench
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.parallel import resolve_jobs
 from repro.experiments.report import format_miss_attribution, print_figure
@@ -114,37 +106,44 @@ def _figure_kwargs(
     slo_spec: Optional[str] = None,
     flight_recorder_events: int = 0,
     flight_recorder_path: Optional[str] = None,
-) -> dict:
-    """Keyword arguments for one figure function.
+) -> tuple[dict, list[str]]:
+    """Keyword arguments for one figure function, and the flags it cannot take.
 
     ``jobs``, ``shards``, the disk-tier gates, and ``pipelined`` are
     forwarded only to figures whose signatures support them (the
     extension experiments, for instance, run serially; fig5 is an
-    engine-level experiment with no sharded variant).
+    engine-level experiment with no sharded variant).  A flag that was
+    set but has no such parameter is returned by its CLI spelling, so
+    the caller can say the figure ran without it.
     """
-    # name -> (value, the default every figure already has); a missing
+    # name -> (flag, value, the default every figure already has); a missing
     # string counts as "", so one ``>`` decides for ints, bools and paths.
     offered = {
-        "jobs": (jobs, 1),
-        "shards": (shards, 1),
-        "disk_cache_bytes": (disk_cache_bytes, 0),
-        "disk_elide_empty": (disk_elide_empty, False),
-        "pipelined": (pipelined, False),
-        "adaptive": (adaptive, False),
-        "slo_spec": (slo_spec or "", ""),
-        "flight_recorder_events": (flight_recorder_events, 0),
+        "jobs": ("--jobs", jobs, 1),
+        "shards": ("--shards", shards, 1),
+        "disk_cache_bytes": ("--disk-cache-bytes", disk_cache_bytes, 0),
+        "disk_elide_empty": ("--disk-elide-empty", disk_elide_empty, False),
+        "pipelined": ("--pipelined", pipelined, False),
+        "adaptive": ("--adaptive", adaptive, False),
+        "slo_spec": ("--slo", slo_spec or "", ""),
+        "flight_recorder_events": ("--flight-recorder", flight_recorder_events, 0),
         # The dump path means nothing without the recorder itself.
         "flight_recorder_path": (
+            "--flight-recorder-dump",
             (flight_recorder_events > 0 and flight_recorder_path) or "",
             "",
         ),
     }
     kwargs = {"seed": seed}
+    ignored = []
     params = inspect.signature(fn).parameters
-    for name, (value, default) in offered.items():
-        if value > default and name in params:
-            kwargs[name] = value
-    return kwargs
+    for name, (flag, value, default) in offered.items():
+        if value > default:
+            if name in params:
+                kwargs[name] = value
+            else:
+                ignored.append(flag)
+    return kwargs, ignored
 
 
 def _print_slo_report(report: dict) -> int:
@@ -213,7 +212,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         for name in names:
             fn = ALL_FIGURES[name]
-            kwargs = _figure_kwargs(
+            kwargs, ignored = _figure_kwargs(
                 fn,
                 args.seed,
                 jobs,
@@ -226,6 +225,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 flight_recorder_events=args.flight_recorder,
                 flight_recorder_path=args.flight_recorder_dump,
             )
+            if ignored:
+                print(
+                    f"[{name}: {', '.join(ignored)} not supported by this "
+                    "figure; ignored]"
+                )
             start = time.perf_counter()
             if obs is not None:
                 # Every system built inside the figure shares this registry
@@ -269,29 +273,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if server is not None:
             server.stop()
     return exit_code
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    records = run_bench(
-        preset=args.preset,
-        seed=args.seed,
-        out=args.out,
-        jobs=resolve_jobs(args.jobs),
-        suites=args.suites,
-        profile=args.profile,
-    )
-    elapsed = time.perf_counter() - start
-    for record in records:
-        print(
-            f"  {record.metric:32s} {record.policy:13s} "
-            f"{record.value:12.2f} {record.unit}"
-        )
-    print(f"[{len(records)} measurements written to {args.out} in {elapsed:.1f}s]")
-    if args.profile:
-        profile_path = Path(args.out).with_suffix(".profile.txt")
-        print(f"[cProfile top-cumulative table written to {profile_path}]")
-    return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -348,32 +329,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _slo_registry_from_bench(path: str) -> MetricsRegistry:
-    """Pseudo-registry over a BENCH_*.json file.
-
-    Every record becomes a gauge ``bench.<metric>.<policy>``; the first
-    record seen for each metric also sets the bare ``bench.<metric>``
-    gauge, so specs can target a metric without naming a policy.
-    """
-    registry = MetricsRegistry()
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(payload, list):
-        raise ValueError(f"{path}: expected a JSON list of bench records")
-    seen: set = set()
-    for record in payload:
-        metric = record.get("metric")
-        policy = record.get("policy")
-        value = record.get("value")
-        if not metric or value is None:
-            continue
-        if policy:
-            registry.gauge(f"bench.{metric}.{policy}").set(float(value))
-        if metric not in seen:
-            seen.add(metric)
-            registry.gauge(f"bench.{metric}").set(float(value))
-    return registry
-
-
 def _slo_registry_from_url(url: str) -> MetricsRegistry:
     """Registry built from a live ops endpoint's ``/snapshot``."""
     from urllib.request import urlopen
@@ -390,9 +345,8 @@ def _slo_registry_from_url(url: str) -> MetricsRegistry:
 
 def _cmd_slo(args: argparse.Namespace) -> int:
     """Evaluate an SLO spec against captured or live metrics."""
-    sources = [name for name in ("events", "bench", "url") if getattr(args, name)]
-    if len(sources) != 1:
-        print("error: provide exactly one of --events, --bench, --url")
+    if bool(args.events) == bool(args.url):
+        print("error: provide exactly one of --events, --url")
         return 2
     try:
         spec = SLOSpec.parse(args.spec)
@@ -402,8 +356,6 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     try:
         if args.events:
             registry = merge_snapshot_events(args.events)
-        elif args.bench:
-            registry = _slo_registry_from_bench(args.bench)
         else:
             registry = _slo_registry_from_url(args.url)
     except (OSError, ValueError) as exc:
@@ -710,43 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.set_defaults(fn=_cmd_run)
 
-    bench = sub.add_parser(
-        "bench", help="run the performance benchmark suites"
-    )
-    bench.add_argument(
-        "--preset", default="tiny", choices=sorted(PRESETS), help="workload preset"
-    )
-    bench.add_argument("--seed", type=int, default=42, help="workload seed")
-    bench.add_argument(
-        "--jobs",
-        type=int,
-        default=2,
-        help="worker processes for the sweep wall-clock suite",
-    )
-    bench.add_argument(
-        "--out",
-        default="BENCH_PR10.json",
-        metavar="PATH",
-        help="where to write the benchmark records (JSON)",
-    )
-    bench.add_argument(
-        "--suites",
-        nargs="+",
-        default=None,
-        choices=sorted(ALL_SUITES),
-        help="subset of suites to run (default: all)",
-    )
-    bench.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "run the suites under cProfile and write the top cumulative-"
-            "time functions to <out-stem>.profile.txt (profiled timings "
-            "carry tracer overhead; use for hot-spot hunting only)"
-        ),
-    )
-    bench.set_defaults(fn=_cmd_bench)
-
     stats = sub.add_parser(
         "stats", help="run a tiny workload and dump the metrics registry"
     )
@@ -872,15 +787,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "evaluate against the merged registry snapshots of an events "
             "JSONL (--metrics-out / --events-out output)"
-        ),
-    )
-    slo.add_argument(
-        "--bench",
-        default=None,
-        metavar="PATH",
-        help=(
-            "evaluate against a BENCH_*.json file (records become "
-            "bench.<metric>.<policy> and bench.<metric> gauges)"
         ),
     )
     slo.add_argument(

@@ -21,7 +21,6 @@ from repro.experiments.report import format_figure, format_panel, print_figure
 
 _registry.setdefault("ext1", ext_skew_sensitivity)
 _registry.setdefault("ext2", ext_and_semantics)
-from repro.experiments.bench import BenchRecord, run_bench
 from repro.experiments.parallel import resolve_jobs, run_trials
 from repro.experiments.runner import (
     TrialResult,
@@ -40,7 +39,6 @@ from repro.experiments.scale import (
 
 __all__ = [
     "ALL_FIGURES",
-    "BenchRecord",
     "FULL",
     "FigureResult",
     "PRESETS",
@@ -68,7 +66,6 @@ __all__ = [
     "preset_from_env",
     "print_figure",
     "resolve_jobs",
-    "run_bench",
     "run_digestion_stress",
     "run_trial",
     "run_trials",

@@ -6,8 +6,9 @@ A :class:`ScalePreset` fixes the exchange rate (simulated bytes per paper
 gigabyte) together with the workload sizes, so every figure harness can be
 run at three fidelities:
 
-* ``tiny``   — seconds per trial; used by the test suite;
-* ``small``  — the default for ``benchmarks/``; minutes per figure;
+* ``tiny``   — seconds per trial; used by the test suite and the default
+  of the figure suite under ``benchmarks/``;
+* ``small``  — the CLI's default; minutes per figure;
 * ``full``   — the highest fidelity; use for EXPERIMENTS.md numbers when
   time allows.
 

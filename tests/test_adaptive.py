@@ -10,6 +10,9 @@ The correctness anchors of PR 9:
 * **controller determinism** — two identical adaptive runs produce the
   same results, depths, and adaptive counters (no wall clock, no
   per-process hash order anywhere in the decisions);
+* **controller effect** — what the controller buys, as literal
+  per-seed hit ratios of static/adaptive pairs at one byte budget (the
+  trials are pure functions of spec and seed, so ``==`` holds);
 * **k_i >= k property** (hypothesis) — no sequence of allocator
   operations can push a per-key retention depth below the global ``k``,
   the structural invariant answer completeness rests on;
@@ -32,9 +35,11 @@ from repro.core.adaptive import (
     KeyHeat,
     ShardBudgetBalancer,
 )
+from repro.engine.queries import CombineMode
 from repro.engine.sharded import build_system
 from repro.errors import ConfigurationError
-from repro.experiments.runner import TrialSpec, run_trial
+from repro.experiments.runner import TrialSpec, _warm_up, run_trial
+from repro.experiments.scale import TINY
 from repro.obs import Instrumentation
 from repro.workload.queryload import QueryLoad, QueryLoadConfig
 from repro.workload.stream import MicroblogStream, StreamConfig
@@ -152,6 +157,65 @@ class TestControllerDeterminism:
         depths, counters = first
         assert counters["adaptive.retune_cycles"] > 0
         assert depths, "expected at least one deepened key"
+
+
+class TestControllerEffect:
+    """Static vs adaptive kFlushing on the identical workload and byte
+    budget (TINY, seed 42); the ``adaptive`` flag is the only difference
+    inside a pair, so the pinned delta isolates the controller."""
+
+    @pytest.mark.parametrize(
+        "mode, keyword_zipf, memory_gb, static, adaptive",
+        [
+            # No signal to exploit: adaptivity must not hurt.
+            ("uniform", None, 10.0, 0.012833333333333334, 0.013),
+            # Hot head under a tight budget: deeper hot keys pay (+4.3 pp).
+            ("correlated", 1.2, 10.0, 0.49133333333333334, 0.5345),
+            # Same stream with room to spare: nothing left to win.
+            ("correlated", 1.2, 30.0, 0.6123333333333333, 0.6123333333333333),
+        ],
+        ids=["uniform-tight", "zipf-hot-tight", "zipf-hot-normal"],
+    )
+    def test_hit_ratio_pair(self, mode, keyword_zipf, memory_gb, static, adaptive):
+        spec = TrialSpec(
+            policy="kflushing",
+            scale=TINY,
+            seed=42,
+            memory_gb=memory_gb,
+            workload_mode=mode,
+            keyword_zipf=keyword_zipf,
+        )
+        assert run_trial(spec).hit_ratio == static
+        assert run_trial(dataclasses.replace(spec, adaptive=True)).hit_ratio == adaptive
+
+    @pytest.mark.parametrize(
+        "adaptive, overall, and_only",
+        [
+            (False, 0.21733333333333332, 0.0),
+            (True, 0.23866666666666667, 0.036440677966101696),
+        ],
+        ids=["static", "adaptive"],
+    )
+    def test_and_heavy_mix_under_a_tight_budget(self, adaptive, overall, and_only):
+        """60 % AND queries: promoting the keys of missed AND pairs lifts
+        the AND hit ratio off zero.  Warm-up issues no query, so the
+        system's own counters cover exactly the measured window."""
+        spec = TrialSpec(
+            policy="kflushing", scale=TINY, seed=42, memory_gb=10.0, adaptive=adaptive
+        )
+        system = spec.build_system()
+        stream = spec.build_stream()
+        queries = QueryLoad(
+            QueryLoadConfig(seed=43, mode="correlated", k=20, mix=(0.2, 0.6, 0.2)),
+            stream,
+        )
+        _warm_up(system, stream, spec)
+        for record in stream.take(TINY.eval_records):
+            system.ingest(record)
+            system.search(queries.next_query())
+        system.close()
+        assert system.hit_ratio() == overall
+        assert system.stats.queries.hit_ratio_for(CombineMode.AND) == and_only
 
 
 class TestKAllocator:

@@ -58,6 +58,16 @@ class TestExecution:
         assert "fifo" in out
         assert "kflushing" in out
 
+    def test_run_says_which_flags_a_figure_ignored(self, capsys):
+        run = ["run", "--figure", "fig5", "--scale", "tiny"]
+        assert main(run + ["--shards", "4"]) == 0
+        assert (
+            "[fig5: --shards not supported by this figure; ignored]"
+            in capsys.readouterr().out
+        )
+        assert main(run) == 0
+        assert "ignored" not in capsys.readouterr().out
+
     def test_stats_command_emits_snapshot(self, capsys, tmp_path):
         events = tmp_path / "events.jsonl"
         assert (

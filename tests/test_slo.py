@@ -740,23 +740,6 @@ class TestSloCli:
         payload = json.loads(out[: out.rindex("}") + 1])
         assert payload["healthy"] is True
 
-    def test_bench_source(self, tmp_path):
-        bench = tmp_path / "bench.json"
-        bench.write_text(
-            json.dumps(
-                [{"metric": "digestion_rate", "policy": "kflushing",
-                  "value": 50_000.0, "unit": "records/s", "seed": 42}]
-            ),
-            encoding="utf-8",
-        )
-        spec = json.dumps(
-            {"objectives": [
-                {"metric": "bench.digestion_rate.kflushing", "min": 10_000},
-                {"metric": "bench.digestion_rate", "min": 10_000},
-            ]}
-        )
-        assert cli_main(["slo", spec, "--bench", str(bench)]) == 0
-
     def test_url_source(self):
         registry = MetricsRegistry()
         registry.counter("flush.count").inc(3)
@@ -770,7 +753,7 @@ class TestSloCli:
         events = self._events_file(tmp_path)
         assert (
             cli_main(
-                ["slo", spec, "--events", str(events), "--bench", str(events)]
+                ["slo", spec, "--events", str(events), "--url", "http://unused"]
             )
             == 2
         )
