@@ -11,18 +11,17 @@ Subcommands
     each trial's system over N shards; ``--disk-cache-bytes`` /
     ``--disk-elide-empty`` enable the modelled disk read cache and
     negative-lookup elision (both off by default — answers never change,
-    only disk-lookup counts and simulated latency); ``--pipelined``
-    rotates over-budget memtables to background flush workers instead of
-    flushing inline; ``--metrics-out`` streams every instrumentation
-    event of the run (flush spans, query events, final snapshot) to a
-    JSONL file — parallel workers write per-trial metric shards that are
-    merged into the same file after the pool drains.
-``stats [--shards 4] [--disk-cache-bytes N] [--disk-elide-empty] [--pipelined]``
+    only disk-lookup counts and simulated latency); ``--metrics-out``
+    streams every instrumentation event of the run (flush spans, query
+    events, final snapshot) to a JSONL file — parallel workers write
+    per-trial metric shards that are merged into the same file after the
+    pool drains.
+``stats [--shards 4] [--disk-cache-bytes N] [--disk-elide-empty]``
     Run a tiny synthetic workload and dump the instrumentation registry
-    (flush phase spans, per-mode query counters, disk I/O, per-shard
-    gauges when sharded, ingest-stall histogram and pipeline counters
-    when pipelined) as JSON or Prometheus-style text; the system's
-    invariants are checked before the dump.
+    (flush phase spans, per-mode query counters, disk I/O, ingest-stall
+    histogram, per-shard gauges when sharded) as JSON or
+    Prometheus-style text; the system's invariants are checked before
+    the dump.
 ``trace metrics.jsonl [--top 5] [--require-miss-causes] [--strict]``
     Offline analysis of an events JSONL (``--metrics-out`` /
     ``--events-out`` output): reconstruct query/flush span trees, print
@@ -101,7 +100,6 @@ def _figure_kwargs(
     shards: int = 1,
     disk_cache_bytes: int = 0,
     disk_elide_empty: bool = False,
-    pipelined: bool = False,
     adaptive: bool = False,
     slo_spec: Optional[str] = None,
     flight_recorder_events: int = 0,
@@ -109,10 +107,10 @@ def _figure_kwargs(
 ) -> tuple[dict, list[str]]:
     """Keyword arguments for one figure function, and the flags it cannot take.
 
-    ``jobs``, ``shards``, the disk-tier gates, and ``pipelined`` are
-    forwarded only to figures whose signatures support them (the
-    extension experiments, for instance, run serially; fig5 is an
-    engine-level experiment with no sharded variant).  A flag that was
+    ``jobs``, ``shards``, the disk-tier gates, ``adaptive`` and the
+    service-level options are forwarded only to figures whose signatures
+    support them (the extension experiments, for instance, run serially;
+    fig5 is an engine-level experiment with no sharded variant).  A flag that was
     set but has no such parameter is returned by its CLI spelling, so
     the caller can say the figure ran without it.
     """
@@ -123,7 +121,6 @@ def _figure_kwargs(
         "shards": ("--shards", shards, 1),
         "disk_cache_bytes": ("--disk-cache-bytes", disk_cache_bytes, 0),
         "disk_elide_empty": ("--disk-elide-empty", disk_elide_empty, False),
-        "pipelined": ("--pipelined", pipelined, False),
         "adaptive": ("--adaptive", adaptive, False),
         "slo_spec": ("--slo", slo_spec or "", ""),
         "flight_recorder_events": ("--flight-recorder", flight_recorder_events, 0),
@@ -219,7 +216,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 args.shards,
                 disk_cache_bytes=args.disk_cache_bytes,
                 disk_elide_empty=args.disk_elide_empty,
-                pipelined=args.pipelined,
                 adaptive=args.adaptive,
                 slo_spec=args.slo,
                 flight_recorder_events=args.flight_recorder,
@@ -452,8 +448,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         shards=args.shards,
         disk_cache_bytes=args.disk_cache_bytes,
         disk_elide_empty=args.disk_elide_empty,
-        pipelined_ingest=args.pipelined,
-        flush_workers=args.flush_workers,
         adaptive=args.adaptive,
     )
     system = build_system(config, obs=obs)
@@ -468,8 +462,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         ingested += 1
         if ingested % per_query == 0:
             system.search(queries.next_query())
-    # Fold any in-flight pipelined flush back in before checking.
-    system.quiesce()
     # Invariant check through the facade: per-engine structure plus, when
     # sharded, the router's key-ownership invariant on every shard.
     system.check_integrity()
@@ -477,7 +469,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     # rendered dump includes shard.<i>.* series for a sharded run; it also
     # carries the per-key hotness tables when query-heat tracking is on.
     snap = system.snapshot()
-    system.close()
     obs.close()
     if args.format == "prom":
         rendered = to_prometheus_text(obs.registry)
@@ -600,15 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--pipelined",
-        action="store_true",
-        help=(
-            "pipelined ingest: rotate over-budget memtables to background "
-            "flush workers instead of flushing inline (answers unchanged; "
-            "removes the per-flush ingest stall)"
-        ),
-    )
-    run.add_argument(
         "--adaptive",
         action="store_true",
         help=(
@@ -720,24 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "skip disk lookups for keys the archive provably holds no "
             "postings for (never changes answers)"
-        ),
-    )
-    stats.add_argument(
-        "--pipelined",
-        action="store_true",
-        help=(
-            "pipelined ingest: background flush workers + memtable "
-            "rotation (adds ingest.stall_seconds / pipeline.* series)"
-        ),
-    )
-    stats.add_argument(
-        "--flush-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "flush worker threads under --pipelined (default: one per "
-            "shard; 0 = deterministic inline drain)"
         ),
     )
     stats.add_argument(

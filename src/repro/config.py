@@ -74,28 +74,10 @@ class SystemConfig:
         archive provably holds no postings for (counted under
         ``disk.lookups_elided``).  Off by default; never changes
         answers, only disk-lookup counts and simulated latency.
-    pipelined_ingest:
-        When True, capacity crossings *rotate* the over-budget engine
-        aside as an immutable memtable and hand it to a background
-        flush worker instead of flushing inline — digestion continues
-        into a fresh active overlay and blocks only on backpressure
-        (see ``docs/ARCHITECTURE.md``, "Pipelined ingest").  Off by
-        default: the synchronous flush path is untouched.
-    flush_workers:
-        Worker threads draining rotated memtables (pipelined mode
-        only).  None = one per shard; 0 = inline drain — the rotation
-        machinery runs but every flush completes synchronously on the
-        ingest thread, which is deterministic and bit-identical to the
-        synchronous path (the differential-test mode).
-    flush_queue_limit:
-        Bound of the rotated-memtable worker queue; a rotation that
-        finds the queue full blocks the ingest path (recorded as an
-        ``ingest.stall_seconds`` sample).  None = max(shards, workers).
-    pipelined_overlay_fraction:
-        Fraction of a shard's budget the active overlay may reach while
-        its frozen sibling is still being flushed before ingest blocks
-        on the flush completing.  None = ``flush_fraction`` (transient
-        overshoot is bounded by one flush budget B).
+
+    Flushing is synchronous: the ingest that crosses a partition's
+    budget runs the whole flush before it returns (see
+    ``docs/PERFORMANCE.md``, "Why flushing is synchronous").
     """
 
     policy: str = "kflushing"
@@ -121,16 +103,6 @@ class SystemConfig:
     disk_cache_bytes: int = 0
     #: Skip provably-empty disk lookups on the executor miss paths.
     disk_elide_empty: bool = False
-    #: Rotate over-budget memtables to background flush workers instead
-    #: of flushing inline (off = the paper's synchronous flush path).
-    pipelined_ingest: bool = False
-    #: Flush worker threads (pipelined mode): None = one per shard,
-    #: 0 = deterministic inline drain.
-    flush_workers: Union[int, None] = None
-    #: Bound of the rotated-memtable queue (None = max(shards, workers)).
-    flush_queue_limit: Union[int, None] = None
-    #: Active-overlay budget fraction before backpressure (None = B).
-    pipelined_overlay_fraction: Union[float, None] = None
     #: Adaptive memory allocation (``repro.core.adaptive``): a
     #: deterministic feedback controller retunes per-key retention
     #: depths, phase-escalation slack, and (sharded) budget slices at
@@ -207,21 +179,6 @@ class SystemConfig:
             raise ConfigurationError(
                 f"disk_cache_bytes must be non-negative, got {self.disk_cache_bytes}"
             )
-        if self.flush_workers is not None and self.flush_workers < 0:
-            raise ConfigurationError(
-                f"flush_workers must be None or >= 0, got {self.flush_workers}"
-            )
-        if self.flush_queue_limit is not None and self.flush_queue_limit < 1:
-            raise ConfigurationError(
-                f"flush_queue_limit must be None or >= 1, got {self.flush_queue_limit}"
-            )
-        if self.pipelined_overlay_fraction is not None and not (
-            0.0 < self.pipelined_overlay_fraction <= 1.0
-        ):
-            raise ConfigurationError(
-                f"pipelined_overlay_fraction must be None or in (0, 1], got "
-                f"{self.pipelined_overlay_fraction}"
-            )
         if self.adaptive_interval < 1:
             raise ConfigurationError(
                 f"adaptive_interval must be >= 1, got {self.adaptive_interval}"
@@ -295,30 +252,6 @@ class SystemConfig:
             )
         base, remainder = divmod(self.disk_cache_bytes, self.shards)
         return base + (1 if shard_id < remainder else 0)
-
-    def resolved_flush_workers(self) -> int:
-        """Worker-thread count for pipelined ingest (None = one per
-        shard; 0 = the deterministic inline-drain mode)."""
-        if self.flush_workers is None:
-            return self.shards
-        return self.flush_workers
-
-    def resolved_flush_queue_limit(self) -> int:
-        """Bound of the rotated-memtable worker queue."""
-        if self.flush_queue_limit is not None:
-            return self.flush_queue_limit
-        return max(self.shards, self.resolved_flush_workers(), 1)
-
-    def overlay_capacity(self, shard_id: int = 0) -> int:
-        """Byte budget of one shard's active overlay while its frozen
-        sibling is being flushed; exceeding it blocks ingest until the
-        background flush completes (backpressure)."""
-        fraction = (
-            self.pipelined_overlay_fraction
-            if self.pipelined_overlay_fraction is not None
-            else self.flush_fraction
-        )
-        return max(1, int(fraction * self.shard_capacity(shard_id)))
 
     @property
     def total_capacity_bytes(self) -> int:

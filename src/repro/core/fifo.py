@@ -12,7 +12,7 @@ policy overhead in Figure 10, and the worst hit ratio everywhere else.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Optional
 
 from repro.core.eviction_ledger import CAUSE_WHOLE_KEY_FIFO
 from repro.core.policy import FlushReport, LookupResult, MemoryEngine
@@ -53,18 +53,6 @@ class FIFOEngine(MemoryEngine):
 
     def get_record(self, blog_id: int) -> Optional[Microblog]:
         return self.segmented.get_record(blog_id)
-
-    # ------------------------------------------------------------------
-    # Memtable rotation (pipelined ingest)
-    # ------------------------------------------------------------------
-
-    def drain_records(self) -> Iterable[Microblog]:
-        # Oldest segment first, records in arrival order within each:
-        # re-digestion rebuilds the same temporal segmentation.
-        out: list[Microblog] = []
-        for segment in self.segmented.segments():
-            out.extend(segment.records.values())
-        return out
 
     # ------------------------------------------------------------------
     # Flushing

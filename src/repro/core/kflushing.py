@@ -116,24 +116,6 @@ class KFlushingEngine(MemoryEngine):
         return None
 
     # ------------------------------------------------------------------
-    # Memtable rotation (pipelined ingest)
-    # ------------------------------------------------------------------
-
-    def drain_records(self) -> Iterable[Microblog]:
-        # The raw store iterates in arrival order, so a sibling engine
-        # re-digests in the original stream order and rebuilds identical
-        # posting-list state.
-        return list(self.raw)
-
-    def absorb(self, other: MemoryEngine) -> int:
-        count = super().absorb(other)
-        if isinstance(other, KFlushingEngine):
-            # Lossless flush-buffer handoff: anything the sibling staged
-            # but never committed keeps riding toward disk.
-            self.buffer.absorb(other.buffer)
-        return count
-
-    # ------------------------------------------------------------------
     # Flushing
     # ------------------------------------------------------------------
 

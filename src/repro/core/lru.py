@@ -92,22 +92,6 @@ class LRUEngine(MemoryEngine):
         return None
 
     # ------------------------------------------------------------------
-    # Memtable rotation (pipelined ingest)
-    # ------------------------------------------------------------------
-
-    def drain_records(self) -> Iterable[Microblog]:
-        # Re-digesting LRU-first leaves the sibling's recency list with
-        # this engine's most-recent records at the MRU end — the global
-        # recency order of the merged memtable is preserved.
-        return [self.raw.get(blog_id) for blog_id in self._recency.ids_lru_to_mru()]
-
-    def absorb(self, other: MemoryEngine) -> int:
-        count = super().absorb(other)
-        if isinstance(other, LRUEngine):
-            self.buffer.absorb(other.buffer)
-        return count
-
-    # ------------------------------------------------------------------
     # Flushing
     # ------------------------------------------------------------------
 

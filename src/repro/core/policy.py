@@ -321,34 +321,6 @@ class MemoryEngine(ABC):
         }
 
     # ------------------------------------------------------------------
-    # Memtable rotation (pipelined ingest)
-    # ------------------------------------------------------------------
-
-    def drain_records(self) -> Iterable[Microblog]:
-        """Every memory-resident record, in the order a sibling engine
-        should re-digest them to preserve this policy's bookkeeping
-        (arrival order for kFlushing/FIFO, LRU-to-MRU for LRU).  Used by
-        :meth:`absorb` when a rotated overlay memtable is merged back
-        into its long-lived sibling; policies that cannot hand their
-        contents off must raise."""
-        raise NotImplementedError(
-            f"{self.name} does not support memtable handoff"
-        )
-
-    def absorb(self, other: "MemoryEngine") -> int:
-        """Merge another engine's resident records into this one (the
-        pipelined-ingest reconcile step: the small active overlay is
-        folded back into its freshly flushed sibling).  Returns how many
-        records were re-digested.  The two engines must hold disjoint
-        record ids — a record is only ever inserted into exactly one
-        memtable."""
-        count = 0
-        for record in other.drain_records():
-            if self.insert(record):
-                count += 1
-        return count
-
-    # ------------------------------------------------------------------
     # Metrics and extensibility
     # ------------------------------------------------------------------
 

@@ -171,20 +171,20 @@ class _RoutedDisk:
         shard_id = self._router.shard_of(key)
         obs = self._obs
         if obs.current_trace is None:
-            return self._shards[shard_id].disk_view.lookup(key, limit=limit)
+            return self._shards[shard_id].disk.lookup(key, limit=limit)
         with obs.trace_span("shard.disk.lookup", shard=shard_id, key=str(key)) as extra:
-            result = self._shards[shard_id].disk_view.lookup(key, limit=limit)
+            result = self._shards[shard_id].disk.lookup(key, limit=limit)
             extra["postings"] = len(result)
             return result
 
     def elides(self, key: Hashable) -> bool:
         """Route the negative-lookup check to the shard owning ``key``."""
-        return self._shards[self._router.shard_of(key)].disk_view.elides(key)
+        return self._shards[self._router.shard_of(key)].disk.elides(key)
 
     def fetch_record(self, blog_id: int) -> Optional[Microblog]:
         for shard in self._shards:
-            if shard.disk_view.contains_record(blog_id):
-                return shard.disk_view.fetch_record(blog_id)
+            if shard.disk.contains_record(blog_id):
+                return shard.disk.fetch_record(blog_id)
         return None
 
 
@@ -210,18 +210,18 @@ class _RoutedEngine:
         shard_id = self._router.shard_of(key)
         obs = self._obs
         if obs.current_trace is None:
-            return self._shards[shard_id].store.lookup(key, depth=depth)
+            return self._shards[shard_id].engine.lookup(key, depth=depth)
         with obs.trace_span(
             "shard.memory.lookup", shard=shard_id, key=str(key)
         ) as extra:
-            result = self._shards[shard_id].store.lookup(key, depth=depth)
+            result = self._shards[shard_id].engine.lookup(key, depth=depth)
             extra["candidates"] = len(result.candidates)
             return result
 
     def eviction_cause(self, key: Hashable):
         """Route the miss-attribution probe to the shard owning ``key``
         (each shard's engine keeps its own eviction ledger)."""
-        return self._shards[self._router.shard_of(key)].store.eviction_cause(key)
+        return self._shards[self._router.shard_of(key)].engine.eviction_cause(key)
 
     def note_query(
         self,
@@ -235,26 +235,26 @@ class _RoutedEngine:
         # — each should observe the access).
         accessed = tuple(accessed_ids)
         for shard_id, shard_keys in self._router.group_by_shard(keys).items():
-            self._shards[shard_id].store.note_query(shard_keys, accessed, now)
+            self._shards[shard_id].engine.note_query(shard_keys, accessed, now)
 
     def get_record(self, blog_id: int) -> Optional[Microblog]:
         for shard in self._shards:
-            record = shard.store.get_record(blog_id)
+            record = shard.engine.get_record(blog_id)
             if record is not None:
                 return record
         return None
 
     @property
     def wants_query_feedback(self) -> bool:
-        return any(shard.store.wants_query_feedback for shard in self._shards)
+        return any(shard.engine.wants_query_feedback for shard in self._shards)
 
     def observe_query_feedback(self, keys, hit, cause) -> None:
         # Scatter like note_query: each shard's heat/controller sees the
         # keys it owns, with the query-level hit flag and miss cause.
         for shard_id, shard_keys in self._router.group_by_shard(keys).items():
-            store = self._shards[shard_id].store
-            if store.wants_query_feedback:
-                store.observe_query_feedback(shard_keys, hit, cause)
+            engine = self._shards[shard_id].engine
+            if engine.wants_query_feedback:
+                engine.observe_query_feedback(shard_keys, hit, cause)
 
 
 def build_system(

@@ -85,23 +85,10 @@ class IngestStats:
     #: Wall seconds spent inside the insert path (excludes flushing, which
     #: the paper runs on a separate thread).
     insert_seconds: float = 0.0
-    #: Wall seconds spent inside flush operations.
+    #: Wall seconds spent inside flush operations.  Flushing is
+    #: synchronous, so every flush is one ingest stall; the per-flush
+    #: durations are the system's ``flush_reports()``.
     flush_seconds: float = 0.0
-    #: Ingest-path pauses: one stall is any pause the write path could
-    #: not overlap with digestion — the whole flush in synchronous mode;
-    #: backpressure waits and non-empty overlay reconciles in pipelined
-    #: mode.  The per-pause distribution lives in the instrumentation
-    #: histogram ``ingest.stall_seconds``.
-    stalls: int = 0
-    stall_seconds: float = 0.0
-    max_stall_seconds: float = 0.0
-
-    def record_stall(self, seconds: float) -> None:
-        """Account one ingest-path pause."""
-        self.stalls += 1
-        self.stall_seconds += seconds
-        if seconds > self.max_stall_seconds:
-            self.max_stall_seconds = seconds
 
     @property
     def digestion_rate(self) -> float:

@@ -28,7 +28,6 @@ from repro.core.adaptive import ShardBudgetBalancer
 from repro.core.policy import FlushReport, MemoryEngine
 from repro.engine.clock import LogicalClock
 from repro.engine.executor import QueryExecutor, QueryResult
-from repro.engine.pipeline import FlushWorkerPool, LockedDiskView, PipelinedEngine
 from repro.engine.queries import TopKQuery
 from repro.engine.sharded import (
     ShardAttributeView,
@@ -83,54 +82,18 @@ class Partition:
             self.attribute = ShardAttributeView(system.attribute, router, shard_id)
         # Each partition runs its own adaptive controller over its own
         # keys; the facade adds the cross-shard budget balancer on top.
-        self.engine: MemoryEngine = self._build_engine(
-            config.k, self.capacity_bytes, config.adaptive_settings()
-        )
-        #: Rotation coordinator when ``config.pipelined_ingest`` is on.
-        self.pipeline: Optional[PipelinedEngine] = None
-        #: What the executor and the metrics surface talk to: the bare
-        #: engine and archive, or the pipeline (active + immutable
-        #: memtables) and its lock-taking disk adapter.
-        self.store = self.engine
-        self.disk_view = self.disk
-        if system._pool is not None:
-            self.pipeline = self.store = PipelinedEngine(
-                engine=self.engine,
-                overlay_factory=self._build_overlay,
-                overlay_capacity_bytes=config.overlay_capacity(shard_id),
-                pool=system._pool,
-                obs=system.obs,
-                record_stall=system._record_stall,
-                on_before_flush=self._before_flush,
-                on_after_flush=self._after_flush,
-                label=self.label,
-            )
-            self.disk_view = LockedDiskView(self.disk, self.pipeline.lock)
-
-    def _build_engine(self, k: int, capacity_bytes: int, adaptive=None) -> MemoryEngine:
-        system, config = self.system, self.system.config
-        return create_engine(
+        self.engine: MemoryEngine = create_engine(
             config.policy,
             model=config.memory_model,
             ranking=system.ranking,
             attribute=self.attribute,
-            k=k,
-            capacity_bytes=capacity_bytes,
+            k=config.k,
+            capacity_bytes=self.capacity_bytes,
             flush_fraction=config.flush_fraction,
             disk=self.disk,
             obs=system.obs,
             ledger_capacity=config.eviction_ledger_capacity,
-            adaptive=adaptive,
-        )
-
-    def _build_overlay(self) -> MemoryEngine:
-        """A fresh same-policy engine to digest into while the long-lived
-        engine is frozen for a background flush."""
-        # Overlays stay non-adaptive: they live for one rotation window
-        # and are absorbed back into the long-lived engine, which owns
-        # the heat, the allocator, and the retune schedule.
-        return self._build_engine(
-            self.engine.k, self.system.config.overlay_capacity(self.shard_id)
+            adaptive=config.adaptive_settings(),
         )
 
     # ------------------------------------------------------------------
@@ -138,17 +101,17 @@ class Partition:
     # ------------------------------------------------------------------
 
     def maybe_flush(self) -> None:
-        """Post-insert budget check: rotate to the flush workers when
-        pipelined, flush inline otherwise."""
-        if self.pipeline is not None:
-            self.pipeline.maybe_rotate(self.system.now)
-        elif self.engine.needs_flush():
+        """Post-insert budget check: one synchronous flush when the
+        engine crossed its capacity."""
+        if self.engine.needs_flush():
             now = self.system.now
             self._before_flush(now)
             report = self.engine.run_flush(now)
-            # The synchronous flush stalls ingest for its whole wall time
-            # — the baseline pause the pipelined mode exists to remove.
-            self.system._record_stall(report.wall_seconds)
+            # The flush stalls ingest for its whole wall time: one
+            # stall sample per flush.
+            registry = self.system.obs.registry
+            registry.counter("ingest.stalls").inc()
+            registry.histogram("ingest.stall_seconds").record(report.wall_seconds)
             self._after_flush(report, now)
 
     def _sample(self, now: float, kind: str, own: int, total: int) -> None:
@@ -166,18 +129,11 @@ class Partition:
         self._sample(now, "before", self.engine.memory_bytes, total)
 
     def _after_flush(self, report: FlushReport, now: float) -> None:
-        """Post-flush accounting; runs on the worker thread when a drain
-        completes in the background, inline otherwise."""
         system = self.system
         system.stats.ingest.flush_seconds += report.wall_seconds
         system._flush_reports.append(report)
         after = self.engine.memory_bytes
-        # This flush's outcome is the flushed engine, not its store: what
-        # an overlay digested during the drain is not part of it, so an
-        # inline drain samples exactly what a synchronous flush does.
-        total = after + sum(
-            p.store.memory_bytes for p in system.partitions if p is not self
-        )
+        total = system.total_memory_bytes()
         self._sample(now, "after", after, total)
         registry = system.obs.registry
         registry.gauge("memory.bytes_used").set(total)
@@ -231,16 +187,6 @@ class MicroblogSystem:
         self.stats = SystemStats()
         #: Every partition's flushes, in the order they completed.
         self._flush_reports: list[FlushReport] = []
-        #: One worker pool shared by all partitions' drain tasks when
-        #: pipelined ingest is on (the queue bound is global, so total
-        #: in-flight flush work is capped system-wide).
-        self._pool: Optional[FlushWorkerPool] = None
-        if config.pipelined_ingest:
-            self._pool = FlushWorkerPool(
-                config.resolved_flush_workers(),
-                config.resolved_flush_queue_limit(),
-                obs=self.obs,
-            )
         #: Key -> partition assignment; None with a single partition,
         #: which owns every key.
         self.router = ShardRouter(config.shards) if config.shards > 1 else None
@@ -258,19 +204,19 @@ class MicroblogSystem:
         self._balancer: Optional[ShardBudgetBalancer] = None
         if self.router is None:
             (only,) = self.partitions
-            self.engine, self.disk = only.engine, only.disk
-            store, disk_view = only.store, only.disk_view
+            engine, disk = only.engine, only.disk
+            self.engine, self.disk = engine, disk
         else:
             self.shards = self.partitions
-            store = _RoutedEngine(self.partitions, self.router, self.obs)
-            disk_view = _RoutedDisk(self.partitions, self.router, self.obs)
+            engine = _RoutedEngine(self.partitions, self.router, self.obs)
+            disk = _RoutedDisk(self.partitions, self.router, self.obs)
             settings = config.adaptive_settings()
             if settings is not None:
                 self._balancer = ShardBudgetBalancer(settings, self.partitions)
             self.obs.registry.gauge("shards.count").set(config.shards)
         self.executor = QueryExecutor(
-            store,
-            disk_view,
+            engine,
+            disk,
             strict_and=strict_and,
             and_scan_depth=config.and_scan_depth,
             and_disk_limit=config.and_disk_limit,
@@ -307,7 +253,7 @@ class MicroblogSystem:
         start = time.perf_counter()
         if self.router is None:
             owners = self.partitions
-            indexed = owners[0].store.insert(record)
+            indexed = owners[0].engine.insert(record)
         else:
             # Fan-out: every partition owning one of the record's keys
             # indexes it under those keys only (its attribute view
@@ -318,7 +264,7 @@ class MicroblogSystem:
             ]
             indexed = False
             for partition in owners:
-                if partition.store.insert(record):
+                if partition.engine.insert(record):
                     indexed = True
         ingest.insert_seconds += time.perf_counter() - start
         if not indexed:
@@ -336,15 +282,6 @@ class MicroblogSystem:
             if self.ingest(record):
                 indexed += 1
         return indexed
-
-    def _record_stall(self, seconds: float) -> None:
-        """Account one ingest-path pause: a synchronous/inline flush, a
-        pipelined backpressure wait, or a non-empty reconcile.  Feeds the
-        ``ingest.stall_seconds`` histogram — the p99 of these pauses is
-        the pipelined-ingest headline metric."""
-        self.stats.ingest.record_stall(seconds)
-        self.obs.registry.counter("ingest.stalls").inc()
-        self.obs.registry.histogram("ingest.stall_seconds").record(seconds)
 
     # ------------------------------------------------------------------
     # Queries
@@ -367,64 +304,25 @@ class MicroblogSystem:
         return self.executor.materialize(result)
 
     # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def quiesce(self) -> None:
-        """Wait for any in-flight background flush work and fold rotated
-        memtables back in (a no-op for synchronous builds); call before
-        reading final metrics.  Every partition is visited even when a
-        drain failed; the first worker-side error is re-raised after."""
-        errors = []
-        for partition in self.partitions:
-            if partition.pipeline is not None:
-                try:
-                    partition.pipeline.quiesce(self.now)
-                except Exception as exc:
-                    errors.append(exc)
-        if errors:
-            raise errors[0]
-
-    def close(self) -> None:
-        """Quiesce and release background resources (worker threads),
-        which stop even when the quiesce re-raises a flush error.
-        Idempotent; a no-op for synchronous builds."""
-        try:
-            self.quiesce()
-        finally:
-            if self._pool is not None:
-                self._pool.close()
-
-    # ------------------------------------------------------------------
     # Service levels (SLO tracker, flight recorder, watermarks)
     # ------------------------------------------------------------------
 
     def _service_level_tick(self) -> None:
         """One flush-boundary heartbeat: sample resource watermarks,
-        then evaluate the SLO objectives.  Runs on the flush-worker
-        thread in pipelined mode — everything it touches is either
-        lock-free reads or internally locked."""
+        then evaluate the SLO objectives."""
         self._sample_watermarks()
         if self.slo_tracker is not None:
             self.slo_tracker.tick()
 
     def _sample_watermarks(self) -> None:
-        # All reads here are lock-free (plain attribute/dict reads under
-        # the GIL), so this is safe from the flush-worker threads.
         watermarks = self.watermarks
-        total = overlay = 0
+        total = 0
         for partition in self.partitions:
-            used = partition.store.memory_bytes
+            used = partition.engine.memory_bytes
             total += used
-            overlay += max(0, used - partition.engine.memory_bytes)
             if partition.label:
                 watermarks.observe(partition.label + "memory.bytes_used", used)
         watermarks.observe("memory.bytes_used", total)
-        if self._pool is not None:
-            watermarks.observe("memory.overlay_bytes", overlay)
-            depth = self.obs.registry.get_gauge("pipeline.queue_depth")
-            if depth is not None:
-                watermarks.observe("pipeline.queue_depth", depth.value)
         # One rule at any partition count: a source is observed whenever
         # it is configured, from the first sample on (an empty ledger or
         # cache reads 0, it is not skipped).
@@ -471,10 +369,10 @@ class MicroblogSystem:
         """Change k at run time (Section IV-C); applies from the next
         flush cycle onward."""
         for partition in self.partitions:
-            partition.store.set_k(k)
+            partition.engine.set_k(k)
 
     def total_memory_bytes(self) -> int:
-        return sum(partition.store.memory_bytes for partition in self.partitions)
+        return sum(partition.engine.memory_bytes for partition in self.partitions)
 
     def hit_ratio(self) -> float:
         return self.stats.queries.hit_ratio
@@ -490,7 +388,7 @@ class MicroblogSystem:
         """Keys whose provable in-memory top-k is complete (Fig 7)."""
         # Keys are partitioned (each owned by exactly one partition), so
         # the per-partition counts sum without overlap.
-        return sum(p.store.k_filled_count() for p in self.partitions)
+        return sum(p.engine.k_filled_count() for p in self.partitions)
 
     def memory_utilization(self) -> float:
         """Used fraction of the (total) memory budget."""
@@ -500,7 +398,7 @@ class MicroblogSystem:
         """Key -> in-memory posting count (the Figure 1 snapshot)."""
         merged: dict[Hashable, int] = {}
         for partition in self.partitions:
-            merged.update(partition.store.frequency_snapshot())
+            merged.update(partition.engine.frequency_snapshot())
         return merged
 
     def flush_reports(self) -> list[FlushReport]:
@@ -527,7 +425,7 @@ class MicroblogSystem:
 
     def policy_overhead_bytes(self) -> int:
         """Modelled bytes of the policy's private bookkeeping (Fig 10a)."""
-        return sum(p.store.policy_overhead_bytes for p in self.partitions)
+        return sum(p.engine.policy_overhead_bytes for p in self.partitions)
 
     def latency_percentile(self, p: float) -> float:
         """Simulated query-latency percentile (the intro's SLO measure):
@@ -541,9 +439,9 @@ class MicroblogSystem:
         balanced); ``flush_skew`` is the same ratio over per-shard flush
         counts (0.0 when no shard has flushed yet).
         """
-        records = [p.store.record_count() for p in self.partitions]
+        records = [p.engine.record_count() for p in self.partitions]
         flushes = [len(p.engine.flush_reports) for p in self.partitions]
-        utils = [p.store.memory_bytes / p.capacity_bytes for p in self.partitions]
+        utils = [p.engine.memory_bytes / p.capacity_bytes for p in self.partitions]
         mean_records = sum(records) / len(records)
         mean_flushes = sum(flushes) / len(flushes)
         hot = max(range(len(records)), key=lambda i: records[i])
@@ -576,10 +474,10 @@ class MicroblogSystem:
             for p in self.partitions:
                 info = per_shard[str(p.shard_id)] = {
                     "capacity_bytes": p.capacity_bytes,
-                    "memory_bytes": p.store.memory_bytes,
-                    "utilization": p.store.memory_bytes / p.capacity_bytes,
-                    "records": p.store.record_count(),
-                    "k_filled": p.store.k_filled_count(),
+                    "memory_bytes": p.engine.memory_bytes,
+                    "utilization": p.engine.memory_bytes / p.capacity_bytes,
+                    "records": p.engine.record_count(),
+                    "k_filled": p.engine.k_filled_count(),
                     "flush_count": len(p.engine.flush_reports),
                     "disk_records": p.disk.record_count,
                     "disk_keys": p.disk.key_count,
@@ -620,7 +518,7 @@ class MicroblogSystem:
         engine invariants plus, when routed, the partitioning invariant —
         every key a partition holds is owned by it under the router."""
         for partition in self.partitions:
-            partition.store.check_integrity()
+            partition.engine.check_integrity()
             owned = partition.engine.frequency_snapshot() if self.router else ()
             for key in owned:
                 owner = self.router.shard_of(key)

@@ -299,12 +299,10 @@ def fig7_k_filled(
     shards: int = 1,
     disk_cache_bytes: int = 0,
     disk_elide_empty: bool = False,
-    pipelined: bool = False,
 ) -> FigureResult:
     disk_kwargs = dict(
         disk_cache_bytes=disk_cache_bytes,
         disk_elide_empty=disk_elide_empty,
-        pipelined_ingest=pipelined,
     )
 
     def measure(result: TrialResult) -> float:
@@ -390,7 +388,6 @@ def _hit_figure(
     shards: int = 1,
     disk_cache_bytes: int = 0,
     disk_elide_empty: bool = False,
-    pipelined: bool = False,
     slo_spec: Optional[str] = None,
     flight_recorder_events: int = 0,
     flight_recorder_path: Optional[str] = None,
@@ -398,7 +395,6 @@ def _hit_figure(
     disk_kwargs = dict(
         disk_cache_bytes=disk_cache_bytes,
         disk_elide_empty=disk_elide_empty,
-        pipelined_ingest=pipelined,
         slo_spec=slo_spec,
         flight_recorder_events=flight_recorder_events,
         flight_recorder_path=flight_recorder_path,
@@ -493,7 +489,6 @@ def fig8_hit_correlated(
     shards: int = 1,
     disk_cache_bytes: int = 0,
     disk_elide_empty: bool = False,
-    pipelined: bool = False,
     slo_spec: Optional[str] = None,
     flight_recorder_events: int = 0,
     flight_recorder_path: Optional[str] = None,
@@ -510,7 +505,6 @@ def fig8_hit_correlated(
         shards=shards,
         disk_cache_bytes=disk_cache_bytes,
         disk_elide_empty=disk_elide_empty,
-        pipelined=pipelined,
         slo_spec=slo_spec,
         flight_recorder_events=flight_recorder_events,
         flight_recorder_path=flight_recorder_path,
@@ -524,7 +518,6 @@ def fig9_hit_uniform(
     shards: int = 1,
     disk_cache_bytes: int = 0,
     disk_elide_empty: bool = False,
-    pipelined: bool = False,
     slo_spec: Optional[str] = None,
     flight_recorder_events: int = 0,
     flight_recorder_path: Optional[str] = None,
@@ -541,7 +534,6 @@ def fig9_hit_uniform(
         shards=shards,
         disk_cache_bytes=disk_cache_bytes,
         disk_elide_empty=disk_elide_empty,
-        pipelined=pipelined,
         slo_spec=slo_spec,
         flight_recorder_events=flight_recorder_events,
         flight_recorder_path=flight_recorder_path,

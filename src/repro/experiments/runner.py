@@ -72,12 +72,6 @@ class TrialSpec:
     disk_cache_bytes: int = 0
     #: Skip provably-empty disk lookups on the executor miss paths.
     disk_elide_empty: bool = False
-    #: Rotate over-budget memtables to background flush workers instead
-    #: of flushing inline (False = the paper's synchronous flushing).
-    pipelined_ingest: bool = False
-    #: Worker threads for pipelined ingest (None = one per shard;
-    #: 0 = deterministic inline drain, the differential tests' mode).
-    flush_workers: int | None = None
     #: Run the adaptive retention/budget controller at flush boundaries
     #: (False = the paper's static kFlushing tuning, bit-identical to it).
     adaptive: bool = False
@@ -209,13 +203,7 @@ def _finish_trial_metrics(
 def _ingest_baseline(system: MicroblogSystem) -> tuple:
     """Ingest counters at the start of the measurement window."""
     ingest = system.stats.ingest
-    return (
-        ingest.indexed,
-        ingest.insert_seconds,
-        ingest.flush_seconds,
-        ingest.stalls,
-        ingest.stall_seconds,
-    )
+    return (ingest.indexed, ingest.insert_seconds, ingest.flush_seconds)
 
 
 def _collect_result(
@@ -241,17 +229,17 @@ def _collect_result(
     denom = d_insert + d_flush + d_book
     reports = system.flush_reports()[flushes0:]
     qstats = system.stats.queries
-    # Ingest-stall accounting over the window (the pipelined-ingest
-    # headline numbers).  The p99 is read from the lifetime histogram —
-    # bucketed samples cannot be windowed — so it includes warm-up
-    # pauses; counts and totals are exact window deltas.
+    # Ingest stalls over the window: every flush stalls ingest for its
+    # whole wall time, so the window's flush reports are its stalls
+    # (p99 by nearest rank).
+    stalls = sorted(report.wall_seconds for report in reports)
     all_extras: dict[str, float] = {
-        "ingest_stalls": float(ingest.stalls - ingest0[3]),
-        "ingest_stall_seconds": ingest.stall_seconds - ingest0[4],
-        "ingest_stall_max_seconds": ingest.max_stall_seconds,
-        "ingest_stall_p99_seconds": system.obs.registry.histogram(
-            "ingest.stall_seconds"
-        ).percentile(99.0),
+        "ingest_stalls": float(len(stalls)),
+        "ingest_stall_seconds": sum(stalls),
+        "ingest_stall_max_seconds": stalls[-1] if stalls else 0.0,
+        "ingest_stall_p99_seconds": (
+            stalls[math.ceil(0.99 * len(stalls)) - 1] if stalls else 0.0
+        ),
     }
     if extras:
         all_extras.update(extras)
@@ -300,10 +288,7 @@ def run_trial(
     _warm_up(system, stream, spec)
 
     # Measurement window: reset the query counters and timing baselines so
-    # only steady-state behaviour is reported.  The warm-up quiesce folds
-    # any in-flight pipelined flush back in first, so the window opens
-    # with the memtable whole.
-    system.quiesce()
+    # only steady-state behaviour is reported.
     system.stats.queries = QueryStats()
     ingest0 = _ingest_baseline(system)
     book0 = system.executor.bookkeeping_seconds
@@ -317,11 +302,8 @@ def run_trial(
             system.search(queries.next_query())
             pending_queries -= 1.0
 
-    system.quiesce()
     _finish_trial_metrics(system, spec, obs)
-    result = _collect_result(system, spec, ingest0, book0, flushes0)
-    system.close()
-    return result
+    return _collect_result(system, spec, ingest0, book0, flushes0)
 
 
 def run_digestion_stress(
@@ -352,7 +334,6 @@ def run_digestion_stress(
     ):
         system.ingest_many(stream.take(_WARM_CHUNK))
         warmed += _WARM_CHUNK
-    system.quiesce()
     system.stats.queries = QueryStats()
     ingest0 = _ingest_baseline(system)
     book0 = system.executor.bookkeeping_seconds
@@ -379,13 +360,12 @@ def run_digestion_stress(
             system.search(queries.next_query())
             issued += 1
 
-    system.quiesce()
     _finish_trial_metrics(system, spec, obs)
     # Unlike the pre-refactor code, flush_count and the freed-fraction
     # mean now cover exactly the measurement window (the old path
     # hard-coded mean_flush_freed_fraction=0.0 and counted warm-up
     # flushes), making stress results comparable with run_trial's.
-    result = _collect_result(
+    return _collect_result(
         system,
         spec,
         ingest0,
@@ -393,5 +373,3 @@ def run_digestion_stress(
         flushes0,
         extras={"queries_issued": float(issued)},
     )
-    system.close()
-    return result

@@ -335,9 +335,9 @@ class _ObjectiveState:
 class SLOTracker:
     """Evaluates an :class:`SLOSpec` against a registry, tick by tick.
 
-    Thread-safe: pipelined ingest ticks from flush-worker threads while
-    an :class:`~repro.obs.server.OpsServer` may read :meth:`state` from
-    its handler threads.
+    Thread-safe: the ingest thread ticks it at flush boundaries while an
+    :class:`~repro.obs.server.OpsServer` may read :meth:`state` from its
+    handler threads.
     """
 
     def __init__(

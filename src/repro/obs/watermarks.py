@@ -1,17 +1,16 @@
 """Resource high-watermark accounting.
 
-Point-in-time gauges (``memory.bytes_used``, ``pipeline.queue_depth``)
-answer "how much *now*?"; capacity planning needs "how much at the
-worst moment?".  A :class:`WatermarkTracker` keeps the running maximum
-of every resource it is shown and mirrors each one into a
-``watermark.<name>`` gauge, so high-water marks ride along in every
-registry snapshot, the Prometheus export, and the flight-recorder dump
-with zero extra plumbing.
+Point-in-time gauges (``memory.bytes_used``) answer "how much *now*?";
+capacity planning needs "how much at the worst moment?".  A
+:class:`WatermarkTracker` keeps the running maximum of every resource it
+is shown and mirrors each one into a ``watermark.<name>`` gauge, so
+high-water marks ride along in every registry snapshot, the Prometheus
+export, and the flight-recorder dump with zero extra plumbing.
 
-The facade samples at flush-cycle boundaries — the moments memory,
-queue depth, and cache occupancy peak (a flush fires precisely because
-memory crossed its budget), so per-record sampling would add hot-path
-cost without raising any watermark.  Always on: the cost is a handful
+The facade samples at flush-cycle boundaries — the moments memory and
+cache occupancy peak (a flush fires precisely because memory crossed
+its budget), so per-record sampling would add hot-path cost without
+raising any watermark.  Always on: the cost is a handful
 of dict operations per flush.
 """
 

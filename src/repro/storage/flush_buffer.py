@@ -80,28 +80,6 @@ class FlushBuffer:
             return self._bytes
         return int(statistics.median(self._recent_commit_bytes))
 
-    def absorb(self, other: "FlushBuffer") -> int:
-        """Adopt everything another buffer has staged (memtable handoff).
-
-        Used when a rotated overlay engine is merged back into its
-        long-lived sibling under pipelined ingest: any batch the overlay
-        staged but never committed moves here losslessly, so it still
-        reaches disk with the next commit.  Returns the bytes adopted;
-        ``other`` is empty afterwards.
-        """
-        if other.is_empty:
-            return 0
-        adopted = other._bytes
-        self._records.extend(other._records)
-        for key, postings in other._postings.items():
-            self._postings.setdefault(key, []).extend(postings)
-        self._bytes += adopted
-        self.peak_bytes = max(self.peak_bytes, self._bytes)
-        other._records = []
-        other._postings = {}
-        other._bytes = 0
-        return adopted
-
     def commit(self) -> int:
         """Write everything staged to disk in one batch; returns bytes
         written.  The buffer is empty afterwards and reusable."""

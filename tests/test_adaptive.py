@@ -89,26 +89,11 @@ class TestAdaptiveOffDifferential:
         )
         assert _fields(static) == _fields(armed)
 
-    def test_pipelined_inline_armed_idle_differential(self):
-        common = dict(
-            policy="kflushing",
-            scale=MICRO,
-            seed=11,
-            pipelined_ingest=True,
-            flush_workers=0,
-        )
-        static = run_trial(TrialSpec(**common))
-        armed = run_trial(
-            TrialSpec(**common, adaptive=True, adaptive_interval=NEVER)
-        )
-        assert _fields(static) == _fields(armed)
-
     def test_default_config_has_no_controller(self):
         system = build_system(SystemConfig(memory_capacity_bytes=200_000))
         assert system.engine.adaptive is None
         assert system.engine.allocator is None
         assert system.engine.key_heat is None
-        system.close()
 
 
 class TestControllerDeterminism:
@@ -149,7 +134,6 @@ class TestControllerDeterminism:
                 for name, value in obs.registry.snapshot()["counters"].items()
                 if name.startswith("adaptive.")
             }
-            system.close()
             return depths, counters
 
         first, second = run(), run()
@@ -213,7 +197,6 @@ class TestControllerEffect:
         for record in stream.take(TINY.eval_records):
             system.ingest(record)
             system.search(queries.next_query())
-        system.close()
         assert system.hit_ratio() == overall
         assert system.stats.queries.hit_ratio_for(CombineMode.AND) == and_only
 
@@ -317,7 +300,6 @@ class TestControllerLevers:
                 heat.note_query((key,), hit=True)
             controller.retune(engine)
         assert engine.allocator.depth_of("hot") == engine.k
-        system.close()
 
     def test_depth_capped_at_k_max(self):
         system = self._engine_stub()
@@ -328,7 +310,6 @@ class TestControllerLevers:
             engine.key_heat.note_query(("hot",), hit=False)
             controller.retune(engine)
         assert engine.allocator.depth_of("hot") == k_max
-        system.close()
 
     def test_slack_follows_wholesale_miss_fraction(self):
         system = self._engine_stub()
@@ -344,7 +325,6 @@ class TestControllerLevers:
             controller.observe(False, "phase1-regular")
         controller.retune(engine)
         assert engine.escalation_slack == pytest.approx(0.0)
-        system.close()
 
     def test_slack_needs_minimum_window(self):
         system = self._engine_stub()
@@ -354,7 +334,6 @@ class TestControllerLevers:
             controller.observe(False, "phase3-forced")
         controller.retune(engine)
         assert engine.escalation_slack == 0.0
-        system.close()
 
 
 class TestShardBudgetBalancer:
@@ -381,7 +360,6 @@ class TestShardBudgetBalancer:
         # The engine's own budget field moved with the shard's.
         for shard in shards:
             assert shard.engine.capacity_bytes == shard.capacity_bytes
-        system.close()
 
     def test_floor_prevents_starvation(self):
         system = self._sharded()
@@ -393,14 +371,12 @@ class TestShardBudgetBalancer:
             balancer.rebalance(system)
         for shard, floor in zip(shards, balancer._floors):
             assert shard.capacity_bytes >= floor
-        system.close()
 
     def test_single_shard_has_no_balancer(self):
         system = build_system(
             SystemConfig(memory_capacity_bytes=200_000, adaptive=True)
         )
         assert getattr(system, "_balancer", None) is None
-        system.close()
 
 
 class TestEvictionLedgerOverflow:
@@ -421,7 +397,6 @@ class TestEvictionLedgerOverflow:
         counters = obs.registry.snapshot()["counters"]
         assert counters["eviction_ledger.dropped"] > 0
         assert len(system.engine.eviction_ledger) <= 4
-        system.close()
 
     def test_default_capacity_never_drops_here(self):
         obs = Instrumentation(attribution=True)
@@ -438,7 +413,6 @@ class TestEvictionLedgerOverflow:
         counters = obs.registry.snapshot()["counters"]
         # The counter exists (pre-created with the ledger) and is zero.
         assert counters["eviction_ledger.dropped"] == 0
-        system.close()
 
 
 class TestHotKeysSnapshot:
@@ -462,12 +436,10 @@ class TestHotKeysSnapshot:
             assert isinstance(key, str) and count > 0
         counts = [count for _key, count in hot["most_queried"]]
         assert counts == sorted(counts, reverse=True)
-        system.close()
 
     def test_snapshot_has_no_hot_keys_by_default(self):
         system = build_system(SystemConfig(memory_capacity_bytes=150_000))
         assert "hot_keys" not in system.snapshot()
-        system.close()
 
 
 class TestConfigValidation:

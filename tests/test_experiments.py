@@ -1,10 +1,12 @@
 """Tests for the experiment harness: presets, runner, figures, reporting."""
 
 import dataclasses
+import time
 
 import pytest
 
 from repro.config import SystemConfig
+from repro.core.kflushing import KFlushingEngine
 from repro.experiments.figures import (
     FigureResult,
     SweepResult,
@@ -101,6 +103,30 @@ class TestRunTrial:
         assert result.effective_digestion_rate > 0
         assert "queries_issued" in result.extras
 
+    def test_stall_accounting_matches_flush_count(self):
+        # Every flush stalls ingest once: one stall per window flush.
+        sync = run_trial(TrialSpec(policy="kflushing", scale=MICRO, seed=11))
+        assert sync.extras["ingest_stalls"] == float(sync.flush_count)
+
+    def test_stall_extras_exclude_warm_up(self, monkeypatch):
+        # A cold-start flush far slower than any steady-state one must
+        # not reach the window's stall figures.
+        flush = KFlushingEngine.flush
+        calls = []
+
+        def slow_first_flush(engine, now):
+            calls.append(now)
+            if len(calls) == 1:
+                time.sleep(0.05)
+            return flush(engine, now)
+
+        monkeypatch.setattr(KFlushingEngine, "flush", slow_first_flush)
+        result = run_trial(TrialSpec(policy="kflushing", scale=MICRO, seed=11))
+        assert len(calls) > result.flush_count > 0  # the slow one was warm-up
+        assert result.extras["ingest_stalls"] == float(result.flush_count)
+        assert result.extras["ingest_stall_max_seconds"] < 0.05
+        assert result.extras["ingest_stall_p99_seconds"] < 0.05
+
 
 #: One non-default value per field name ``TrialSpec`` shares with
 #: ``SystemConfig`` (the plumbing ``build_system`` threads by hand).
@@ -112,9 +138,7 @@ _SHARED_FIELD_VALUES = {
     "disk_elide_empty": True,
     "flight_recorder_events": 64,
     "flight_recorder_path": "black_box.jsonl",
-    "flush_workers": 0,
     "k": 7,
-    "pipelined_ingest": True,
     "policy": "lru",
     "shards": 2,
     "slo_spec": '{"objectives": [{"metric": "flush.count", "min": 0}]}',
@@ -135,10 +159,7 @@ class TestSpecPlumbing:
         assert value != defaults[name]
         spec = TrialSpec(**{"policy": "kflushing", "scale": MICRO, name: value})
         system = spec.build_system()
-        try:
-            assert getattr(system.config, name) == value
-        finally:
-            system.close()
+        assert getattr(system.config, name) == value
 
 
 class TestFigureHarness:

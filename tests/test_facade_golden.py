@@ -3,9 +3,9 @@
 Every literal below was recorded at the commit *before* the unsharded
 facade and its hash-partitioned sibling became one ``MicroblogSystem``
 over a list of partitions; the one class must reproduce them bit for bit
-at every shard count, synchronous and pipelined-inline alike.  They pin
-numbers, not a second implementation: a change that moves one of them
-changed the paper's accounting and has to say so.
+at every shard count.  They pin numbers, not a second implementation: a
+change that moves one of them changed the paper's accounting and has to
+say so.
 """
 
 import pytest
@@ -16,11 +16,23 @@ from repro.experiments.runner import TrialSpec, run_trial
 from repro.workload.queryload import QueryLoad, QueryLoadConfig
 from repro.workload.stream import MicroblogStream, StreamConfig
 from tests.test_experiments import MICRO
-from tests.test_pipeline import DETERMINISTIC_FIELDS
+
+#: TrialResult fields that must be bit-identical across equivalent
+#: configurations (same tuple the sharding/disk-tier differentials use).
+DETERMINISTIC_FIELDS = (
+    "hit_ratio",
+    "hit_ratio_by_mode",
+    "k_filled",
+    "flush_count",
+    "records_ingested",
+    "queries_run",
+    "policy_overhead_bytes",
+    "mean_flush_freed_fraction",
+    "memory_utilization",
+)
 
 #: (policy, shards) -> the DETERMINISTIC_FIELDS of ``run_trial`` at MICRO
-#: scale, seed 3, plus ``extras["ingest_stalls"]``.  Synchronous and
-#: ``pipelined_ingest=True, flush_workers=0`` runs recorded the same row.
+#: scale, seed 3, plus ``extras["ingest_stalls"]``.
 TRIALS = {
     ("fifo", 1): dict(
         hit_ratio=0.24375,
@@ -168,18 +180,13 @@ TRIALS = {
     ),
 }
 
-MODES = {
-    "synchronous": {},
-    "pipelined-inline": {"pipelined_ingest": True, "flush_workers": 0},
-}
 
-
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("policy,shards", TRIALS)
-def test_trial_matches_recorded_row(policy, shards, mode):
-    result = run_trial(
-        TrialSpec(policy=policy, scale=MICRO, seed=3, shards=shards, **MODES[mode])
-    )
+# The ids keep the "-synchronous" suffix the rows were recorded under.
+@pytest.mark.parametrize(
+    "policy,shards", TRIALS, ids=[f"{p}-{n}-synchronous" for p, n in TRIALS]
+)
+def test_trial_matches_recorded_row(policy, shards):
+    result = run_trial(TrialSpec(policy=policy, scale=MICRO, seed=3, shards=shards))
     row = {name: getattr(result, name) for name in DETERMINISTIC_FIELDS}
     row["ingest_stalls"] = result.extras["ingest_stalls"]
     assert row == TRIALS[policy, shards]

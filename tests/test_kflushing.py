@@ -375,4 +375,3 @@ def test_needs_flush_fast_path_agrees_with_property():
         assert engine.needs_flush() == (
             engine.memory_bytes >= engine.capacity_bytes
         )
-    system.close()

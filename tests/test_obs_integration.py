@@ -1,6 +1,7 @@
 """Instrumentation wiring: the obs subsystem observed through the stack."""
 
 import json
+import time
 
 from repro.config import SystemConfig
 from repro.engine.queries import AndQuery, KeywordQuery, OrQuery
@@ -8,6 +9,7 @@ from repro.engine.system import MicroblogSystem
 from repro.experiments.runner import TrialSpec, run_trial
 from repro.experiments.scale import TINY
 from repro.obs import Instrumentation, ListSink, activated
+from repro.obs.events import EventSink
 from tests.conftest import make_blog, make_blogs
 
 
@@ -69,6 +71,43 @@ class TestFlushInstrumentation:
         assert system.snapshot()["counters"]["flush.count"] == len(
             system.flush_reports()
         )
+
+
+class _SlowFlushSink(EventSink):
+    """Sleeps on the events the flush *wrapper* emits (the outer
+    ``flush`` trace/span and the ``flush`` event) — never on the
+    per-phase spans inside the timed eviction work."""
+
+    def __init__(self, delay: float) -> None:
+        self.delay = delay
+        self.slept = 0
+
+    def emit(self, event: dict) -> None:
+        type_ = event.get("type")
+        if type_ == "flush" or (
+            type_ in ("span", "trace") and event.get("name") == "flush"
+        ):
+            self.slept += 1
+            time.sleep(self.delay)
+
+
+class TestFlushWallTiming:
+    def test_wall_seconds_excludes_obs_overhead(self):
+        sink = _SlowFlushSink(delay=0.05)
+        obs = Instrumentation(sink=sink, tracing=True)
+        system = MicroblogSystem(
+            SystemConfig(policy="kflushing", memory_capacity_bytes=20_000), obs=obs
+        )
+        for blog in make_blogs(250):
+            system.ingest(blog)
+        reports = system.flush_reports()
+        assert reports, "no flush happened"
+        assert sink.slept >= 3  # the slow wrapper events really fired
+        # The eviction work at this scale is ~1ms; had the timer wrapped
+        # the trace/span managers (the old bug), every report would
+        # carry >= one 50ms sleep.
+        for report in reports:
+            assert report.wall_seconds < 0.05, report.wall_seconds
 
 
 class TestQueryInstrumentation:

@@ -358,6 +358,42 @@ class TestShardedSystem:
         assert len(merged) == per_shard_total  # keys are partitioned
 
 
+class TestShardTimelinePairing:
+    def _flushed_sharded(self, shards=2):
+        system = build_system(
+            SystemConfig(
+                policy="kflushing", shards=shards, memory_capacity_bytes=30_000
+            )
+        )
+        stream = MicroblogStream(
+            StreamConfig(seed=3, vocabulary_size=100, with_locations=False)
+        )
+        system.ingest_many(stream.take(3_000))
+        assert len(system.flush_reports()) >= 1
+        return system
+
+    def test_system_level_points_paired(self):
+        system = self._flushed_sharded()
+        kinds = [
+            p.kind
+            for p in system.stats.shard_timeline(None)
+            if p.kind in ("before", "after")
+        ]
+        assert kinds, "no flush samples on the system-level timeline"
+        assert len(kinds) % 2 == 0
+        assert kinds == ["before", "after"] * (len(kinds) // 2)
+
+    def test_per_shard_points_paired(self):
+        system = self._flushed_sharded()
+        for shard in system.shards:
+            kinds = [
+                p.kind
+                for p in system.stats.shard_timeline(shard.shard_id)
+                if p.kind in ("before", "after")
+            ]
+            assert kinds == ["before", "after"] * (len(kinds) // 2)
+
+
 class TestMergeTopk:
     """The shared top-k merge (executor, scatter-gather, segments)."""
 

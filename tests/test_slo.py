@@ -430,7 +430,6 @@ def _drive(config: SystemConfig, records: int = 15_000):
         StreamConfig(seed=11, vocabulary_size=2_000, with_locations=False)
     )
     system.ingest_many(stream.take(records))
-    system.quiesce()
     return system
 
 
@@ -439,9 +438,6 @@ def _drive(config: SystemConfig, records: int = 15_000):
     [
         pytest.param({}, id="unsharded"),
         pytest.param({"shards": 4}, id="sharded"),
-        pytest.param(
-            {"pipelined_ingest": True, "flush_workers": 0}, id="pipelined-inline"
-        ),
     ],
 )
 class TestSystemIntegration:
@@ -455,52 +451,43 @@ class TestSystemIntegration:
             **overrides,
         )
         system = _drive(config)
-        try:
-            state = system.slo_state()
-            assert state is not None and state["healthy"] is False
-            (obj,) = state["objectives"]
-            assert obj["breached"] is True
-            assert obj["budget_spent"] >= 1.0
-            assert dump_path.exists()
-            lines = [json.loads(l) for l in dump_path.read_text().splitlines()]
-            assert lines[0]["reason"] == "slo_breach:impossible"
-            slo_line = next(l for l in lines if l["type"] == "slo_state")
-            assert slo_line["slo"]["healthy"] is False
-        finally:
-            system.close()
+        state = system.slo_state()
+        assert state is not None and state["healthy"] is False
+        (obj,) = state["objectives"]
+        assert obj["breached"] is True
+        assert obj["budget_spent"] >= 1.0
+        assert dump_path.exists()
+        lines = [json.loads(l) for l in dump_path.read_text().splitlines()]
+        assert lines[0]["reason"] == "slo_breach:impossible"
+        slo_line = next(l for l in lines if l["type"] == "slo_state")
+        assert slo_line["slo"]["healthy"] is False
 
     def test_permissive_spec_stays_healthy(self, overrides):
         config = SystemConfig(
             memory_capacity_bytes=400_000, slo_spec=_PERMISSIVE, **overrides
         )
         system = _drive(config)
-        try:
-            state = system.slo_state()
-            assert state is not None and state["healthy"] is True
-            assert state["ticks"] > 0  # flush boundaries actually ticked
-        finally:
-            system.close()
+        state = system.slo_state()
+        assert state is not None and state["healthy"] is True
+        assert state["ticks"] > 0  # flush boundaries actually ticked
 
     def test_watermarks_surface_in_registry(self, overrides):
         config = SystemConfig(memory_capacity_bytes=400_000, **overrides)
         system = _drive(config)
-        try:
-            assert system.slo_state() is None  # no spec configured
-            marks = system.watermarks.table()
-            assert marks.get("memory.bytes_used", 0) > 0
-            gauges = system.obs.registry.snapshot()["gauges"]
-            assert gauges["watermark.memory.bytes_used"] > 0
-            if overrides.get("shards"):
-                assert any(
-                    name.startswith("watermark.shard.") for name in gauges
-                )
-        finally:
-            system.close()
+        assert system.slo_state() is None  # no spec configured
+        marks = system.watermarks.table()
+        assert marks.get("memory.bytes_used", 0) > 0
+        gauges = system.obs.registry.snapshot()["gauges"]
+        assert gauges["watermark.memory.bytes_used"] > 0
+        if overrides.get("shards"):
+            assert any(
+                name.startswith("watermark.shard.") for name in gauges
+            )
 
 
 def test_watermark_names_do_not_depend_on_shard_count():
     """One sampling rule: with every optional source on (ledger, disk
-    cache, pipeline), the watermark set at 4 shards is the one-partition
+    cache), the watermark set at 4 shards is the one-partition
     set plus the per-shard memory marks — from the first sample on, when
     the ledgers are still empty."""
     names = {}
@@ -509,19 +496,14 @@ def test_watermark_names_do_not_depend_on_shard_count():
             memory_capacity_bytes=400_000,
             shards=shards,
             disk_cache_bytes=50_000,
-            pipelined_ingest=True,
-            flush_workers=0,
         )
         system = build_system(config, obs=Instrumentation(attribution=True))
-        try:
-            system._sample_watermarks()
-            names[shards] = {
-                name
-                for name in system.obs.registry.snapshot()["gauges"]
-                if name.startswith("watermark.")
-            }
-        finally:
-            system.close()
+        system._sample_watermarks()
+        names[shards] = {
+            name
+            for name in system.obs.registry.snapshot()["gauges"]
+            if name.startswith("watermark.")
+        }
     assert "watermark.eviction_ledger.entries" in names[1]
     assert "watermark.disk.cache_bytes" in names[1]
     assert names[4] - names[1] == {
@@ -535,25 +517,19 @@ def test_on_demand_dump_without_breach(tmp_path):
         memory_capacity_bytes=400_000, flight_recorder_events=32
     )
     system = _drive(config)
-    try:
-        path = system.dump_flight_recorder(tmp_path / "demand.jsonl")
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert lines[0]["reason"] == "on_demand"
-        # No SLO tracker: the dump carries no slo_state line.
-        assert not any(l["type"] == "slo_state" for l in lines)
-        assert any(l["type"] == "run_snapshot" for l in lines)
-    finally:
-        system.close()
+    path = system.dump_flight_recorder(tmp_path / "demand.jsonl")
+    lines = [json.loads(l) for l in path.read_text().splitlines()]
+    assert lines[0]["reason"] == "on_demand"
+    # No SLO tracker: the dump carries no slo_state line.
+    assert not any(l["type"] == "slo_state" for l in lines)
+    assert any(l["type"] == "run_snapshot" for l in lines)
 
 
 def test_recorder_off_dump_is_none():
     config = SystemConfig(memory_capacity_bytes=400_000)
     system = _drive(config, records=2_000)
-    try:
-        assert system.flight_recorder is None
-        assert system.dump_flight_recorder() is None
-    finally:
-        system.close()
+    assert system.flight_recorder is None
+    assert system.dump_flight_recorder() is None
 
 
 # ----------------------------------------------------------------------
@@ -583,10 +559,6 @@ def _comparable(result):
         pytest.param(dict(policy="kflushing"), id="kflushing"),
         pytest.param(dict(policy="kflushing-mk"), id="kflushing-mk"),
         pytest.param(dict(policy="kflushing", shards=4), id="kflushing-shards4"),
-        pytest.param(
-            dict(policy="kflushing", pipelined_ingest=True, flush_workers=0),
-            id="kflushing-pipelined",
-        ),
     ],
 )
 def test_trial_results_bit_identical_with_slo_and_recorder(overrides):

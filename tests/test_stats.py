@@ -2,8 +2,9 @@
 
 from repro.core.policy import FlushReport
 from repro.engine.clock import LogicalClock
-from repro.engine.queries import CombineMode
+from repro.engine.queries import CombineMode, KeywordQuery
 from repro.engine.stats import IngestStats, QueryStats, SystemStats, TimelinePoint
+from tests.conftest import make_blogs, tiny_system
 
 import pytest
 
@@ -110,3 +111,29 @@ class TestLogicalClock:
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
             LogicalClock().advance_by(-1.0)
+
+
+class TestDiskReadsAccounting:
+    def test_elided_miss_counts_zero_disk_reads(self):
+        # A miss on a key that is neither in memory nor on disk: with
+        # negative-lookup elision on, the executor performs zero disk
+        # index lookups, so disk_reads must stay 0.
+        system = tiny_system(disk_elide_empty=True)
+        for blog in make_blogs(5, keywords=("hot",)):
+            system.ingest(blog)
+        result = system.search(KeywordQuery("ghost", k=3))
+        assert not result.memory_hit
+        assert result.disk_lookups == 0
+        assert system.stats.queries.queries == 1
+        assert system.stats.queries.disk_reads == 0
+
+    def test_paid_miss_still_counts(self):
+        # Force everything to disk, then query it: the miss pays a real
+        # disk lookup and must still be counted.
+        system = tiny_system(disk_elide_empty=True, memory_capacity_bytes=300)
+        for blog in make_blogs(5, keywords=("hot",), text="x" * 400):
+            system.ingest(blog)
+        result = system.search(KeywordQuery("hot", k=3))
+        assert not result.memory_hit
+        assert result.disk_lookups >= 1
+        assert system.stats.queries.disk_reads >= 1
