@@ -8,15 +8,12 @@ Subcommands
     Run one figure experiment (or ``all``) and print its tables;
     ``--jobs`` fans the figure's trial grid out over worker processes
     (results are identical to a serial run); ``--shards`` hash-partitions
-    each trial's system over N shards; ``--disk-cache-bytes`` /
-    ``--disk-elide-empty`` enable the modelled disk read cache and
-    negative-lookup elision (both off by default — answers never change,
-    only disk-lookup counts and simulated latency); ``--metrics-out``
+    each trial's system over N shards; ``--metrics-out``
     streams every instrumentation event of the run (flush spans, query
     events, final snapshot) to a JSONL file — parallel workers write
     per-trial metric shards that are merged into the same file after the
     pool drains.
-``stats [--shards 4] [--disk-cache-bytes N] [--disk-elide-empty]``
+``stats [--shards 4]``
     Run a tiny synthetic workload and dump the instrumentation registry
     (flush phase spans, per-mode query counters, disk I/O, ingest-stall
     histogram, per-shard gauges when sharded) as JSON or
@@ -98,17 +95,13 @@ def _figure_kwargs(
     seed: int,
     jobs: int,
     shards: int = 1,
-    disk_cache_bytes: int = 0,
-    disk_elide_empty: bool = False,
-    adaptive: bool = False,
     slo_spec: Optional[str] = None,
     flight_recorder_events: int = 0,
     flight_recorder_path: Optional[str] = None,
 ) -> tuple[dict, list[str]]:
     """Keyword arguments for one figure function, and the flags it cannot take.
 
-    ``jobs``, ``shards``, the disk-tier gates, ``adaptive`` and the
-    service-level options are forwarded only to figures whose signatures
+    ``jobs``, ``shards`` and the service-level options are forwarded only to figures whose signatures
     support them (the extension experiments, for instance, run serially;
     fig5 is an engine-level experiment with no sharded variant).  A flag that was
     set but has no such parameter is returned by its CLI spelling, so
@@ -119,9 +112,6 @@ def _figure_kwargs(
     offered = {
         "jobs": ("--jobs", jobs, 1),
         "shards": ("--shards", shards, 1),
-        "disk_cache_bytes": ("--disk-cache-bytes", disk_cache_bytes, 0),
-        "disk_elide_empty": ("--disk-elide-empty", disk_elide_empty, False),
-        "adaptive": ("--adaptive", adaptive, False),
         "slo_spec": ("--slo", slo_spec or "", ""),
         "flight_recorder_events": ("--flight-recorder", flight_recorder_events, 0),
         # The dump path means nothing without the recorder itself.
@@ -214,9 +204,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 args.seed,
                 jobs,
                 args.shards,
-                disk_cache_bytes=args.disk_cache_bytes,
-                disk_elide_empty=args.disk_elide_empty,
-                adaptive=args.adaptive,
                 slo_spec=args.slo,
                 flight_recorder_events=args.flight_recorder,
                 flight_recorder_path=args.flight_recorder_dump,
@@ -292,11 +279,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         )
         for child in summary["children"]:
             where = "" if child["shard"] is None else f" shard={child['shard']}"
-            cache = "" if child["cache"] is None else f" cache={child['cache']}"
-            print(
-                f"      {child['name']:22s} {child['seconds'] * 1e6:9.1f}us"
-                f"{where}{cache}"
-            )
+            print(f"      {child['name']:22s} {child['seconds'] * 1e6:9.1f}us{where}")
 
     flush = flush_attribution(traces)
     print(
@@ -446,9 +429,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         and_scan_depth=500,
         and_disk_limit=500,
         shards=args.shards,
-        disk_cache_bytes=args.disk_cache_bytes,
-        disk_elide_empty=args.disk_elide_empty,
-        adaptive=args.adaptive,
     )
     system = build_system(config, obs=obs)
     stream = MicroblogStream(
@@ -573,34 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--disk-cache-bytes",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "modelled disk read-cache budget in bytes (0 = off, the "
-            "paper's accounting; cache hits skip the seek)"
-        ),
-    )
-    run.add_argument(
-        "--disk-elide-empty",
-        action="store_true",
-        help=(
-            "skip disk lookups for keys the archive provably holds no "
-            "postings for (never changes answers)"
-        ),
-    )
-    run.add_argument(
-        "--adaptive",
-        action="store_true",
-        help=(
-            "adaptive kFlushing: a deterministic feedback controller "
-            "retunes per-key retention depth, shard budget slices and "
-            "phase-escalation slack at flush boundaries (fig1 only; "
-            "off = the paper's static tuning)"
-        ),
-    )
-    run.add_argument(
         "--serve",
         type=int,
         default=None,
@@ -685,33 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="also stream per-flush/per-query events to this JSONL file",
-    )
-    stats.add_argument(
-        "--disk-cache-bytes",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "modelled disk read-cache budget in bytes (0 = off, the "
-            "paper's accounting; cache hits skip the seek)"
-        ),
-    )
-    stats.add_argument(
-        "--disk-elide-empty",
-        action="store_true",
-        help=(
-            "skip disk lookups for keys the archive provably holds no "
-            "postings for (never changes answers)"
-        ),
-    )
-    stats.add_argument(
-        "--adaptive",
-        action="store_true",
-        help=(
-            "adaptive kFlushing controller: per-key retention depth, "
-            "shard budget slices and escalation slack retuned at flush "
-            "boundaries (adds adaptive.* series and hot_keys tables)"
-        ),
     )
     stats.set_defaults(fn=_cmd_stats)
 

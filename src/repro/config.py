@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 from typing import Union
 
 from repro.core import policy_names
-from repro.core.adaptive import AdaptiveSettings
 from repro.core.eviction_ledger import EvictionLedger
 from repro.errors import ConfigurationError
 from repro.model.attributes import AttributeExtractor, attribute_from_name
@@ -64,20 +63,13 @@ class SystemConfig:
         None, ``memory_capacity_bytes`` is split evenly across shards
         (the first ``memory_capacity_bytes % shards`` shards absorb the
         remainder byte each).
-    disk_cache_bytes:
-        Byte budget of the modelled disk read cache (0 = off, the
-        default: the paper's cost accounting, every lookup pays a seek).
-        Sharded systems split the budget across shards the same way the
-        memory budget is split (see :meth:`disk_cache_capacity`).
-    disk_elide_empty:
-        When True, the query executor skips disk lookups for keys the
-        archive provably holds no postings for (counted under
-        ``disk.lookups_elided``).  Off by default; never changes
-        answers, only disk-lookup counts and simulated latency.
 
     Flushing is synchronous: the ingest that crosses a partition's
     budget runs the whole flush before it returns (see
-    ``docs/PERFORMANCE.md``, "Why flushing is synchronous").
+    ``docs/PERFORMANCE.md``, "Why flushing is synchronous").  kFlushing
+    runs with one global ``k`` and static budgets, and every disk
+    lookup pays one modelled seek (see "Why there is no adaptive
+    controller or disk cache" in the same document).
     """
 
     policy: str = "kflushing"
@@ -99,25 +91,6 @@ class SystemConfig:
     shards: int = 1
     #: Optional per-shard budgets overriding the even capacity/N split.
     shard_capacity_bytes: Union[tuple[int, ...], None] = None
-    #: Modelled disk read-cache budget in bytes (0 = cache off).
-    disk_cache_bytes: int = 0
-    #: Skip provably-empty disk lookups on the executor miss paths.
-    disk_elide_empty: bool = False
-    #: Adaptive memory allocation (``repro.core.adaptive``): a
-    #: deterministic feedback controller retunes per-key retention
-    #: depths, phase-escalation slack, and (sharded) budget slices at
-    #: flush-cycle boundaries.  Off by default: the static paper
-    #: behaviour is the differential reference.
-    adaptive: bool = False
-    #: Flush cycles between controller retune decisions (1 = every
-    #: flush boundary; retuning is a few bounded sorts, so cheap).
-    adaptive_interval: int = 1
-    #: Cap on any per-key retention depth (None = ``16 * k``).
-    adaptive_k_max: Union[int, None] = None
-    #: Hot-set size promoted to deeper retention each retune.
-    adaptive_hot_keys: int = 32
-    #: Max fraction of the total budget one shard rebalance may move.
-    adaptive_shard_step: float = 0.05
     #: Eviction-cause ledger capacity (keys).  Evictions recorded past
     #: it drop the oldest entry and bump ``eviction_ledger.dropped``.
     eviction_ledger_capacity: int = EvictionLedger.DEFAULT_CAPACITY
@@ -175,28 +148,6 @@ class SystemConfig:
                     raise ConfigurationError(
                         f"shard_capacity_bytes[{i}] must be positive, got {budget}"
                     )
-        if self.disk_cache_bytes < 0:
-            raise ConfigurationError(
-                f"disk_cache_bytes must be non-negative, got {self.disk_cache_bytes}"
-            )
-        if self.adaptive_interval < 1:
-            raise ConfigurationError(
-                f"adaptive_interval must be >= 1, got {self.adaptive_interval}"
-            )
-        if self.adaptive_k_max is not None and self.adaptive_k_max < self.k:
-            raise ConfigurationError(
-                f"adaptive_k_max must be None or >= k, got "
-                f"{self.adaptive_k_max} (k={self.k})"
-            )
-        if self.adaptive_hot_keys < 1:
-            raise ConfigurationError(
-                f"adaptive_hot_keys must be >= 1, got {self.adaptive_hot_keys}"
-            )
-        if not 0.0 < self.adaptive_shard_step < 1.0:
-            raise ConfigurationError(
-                f"adaptive_shard_step must be in (0, 1), got "
-                f"{self.adaptive_shard_step}"
-            )
         if self.eviction_ledger_capacity < 1:
             raise ConfigurationError(
                 f"eviction_ledger_capacity must be >= 1, got "
@@ -238,39 +189,12 @@ class SystemConfig:
         base, remainder = divmod(self.memory_capacity_bytes, self.shards)
         return base + (1 if shard_id < remainder else 0)
 
-    def disk_cache_capacity(self, shard_id: int) -> int:
-        """Disk-cache byte budget of one shard.
-
-        Mirrors :meth:`shard_capacity`: the global ``disk_cache_bytes``
-        is split evenly with the first ``budget % shards`` shards
-        absorbing one remainder byte each, so per-shard caches always
-        sum to the configured total.  Returns 0 when the cache is off.
-        """
-        if not 0 <= shard_id < self.shards:
-            raise ConfigurationError(
-                f"shard_id must be in [0, {self.shards}), got {shard_id}"
-            )
-        base, remainder = divmod(self.disk_cache_bytes, self.shards)
-        return base + (1 if shard_id < remainder else 0)
-
     @property
     def total_capacity_bytes(self) -> int:
         """Summed memory budget across all shards."""
         if self.shard_capacity_bytes is not None:
             return sum(self.shard_capacity_bytes)
         return self.memory_capacity_bytes
-
-    def adaptive_settings(self) -> Union[AdaptiveSettings, None]:
-        """The controller settings engines are built with, or None when
-        ``adaptive`` is off (the legacy static path)."""
-        if not self.adaptive:
-            return None
-        return AdaptiveSettings(
-            interval=self.adaptive_interval,
-            k_max=self.adaptive_k_max,
-            hot_keys=self.adaptive_hot_keys,
-            shard_step=self.adaptive_shard_step,
-        )
 
     def build_slo_spec(self):
         """The parsed :class:`~repro.obs.slo.SLOSpec`, or None when

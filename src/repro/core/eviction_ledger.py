@@ -28,12 +28,15 @@ Memory is bounded: the ledger is an LRU-ordered dict capped at
 diagnosis aid, not an exact replay — a key evicted, re-digested, and
 evicted again keeps only its *latest* cause, which is also the one that
 explains the next miss.
+
+:class:`KeyHeat` lives beside the ledger under the same gate: per-key
+query and eviction counts behind the snapshot's ``hot_keys`` tables.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import NamedTuple, Optional
+from typing import Hashable, Iterable, NamedTuple, Optional
 
 __all__ = [
     "ALL_CAUSES",
@@ -46,6 +49,8 @@ __all__ = [
     "CAUSE_WHOLE_KEY_LRU",
     "EvictionLedger",
     "EvictionRecord",
+    "KeyHeat",
+    "stable_top",
 ]
 
 CAUSE_PHASE1_REGULAR = "phase1-regular"
@@ -121,3 +126,39 @@ class EvictionLedger:
 
     def clear(self) -> None:
         self._records.clear()
+
+
+def stable_top(
+    pairs: Iterable[tuple[Hashable, int]], n: int
+) -> list[tuple[Hashable, int]]:
+    """Top-``n`` (key, count) pairs, highest count first; ties break on
+    the keys' ``repr`` so the result is process- and seed-stable."""
+    return sorted(pairs, key=lambda kv: (-kv[1], repr(kv[0])))[:n]
+
+
+class KeyHeat:
+    """Per-key query and eviction counters (the ``hot_keys`` tables).
+
+    ``queried`` is fed by the query executor, ``evicted`` straight from
+    ``MemoryEngine.note_eviction``.
+    """
+
+    __slots__ = ("queried", "evicted")
+
+    def __init__(self) -> None:
+        self.queried: dict[Hashable, int] = {}
+        self.evicted: dict[Hashable, int] = {}
+
+    def note_query(self, keys) -> None:
+        queried = self.queried
+        for key in keys:
+            queried[key] = queried.get(key, 0) + 1
+
+    def note_eviction(self, key: Hashable, postings: int) -> None:
+        self.evicted[key] = self.evicted.get(key, 0) + postings
+
+    def top_queried(self, n: int) -> list[tuple[Hashable, int]]:
+        return stable_top(self.queried.items(), n)
+
+    def top_evicted(self, n: int) -> list[tuple[Hashable, int]]:
+        return stable_top(self.evicted.items(), n)

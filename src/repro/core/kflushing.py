@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Optional, Sequence
 
-from repro.core.adaptive import KAllocator
 from repro.core.flush_cache import FlushCycleCache
 from repro.core.phases import FlushContext, run_phase1, run_phase2, run_phase3
 from repro.core.policy import FlushReport, LookupResult, MemoryEngine
@@ -43,18 +42,7 @@ class KFlushingEngine(MemoryEngine):
         #: Phases 1+2) in isolation.
         self.max_phase = max_phase
         self.raw = RawDataStore(self.model)
-        #: Per-key retention depths (PR 9): None when adaptive is off,
-        #: keeping every depth-aware path on its legacy global-k branch.
-        self.allocator: Optional[KAllocator] = (
-            KAllocator(self.k) if self.adaptive is not None else None
-        )
-        #: Phase-escalation slack in [0, 1): a flush that freed at least
-        #: ``target * (1 - slack)`` in a phase stops instead of
-        #: escalating.  0.0 (the default) is the paper's strict budget —
-        #: bit-identical to pre-adaptive builds; the controller raises it
-        #: when wholesale evictions dominate the miss causes.
-        self.escalation_slack: float = 0.0
-        self.index = HashInvertedIndex(self.model, self.k, allocator=self.allocator)
+        self.index = HashInvertedIndex(self.model, self.k)
         self.buffer = FlushBuffer(self.model, self.disk)
         #: Best sort key ever evicted by whole-entry removal; seeds the
         #: completeness floor of entries (re-)created afterwards.
@@ -126,21 +114,11 @@ class KFlushingEngine(MemoryEngine):
         self.flush_cache = (
             FlushCycleCache(self.index, self.k) if self.use_flush_cache else None
         )
-        # Escalation threshold: with slack 0 this is exactly ``not
-        # ctx.met`` (freed < target); a positive slack accepts a
-        # near-target Phase 1 instead of escalating to wholesale
-        # evictions.  Phases still aim at the full budget internally.
-        slack = self.escalation_slack
-        threshold = (
-            ctx.target_bytes
-            if slack <= 0.0
-            else int(ctx.target_bytes * (1.0 - slack))
-        )
         try:
             run_phase1(self, ctx)
-            if ctx.freed_bytes < threshold and self.max_phase >= 2:
+            if not ctx.met and self.max_phase >= 2:
                 run_phase2(self, ctx)
-            if ctx.freed_bytes < threshold and self.max_phase >= 3:
+            if not ctx.met and self.max_phase >= 3:
                 run_phase3(self, ctx)
         finally:
             self.flush_cache = None
@@ -239,10 +217,6 @@ class KFlushingEngine(MemoryEngine):
 
     def set_k(self, k: int) -> None:
         super().set_k(k)
-        if self.allocator is not None:
-            # Rebase before the index rebuilds its overflow list so the
-            # rebuild sees the new per-key floors.
-            self.allocator.rebase(k)
         self.index.set_k(k)
 
     def check_integrity(self) -> None:

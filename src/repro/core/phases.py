@@ -102,32 +102,24 @@ def _note_phase(
 
 
 def run_phase1(engine: "KFlushingEngine", ctx: FlushContext) -> None:
-    """Regular flushing: trim overflow entries back to top-k.
-
-    With the adaptive allocator (PR 9) the trim depth is per key —
-    ``allocator.depth_of(key) >= k`` — so hot keys keep a deeper head;
-    ``allocator is None`` (the default) keeps the hoisted global ``k``
-    on every iteration, the legacy fast path.
-    """
+    """Regular flushing: trim overflow entries back to top-k."""
     freed = 0
     k = engine.k
-    allocator = engine.allocator
     with engine.obs.span(f"flush.{PHASE_REGULAR}"):
         for key in list(engine.index.overflow_keys):
             entry = engine.index.get(key)
             if entry is None:
                 engine.index.clear_overflow(key)
                 continue
-            depth = k if allocator is None else allocator.depth_of(key)
             if engine.mk_enabled:
                 removed = entry.trim_if(
-                    depth,
+                    k,
                     keep=lambda p, _key=key: engine.in_top_elsewhere(
                         p.blog_id, _key
                     ),
                 )
             else:
-                removed = entry.trim_beyond(depth)
+                removed = entry.trim_beyond(k)
             engine.index.charge_removed_postings(len(removed), key, entry=entry)
             if removed:
                 if engine.flush_cache is not None:
@@ -135,7 +127,7 @@ def run_phase1(engine: "KFlushingEngine", ctx: FlushContext) -> None:
                 engine.note_eviction(key, PHASE_REGULAR, ctx.now, len(removed))
                 for posting in removed:
                     freed += _evict_posting(engine, ctx, key, posting)
-            if len(entry) <= depth:
+            if len(entry) <= k:
                 engine.index.clear_overflow(key)
         # The paper wipes L after Phase 1 completes.  Under MK, entries whose
         # spared stragglers keep them over-full must *stay* in L: the paper's

@@ -25,8 +25,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Optional, Sequence
 
-from repro.core.adaptive import AdaptiveController, AdaptiveSettings, KeyHeat
-from repro.core.eviction_ledger import EvictionLedger, EvictionRecord
+from repro.core.eviction_ledger import EvictionLedger, EvictionRecord, KeyHeat
 from repro.errors import ConfigurationError
 from repro.model.attributes import AttributeExtractor
 from repro.model.microblog import Microblog
@@ -110,7 +109,6 @@ class MemoryEngine(ABC):
         disk: DiskArchive,
         obs: Optional[Instrumentation] = None,
         ledger_capacity: Optional[int] = None,
-        adaptive: Optional[AdaptiveSettings] = None,
     ) -> None:
         if k <= 0:
             raise ConfigurationError(f"k must be positive, got {k}")
@@ -129,8 +127,7 @@ class MemoryEngine(ABC):
         self.disk = disk
         self.obs = obs if obs is not None else Instrumentation()
         #: Eviction-cause ledger (PR 5): populated when the shared
-        #: Instrumentation has attribution on or the adaptive controller
-        #: is active (it consumes miss causes), None otherwise so the
+        #: Instrumentation has attribution on, None otherwise so the
         #: default path pays a single None test per eviction.
         self.eviction_ledger: Optional[EvictionLedger] = (
             EvictionLedger(
@@ -138,7 +135,7 @@ class MemoryEngine(ABC):
                 if ledger_capacity is not None
                 else EvictionLedger.DEFAULT_CAPACITY
             )
-            if (self.obs.attribution or adaptive is not None)
+            if self.obs.attribution
             else None
         )
         #: Ledger-overflow counter, pre-created so it is present (at 0)
@@ -148,16 +145,10 @@ class MemoryEngine(ABC):
             if self.eviction_ledger is not None
             else None
         )
-        #: Per-key query/eviction heat (hot-keys snapshot + controller
-        #: input); tracked under the same gate as the ledger.
+        #: Per-key query/eviction heat (the hot-keys snapshot); tracked
+        #: under the same gate as the ledger.
         self.key_heat: Optional[KeyHeat] = (
             KeyHeat() if self.eviction_ledger is not None else None
-        )
-        #: Feedback controller (PR 9): retunes per-key retention depth
-        #: and escalation slack at flush boundaries.  None = the static
-        #: paper behaviour, bit-identical to pre-adaptive builds.
-        self.adaptive: Optional[AdaptiveController] = (
-            AdaptiveController(adaptive, self) if adaptive is not None else None
         )
         self.flush_reports: list[FlushReport] = []
 
@@ -275,50 +266,15 @@ class MemoryEngine(ABC):
             phase_freed=dict(report.phase_freed),
             wall_seconds=report.wall_seconds,
         )
-        if self.adaptive is not None:
-            # Flush-cycle boundary: the controller's only decision point,
-            # so ingest and query hot paths never see retune work.
-            self.adaptive.on_flush(self)
         return report
 
-    # ------------------------------------------------------------------
-    # Adaptive feedback (PR 9)
-    # ------------------------------------------------------------------
-
-    @property
-    def wants_query_feedback(self) -> bool:
-        """Whether the executor should call
-        :meth:`observe_query_feedback` after each query."""
-        return self.key_heat is not None
-
-    def observe_query_feedback(
-        self, keys: Sequence[Hashable], hit: bool, cause: Optional[str]
-    ) -> None:
-        """Per-query outcome fed back by the executor: queried keys, hit
-        flag, and the attributed miss cause (None on hits)."""
+    def note_heat(self, keys: Sequence[Hashable]) -> None:
+        """Count one query over ``keys`` in the heat table (no-op when
+        heat tracking is off).  The executor calls this only when its
+        attribution switch is on."""
         heat = self.key_heat
-        if heat is None:
-            return
-        heat.note_query(keys, hit)
-        controller = self.adaptive
-        if controller is not None:
-            controller.observe(hit, cause)
-
-    def hot_keys(self, n: int = 10) -> dict:
-        """Top-``n`` most-queried / most-evicted keys (posting counts for
-        evictions), JSON-ready.  Empty when heat tracking is off."""
-        heat = self.key_heat
-        if heat is None:
-            return {}
-        return {
-            "most_queried": [
-                [str(key), count] for key, count in heat.top_queried(n)
-            ],
-            "most_evicted": [
-                [str(key), count]
-                for key, count in heat.top_evicted(n)
-            ],
-        }
+        if heat is not None:
+            heat.note_query(keys)
 
     # ------------------------------------------------------------------
     # Metrics and extensibility

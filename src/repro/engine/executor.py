@@ -95,14 +95,6 @@ class QueryExecutor:
         #: Eviction-cause miss attribution (PR 5): cached so the hot
         #: path pays one boolean test when the switch is off.
         self._attribution = self._obs.attribution
-        #: Adaptive feedback hook (PR 9): engines that track per-key
-        #: heat expose ``observe_query_feedback``; bound once here so
-        #: the default path pays a single None test per query.
-        self._feedback = (
-            engine.observe_query_feedback
-            if getattr(engine, "wants_query_feedback", False)
-            else None
-        )
         #: Wall seconds spent in policy bookkeeping triggered by queries
         #: (LRU recency touches, kFlushing last-query stamps).  In a real
         #: deployment this work contends with the digestion thread, which
@@ -165,18 +157,13 @@ class QueryExecutor:
             result.simulated_latency
         )
         extra: dict = {}
-        feedback = self._feedback
-        cause: Optional[str] = None
-        if not result.memory_hit and (self._attribution or feedback is not None):
-            # The adaptive controller consumes miss causes even when the
-            # attribution counters themselves are off.
-            cause = self._miss_cause(query)
-            if self._attribution:
+        if self._attribution:
+            self._engine.note_heat(query.keys)
+            if not result.memory_hit:
+                cause = self._miss_cause(query)
                 registry.counter(f"query.miss.cause.{cause}").inc()
                 registry.counter(f"query.{mode}.miss.cause.{cause}").inc()
                 extra["miss_cause"] = cause
-        if feedback is not None:
-            feedback(query.keys, result.memory_hit, cause)
         trace_ctx = self._obs.current_trace
         if trace_ctx is not None:
             extra["trace"] = trace_ctx.trace_id
@@ -234,12 +221,7 @@ class QueryExecutor:
         if top is not None:
             return QueryResult(query, top, True, True, 0, now)
         # Memory miss: the true top-k is contained in the union of the
-        # memory top-k candidates and the disk's per-key top-k.  A disk
-        # that provably holds nothing for the key contributes nothing to
-        # that union, so the lookup (and its seek) can be elided.
-        if self._disk.elides(key):
-            merged = _merge_topk([list(lookup.candidates)], query.k)
-            return QueryResult(query, tuple(merged), False, True, 0, now)
+        # memory top-k candidates and the disk's per-key top-k.
         disk_top = self._disk.lookup(key, limit=query.k)
         merged = _merge_topk([list(lookup.candidates), disk_top], query.k)
         return QueryResult(query, tuple(merged), False, True, 1, now)
@@ -263,8 +245,6 @@ class QueryExecutor:
                 groups.append(list(top))
                 continue
             groups.append(list(lookup.candidates))
-            if self._disk.elides(lookup.key):
-                continue
             groups.append(self._disk.lookup(lookup.key, limit=query.k))
             disk_lookups += 1
         merged = _merge_topk(groups, query.k)
@@ -304,9 +284,6 @@ class QueryExecutor:
         full_sets: list[dict[int, Posting]] = []
         for lookup in lookups:
             by_id = {p.blog_id: p for p in lookup.candidates}
-            if self._disk.elides(lookup.key):
-                full_sets.append(by_id)
-                continue
             disk_postings = self._disk.lookup(lookup.key, limit=self._and_disk_limit)
             if (
                 self._and_disk_limit is not None

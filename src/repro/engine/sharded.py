@@ -177,10 +177,6 @@ class _RoutedDisk:
             extra["postings"] = len(result)
             return result
 
-    def elides(self, key: Hashable) -> bool:
-        """Route the negative-lookup check to the shard owning ``key``."""
-        return self._shards[self._router.shard_of(key)].disk.elides(key)
-
     def fetch_record(self, blog_id: int) -> Optional[Microblog]:
         for shard in self._shards:
             if shard.disk.contains_record(blog_id):
@@ -244,18 +240,10 @@ class _RoutedEngine:
                 return record
         return None
 
-    @property
-    def wants_query_feedback(self) -> bool:
-        return any(shard.engine.wants_query_feedback for shard in self._shards)
-
-    def observe_query_feedback(self, keys, hit, cause) -> None:
-        # Scatter like note_query: each shard's heat/controller sees the
-        # keys it owns, with the query-level hit flag and miss cause.
+    def note_heat(self, keys: Sequence[Hashable]) -> None:
+        # Scatter like note_query: each shard's heat counts the keys it owns.
         for shard_id, shard_keys in self._router.group_by_shard(keys).items():
-            engine = self._shards[shard_id].engine
-            if engine.wants_query_feedback:
-                engine.observe_query_feedback(shard_keys, hit, cause)
-
+            self._shards[shard_id].engine.note_heat(shard_keys)
 
 def build_system(
     config: SystemConfig,

@@ -48,10 +48,9 @@ class QueryStats:
             self.memory_hits += 1
             counters[1] += 1
         else:
-            # Count the disk index lookups the query actually paid: a
-            # miss whose every disk probe was elided (negative-lookup
-            # elision) read nothing from disk and must not inflate
-            # disk_reads; an OR miss over several keys may pay several.
+            # Count the disk index lookups the query actually paid: an
+            # OR miss pays one per key whose memory top-k is incomplete,
+            # so it may pay several.
             self.disk_reads += disk_lookups
         # Every sample counts: dropping zero-latency queries would bias
         # latency_percentile() upward (hits cost ~0 under a null model).

@@ -24,7 +24,7 @@ from typing import Hashable, Iterable, Optional
 
 from repro.config import SystemConfig
 from repro.core import create_engine
-from repro.core.adaptive import ShardBudgetBalancer
+from repro.core.eviction_ledger import KeyHeat, stable_top
 from repro.core.policy import FlushReport, MemoryEngine
 from repro.engine.clock import LogicalClock
 from repro.engine.executor import QueryExecutor, QueryResult
@@ -72,16 +72,10 @@ class Partition:
             config.disk_cost,
             obs=system.obs,
             shard_id=shard_id if router is not None else None,
-            # Each partition caches its own key namespace; the global
-            # budget is sliced the same way the memory budget is.
-            cache_bytes=config.disk_cache_capacity(shard_id),
-            elide_empty=config.disk_elide_empty,
         )
         self.attribute = system.attribute
         if router is not None:
             self.attribute = ShardAttributeView(system.attribute, router, shard_id)
-        # Each partition runs its own adaptive controller over its own
-        # keys; the facade adds the cross-shard budget balancer on top.
         self.engine: MemoryEngine = create_engine(
             config.policy,
             model=config.memory_model,
@@ -93,7 +87,6 @@ class Partition:
             disk=self.disk,
             obs=system.obs,
             ledger_capacity=config.eviction_ledger_capacity,
-            adaptive=config.adaptive_settings(),
         )
 
     # ------------------------------------------------------------------
@@ -151,8 +144,6 @@ class Partition:
                 f"{self.capacity_bytes}; a single record may exceed the "
                 "memory budget"
             )
-        if system._balancer is not None:
-            system._balancer.on_shard_flush(system)
         system._service_level_tick()
 
 
@@ -198,10 +189,6 @@ class MicroblogSystem:
         # ``engine``/``disk`` and no ``shards``; several expose ``shards``
         # (and ``router``) and no single engine or archive.
         self.shards = self.engine = self.disk = None
-        #: Cross-shard budget rebalancer: shifts bounded budget slices
-        #: toward hot shards at flush boundaries.  None keeps the
-        #: construction-time budgets fixed, the static reference.
-        self._balancer: Optional[ShardBudgetBalancer] = None
         if self.router is None:
             (only,) = self.partitions
             engine, disk = only.engine, only.disk
@@ -210,9 +197,6 @@ class MicroblogSystem:
             self.shards = self.partitions
             engine = _RoutedEngine(self.partitions, self.router, self.obs)
             disk = _RoutedDisk(self.partitions, self.router, self.obs)
-            settings = config.adaptive_settings()
-            if settings is not None:
-                self._balancer = ShardBudgetBalancer(settings, self.partitions)
             self.obs.registry.gauge("shards.count").set(config.shards)
         self.executor = QueryExecutor(
             engine,
@@ -324,13 +308,8 @@ class MicroblogSystem:
                 watermarks.observe(partition.label + "memory.bytes_used", used)
         watermarks.observe("memory.bytes_used", total)
         # One rule at any partition count: a source is observed whenever
-        # it is configured, from the first sample on (an empty ledger or
-        # cache reads 0, it is not skipped).
-        if self.config.disk_cache_bytes > 0:
-            caches = [p.disk.cache for p in self.partitions]
-            watermarks.observe(
-                "disk.cache_bytes", sum(c.bytes_used for c in caches if c is not None)
-            )
+        # it is configured, from the first sample on (an empty ledger
+        # reads 0, it is not skipped).
         ledgers = [p.engine.eviction_ledger for p in self.partitions]
         if ledgers[0] is not None:
             watermarks.observe("eviction_ledger.entries", sum(map(len, ledgers)))
@@ -497,20 +476,23 @@ class MicroblogSystem:
         return snap
 
     def hot_keys(self, n: int = 10) -> dict:
-        """Top-``n`` most-queried / most-evicted keys across partitions.
-        Each key is owned by exactly one partition, so the per-partition
-        tables concatenate without double counting; the merged tables
-        re-rank on count with the same stable tie-break."""
-        tables = [p.engine.hot_keys(n) for p in self.partitions]
-        if len(tables) == 1:
-            return tables[0]
-        merged: dict[str, list] = {}
-        for table in tables:
-            for section, rows in table.items():
-                merged.setdefault(section, []).extend(rows)
+        """Top-``n`` most-queried / most-evicted keys (posting counts for
+        evictions) across partitions, JSON-ready; empty unless attribution
+        is on.  Each key is owned by exactly one partition, so the
+        per-partition tops concatenate without double counting and are
+        re-ranked on the raw keys with the same stable tie-break before
+        being stringified once."""
+        heats = [p.engine.key_heat for p in self.partitions]
+        if heats[0] is None:
+            return {}
+
+        def table(top) -> list:
+            pairs = [pair for heat in heats for pair in top(heat, n)]
+            return [[str(key), count] for key, count in stable_top(pairs, n)]
+
         return {
-            section: sorted(rows, key=lambda row: (-row[1], row[0]))[:n]
-            for section, rows in merged.items()
+            "most_queried": table(KeyHeat.top_queried),
+            "most_evicted": table(KeyHeat.top_evicted),
         }
 
     def check_integrity(self) -> None:

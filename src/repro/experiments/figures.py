@@ -137,9 +137,6 @@ def fig1_snapshot(
     preset: ScalePreset = SMALL,
     seed: int = 42,
     shards: int = 1,
-    disk_cache_bytes: int = 0,
-    disk_elide_empty: bool = False,
-    adaptive: bool = False,
     slo_spec: Optional[str] = None,
     flight_recorder_events: int = 0,
     flight_recorder_path: Optional[str] = None,
@@ -159,9 +156,6 @@ def fig1_snapshot(
             scale=preset,
             seed=seed,
             shards=shards,
-            disk_cache_bytes=disk_cache_bytes,
-            disk_elide_empty=disk_elide_empty,
-            adaptive=adaptive,
             slo_spec=slo_spec,
             flight_recorder_events=flight_recorder_events,
             flight_recorder_path=flight_recorder_path,
@@ -297,14 +291,7 @@ def fig7_k_filled(
     seed: int = 42,
     jobs: int = 1,
     shards: int = 1,
-    disk_cache_bytes: int = 0,
-    disk_elide_empty: bool = False,
 ) -> FigureResult:
-    disk_kwargs = dict(
-        disk_cache_bytes=disk_cache_bytes,
-        disk_elide_empty=disk_elide_empty,
-    )
-
     def measure(result: TrialResult) -> float:
         return float(result.k_filled)
 
@@ -322,7 +309,6 @@ def fig7_k_filled(
                 scale=preset,
                 seed=seed,
                 shards=shards,
-                **disk_kwargs,
             ),
             measure,
             "Decreasing in k for all; kFlushing variants several times "
@@ -343,7 +329,6 @@ def fig7_k_filled(
                 scale=preset,
                 seed=seed,
                 shards=shards,
-                **disk_kwargs,
             ),
             measure,
             "Decreasing in budget; kFlushing variants 8-10x FIFO and "
@@ -363,7 +348,6 @@ def fig7_k_filled(
                 scale=preset,
                 seed=seed,
                 shards=shards,
-                **disk_kwargs,
             ),
             measure,
             "kFlushing advantage largest at tight memory (paper: ~13x FIFO "
@@ -386,15 +370,11 @@ def _hit_figure(
     expectation: str,
     jobs: int = 1,
     shards: int = 1,
-    disk_cache_bytes: int = 0,
-    disk_elide_empty: bool = False,
     slo_spec: Optional[str] = None,
     flight_recorder_events: int = 0,
     flight_recorder_path: Optional[str] = None,
 ) -> FigureResult:
-    disk_kwargs = dict(
-        disk_cache_bytes=disk_cache_bytes,
-        disk_elide_empty=disk_elide_empty,
+    service_kwargs = dict(
         slo_spec=slo_spec,
         flight_recorder_events=flight_recorder_events,
         flight_recorder_path=flight_recorder_path,
@@ -411,7 +391,7 @@ def _hit_figure(
             scale=preset,
             seed=seed,
             shards=shards,
-            **disk_kwargs,
+            **service_kwargs,
         )
 
     def spec_budget(policy: str, x: float) -> TrialSpec:
@@ -422,7 +402,7 @@ def _hit_figure(
             scale=preset,
             seed=seed,
             shards=shards,
-            **disk_kwargs,
+            **service_kwargs,
         )
 
     def spec_memory(policy: str, x: float) -> TrialSpec:
@@ -433,7 +413,7 @@ def _hit_figure(
             scale=preset,
             seed=seed,
             shards=shards,
-            **disk_kwargs,
+            **service_kwargs,
         )
 
     panels = [
@@ -487,8 +467,6 @@ def fig8_hit_correlated(
     seed: int = 42,
     jobs: int = 1,
     shards: int = 1,
-    disk_cache_bytes: int = 0,
-    disk_elide_empty: bool = False,
     slo_spec: Optional[str] = None,
     flight_recorder_events: int = 0,
     flight_recorder_path: Optional[str] = None,
@@ -503,8 +481,6 @@ def fig8_hit_correlated(
         "in k and flushing budget, increasing in memory budget.",
         jobs=jobs,
         shards=shards,
-        disk_cache_bytes=disk_cache_bytes,
-        disk_elide_empty=disk_elide_empty,
         slo_spec=slo_spec,
         flight_recorder_events=flight_recorder_events,
         flight_recorder_path=flight_recorder_path,
@@ -516,8 +492,6 @@ def fig9_hit_uniform(
     seed: int = 42,
     jobs: int = 1,
     shards: int = 1,
-    disk_cache_bytes: int = 0,
-    disk_elide_empty: bool = False,
     slo_spec: Optional[str] = None,
     flight_recorder_events: int = 0,
     flight_recorder_path: Optional[str] = None,
@@ -532,8 +506,6 @@ def fig9_hit_uniform(
         "(paper: 100-330% over FIFO, 26-240% over LRU).",
         jobs=jobs,
         shards=shards,
-        disk_cache_bytes=disk_cache_bytes,
-        disk_elide_empty=disk_elide_empty,
         slo_spec=slo_spec,
         flight_recorder_events=flight_recorder_events,
         flight_recorder_path=flight_recorder_path,
@@ -550,8 +522,6 @@ def fig10_overhead(
     jobs: int = 1,
     digestion_seeds: int = 1,
     shards: int = 1,
-    disk_cache_bytes: int = 0,
-    disk_elide_empty: bool = False,
 ) -> FigureResult:
     """Figure 10 grid: one digestion-stress run per (policy, k).
 
@@ -563,9 +533,6 @@ def fig10_overhead(
     The overhead panel (modelled bytes, deterministic) uses the base seed
     only.
     """
-    disk_kwargs = dict(
-        disk_cache_bytes=disk_cache_bytes, disk_elide_empty=disk_elide_empty
-    )
     seeds = [seed + i for i in range(max(1, digestion_seeds))]
     grid = [
         (policy, k, s)
@@ -581,7 +548,6 @@ def fig10_overhead(
                 scale=preset,
                 seed=s,
                 shards=shards,
-                **disk_kwargs,
             )
             for policy, k, s in grid
         ],
@@ -653,8 +619,6 @@ def _attribute_figure(
     seed: int,
     jobs: int = 1,
     shards: int = 1,
-    disk_cache_bytes: int = 0,
-    disk_elide_empty: bool = False,
 ) -> FigureResult:
     # Both panels draw from the same (policy, memory, mode) trial grid;
     # enumerate it once so the whole figure can fan out in parallel.
@@ -674,8 +638,6 @@ def _attribute_figure(
                 scale=preset,
                 seed=seed,
                 shards=shards,
-                disk_cache_bytes=disk_cache_bytes,
-                disk_elide_empty=disk_elide_empty,
             )
             for policy, gb, mode in points
         ],
@@ -736,8 +698,6 @@ def fig11_spatial(
     seed: int = 42,
     jobs: int = 1,
     shards: int = 1,
-    disk_cache_bytes: int = 0,
-    disk_elide_empty: bool = False,
 ) -> FigureResult:
     return _attribute_figure(
         "fig11",
@@ -747,8 +707,6 @@ def fig11_spatial(
         seed,
         jobs=jobs,
         shards=shards,
-        disk_cache_bytes=disk_cache_bytes,
-        disk_elide_empty=disk_elide_empty,
     )
 
 
@@ -757,8 +715,6 @@ def fig12_user(
     seed: int = 42,
     jobs: int = 1,
     shards: int = 1,
-    disk_cache_bytes: int = 0,
-    disk_elide_empty: bool = False,
 ) -> FigureResult:
     return _attribute_figure(
         "fig12",
@@ -768,8 +724,6 @@ def fig12_user(
         seed,
         jobs=jobs,
         shards=shards,
-        disk_cache_bytes=disk_cache_bytes,
-        disk_elide_empty=disk_elide_empty,
     )
 
 
@@ -782,8 +736,6 @@ def shard_sweep(
     seed: int = 42,
     jobs: int = 1,
     shard_counts: Sequence[int] = SHARD_SWEEP,
-    disk_cache_bytes: int = 0,
-    disk_elide_empty: bool = False,
 ) -> FigureResult:
     """Hit ratio and effective digestion rate vs shard count.
 
@@ -802,8 +754,6 @@ def shard_sweep(
             scale=preset,
             seed=seed,
             shards=int(x),
-            disk_cache_bytes=disk_cache_bytes,
-            disk_elide_empty=disk_elide_empty,
         )
 
     panels = [

@@ -68,17 +68,6 @@ class TrialSpec:
     strict_and: bool = False
     #: Hash-partitioned shard count (1 = the paper's single partition).
     shards: int = 1
-    #: Modelled disk read-cache budget (0 = off, the paper's accounting).
-    disk_cache_bytes: int = 0
-    #: Skip provably-empty disk lookups on the executor miss paths.
-    disk_elide_empty: bool = False
-    #: Run the adaptive retention/budget controller at flush boundaries
-    #: (False = the paper's static kFlushing tuning, bit-identical to it).
-    adaptive: bool = False
-    #: Retune cadence in flush cycles (forwarded to the controller; a
-    #: huge value yields a never-firing controller — the differential
-    #: tests' hook for proving the bookkeeping changes no answers).
-    adaptive_interval: int = 1
     #: Declarative SLO objectives (a spec dict, JSON string, or file
     #: path; None = no tracker, the paper's untracked path).
     slo_spec: str | None = None

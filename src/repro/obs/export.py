@@ -34,7 +34,6 @@ _HELP_PREFIXES = (
     ("query.miss.cause.", "Memory misses attributed to the eviction decision that caused them"),
     ("query.", "Query execution: per-mode hits/misses, disk lookups, latency"),
     ("flush.", "Flush cycles: freed bytes, flushed records/postings, per-phase attribution"),
-    ("disk.cache.", "Modelled disk read cache hits/misses/evictions"),
     ("disk.", "Simulated disk tier I/O ledger"),
     ("memory.", "In-memory index occupancy and capacity"),
     ("span.", "Wall-clock span timings"),

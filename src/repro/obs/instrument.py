@@ -21,8 +21,7 @@ Tracing (PR 5) rides on the same object.  With ``tracing=True``:
   deterministic id (see :mod:`repro.obs.trace`) and emits a
   ``{"type": "trace"}`` event when it closes;
 * ``with obs.trace_span(name, **fields):`` times a child span of the
-  current trace (a no-op when no trace is open), and
-  ``obs.trace_point(name, **fields)`` records an instantaneous child;
+  current trace (a no-op when no trace is open);
 * ``span()`` events emitted while a trace is open additionally carry
   ``trace``/``span``/``parent_span`` ids, which is how the pre-existing
   per-phase flush spans attach to their flush trace.
@@ -209,23 +208,6 @@ class Instrumentation:
                 **fields,
                 **extra,
             )
-
-    def trace_point(self, name: str, **fields) -> None:
-        """Record an instantaneous (zero-duration) child of the current
-        trace — e.g. an elided disk lookup.  No-op outside a trace."""
-        ctx = self._trace
-        if ctx is None:
-            return
-        span_id = ctx.allocate_span()
-        self.event(
-            "trace",
-            trace=ctx.trace_id,
-            span=span_id,
-            parent_span=ctx.current_span_id,
-            name=name,
-            seconds=0.0,
-            **fields,
-        )
 
     @property
     def current_trace(self) -> Optional[TraceContext]:

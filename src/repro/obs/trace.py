@@ -17,9 +17,9 @@ diff whole trace files.
 
 The context object itself is deliberately tiny: the heavy lifting
 (timing, event emission, the tracing on/off gate) lives in
-:meth:`Instrumentation.trace` / :meth:`Instrumentation.trace_span` /
-:meth:`Instrumentation.trace_point`, so components touch tracing only
-through the shared Instrumentation they already hold.
+:meth:`Instrumentation.trace` / :meth:`Instrumentation.trace_span`,
+so components touch tracing only through the shared Instrumentation
+they already hold.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Any event carrying ``trace`` and ``span`` fields is a node in some
 trace's span tree — ``{"type": "trace"}`` events from
-``Instrumentation.trace``/``trace_span``/``trace_point`` and the
+``Instrumentation.trace``/``trace_span`` and the
 trace-stamped ``{"type": "span"}`` events alike.  Events are emitted at
 span *close*, so children always precede their parent in the file; the
 builder simply indexes every node by span id and links by
@@ -193,7 +193,6 @@ def query_summaries(traces: Iterable[Trace], top: int = 10) -> list[dict]:
                 "seconds": child.seconds,
                 "shard": child.fields.get("shard"),
                 "key": child.fields.get("key"),
-                "cache": child.fields.get("cache"),
             }
             for child in root.walk()
             if child is not root

@@ -16,15 +16,10 @@ Index layout (PR 4): the attribute index is log-structured.  Each key
 holds a :class:`_PostingRuns` — a set of sorted *runs* appended O(1) per
 flush batch (flush batches arrive rank-ordered from the posting lists),
 lazily k-way-merged on read, and size-tiered-compacted when the run count
-exceeds ``max_runs_per_key``.
-
-Two config-gated read optimizations ride on top, both off by default so
-the paper's cost accounting stays bit-identical:
-
-* ``cache_bytes > 0`` enables a :class:`DiskReadCache` of bounded lookup
-  blocks — a cache hit skips the seek and charges transfer bytes only;
-* ``elide_empty=True`` lets callers use :meth:`DiskArchive.elides` to
-  skip lookups for keys the disk provably holds no postings for.
+exceeds ``max_runs_per_key``.  Every lookup pays its seek, including
+one on a key the archive has never indexed: there is no read cache and
+no lookup elision (docs/PERFORMANCE.md, "Why there is no adaptive
+controller or disk cache").
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from typing import Hashable, Iterable, Optional, Sequence
 
 from repro.model.microblog import Microblog
 from repro.obs import Instrumentation
-from repro.storage.disk_cache import DiskReadCache
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import Posting
 from repro.storage.topk import MergedRunsView
@@ -58,10 +52,6 @@ class DiskCostModel:
     def read_cost(self, nbytes: int) -> float:
         return self.seek_seconds + nbytes / self.read_bandwidth_bytes_per_s
 
-    def read_transfer_cost(self, nbytes: int) -> float:
-        """Transfer-only read: what a cache hit pays (no seek)."""
-        return nbytes / self.read_bandwidth_bytes_per_s
-
 
 @dataclass
 class DiskStats:
@@ -76,10 +66,6 @@ class DiskStats:
     bytes_read: int = 0
     simulated_io_seconds: float = 0.0
     compactions: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    lookups_elided: int = 0
 
     def snapshot(self) -> "DiskStats":
         return DiskStats(**vars(self))
@@ -188,8 +174,6 @@ class DiskArchive:
         obs: Optional[Instrumentation] = None,
         shard_id: Optional[int] = None,
         *,
-        cache_bytes: int = 0,
-        elide_empty: bool = False,
         max_runs_per_key: int = 8,
     ) -> None:
         self._model = model
@@ -201,10 +185,6 @@ class DiskArchive:
                 f"max_runs_per_key must be >= 1, got {max_runs_per_key}"
             )
         self._max_runs = max_runs_per_key
-        self.cache = (
-            DiskReadCache(cache_bytes, model) if cache_bytes > 0 else None
-        )
-        self.elide_empty = elide_empty
         self.stats = DiskStats()
         self.obs = obs if obs is not None else Instrumentation()
         #: Which shard's namespace this archive holds (None = unsharded).
@@ -280,8 +260,6 @@ class DiskArchive:
                 continue
             npostings += fresh
             nbytes += self._model.postings_bytes(fresh)
-            if self.cache is not None:
-                self.cache.invalidate(key)
         self.stats.flush_batches += 1
         self.stats.records_written += nrecords
         self.stats.postings_written += npostings
@@ -313,92 +291,44 @@ class DiskArchive:
     # Reads (called by the query executor on a memory miss)
     # ------------------------------------------------------------------
 
-    def elides(self, key: Hashable) -> bool:
-        """True when elision is on and ``key`` provably has no postings.
-
-        Callers (the executor's miss paths, the sharded router) use this
-        to skip a disk lookup entirely — no seek, no ``index_lookups``
-        tick — for keys the archive has never indexed.  Counted under
-        ``disk.lookups_elided``.  Always ``False`` with the gate off, so
-        default behaviour (every miss pays the lookup) is unchanged.
-        """
-        if not self.elide_empty or key in self._index:
-            return False
-        self.stats.lookups_elided += 1
-        self._count("lookups_elided")
-        self.obs.trace_point("disk.elide", key=str(key), shard=self.shard_id)
-        return True
-
     def lookup(
         self, key: Hashable, limit: Optional[int] = None
     ) -> Sequence[Posting]:
         """Return disk postings for ``key``, best rank first.
 
         ``limit`` bounds the number returned (a real system reads the head
-        blocks of the posting file); the I/O cost charges the postings
-        actually read.  Bounded lookups return a materialized sequence and
-        consult the read cache when enabled; unbounded lookups return a
-        zero-copy best-first view over the live runs (consume it before
-        the next ``commit_flush``).  Inside an open trace, each lookup
-        becomes a ``disk.lookup`` child span recording cache outcome,
-        runs merged, and postings returned.
+        blocks of the posting file); the I/O cost charges one seek plus
+        the postings actually read.  Bounded lookups return a
+        materialized sequence; unbounded lookups return a zero-copy
+        best-first view over the live runs (consume it before the next
+        ``commit_flush``).  Inside an open trace, each lookup becomes a
+        ``disk.lookup`` child span recording runs merged and postings
+        returned.
         """
         if self.obs.current_trace is None:
-            return self._lookup(key, limit, None)
+            return self._read(key, limit)
         with self.obs.trace_span(
             "disk.lookup", key=str(key), shard=self.shard_id
         ) as extra:
-            result = self._lookup(key, limit, extra)
+            result = self._read(key, limit)
             extra["postings"] = len(result)
             extra["runs"] = self.run_count(key)
             return result
 
-    def _lookup(
-        self, key: Hashable, limit: Optional[int], trace: Optional[dict]
-    ) -> Sequence[Posting]:
-        if limit is not None and self.cache is not None:
-            block = self.cache.get(key, limit)
-            if block is not None:
-                self.stats.cache_hits += 1
-                self._count("cache.hits")
-                if trace is not None:
-                    trace["cache"] = "hit"
-                return self._charge_read(block, seek=False)
-            self.stats.cache_misses += 1
-            self._count("cache.misses")
-            if trace is not None:
-                trace["cache"] = "miss"
-            result = self._read_index(key, limit)
-            evicted = self.cache.put(key, limit, tuple(result))
-            if evicted:
-                self.stats.cache_evictions += evicted
-                self._count("cache.evictions", evicted)
-            return self._charge_read(result, seek=True)
-        return self._charge_read(self._read_index(key, limit), seek=True)
-
-    def _read_index(
-        self, key: Hashable, limit: Optional[int]
-    ) -> Sequence[Posting]:
-        """Materialize (bounded) or view (unbounded) one key's postings."""
+    def _read(self, key: Hashable, limit: Optional[int]) -> Sequence[Posting]:
+        """Materialize (bounded) or view (unbounded) one key's postings
+        and account the index read."""
         entry = self._index.get(key)
         if entry is None:
-            return [] if limit is not None else MergedRunsView(())
-        if limit is not None:
-            return entry.top(limit)
-        return entry.best_first_view()
-
-    def _charge_read(
-        self, result: Sequence[Posting], *, seek: bool
-    ) -> Sequence[Posting]:
-        """Account one index read; a cache hit skips the seek."""
+            result = [] if limit is not None else MergedRunsView(())
+        elif limit is not None:
+            result = entry.top(limit)
+        else:
+            result = entry.best_first_view()
         nbytes = self._model.postings_bytes(len(result))
         self.stats.index_lookups += 1
         self.stats.bytes_read += nbytes
-        self.stats.simulated_io_seconds += (
-            self._cost.read_cost(nbytes)
-            if seek
-            else self._cost.read_transfer_cost(nbytes)
-        )
+        self.stats.simulated_io_seconds += self._cost.read_cost(nbytes)
         self._count("index_lookups")
         self._count("bytes_read", nbytes)
         return result

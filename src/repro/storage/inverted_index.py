@@ -38,15 +38,11 @@ _UNSET: object = object()
 class HashInvertedIndex:
     """A byte-accounted hash inverted index with overflow tracking."""
 
-    def __init__(self, model: MemoryModel, k: int, allocator=None) -> None:
+    def __init__(self, model: MemoryModel, k: int) -> None:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         self._model = model
         self._k = k
-        #: Per-key retention depths (``repro.core.adaptive.KAllocator``,
-        #: ``depth_of(key) >= k`` always).  None — the default — keeps
-        #: every threshold at the global ``k``, the legacy fast path.
-        self._allocator = allocator
         self._entries: dict[Hashable, PostingList] = {}
         self._overflow: set[Hashable] = set()
         self._bytes = 0
@@ -94,22 +90,6 @@ class HashInvertedIndex:
     def overflow_keys(self) -> frozenset[Hashable]:
         """Snapshot of the overflow list L (keys with more than k postings)."""
         return frozenset(self._overflow)
-
-    def depth_of(self, key: Hashable) -> int:
-        """Retention depth Phase 1 trims ``key`` to: the allocator's
-        per-key depth when adaptive is on, else the global ``k``."""
-        allocator = self._allocator
-        return self._k if allocator is None else allocator.depth_of(key)
-
-    def refresh_overflow(self, key: Hashable) -> None:
-        """Re-derive ``key``'s overflow membership after its retention
-        depth changed (a demotion can put an untouched entry back over
-        its depth; a promotion takes it out)."""
-        entry = self._entries.get(key)
-        if entry is not None and len(entry) > self.depth_of(key):
-            self._overflow.add(key)
-        else:
-            self._overflow.discard(key)
 
     def k_filled_count(self, k: Optional[int] = None) -> int:
         """Number of keys whose entries hold at least ``k`` postings above
@@ -179,19 +159,9 @@ class HashInvertedIndex:
         if k == self._k:
             return
         self._k = k
-        allocator = self._allocator
-        if allocator is None:
-            self._overflow = {
-                key for key, entry in self._entries.items() if len(entry) > k
-            }
-        else:
-            # The engine rebases the allocator before calling us, so the
-            # per-key depths already sit on the new floor.
-            self._overflow = {
-                key
-                for key, entry in self._entries.items()
-                if len(entry) > allocator.depth_of(key)
-            }
+        self._overflow = {
+            key for key, entry in self._entries.items() if len(entry) > k
+        }
         # One O(index) rebuild per k change; thereafter the k-filled set
         # is maintained incrementally again.
         self._rebuild_k_filled()
@@ -219,9 +189,7 @@ class HashInvertedIndex:
         self._bytes += self._model.posting_bytes
         self._postings_total += 1
         if len(entry) > self._k:
-            allocator = self._allocator
-            if allocator is None or len(entry) > allocator.depth_of(key):
-                self._overflow.add(key)
+            self._overflow.add(key)
         # Inserting never lowers the k-th-best posting nor the floor, so
         # membership can only switch on here, never off.
         if key not in self._k_filled and entry.is_k_filled(self._k):

@@ -198,100 +198,6 @@ class TestSegmentedRuns:
         assert runs.stats.simulated_io_seconds == pytest.approx(io_seconds)
 
 
-class TestReadCache:
-    @pytest.fixture
-    def cached(self, model):
-        return DiskArchive(model, cache_bytes=10_000)
-
-    def test_repeat_lookup_hits(self, cached):
-        cached.commit_flush([], {"a": [posting(i) for i in range(1, 6)]})
-        first = cached.lookup("a", limit=3)
-        second = cached.lookup("a", limit=3)
-        assert list(first) == list(second)
-        assert cached.stats.cache_misses == 1
-        assert cached.stats.cache_hits == 1
-
-    def test_hit_skips_the_seek(self, cached, model):
-        cost = DiskCostModel()
-        cached.commit_flush([], {"a": [posting(i) for i in range(1, 6)]})
-        cached.lookup("a", limit=3)
-        before = cached.stats.simulated_io_seconds
-        cached.lookup("a", limit=3)
-        delta = cached.stats.simulated_io_seconds - before
-        nbytes = model.postings_bytes(3)
-        assert delta == pytest.approx(cost.read_transfer_cost(nbytes))
-        assert delta < cost.read_cost(nbytes)
-
-    def test_commit_invalidates_key(self, cached):
-        cached.commit_flush([], {"a": [posting(1)]})
-        cached.lookup("a", limit=2)
-        cached.commit_flush([], {"a": [posting(2)]})
-        result = cached.lookup("a", limit=2)
-        assert [p.blog_id for p in result] == [2, 1]
-        assert cached.stats.cache_misses == 2
-        assert cached.stats.cache_hits == 0
-
-    def test_unbounded_lookup_bypasses_cache(self, cached):
-        cached.commit_flush([], {"a": [posting(1)]})
-        cached.lookup("a")
-        cached.lookup("a")
-        assert cached.stats.cache_hits == 0
-        assert cached.stats.cache_misses == 0
-
-    def test_eviction_under_tiny_budget(self, model):
-        # Budget fits roughly one block (entry overhead + a few postings).
-        small = DiskArchive(model, cache_bytes=100)
-        small.commit_flush(
-            [], {key: [posting(i)] for i, key in enumerate(("a", "b", "c"))}
-        )
-        for key in ("a", "b", "c", "a", "b", "c"):
-            small.lookup(key, limit=1)
-        assert small.stats.cache_evictions > 0
-        assert small.stats.cache_misses > 3  # LRU churn under pressure
-
-    def test_cache_off_by_default(self, disk):
-        disk.commit_flush([], {"a": [posting(1)]})
-        disk.lookup("a", limit=1)
-        disk.lookup("a", limit=1)
-        assert disk.cache is None
-        assert disk.stats.cache_hits == 0
-        assert disk.stats.cache_misses == 0
-
-    def test_counters_reach_registry(self, model):
-        cached = DiskArchive(model, cache_bytes=10_000)
-        cached.commit_flush([], {"a": [posting(1)]})
-        cached.lookup("a", limit=1)
-        cached.lookup("a", limit=1)
-        counters = cached.obs.registry.snapshot()["counters"]
-        assert counters["disk.cache.hits"] == 1
-        assert counters["disk.cache.misses"] == 1
-
-
-class TestNegativeLookupElision:
-    def test_off_by_default(self, disk):
-        assert disk.elides("ghost") is False
-        assert disk.stats.lookups_elided == 0
-
-    def test_elides_missing_key(self, model):
-        disk = DiskArchive(model, elide_empty=True)
-        assert disk.elides("ghost") is True
-        assert disk.stats.lookups_elided == 1
-        counters = disk.obs.registry.snapshot()["counters"]
-        assert counters["disk.lookups_elided"] == 1
-
-    def test_never_elides_indexed_key(self, model):
-        disk = DiskArchive(model, elide_empty=True)
-        disk.commit_flush([], {"a": [posting(1)]})
-        assert disk.elides("a") is False
-        assert disk.stats.lookups_elided == 0
-
-    def test_elision_charges_no_io(self, model):
-        disk = DiskArchive(model, elide_empty=True)
-        assert disk.elides("ghost") is True
-        assert disk.stats.index_lookups == 0
-        assert disk.stats.simulated_io_seconds == 0.0
-
-
 class TestCostModel:
     def test_write_cost_monotone_in_bytes(self):
         cost = DiskCostModel()

@@ -1,19 +1,14 @@
-"""PR 4 disk-tier invariants: runs layout, read cache, lookup elision.
+"""PR 4 disk-tier invariants: the segmented-runs index layout.
 
-Three families of guarantees:
+Two families of guarantees:
 
 * **Differential** — under real trial traffic every lookup of the
   segmented-runs layout, and its simulated I/O, equal a sorted,
-  id-deduplicated list of what was committed; with the read cache or
-  negative-lookup elision on, answers never change (only disk-lookup
-  counts and simulated latency may).
+  id-deduplicated list of what was committed.
 * **Property** (hypothesis) — per-key disk postings stay globally
   rank-sorted and duplicate-free under arbitrary interleavings of
   commits (including re-flushed postings) and compactions, and always
-  match that sorted reference; cache-on lookups equal cache-off
-  lookups under random interleavings of commits and reads.
-* **Sharded routing** — ``_RoutedDisk.elides`` consults exactly the
-  shard that owns the key.
+  match that sorted reference.
 """
 
 from __future__ import annotations
@@ -24,27 +19,13 @@ from hypothesis import strategies as st
 
 from repro.config import SystemConfig
 from repro.engine.sharded import build_system
-from repro.experiments.runner import TrialSpec, run_trial
+from repro.experiments.runner import TrialSpec
 from repro.experiments.scale import ScalePreset
 from repro.storage.disk import DiskArchive, DiskCostModel
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import Posting
 from repro.workload.queryload import QueryLoad, QueryLoadConfig
 from repro.workload.stream import MicroblogStream, StreamConfig
-
-#: TrialResult fields that must be bit-identical across equivalent
-#: configurations (same tuple the sharding differential uses).
-DETERMINISTIC_FIELDS = (
-    "hit_ratio",
-    "hit_ratio_by_mode",
-    "k_filled",
-    "flush_count",
-    "records_ingested",
-    "queries_run",
-    "policy_overhead_bytes",
-    "mean_flush_freed_fraction",
-    "memory_utilization",
-)
 
 MICRO = ScalePreset(
     name="micro",
@@ -163,113 +144,6 @@ class TestRunsLayoutDifferential:
 
 
 # ----------------------------------------------------------------------
-# Differential: cache and elision change costs, never answers
-# ----------------------------------------------------------------------
-
-
-def _query_answers(
-    config: SystemConfig,
-    seed: int = 9,
-    queries: int = 300,
-    mode: str = "correlated",
-    vocabulary: int = 300,
-):
-    """Ingest a fixed stream, run a fixed query load, return the answers."""
-    system = build_system(config)
-    stream = MicroblogStream(
-        StreamConfig(seed=seed, vocabulary_size=vocabulary, with_locations=False)
-    )
-    system.ingest_many(stream.take(8_000))
-    load = QueryLoad(
-        QueryLoadConfig(seed=seed + 1, mode=mode),
-        MicroblogStream(
-            StreamConfig(seed=seed, vocabulary_size=vocabulary, with_locations=False)
-        ),
-    )
-    answers = []
-    for _ in range(queries):
-        result = system.search(load.next_query())
-        answers.append(
-            (
-                [(p.score, p.timestamp, p.blog_id) for p in result.postings],
-                result.memory_hit,
-                result.disk_lookups,
-            )
-        )
-    return system, answers
-
-
-class TestCacheDifferential:
-    def test_cache_on_answers_equal_cache_off(self):
-        base = SystemConfig(
-            policy="kflushing",
-            memory_capacity_bytes=200_000,
-            and_scan_depth=100,
-            and_disk_limit=100,
-        )
-        plain_sys, plain = _query_answers(base)
-        cached_sys, cached = _query_answers(
-            base.with_overrides(disk_cache_bytes=50_000)
-        )
-        assert plain == cached  # postings, hit flags, and lookup counts
-        assert cached_sys.disk.stats.cache_hits > 0
-        # Every hit skipped a seek, so the cached run is strictly cheaper.
-        assert (
-            cached_sys.disk.stats.simulated_io_seconds
-            < plain_sys.disk.stats.simulated_io_seconds
-        )
-
-    def test_trial_results_identical_with_cache(self):
-        plain = run_trial(TrialSpec(policy="kflushing", scale=MICRO, seed=11))
-        cached = run_trial(
-            TrialSpec(
-                policy="kflushing", scale=MICRO, seed=11, disk_cache_bytes=50_000
-            )
-        )
-        for name in DETERMINISTIC_FIELDS:
-            assert getattr(plain, name) == getattr(cached, name), name
-
-
-class TestElisionDifferential:
-    def test_elision_never_changes_postings(self):
-        base = SystemConfig(
-            policy="kflushing",
-            memory_capacity_bytes=200_000,
-            and_scan_depth=100,
-            and_disk_limit=100,
-        )
-        # A uniform load over a vocabulary larger than the stream ever
-        # ingests guarantees queries against keys absent from the disk
-        # index — exactly the lookups elision exists to skip.
-        kwargs = dict(mode="uniform", vocabulary=2_000)
-        plain_sys, plain = _query_answers(base, **kwargs)
-        elided_sys, elided = _query_answers(
-            base.with_overrides(disk_elide_empty=True), **kwargs
-        )
-        for (p_post, p_hit, p_lookups), (e_post, e_hit, e_lookups) in zip(
-            plain, elided
-        ):
-            assert p_post == e_post
-            assert p_hit == e_hit
-            assert e_lookups <= p_lookups  # elision only removes lookups
-        assert elided_sys.disk.stats.lookups_elided > 0
-        assert (
-            elided_sys.disk.stats.index_lookups
-            < plain_sys.disk.stats.index_lookups
-        )
-
-    def test_trial_results_identical_with_elision(self):
-        plain = run_trial(TrialSpec(policy="kflushing", scale=MICRO, seed=11))
-        elided = run_trial(
-            TrialSpec(
-                policy="kflushing", scale=MICRO, seed=11, disk_elide_empty=True
-            )
-        )
-        for name in DETERMINISTIC_FIELDS:
-            assert getattr(plain, name) == getattr(elided, name), name
-
-
-# ----------------------------------------------------------------------
 # Property tests
 # ----------------------------------------------------------------------
 
@@ -311,99 +185,3 @@ def test_postings_rank_sorted_after_any_interleaving(batches, max_runs):
         reference = sorted((posting(i) for i in ids), reverse=True)
         assert result == reference
         assert list(runs.lookup(key, limit=7)) == reference[:7]
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(("commit", "read", "read_unbounded")),
-            st.sampled_from(("a", "b")),
-            st.lists(st.integers(min_value=0, max_value=80), min_size=1, max_size=10),
-        ),
-        min_size=1,
-        max_size=30,
-    )
-)
-@settings(max_examples=40, deadline=None)
-def test_cached_reads_equal_uncached_reads(ops):
-    """Interleaved commits and reads: the cached archive answers every
-    read exactly like the uncached one (invalidation keeps it fresh)."""
-    model = MemoryModel()
-    cached = DiskArchive(model, cache_bytes=2_000)
-    plain = DiskArchive(model)
-    for op, key, ids in ops:
-        if op == "commit":
-            batch = {key: [posting(i) for i in ids]}
-            cached.commit_flush([], batch)
-            plain.commit_flush([], batch)
-        elif op == "read":
-            limit = 1 + len(ids) % 9
-            assert list(cached.lookup(key, limit=limit)) == list(
-                plain.lookup(key, limit=limit)
-            )
-        else:
-            assert list(cached.lookup(key)) == list(plain.lookup(key))
-    assert cached.stats.index_lookups == plain.stats.index_lookups
-
-
-# ----------------------------------------------------------------------
-# Sharded routing
-# ----------------------------------------------------------------------
-
-
-class TestShardedElision:
-    def test_routed_elides_consults_owning_shard(self):
-        config = SystemConfig(
-            policy="kflushing",
-            memory_capacity_bytes=250_000,
-            shards=4,
-            disk_elide_empty=True,
-        )
-        system = build_system(config)
-        stream = MicroblogStream(
-            StreamConfig(seed=3, vocabulary_size=300, with_locations=False)
-        )
-        system.ingest_many(stream.take(9_000))
-        routed = system.executor._disk
-        assert routed.elides("a-keyword-never-ingested-xyz") is True
-        total_elided = sum(
-            shard.disk.stats.lookups_elided for shard in system.shards
-        )
-        assert total_elided == 1
-        # A key some shard's archive holds must never be elided.
-        flushed_keys = [
-            key
-            for shard in system.shards
-            if shard.disk.key_count
-            for key in [next(iter(shard.disk._index))]
-        ]
-        assert flushed_keys, "workload should have flushed postings"
-        assert routed.elides(flushed_keys[0]) is False
-
-    def test_per_shard_cache_slices_sum_to_budget(self):
-        config = SystemConfig(
-            policy="kflushing",
-            memory_capacity_bytes=250_000,
-            shards=3,
-            disk_cache_bytes=10_001,
-        )
-        system = build_system(config)
-        capacities = [shard.disk.cache.capacity_bytes for shard in system.shards]
-        assert sum(capacities) == 10_001
-        assert max(capacities) - min(capacities) <= 1
-
-    def test_sharded_answers_unchanged_by_gates(self):
-        base = SystemConfig(
-            policy="kflushing",
-            memory_capacity_bytes=250_000,
-            shards=2,
-            and_scan_depth=100,
-            and_disk_limit=100,
-        )
-        _, plain = _query_answers(base)
-        _, gated = _query_answers(
-            base.with_overrides(disk_cache_bytes=40_000, disk_elide_empty=True)
-        )
-        for (p_post, p_hit, _), (g_post, g_hit, _) in zip(plain, gated):
-            assert p_post == g_post
-            assert p_hit == g_hit

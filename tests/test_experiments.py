@@ -131,11 +131,7 @@ class TestRunTrial:
 #: One non-default value per field name ``TrialSpec`` shares with
 #: ``SystemConfig`` (the plumbing ``build_system`` threads by hand).
 _SHARED_FIELD_VALUES = {
-    "adaptive": True,
-    "adaptive_interval": 3,
     "attribute": "user",
-    "disk_cache_bytes": 4_096,
-    "disk_elide_empty": True,
     "flight_recorder_events": 64,
     "flight_recorder_path": "black_box.jsonl",
     "k": 7,

@@ -23,7 +23,6 @@ spec = TrialSpec(
     scale=MICRO,
     seed=13,
     shards=int(sys.argv[1]),
-    adaptive=bool(int(sys.argv[2])),
 )
 result = asdict(run_trial(spec))
 system = spec.build_system()
@@ -55,14 +54,14 @@ json.dump(
 """
 
 
-def _run_under_hash_seed(hash_seed: int, shards: int, adaptive: bool) -> dict:
+def _run_under_hash_seed(hash_seed: int, shards: int) -> dict:
     env = dict(
         os.environ,
         PYTHONHASHSEED=str(hash_seed),
         PYTHONPATH=os.pathsep.join(p for p in sys.path if p),
     )
     out = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(shards), str(int(adaptive))],
+        [sys.executable, "-c", _CHILD, str(shards)],
         env=env,
         check=True,
         capture_output=True,
@@ -71,14 +70,10 @@ def _run_under_hash_seed(hash_seed: int, shards: int, adaptive: bool) -> dict:
     return json.loads(out.stdout)
 
 
-@pytest.mark.parametrize(
-    "shards, adaptive",
-    [(1, False), (4, False), (4, True)],
-    ids=["1", "4", "4-adaptive"],
-)
-def test_stream_and_trial_identical_across_hash_seeds(shards, adaptive):
-    first = _run_under_hash_seed(1, shards, adaptive)
-    second = _run_under_hash_seed(2, shards, adaptive)
+@pytest.mark.parametrize("shards", [1, 4])
+def test_stream_and_trial_identical_across_hash_seeds(shards):
+    first = _run_under_hash_seed(1, shards)
+    second = _run_under_hash_seed(2, shards)
     assert first["postings_flushed"] > 0
     assert any(len(keywords) > 1 for keywords in first["keywords"])
     assert first == second

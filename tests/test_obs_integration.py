@@ -4,12 +4,17 @@ import json
 import time
 
 from repro.config import SystemConfig
-from repro.engine.queries import AndQuery, KeywordQuery, OrQuery
+from repro.core.eviction_ledger import KeyHeat
+from repro.engine.queries import AndQuery, KeywordQuery, OrQuery, TopKQuery
+from repro.engine.sharded import build_system
 from repro.engine.system import MicroblogSystem
 from repro.experiments.runner import TrialSpec, run_trial
 from repro.experiments.scale import TINY
 from repro.obs import Instrumentation, ListSink, activated
+from repro.model.attributes import AttributeExtractor
 from repro.obs.events import EventSink
+from repro.workload.queryload import QueryLoad, QueryLoadConfig
+from repro.workload.stream import MicroblogStream, StreamConfig
 from tests.conftest import make_blog, make_blogs
 
 
@@ -187,3 +192,112 @@ class TestRunnerMetrics:
         assert counters["flush.count"] > 0
         assert any(name.startswith("query.") for name in counters)
         assert any(name.startswith("disk.") for name in counters)
+
+
+class TestEvictionLedgerOverflow:
+    def test_tiny_ledger_counts_drops(self):
+        """Overflowing the attribution ledger is visible, not silent."""
+        obs = Instrumentation(attribution=True)
+        config = SystemConfig(
+            policy="kflushing",
+            k=5,
+            memory_capacity_bytes=60_000,
+            eviction_ledger_capacity=4,
+        )
+        system = build_system(config, obs=obs)
+        stream = MicroblogStream(
+            StreamConfig(seed=5, vocabulary_size=500, with_locations=False)
+        )
+        system.ingest_many(stream.take(20_000))
+        counters = obs.registry.snapshot()["counters"]
+        assert counters["eviction_ledger.dropped"] > 0
+        assert len(system.engine.eviction_ledger) <= 4
+
+    def test_default_capacity_never_drops_here(self):
+        obs = Instrumentation(attribution=True)
+        system = build_system(
+            SystemConfig(
+                policy="kflushing", k=5, memory_capacity_bytes=60_000
+            ),
+            obs=obs,
+        )
+        stream = MicroblogStream(
+            StreamConfig(seed=5, vocabulary_size=500, with_locations=False)
+        )
+        system.ingest_many(stream.take(20_000))
+        counters = obs.registry.snapshot()["counters"]
+        # The counter exists (pre-created with the ledger) and is zero.
+        assert counters["eviction_ledger.dropped"] == 0
+
+
+class _TextAttribute(AttributeExtractor):
+    """Indexes each record under its text, so a test picks the keys."""
+
+    name = "text"
+
+    def keys(self, record):
+        return (record.text,)
+
+
+class TestHotKeysSnapshot:
+    def test_snapshot_carries_hot_keys_when_heat_is_on(self):
+        config = SystemConfig(
+            policy="kflushing", k=5, memory_capacity_bytes=150_000
+        )
+        system = build_system(config, obs=Instrumentation(attribution=True))
+        stream = MicroblogStream(
+            StreamConfig(seed=6, vocabulary_size=300, with_locations=False)
+        )
+        queries = QueryLoad(QueryLoadConfig(seed=7, mode="correlated", k=5), stream)
+        for i, record in enumerate(stream.take(8_000)):
+            system.ingest(record)
+            if i % 4 == 0:
+                system.search(queries.next_query())
+        snap = system.snapshot()
+        hot = snap["hot_keys"]
+        assert hot["most_queried"], "expected a non-empty most-queried table"
+        for key, count in hot["most_queried"]:
+            assert isinstance(key, str) and count > 0
+        counts = [count for _key, count in hot["most_queried"]]
+        assert counts == sorted(counts, reverse=True)
+
+    def test_snapshot_has_no_hot_keys_by_default(self):
+        system = build_system(SystemConfig(memory_capacity_bytes=150_000))
+        assert "hot_keys" not in system.snapshot()
+
+    def test_tie_order_does_not_depend_on_shard_count(self):
+        """``"a"`` and ``"b'"`` sort one way by ``str`` and the other by
+        ``repr`` (and live on different shards of four): equal heat must
+        print the same table at one partition and at four."""
+        keys = ("a", "b'", "c")
+        tables = {}
+        for shards in (1, 4):
+            config = SystemConfig(
+                k=3,
+                memory_capacity_bytes=400_000,
+                shards=shards,
+                attribute=_TextAttribute(),
+            )
+            system = build_system(config, obs=Instrumentation(attribution=True))
+            for key in keys:
+                system.ingest(make_blog(text=key))
+            for _ in range(3):
+                for key in keys:
+                    system.search(TopKQuery(keys=(key,), k=3))
+            tables[shards] = system.hot_keys()
+        assert tables[1]["most_queried"] == [["b'", 3], ["a", 3], ["c", 3]]
+        assert tables[4] == tables[1]
+
+
+class TestKeyHeat:
+    def test_query_counting(self):
+        heat = KeyHeat()
+        heat.note_query(("a", "b"))
+        heat.note_query(("a",))
+        assert heat.queried == {"a": 2, "b": 1}
+
+    def test_top_order_is_stable(self):
+        heat = KeyHeat()
+        heat.note_query(("b", "a", "c"))
+        # All counts equal: ties break on repr, not insertion order.
+        assert [k for k, _ in heat.top_queried(3)] == ["a", "b", "c"]

@@ -486,16 +486,15 @@ class TestSystemIntegration:
 
 
 def test_watermark_names_do_not_depend_on_shard_count():
-    """One sampling rule: with every optional source on (ledger, disk
-    cache), the watermark set at 4 shards is the one-partition
-    set plus the per-shard memory marks — from the first sample on, when
-    the ledgers are still empty."""
+    """One sampling rule: with every optional source on (the ledger),
+    the watermark set at 4 shards is the one-partition set plus the
+    per-shard memory marks — from the first sample on, when the ledgers
+    are still empty."""
     names = {}
     for shards in (1, 4):
         config = SystemConfig(
             memory_capacity_bytes=400_000,
             shards=shards,
-            disk_cache_bytes=50_000,
         )
         system = build_system(config, obs=Instrumentation(attribution=True))
         system._sample_watermarks()
@@ -505,7 +504,6 @@ def test_watermark_names_do_not_depend_on_shard_count():
             if name.startswith("watermark.")
         }
     assert "watermark.eviction_ledger.entries" in names[1]
-    assert "watermark.disk.cache_bytes" in names[1]
     assert names[4] - names[1] == {
         f"watermark.shard.{i}.memory.bytes_used" for i in range(4)
     }

@@ -114,23 +114,23 @@ class TestLogicalClock:
 
 
 class TestDiskReadsAccounting:
-    def test_elided_miss_counts_zero_disk_reads(self):
-        # A miss on a key that is neither in memory nor on disk: with
-        # negative-lookup elision on, the executor performs zero disk
-        # index lookups, so disk_reads must stay 0.
-        system = tiny_system(disk_elide_empty=True)
+    def test_unindexed_miss_pays_one_disk_read(self):
+        # A miss on a key that is neither in memory nor on disk still
+        # pays its disk index lookup: the cost model charges one seek per
+        # lookup, whether or not the archive holds the key.
+        system = tiny_system()
         for blog in make_blogs(5, keywords=("hot",)):
             system.ingest(blog)
         result = system.search(KeywordQuery("ghost", k=3))
         assert not result.memory_hit
-        assert result.disk_lookups == 0
+        assert result.disk_lookups == 1
         assert system.stats.queries.queries == 1
-        assert system.stats.queries.disk_reads == 0
+        assert system.stats.queries.disk_reads == 1
 
     def test_paid_miss_still_counts(self):
         # Force everything to disk, then query it: the miss pays a real
         # disk lookup and must still be counted.
-        system = tiny_system(disk_elide_empty=True, memory_capacity_bytes=300)
+        system = tiny_system(memory_capacity_bytes=300)
         for blog in make_blogs(5, keywords=("hot",), text="x" * 400):
             system.ingest(blog)
         result = system.search(KeywordQuery("hot", k=3))

@@ -182,7 +182,6 @@ class TestLifecycle:
         system = tiny_system(
             shards=shards,
             memory_capacity_bytes=20_000,
-            adaptive=True,
             slo_spec='{"objectives": [{"metric": "flush.count", "min": 0}]}',
             flight_recorder_events=64,
             flight_recorder_path=str(tmp_path / "box.jsonl"),

@@ -150,9 +150,8 @@ class TestDeterministicTraceIds:
         with obs.trace("query"):
             with obs.trace_span("child"):
                 pass
-            obs.trace_point("point")
         names = [e["name"] for e in sink.events]
-        assert names == ["child", "point", "query"]
+        assert names == ["child", "query"]
         root = sink.events[-1]
         assert root["span"] == 0 and root["parent_span"] is None
         assert all(e["parent_span"] == 0 for e in sink.events[:-1])
@@ -164,7 +163,6 @@ class TestDeterministicTraceIds:
             assert ctx is None
         with obs.trace_span("child") as extra:
             assert extra is None
-        obs.trace_point("point")
         assert sink.events == []
 
     def test_span_events_join_open_trace(self):
@@ -419,7 +417,7 @@ class TestTraceview:
     def _events(self):
         return [
             {"type": "trace", "trace": "query-1", "span": 1, "parent_span": 0,
-             "name": "disk.lookup", "seconds": 0.002, "cache": "miss", "shard": 0},
+             "name": "disk.lookup", "seconds": 0.002, "shard": 0},
             {"type": "trace", "trace": "query-1", "span": 0, "parent_span": None,
              "name": "query", "seconds": 0.01, "mode": "single", "hit": False,
              "miss_cause": "phase1-regular", "disk_lookups": 1},
@@ -453,7 +451,7 @@ class TestTraceview:
         summary = summaries[0]
         assert summary["trace"] == "query-1"
         assert summary["miss_cause"] == "phase1-regular"
-        assert summary["children"][0]["cache"] == "miss"
+        assert summary["children"][0]["shard"] == 0
 
     def test_flush_attribution(self):
         report = flush_attribution(build_traces(self._events()))
