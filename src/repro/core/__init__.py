@@ -13,7 +13,11 @@ from repro.core.fifo import FIFOEngine
 from repro.core.kflushing import KFlushingEngine
 from repro.core.lru import LRUEngine
 from repro.core.policy import FlushReport, LookupResult, MemoryEngine
-from repro.core.victim_selection import select_victims_heap, select_victims_sort
+from repro.core.victim_selection import (
+    select_victims_heap,
+    select_victims_pruned,
+    select_victims_sort,
+)
 
 __all__ = [
     "FIFOEngine",
@@ -28,6 +32,7 @@ __all__ = [
     "policy_names",
     "register_engine",
     "select_victims_heap",
+    "select_victims_pruned",
     "select_victims_sort",
 ]
 

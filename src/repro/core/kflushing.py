@@ -47,9 +47,9 @@ class KFlushingEngine(MemoryEngine):
         #: Best sort key ever evicted by whole-entry removal; seeds the
         #: completeness floor of entries (re-)created afterwards.
         self.global_floor: SortKey = MIN_SORT_KEY
-        #: Per-flush memo of top-k id sets, entry id membership, and the
-        #: Phase 3 victim snapshot (see :mod:`repro.core.flush_cache`).
-        #: Non-None only while a flush is running.
+        #: Per-flush memo of top-k id sets and entry id membership (see
+        #: :mod:`repro.core.flush_cache`).  Non-None only while a flush is
+        #: running.
         self.flush_cache: Optional[FlushCycleCache] = None
 
     @property
@@ -112,7 +112,7 @@ class KFlushingEngine(MemoryEngine):
             now=now, target_bytes=self.flush_target_bytes(), buffer=self.buffer
         )
         self.flush_cache = (
-            FlushCycleCache(self.index, self.k) if self.use_flush_cache else None
+            FlushCycleCache(self.k) if self.use_flush_cache else None
         )
         try:
             run_phase1(self, ctx)
@@ -201,7 +201,10 @@ class KFlushingEngine(MemoryEngine):
     @property
     def policy_overhead_bytes(self) -> int:
         # Two per-entry timestamps (last arrival, last query), the overflow
-        # list L, and the temporary flush buffer at its peak.
+        # list L, and the temporary flush buffer at its peak — the paper's
+        # accounting.  The index's recency orders are an access path over
+        # those timestamps, not extra policy state; their cost is measured
+        # (peak RSS), not modelled.
         per_entry = 2 * self.model.timestamp_bytes * len(self.index)
         overflow = self.model.pointer_bytes * len(self.index.overflow_keys)
         return per_entry + overflow + self.buffer.steady_peak_bytes

@@ -10,20 +10,27 @@ budget is met:
   while its record is still in the top-k of another entry (Section IV-D).
 * **Phase 2 — aggressive flushing**: evict whole entries that hold fewer
   than k postings — queries on them would miss anyway — choosing the
-  least-recently-*arrived* entries via the O(n) bounded-heap selection.
+  least-recently-*arrived* entries via the bounded-heap selection.
   With the MK extension, postings whose record also lives in a k-filled
   entry are spared.
 * **Phase 3 — forced flushing**: evict whole entries (any size) in
   least-recently-*queried* order.  Identical in plain and MK modes.
+
+Phases 2 and 3 pick exactly the victims the paper's heap picks over a
+scan of the whole index, but read only O(victims) entries: the index
+keeps both victim orders, and :func:`select_victims_pruned` replays the
+heap on the candidates that can affect it.  Victims are evicted in the
+index's dict order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Hashable
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
-from repro.core.victim_selection import select_victims_heap
+from repro.core.victim_selection import select_victims_pruned
 from repro.storage.flush_buffer import FlushBuffer
 from repro.storage.posting_list import MIN_SORT_KEY, Posting, PostingList, SortKey
 
@@ -41,6 +48,10 @@ __all__ = [
 PHASE_REGULAR = "phase1-regular"
 PHASE_AGGRESSIVE = "phase2-aggressive"
 PHASE_FORCED = "phase3-forced"
+
+#: The victim orders of Phases 2 and 3.
+_LAST_ARRIVAL = attrgetter("last_arrival")
+_LAST_QUERY = attrgetter("last_query")
 
 
 @dataclass
@@ -162,10 +173,9 @@ def _flush_entry(
     else:
         removed = entry.drain()
     engine.index.charge_removed_postings(len(removed), key, entry=entry)
-    cache = engine.flush_cache
     if removed:
-        if cache is not None:
-            cache.invalidate(key)
+        if engine.flush_cache is not None:
+            engine.flush_cache.invalidate(key)
         engine.note_eviction(key, cause, ctx.now, len(removed))
     freed = 0
     for posting in removed:
@@ -175,8 +185,6 @@ def _flush_entry(
         engine.index.remove_entry(key)
         freed += engine.model.entry_overhead
         ctx.entries_flushed += 1
-        if cache is not None:
-            cache.on_entry_removed(key)
     return freed
 
 
@@ -206,6 +214,43 @@ def entry_flush_cost(posting_count: int, overhead: int, per_posting: float) -> i
     return overhead + math.ceil(posting_count * per_posting)
 
 
+def _seq(candidate: tuple[float, int, PostingList]) -> int:
+    return candidate[2].seq
+
+
+def _select_victims(
+    engine: "KFlushingEngine",
+    in_order: Iterable[PostingList],
+    oldest_first: Iterable[PostingList],
+    stamp: Callable[[PostingList], float],
+    target_bytes: int,
+) -> list[PostingList]:
+    """The entries ``select_victims_heap`` picks when fed every entry of
+    ``in_order`` (the phase's candidates in the index's dict order),
+    returned in dict order.
+
+    ``oldest_first`` is the same candidates sorted by ``stamp``.  Only
+    O(victims) entries of either view are read: see
+    :func:`select_victims_pruned`.
+    """
+    overhead = engine.model.entry_overhead
+    per_posting = engine.model.posting_bytes + _mean_record_share(engine)
+
+    def candidates(entries: Iterable[PostingList]):
+        for entry in entries:
+            yield (
+                stamp(entry),
+                entry_flush_cost(len(entry), overhead, per_posting),
+                entry,
+            )
+
+    victims = select_victims_pruned(
+        candidates(in_order), candidates(oldest_first), target_bytes, _seq
+    )
+    victims.sort(key=_seq)
+    return [entry for _ts, _cost, entry in victims]
+
+
 def run_phase2(engine: "KFlushingEngine", ctx: FlushContext) -> None:
     """Aggressive flushing: evict under-k entries, least recently arrived
     first, until the remaining budget is covered."""
@@ -213,26 +258,21 @@ def run_phase2(engine: "KFlushingEngine", ctx: FlushContext) -> None:
     if remaining <= 0:
         return
     with engine.obs.span(f"flush.{PHASE_AGGRESSIVE}"):
-        share = _mean_record_share(engine)
-        # Inlined entry_flush_cost: this generator scans every index entry
-        # on every flush, so attribute lookups are hoisted out of the loop.
-        k = engine.k
-        overhead = engine.model.entry_overhead
-        per_posting = engine.model.posting_bytes + share
-        # A list comprehension, not a generator: the full scan runs as one
-        # C-driven loop instead of resuming a generator frame per entry.
-        candidates = [
-            (entry.last_arrival, overhead + math.ceil(len(entry) * per_posting), key)
-            for key, entry in engine.index.items()
-            if len(entry) < k
-        ]
-        victims = select_victims_heap(candidates, remaining)
+        index = engine.index
+        k = index.k
+        victims = _select_victims(
+            engine,
+            (entry for entry in index.entries() if len(entry) < k),
+            index.oldest_arrivals(),
+            _LAST_ARRIVAL,
+            remaining,
+        )
         freed = 0
-        for _ts, _cost, key in victims:
+        for entry in victims:
             freed += _flush_entry(
                 engine,
                 ctx,
-                key,
+                entry.key,
                 spare_k_filled_residents=engine.mk_enabled,
                 cause=PHASE_AGGRESSIVE,
             )
@@ -248,40 +288,26 @@ def run_phase3(engine: "KFlushingEngine", ctx: FlushContext) -> None:
     entries of any size behind.
     """
     freed = 0
-    cache = engine.flush_cache
+    index = engine.index
     with engine.obs.span(f"flush.{PHASE_FORCED}"):
-        while ctx.freed_bytes + freed < ctx.target_bytes and len(engine.index) > 0:
-            share = _mean_record_share(engine)
-            overhead = engine.model.entry_overhead
-            per_posting = engine.model.posting_bytes + share
-            # Escalation rounds iterate the flush cache's victim snapshot
-            # instead of rescanning the full index; surviving keys come
-            # back in identical order (see FlushCycleCache), with costs
-            # recomputed from live entry sizes and the current share.
-            if cache is not None:
-                candidate_keys = cache.surviving_keys()
-            else:
-                candidate_keys = list(engine.index.keys())
-            candidates = [
-                (
-                    entry.last_query,
-                    overhead + math.ceil(len(entry) * per_posting),
-                    key,
-                )
-                for key in candidate_keys
-                if (entry := engine.index.get(key)) is not None
-            ]
-            victims = select_victims_heap(
-                candidates, ctx.target_bytes - ctx.freed_bytes - freed
+        while ctx.freed_bytes + freed < ctx.target_bytes and len(index) > 0:
+            # Each round re-selects with costs from live entry sizes and
+            # the current record share.
+            victims = _select_victims(
+                engine,
+                index.entries(),
+                index.oldest_queries(),
+                _LAST_QUERY,
+                ctx.target_bytes - ctx.freed_bytes - freed,
             )
             if not victims:
                 break
             round_freed = 0
-            for _ts, _cost, key in victims:
+            for entry in victims:
                 round_freed += _flush_entry(
                     engine,
                     ctx,
-                    key,
+                    entry.key,
                     spare_k_filled_residents=False,
                     cause=PHASE_FORCED,
                 )

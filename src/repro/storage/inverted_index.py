@@ -2,7 +2,7 @@
 
 The "keyword index" of the paper's Figure 3: a hash table mapping each key
 (keyword, user id, or spatial tile) to a :class:`PostingList`.  Beyond plain
-lookup/insert it maintains two things the kFlushing policy relies on:
+lookup/insert it maintains what the kFlushing policy relies on:
 
 * the **overflow list L** (Section III-A): the set of keys whose entries
   currently hold more than ``k`` postings, maintained incrementally at
@@ -13,7 +13,13 @@ lookup/insert it maintains two things the kFlushing policy relies on:
 * the incremental **k-filled set**: the keys whose provable top-k is
   complete in memory (the Figure 7 metric), maintained at insert, trim,
   floor-raise, and removal time so sampling the count is O(1) instead of
-  a full index rescan with two slice allocations per entry.
+  a full index rescan with two slice allocations per entry;
+* two **recency orders** (Phases 2 and 3's victim orders): the under-k
+  entries by ``last_arrival`` and all entries by ``last_query``, kept at
+  the same mutation points as the k-filled set, so a flush reads its
+  least-recent candidates off the cold end instead of scanning the index.
+  Each entry also carries a creation ``seq``, its rank in the index's
+  dict order.
 
 The k-filled set stays exact as long as in-place entry mutations are
 reported with their key (``charge_removed_postings(count, key=...)``).  A
@@ -23,7 +29,9 @@ it, so external callers remain correct, merely slower.
 
 from __future__ import annotations
 
-from typing import Hashable, ItemsView, Iterator, Optional
+from collections import OrderedDict
+from operator import attrgetter
+from typing import Callable, Hashable, ItemsView, Iterator, Optional
 
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import MIN_SORT_KEY, Posting, PostingList, SortKey
@@ -33,6 +41,78 @@ __all__ = ["HashInvertedIndex"]
 #: Distinguishes "caller did not name the mutated key" from a key that
 #: happens to be None.
 _UNSET: object = object()
+
+
+class RecencyOrder:
+    """Index keys ordered by one entry timestamp, oldest first.
+
+    A key moves to the newest end whenever its timestamp grows.  In an
+    in-order stream that keeps the order sorted at O(1) per update; a key
+    placed there with a timestamp below the newest one is remembered as
+    *misplaced*, and the next walk re-sorts once if any misplaced key is
+    still present.  Timestamp ties may sit in any relative order.
+    """
+
+    __slots__ = ("_entries", "_stamp", "_newest", "_misplaced")
+
+    def __init__(self, stamp: Callable[[PostingList], float]) -> None:
+        self._entries: OrderedDict[Hashable, PostingList] = OrderedDict()
+        self._stamp = stamp
+        #: Highest timestamp placed at the newest end since the last sort.
+        self._newest = float("-inf")
+        self._misplaced: set[Hashable] = set()
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._entries
+
+    def append(self, key: Hashable, entry: PostingList, ts: float) -> None:
+        """Add an absent ``key`` (timestamp ``ts``) at the newest end."""
+        self._entries[key] = entry
+        if ts >= self._newest:
+            self._newest = ts
+        else:
+            self._misplaced.add(key)
+
+    def move_to_end(self, key: Hashable, ts: float) -> None:
+        """Move a present ``key`` whose timestamp grew to ``ts`` to the
+        newest end."""
+        self._entries.move_to_end(key)
+        if ts >= self._newest:
+            self._newest = ts
+            if self._misplaced:
+                self._misplaced.discard(key)
+        else:
+            self._misplaced.add(key)
+
+    def discard(self, key: Hashable) -> None:
+        if self._entries.pop(key, None) is not None and self._misplaced:
+            self._misplaced.discard(key)
+
+    def oldest_first(self) -> Iterator[PostingList]:
+        """The entries in non-decreasing timestamp order (re-sorting first
+        if an out-of-order update left a key misplaced)."""
+        if self._misplaced:
+            self.rebuild(self._entries.values())
+        return iter(self._entries.values())
+
+    def rebuild(self, entries: Iterator[PostingList]) -> None:
+        """Replace the order's content with ``entries``, sorted."""
+        ordered = sorted(entries, key=self._stamp)
+        self._entries = OrderedDict((entry.key, entry) for entry in ordered)
+        self._newest = self._stamp(ordered[-1]) if ordered else float("-inf")
+        self._misplaced.clear()
+
+    def check(self, expected: set[Hashable]) -> None:
+        """Assert the order holds exactly ``expected``, sorted once any
+        pending re-sort is done."""
+        assert set(self._entries) == expected, (
+            f"recency order drift: {len(self._entries)} keys != "
+            f"{len(expected)} expected"
+        )
+        stamps = [self._stamp(entry) for entry in self.oldest_first()]
+        assert all(a <= b for a, b in zip(stamps, stamps[1:])), (
+            "recency order not sorted by timestamp"
+        )
 
 
 class HashInvertedIndex:
@@ -52,6 +132,12 @@ class HashInvertedIndex:
         #: Set when an entry mutated without telling us which one (legacy
         #: keyless charge_removed_postings); the next count rebuilds.
         self._k_filled_dirty = False
+        #: Creation counter: the next entry's ``seq``.
+        self._created = 0
+        #: Keys of the entries holding fewer than k postings, by last arrival.
+        self._by_arrival = RecencyOrder(attrgetter("last_arrival"))
+        #: Every key, by last query.
+        self._by_query = RecencyOrder(attrgetter("last_query"))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -135,6 +221,20 @@ class HashInvertedIndex:
         else:
             self._k_filled.discard(key)
 
+    def oldest_arrivals(self) -> Iterator[PostingList]:
+        """The under-k entries, least recently arrived first (Phase 2)."""
+        return self._by_arrival.oldest_first()
+
+    def oldest_queries(self) -> Iterator[PostingList]:
+        """Every entry, least recently queried first (Phase 3)."""
+        return self._by_query.oldest_first()
+
+    def _rebuild_arrivals(self) -> None:
+        k = self._k
+        self._by_arrival.rebuild(
+            entry for entry in self._entries.values() if len(entry) < k
+        )
+
     def posting_count(self) -> int:
         """Total postings across all entries (tracked incrementally)."""
         return self._postings_total
@@ -163,8 +263,9 @@ class HashInvertedIndex:
             key for key, entry in self._entries.items() if len(entry) > k
         }
         # One O(index) rebuild per k change; thereafter the k-filled set
-        # is maintained incrementally again.
+        # and the arrival order are maintained incrementally again.
         self._rebuild_k_filled()
+        self._rebuild_arrivals()
 
     def insert(
         self,
@@ -182,25 +283,41 @@ class HashInvertedIndex:
         """
         entry = self._entries.get(key)
         if entry is None:
-            entry = PostingList(key, created_at=now, floor=created_floor)
+            entry = PostingList(
+                key, created_at=now, floor=created_floor, seq=self._created
+            )
+            self._created += 1
             self._entries[key] = entry
             self._bytes += self._model.entry_overhead
+            self._by_query.append(key, entry, now)
+            arrival = None
+        else:
+            arrival = entry.last_arrival
         entry.insert(posting)
         self._bytes += self._model.posting_bytes
         self._postings_total += 1
-        if len(entry) > self._k:
+        size = len(entry)
+        k = self._k
+        if size > k:
             self._overflow.add(key)
+        elif size == k:
+            self._by_arrival.discard(key)
+        elif arrival is None:
+            self._by_arrival.append(key, entry, entry.last_arrival)
+        elif entry.last_arrival != arrival:
+            self._by_arrival.move_to_end(key, entry.last_arrival)
         # Inserting never lowers the k-th-best posting nor the floor, so
         # membership can only switch on here, never off.
-        if key not in self._k_filled and entry.is_k_filled(self._k):
+        if key not in self._k_filled and entry.is_k_filled(k):
             self._k_filled.add(key)
         return entry
 
     def touch_query(self, key: Hashable, now: float) -> None:
         """Record a query access on ``key`` (Phase 3's order key)."""
         entry = self._entries.get(key)
-        if entry is not None:
+        if entry is not None and now > entry.last_query:
             entry.touch_query(now)
+            self._by_query.move_to_end(key, now)
 
     def charge_removed_postings(
         self, count: int, key: Hashable = _UNSET, *, entry: Optional[PostingList] = None
@@ -211,9 +328,10 @@ class HashInvertedIndex:
         :class:`PostingList` in place (trims, per-item removals, drains)
         must call this to keep the index byte counter truthful, and should
         pass the mutated ``key`` (optionally with its ``entry`` to skip
-        the dict lookup) so the k-filled set stays incremental.  A keyless
-        charge is still correct: it marks the set dirty and the next
-        k-filled count pays one rebuild.
+        the dict lookup) so the k-filled set and the arrival order stay
+        incremental.  A keyless charge is still correct: it marks the set
+        dirty (the next k-filled count pays one rebuild) and rebuilds the
+        arrival order.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
@@ -222,11 +340,14 @@ class HashInvertedIndex:
         self._postings_total -= count
         if key is _UNSET:
             self._k_filled_dirty = True
+            self._rebuild_arrivals()
             return freed
         if entry is None:
             entry = self._entries.get(key)
         if entry is not None:
             self._refresh_k_filled(key, entry)
+            if len(entry) < self._k and key not in self._by_arrival:
+                self._by_arrival.append(key, entry, entry.last_arrival)
         else:
             # Entry already removed; remove_entry dropped its membership.
             self._k_filled.discard(key)
@@ -251,6 +372,8 @@ class HashInvertedIndex:
         self._postings_total -= len(entry)
         self._overflow.discard(key)
         self._k_filled.discard(key)
+        self._by_arrival.discard(key)
+        self._by_query.discard(key)
         return entry
 
     def check_integrity(self) -> None:
@@ -278,4 +401,12 @@ class HashInvertedIndex:
         assert self._k_filled == expected_k_filled, (
             f"k-filled set drift: {len(self._k_filled)} tracked != "
             f"{len(expected_k_filled)} recounted"
+        )
+        self._by_arrival.check(
+            {key for key, entry in self._entries.items() if len(entry) < self._k}
+        )
+        self._by_query.check(set(self._entries))
+        seqs = [entry.seq for entry in self._entries.values()]
+        assert all(a < b for a, b in zip(seqs, seqs[1:])), (
+            "entry seq not increasing in dict order"
         )

@@ -108,15 +108,19 @@ class PostingList:
     O(1), and trimming the worst-ranked postings is a single slice.
     """
 
-    __slots__ = ("key", "_postings", "last_arrival", "last_query", "floor")
+    __slots__ = ("key", "_postings", "last_arrival", "last_query", "floor", "seq")
 
     def __init__(
         self,
         key: Hashable,
         created_at: float,
         floor: SortKey = MIN_SORT_KEY,
+        seq: int = 0,
     ) -> None:
         self.key = key
+        #: Creation sequence number within the owning index: increasing
+        #: in the index's dict order, so it ranks entries in that order.
+        self.seq = seq
         self._postings: list[Posting] = []
         #: Arrival timestamp of the most recent insert (Phase 2 order key).
         self.last_arrival: float = created_at

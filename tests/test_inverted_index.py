@@ -1,4 +1,5 @@
-"""Unit tests for the hash inverted index and its overflow list L."""
+"""Unit tests for the hash inverted index, its overflow list L and its
+Phase 2/3 recency orders."""
 
 import pytest
 
@@ -164,3 +165,95 @@ class TestTouchQuery:
         fill(index, "a", [1, 2])
         fill(index, "b", [3])
         assert index.frequency_snapshot() == {"a": 2, "b": 1}
+
+
+def keys_of(entries):
+    return [entry.key for entry in entries]
+
+
+class TestRecencyOrders:
+    def test_arrival_order_holds_under_k_keys_oldest_first(self, index):
+        fill(index, "a", [1])
+        fill(index, "b", [2])
+        fill(index, "c", [3])
+        fill(index, "a", [4])  # "a" arrives again: now the newest
+        assert keys_of(index.oldest_arrivals()) == ["b", "c", "a"]
+        fill(index, "b", [5, 6])  # "b" reaches k=3 and leaves the order
+        assert keys_of(index.oldest_arrivals()) == ["c", "a"]
+        index.check_integrity()
+
+    def test_query_order_holds_every_key_oldest_first(self, index):
+        fill(index, "a", [1])
+        fill(index, "b", [2, 3, 4, 5])
+        index.touch_query("a", 10.0)
+        assert keys_of(index.oldest_queries()) == ["b", "a"]
+        index.touch_query("a", 8.0)  # an older query leaves "a" in place
+        index.touch_query("b", 9.0)
+        assert keys_of(index.oldest_queries()) == ["b", "a"]
+        index.check_integrity()
+
+    def test_out_of_order_timestamps_resorted_at_next_walk(self, index):
+        fill(index, "a", [5])
+        fill(index, "b", [7])
+        fill(index, "c", [2])  # created below the newest arrival
+        index.touch_query("a", 9.0)
+        index.touch_query("b", 6.0)
+        assert keys_of(index.oldest_arrivals()) == ["c", "a", "b"]
+        assert keys_of(index.oldest_queries()) == ["c", "b", "a"]
+        index.check_integrity()
+
+    def test_shrinking_below_k_rejoins_arrival_order(self, index):
+        fill(index, "a", [1, 2, 3, 4])
+        fill(index, "b", [5])
+        entry = index.get("a")
+        entry.remove_id(4)
+        entry.remove_id(3)
+        index.charge_removed_postings(2, "a", entry=entry)
+        # "a" last arrived at 4, before "b": it rejoins ahead of it.
+        assert keys_of(index.oldest_arrivals()) == ["a", "b"]
+        index.check_integrity()
+
+    def test_remove_entry_leaves_both_orders(self, index):
+        fill(index, "a", [1])
+        fill(index, "b", [2])
+        index.remove_entry("a")
+        assert keys_of(index.oldest_arrivals()) == ["b"]
+        assert keys_of(index.oldest_queries()) == ["b"]
+
+    def test_set_k_rebuilds_arrival_order(self, index):
+        fill(index, "a", [1, 2, 3, 4])
+        fill(index, "b", [5])
+        index.set_k(10)
+        assert keys_of(index.oldest_arrivals()) == ["a", "b"]
+        index.set_k(1)
+        assert keys_of(index.oldest_arrivals()) == []
+        index.check_integrity()
+
+    def test_keyless_charge_rebuilds_arrival_order(self, index):
+        fill(index, "a", [1, 2, 3])
+        index.get("a").remove_id(3)
+        index.charge_removed_postings(1)
+        assert keys_of(index.oldest_arrivals()) == ["a"]
+        index.check_integrity()
+
+    def test_seq_follows_dict_order_across_re_creation(self, index):
+        fill(index, "a", [1])
+        fill(index, "b", [2])
+        index.remove_entry("a")
+        fill(index, "a", [3])
+        assert [entry.seq for entry in index.entries()] == [1, 2]
+        index.check_integrity()
+
+    def test_check_integrity_catches_order_drift(self, index):
+        fill(index, "a", [1])
+        fill(index, "b", [2, 3, 4])
+        index._by_arrival.discard("a")  # simulate a missed update
+        with pytest.raises(AssertionError):
+            index.check_integrity()
+
+    def test_check_integrity_catches_seq_drift(self, index):
+        fill(index, "a", [1])
+        fill(index, "b", [2])
+        index.get("b").seq = 0
+        with pytest.raises(AssertionError):
+            index.check_integrity()

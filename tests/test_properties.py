@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.kflushing import KFlushingEngine
-from repro.core.victim_selection import select_victims_heap, select_victims_sort
+from repro.core.victim_selection import (
+    select_victims_heap,
+    select_victims_pruned,
+    select_victims_sort,
+)
 from repro.engine.queries import KeywordQuery
 from repro.model.microblog import Microblog
 from repro.storage.disk import DiskArchive
@@ -146,6 +150,37 @@ def test_sort_selection_is_minimal_prefix(candidates, budget):
     if chosen:
         without_last = sum(c[1] for c in chosen[:-1])
         assert without_last < budget
+
+
+@settings(max_examples=500)
+@given(st.data())
+def test_pruned_replay_matches_heap_on_tie_heavy_candidates(data):
+    """The pruned replay returns the heap's exact victim set — ties at the
+    coverage boundary included — for timestamps drawn from at most five
+    distinct values and any tie order in the recency view."""
+    stamps = data.draw(
+        st.lists(
+            st.floats(min_value=0, max_value=1e4, allow_nan=False),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        )
+    )
+    pairs = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(stamps), st.integers(min_value=1, max_value=40)),
+            max_size=60,
+        )
+    )
+    candidates = [(ts, cost, i) for i, (ts, cost) in enumerate(pairs)]
+    total = sum(cost for _ts, cost, _i in candidates)
+    target = data.draw(st.integers(min_value=0, max_value=total + 50))
+    shuffled = data.draw(st.permutations(candidates))
+    oldest_first = sorted(shuffled, key=lambda c: c[0])
+    chosen = select_victims_pruned(candidates, oldest_first, target, lambda c: c[2])
+    assert {c[2] for c in chosen} == {
+        c[2] for c in select_victims_heap(candidates, target)
+    }
 
 
 # ----------------------------------------------------------------------
