@@ -12,12 +12,12 @@
   much of kFlushing-MK's AND win rests on unprovable-but-served answers.
 """
 
-from repro.experiments.extensions import ext_and_semantics, ext_skew_sensitivity
+from repro.experiments.figures import run_figure
 
 
 def test_ext1_skew_sensitivity(benchmark, preset, record_figure):
     figure = benchmark.pedantic(
-        ext_skew_sensitivity, args=(preset,), rounds=1, iterations=1
+        run_figure, args=("ext1", preset), rounds=1, iterations=1
     )
     record_figure(figure)
     panel = figure.panels[0]
@@ -36,7 +36,7 @@ def test_ext1_skew_sensitivity(benchmark, preset, record_figure):
 
 def test_ext2_and_semantics(benchmark, preset, record_figure):
     figure = benchmark.pedantic(
-        ext_and_semantics, args=(preset,), rounds=1, iterations=1
+        run_figure, args=("ext2", preset), rounds=1, iterations=1
     )
     record_figure(figure)
     panel = figure.panels[0]

@@ -6,12 +6,12 @@ real tweets at k=20) is consumed by postings beyond their keyword's top-k
 drives the snapshot toward "every keyword holds exactly k".
 """
 
-from repro.experiments.figures import fig1_snapshot
+from repro.experiments.figures import run_figure
 
 
 def test_fig1_snapshot(benchmark, preset, record_figure):
     figure = benchmark.pedantic(
-        fig1_snapshot, args=(preset,), rounds=1, iterations=1
+        run_figure, args=("fig1", preset), rounds=1, iterations=1
     )
     record_figure(figure)
     panel = figure.panels[0]

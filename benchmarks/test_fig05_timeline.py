@@ -7,12 +7,12 @@ while the full three-phase policy settles into freeing the configured
 budget every cycle (Fig 5b).
 """
 
-from repro.experiments.figures import fig5_timeline
+from repro.experiments.figures import run_figure
 
 
 def test_fig5_timeline(benchmark, preset, record_figure):
     figure = benchmark.pedantic(
-        fig5_timeline, args=(preset,), rounds=1, iterations=1
+        run_figure, args=("fig5", preset), rounds=1, iterations=1
     )
     record_figure(figure)
     panel = figure.panels[0]

@@ -9,12 +9,12 @@ kFlushing advantage is largest at tight memory budgets.
 
 from conftest import series_at
 
-from repro.experiments.figures import fig7_k_filled
+from repro.experiments.figures import run_figure
 
 
 def test_fig7_k_filled(benchmark, preset, record_figure):
     figure = benchmark.pedantic(
-        fig7_k_filled, args=(preset,), rounds=1, iterations=1
+        run_figure, args=("fig7", preset), rounds=1, iterations=1
     )
     record_figure(figure)
     by_id = {panel.panel_id: panel for panel in figure.panels}

@@ -10,12 +10,12 @@ by serving AND queries from memory.
 
 from conftest import series_at
 
-from repro.experiments.figures import fig8_hit_correlated
+from repro.experiments.figures import run_figure
 
 
 def test_fig8_hit_correlated(benchmark, preset, record_figure):
     figure = benchmark.pedantic(
-        fig8_hit_correlated, args=(preset,), rounds=1, iterations=1
+        run_figure, args=("fig8", preset), rounds=1, iterations=1
     )
     record_figure(figure)
     by_id = {panel.panel_id: panel for panel in figure.panels}

@@ -10,12 +10,12 @@ and 26-240% over LRU.
 
 from conftest import series_at
 
-from repro.experiments.figures import fig9_hit_uniform
+from repro.experiments.figures import run_figure
 
 
 def test_fig9_hit_uniform(benchmark, preset, record_figure):
     figure = benchmark.pedantic(
-        fig9_hit_uniform, args=(preset,), rounds=1, iterations=1
+        run_figure, args=("fig9", preset), rounds=1, iterations=1
     )
     record_figure(figure)
     by_id = {panel.panel_id: panel for panel in figure.panels}

@@ -14,9 +14,11 @@ policies (LRU, kFlushing-MK) pay a clear penalty against plain
 kFlushing.  See EXPERIMENTS.md for the deviation discussion.
 """
 
+import dataclasses
+
 from conftest import series_at
 
-from repro.experiments.figures import fig10_overhead
+from repro.experiments.figures import FIGURES, run_figure
 
 
 #: Per-k wall-clock rates at tiny scale still jitter a few percent even
@@ -30,13 +32,12 @@ def _mean_series(panel, name):
 
 
 def test_fig10_overhead(benchmark, preset, record_figure):
-    # Panel (b) is a wall-clock measurement, so single-seed runs are
-    # noisy at tiny scale; averaging the digestion rate over 5 seeds
-    # keeps the ordering assertions below stable.
+    # Both panels read wall-clock-paced runs, so single-seed runs are
+    # noisy at tiny scale; averaging every point over 5 seeds keeps the
+    # ordering assertions below stable.
     figure = benchmark.pedantic(
-        fig10_overhead,
-        args=(preset,),
-        kwargs={"digestion_seeds": 5},
+        run_figure,
+        args=(dataclasses.replace(FIGURES["fig10"], seeds=5), preset),
         rounds=1,
         iterations=1,
     )

@@ -11,12 +11,12 @@ to plain kFlushing (Section V-D).
 
 from conftest import series_at
 
-from repro.experiments.figures import fig11_spatial
+from repro.experiments.figures import run_figure
 
 
 def test_fig11_spatial(benchmark, preset, record_figure):
     figure = benchmark.pedantic(
-        fig11_spatial, args=(preset,), rounds=1, iterations=1
+        run_figure, args=("fig11", preset), rounds=1, iterations=1
     )
     record_figure(figure)
     by_id = {panel.panel_id: panel for panel in figure.panels}

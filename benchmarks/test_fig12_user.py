@@ -9,12 +9,12 @@ active users produce more useless beyond-top-k microblogs).
 
 from conftest import series_at
 
-from repro.experiments.figures import fig12_user
+from repro.experiments.figures import run_figure
 
 
 def test_fig12_user(benchmark, preset, record_figure):
     figure = benchmark.pedantic(
-        fig12_user, args=(preset,), rounds=1, iterations=1
+        run_figure, args=("fig12", preset), rounds=1, iterations=1
     )
     record_figure(figure)
     by_id = {panel.panel_id: panel for panel in figure.panels}

@@ -7,12 +7,10 @@ Subcommands
 ``run --figure fig7 [--scale small] [--seed 42] [--jobs 4] [--shards 4] [--metrics-out m.jsonl]``
     Run one figure experiment (or ``all``) and print its tables;
     ``--jobs`` fans the figure's trial grid out over worker processes
-    (results are identical to a serial run); ``--shards`` hash-partitions
-    each trial's system over N shards; ``--metrics-out``
-    streams every instrumentation event of the run (flush spans, query
-    events, final snapshot) to a JSONL file — parallel workers write
-    per-trial metric shards that are merged into the same file after the
-    pool drains.
+    (results, metrics and events are those of a serial run);
+    ``--shards`` hash-partitions each trial's system over N shards;
+    ``--metrics-out`` streams every instrumentation event of the run
+    (flush spans, query events, final snapshot) to a JSONL file.
 ``stats [--shards 4]``
     Run a tiny synthetic workload and dump the instrumentation registry
     (flush phase spans, per-mode query counters, disk I/O, ingest-stall
@@ -44,19 +42,22 @@ Subcommands
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 import time
+from contextlib import nullcontext
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args, get_type_hints
 
 from repro.config import SystemConfig
+from repro.core import policy_names
 from repro.engine.sharded import build_system
 from repro.engine.system import MicroblogSystem
-from repro.experiments.figures import ALL_FIGURES
-from repro.experiments.parallel import resolve_jobs
+from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.report import format_miss_attribution, print_figure
+from repro.experiments.runner import TrialSpec
 from repro.experiments.scale import PRESETS, SMALL
 from repro.obs import (
     Instrumentation,
@@ -80,160 +81,170 @@ from repro.workload.stream import MicroblogStream, StreamConfig
 
 __all__ = ["main"]
 
+#: Config fields exposed as flags: field -> (flag, metavar, help).  The
+#: argparse type and default come from the field itself, so a flag cannot
+#: drift from the ``SystemConfig`` / ``TrialSpec`` field it sets.
+CONFIG_FLAGS = {
+    "policy": ("--policy", None, "flushing policy"),
+    "k": ("--k", None, "top-k answer size"),
+    "memory_capacity_bytes": (
+        "--capacity-bytes",
+        None,
+        "modelled memory budget (small by default so flushes happen)",
+    ),
+    "shards": (
+        "--shards",
+        None,
+        "hash-partition each system over N shards (total memory budget "
+        "split N ways; 1 = the paper's single partition; adds shard.<i>.* "
+        "series)",
+    ),
+    "slo_spec": (
+        "--slo",
+        "SPEC",
+        "SLO spec (JSON file path or inline JSON object): every system "
+        "tracks its error budgets at flush boundaries; run exits non-zero "
+        "when the aggregate registry violates any objective; with an ops "
+        "endpoint also turns on /slo and breach-aware /healthz",
+    ),
+    "flight_recorder_events": (
+        "--flight-recorder",
+        "N",
+        "keep the last N instrumentation events in a flight-recorder ring "
+        "per system; an SLO breach dumps them plus the registry and SLO "
+        "state as JSONL (0 = off, zero overhead)",
+    ),
+    "flight_recorder_path": (
+        "--flight-recorder-dump",
+        "PATH",
+        "where breach dumps are written (default: "
+        "flight_recorder_dump.jsonl in the working directory)",
+    ),
+}
+RUN_FIELDS = ("shards", "slo_spec", "flight_recorder_events", "flight_recorder_path")
+STATS_FIELDS = ("policy", "k", "memory_capacity_bytes", "shards")
+SERVE_FIELDS = ("policy", "shards", "slo_spec", "flight_recorder_events")
+
+#: The small system ``stats``, ``serve`` and ``demo`` drive: a budget a
+#: few thousand records overflow, so flushes happen within seconds.
+BASE_CONFIG = SystemConfig(
+    memory_capacity_bytes=2_000_000, and_scan_depth=500, and_disk_limit=500
+)
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, base, names: Sequence[str]) -> None:
+    """Add the :data:`CONFIG_FLAGS` of ``names`` for fields of ``base``
+    (a dataclass, or an instance whose values become the defaults)."""
+    hints = get_type_hints(base if isinstance(base, type) else type(base))
+    for name in names:
+        flag, metavar, help_text = CONFIG_FLAGS[name]
+        # The scalar a flag parses: the field's type, or the str/int/float
+        # member of an Optional / Union annotation.
+        hint = hints[name]
+        scalar = next(t for t in get_args(hint) or (hint,) if t in (str, int, float))
+        parser.add_argument(
+            flag,
+            dest=name,
+            type=scalar,
+            default=getattr(base, name),
+            choices=policy_names() if name == "policy" else None,
+            metavar=metavar,
+            help=help_text,
+        )
+
+
+def _config_values(args: argparse.Namespace, names: Sequence[str]) -> dict:
+    return {name: getattr(args, name) for name in names}
+
 
 def _cmd_list(_args: argparse.Namespace) -> int:
     print("figures:")
-    for name, fn in sorted(ALL_FIGURES.items()):
-        doc = (fn.__doc__ or "").strip().splitlines()
-        print(f"  {name:7s} {doc[0] if doc else ''}")
+    for name, row in sorted(FIGURES.items()):
+        print(f"  {name:7s} {row.title}")
     print("scale presets:", ", ".join(sorted(PRESETS)))
     return 0
 
 
-def _figure_kwargs(
-    fn,
-    seed: int,
-    jobs: int,
-    shards: int = 1,
-    slo_spec: Optional[str] = None,
-    flight_recorder_events: int = 0,
-    flight_recorder_path: Optional[str] = None,
-) -> tuple[dict, list[str]]:
-    """Keyword arguments for one figure function, and the flags it cannot take.
+def _slo_verdict(report: dict, check: bool = False, as_json: bool = False) -> int:
+    """Print an SLO evaluation and its verdict line; return the exit code.
 
-    ``jobs``, ``shards`` and the service-level options are forwarded only to figures whose signatures
-    support them (the extension experiments, for instance, run serially;
-    fig5 is an engine-level experiment with no sharded variant).  A flag that was
-    set but has no such parameter is returned by its CLI spelling, so
-    the caller can say the figure ran without it.
+    Violations fail; objectives with no data fail only under ``check``.
     """
-    # name -> (flag, value, the default every figure already has); a missing
-    # string counts as "", so one ``>`` decides for ints, bools and paths.
-    offered = {
-        "jobs": ("--jobs", jobs, 1),
-        "shards": ("--shards", shards, 1),
-        "slo_spec": ("--slo", slo_spec or "", ""),
-        "flight_recorder_events": ("--flight-recorder", flight_recorder_events, 0),
-        # The dump path means nothing without the recorder itself.
-        "flight_recorder_path": (
-            "--flight-recorder-dump",
-            (flight_recorder_events > 0 and flight_recorder_path) or "",
-            "",
-        ),
-    }
-    kwargs = {"seed": seed}
-    ignored = []
-    params = inspect.signature(fn).parameters
-    for name, (flag, value, default) in offered.items():
-        if value > default:
-            if name in params:
-                kwargs[name] = value
+    objectives = report["objectives"]
+    if as_json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        print("-- SLO report --")
+        for obj in objectives:
+            if obj["no_data"]:
+                status, shown = "NO DATA", "-"
             else:
-                ignored.append(flag)
-    return kwargs, ignored
-
-
-def _print_slo_report(report: dict) -> int:
-    """Render a one-shot SLO evaluation; returns the violation count."""
-    violations = 0
-    print("-- SLO report --")
-    for obj in report["objectives"]:
-        if obj["no_data"]:
-            status, shown = "NO DATA", "-"
-        elif obj["ok"]:
-            status, shown = "ok", f"{obj['value']:g}"
-        else:
-            status, shown = "VIOLATED", f"{obj['value']:g}"
-            violations += 1
-        print(
-            f"  {status:9s} {obj['name']}: {obj['metric']} {obj['op']} "
-            f"{obj['threshold']:g} (observed {shown})"
-        )
-    return violations
+                status, shown = ("ok" if obj["ok"] else "VIOLATED"), f"{obj['value']:g}"
+            print(
+                f"  {status:9s} {obj['name']}: {obj['metric']} {obj['op']} "
+                f"{obj['threshold']:g} (observed {shown})"
+            )
+    violations = sum(1 for obj in objectives if not obj["no_data"] and not obj["ok"])
+    no_data = sum(1 for obj in objectives if obj["no_data"])
+    if violations:
+        print(f"[slo: {violations} objective(s) violated]")
+        return 1
+    if no_data:
+        print(f"[slo: {no_data} objective(s) had no data]")
+        # --check is the CI gate: an objective that silently never
+        # measured anything must fail loudly, not pass vacuously.
+        return 1 if check else 0
+    print("[slo: all objectives met]")
+    return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     preset = PRESETS[args.scale]
-    names = sorted(ALL_FIGURES) if args.figure == "all" else [args.figure]
+    names = sorted(FIGURES) if args.figure == "all" else [args.figure]
+    overrides = {
+        name: value
+        for name, value in _config_values(args, RUN_FIELDS).items()
+        if value != getattr(TrialSpec, name)
+    }
+    # Fail fast: a malformed spec should die before hours of trials.
+    slo_spec = SLOSpec.parse(args.slo_spec) if args.slo_spec else None
     obs: Optional[Instrumentation] = None
-    jobs = resolve_jobs(args.jobs)
-    slo_spec: Optional[SLOSpec] = None
-    if args.slo:
-        # Fail fast: a malformed spec should die before hours of trials.
-        slo_spec = SLOSpec.parse(args.slo)
-    if args.metrics_out:
-        # Parallel workers write per-trial metric shards that run_trials
-        # merges back into this sink's file, so --jobs stays effective.
-        # Metrics-collecting runs get the full observability surface:
-        # trace trees and eviction-cause miss attribution.
+    if args.metrics_out or slo_spec is not None or args.serve is not None:
+        # Every system of the run, in this process or a worker, reports to
+        # one registry: the miss table, the SLO verdict and /metrics read
+        # it.  Metrics-collecting runs also get trace trees; they and SLO
+        # runs get eviction-cause miss attribution.
         obs = Instrumentation(
-            sink=JsonlSink(args.metrics_out), tracing=True, attribution=True
+            sink=JsonlSink(args.metrics_out) if args.metrics_out else None,
+            tracing=bool(args.metrics_out),
+            attribution=bool(args.metrics_out) or slo_spec is not None,
         )
-    elif slo_spec is not None:
-        # The end-of-run SLO verdict needs every system of the run on one
-        # shared registry even when no events file was requested.
-        obs = Instrumentation(attribution=True)
     server = None
     if args.serve is not None:
         from repro.obs import OpsServer
 
-        serve_registry = obs.registry if obs is not None else MetricsRegistry()
-        if obs is None:
-            # Figures must still share one registry so /metrics has data.
-            obs = Instrumentation(registry=serve_registry)
         slo_provider = None
         if slo_spec is not None:
-            spec = slo_spec
-
-            def slo_provider() -> dict:
-                return evaluate_registry(spec, serve_registry)
-
-        server = OpsServer(
-            serve_registry, port=args.serve, slo_provider=slo_provider
-        ).start()
-        endpoints = "/metrics /snapshot /healthz" + (
-            " /slo" if slo_provider is not None else ""
-        )
+            slo_provider = partial(evaluate_registry, slo_spec, obs.registry)
+        server = OpsServer(obs.registry, port=args.serve, slo_provider=slo_provider).start()
+        endpoints = "/metrics /snapshot /healthz" + (" /slo" if slo_spec else "")
         print(f"[ops endpoint live at {server.url} — {endpoints}]")
     exit_code = 0
     try:
         for name in names:
-            fn = ALL_FIGURES[name]
-            kwargs, ignored = _figure_kwargs(
-                fn,
-                args.seed,
-                jobs,
-                args.shards,
-                slo_spec=args.slo,
-                flight_recorder_events=args.flight_recorder,
-                flight_recorder_path=args.flight_recorder_dump,
-            )
+            ignored = [CONFIG_FLAGS[f][0] for f in overrides if f in FIGURES[name].ignores]
             if ignored:
                 print(
                     f"[{name}: {', '.join(ignored)} not supported by this "
                     "figure; ignored]"
                 )
             start = time.perf_counter()
-            if obs is not None:
-                # Every system built inside the figure shares this registry
-                # and streams its events to the JSONL sink.
-                with activated(obs):
-                    figure = fn(preset, **kwargs)
-            else:
-                figure = fn(preset, **kwargs)
+            with activated(obs) if obs is not None else nullcontext():
+                figure = run_figure(name, preset, args.seed, args.jobs, **overrides)
             elapsed = time.perf_counter() - start
             print_figure(figure)
             print(f"[{name} completed in {elapsed:.1f}s at scale={preset.name}]\n")
-        if obs is not None and args.metrics_out:
-            # Parallel trials ship their registries as trial_snapshot
-            # events inside the merged file; fold them into the parent
-            # registry so the run snapshot (and the miss table) covers
-            # worker trials too.  Serial runs shared the registry
-            # directly and left no trial_snapshot events, so this no-ops.
-            if Path(args.metrics_out).exists():
-                merge_snapshot_events(
-                    args.metrics_out, obs.registry, types=("trial_snapshot",)
-                )
+        if args.metrics_out:
             causes = obs.registry.counter_values("query.miss.cause.")
             if causes:
                 print(format_miss_attribution(causes))
@@ -241,17 +252,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             obs.event("run_snapshot", figures=names, metrics=obs.registry.snapshot())
             obs.close()
             print(f"[metrics written to {args.metrics_out}]")
-        if slo_spec is not None and obs is not None:
+        if slo_spec is not None:
             # One-shot verdict over the whole run (the per-system
             # SLOTrackers already ticked at flush boundaries; this is the
             # CI-facing aggregate over the shared registry).
-            report = evaluate_registry(slo_spec, obs.registry)
-            violations = _print_slo_report(report)
-            if violations:
-                print(f"[slo: {violations} objective(s) violated]")
-                exit_code = 1
-            else:
-                print("[slo: all objectives met]")
+            exit_code = _slo_verdict(evaluate_registry(slo_spec, obs.registry))
     finally:
         if server is not None:
             server.stop()
@@ -340,27 +345,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: could not load metrics: {exc}")
         return 2
-    report = evaluate_registry(spec, registry)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        violations = sum(
-            1 for obj in report["objectives"] if not obj["no_data"] and not obj["ok"]
-        )
-    else:
-        violations = _print_slo_report(report)
-    no_data = sum(1 for obj in report["objectives"] if obj["no_data"])
-    if violations:
-        print(f"[slo: {violations} objective(s) violated]")
-        return 1
-    if no_data:
-        print(f"[slo: {no_data} objective(s) had no data]")
-        if args.check:
-            # --check is the CI gate: an objective that silently never
-            # measured anything must fail loudly, not pass vacuously.
-            return 1
-        return 0
-    print("[slo: all objectives met]")
-    return 0
+    return _slo_verdict(evaluate_registry(spec, registry), args.check, args.json)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -368,24 +353,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs import OpsServer
 
     obs = Instrumentation(attribution=True)
-    config = SystemConfig(
-        policy=args.policy,
-        k=20,
-        memory_capacity_bytes=2_000_000,
-        and_scan_depth=500,
-        and_disk_limit=500,
-        shards=args.shards,
-        slo_spec=args.slo,
-        flight_recorder_events=args.flight_recorder,
-    )
+    config = replace(BASE_CONFIG, **_config_values(args, SERVE_FIELDS))
     system = build_system(config, obs=obs)
     server = OpsServer(
         system.obs.registry,
         port=args.port,
         snapshot_provider=system.snapshot,
-        slo_provider=system.slo_state if args.slo else None,
+        slo_provider=system.slo_state if args.slo_spec else None,
     ).start()
-    endpoints = "/metrics /snapshot /healthz" + (" /slo" if args.slo else "")
+    endpoints = "/metrics /snapshot /healthz" + (" /slo" if args.slo_spec else "")
     print(f"[serving {endpoints} at {server.url}]")
     if args.duration > 0:
         print(f"[driving a {args.policy} workload for {args.duration:.0f}s ...]")
@@ -422,14 +398,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         tracing=bool(args.events_out),
         attribution=True,
     )
-    config = SystemConfig(
-        policy=args.policy,
-        k=args.k,
-        memory_capacity_bytes=args.capacity_bytes,
-        and_scan_depth=500,
-        and_disk_limit=500,
-        shards=args.shards,
-    )
+    config = replace(BASE_CONFIG, **_config_values(args, STATS_FIELDS))
     system = build_system(config, obs=obs)
     stream = MicroblogStream(
         StreamConfig(seed=args.seed, vocabulary_size=5_000, with_locations=False)
@@ -472,14 +441,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_demo(_args: argparse.Namespace) -> int:
     print("Comparing FIFO and kFlushing on the same synthetic stream ...")
     for policy in ("fifo", "kflushing"):
-        config = SystemConfig(
-            policy=policy,
-            k=20,
-            memory_capacity_bytes=2_000_000,
-            and_scan_depth=500,
-            and_disk_limit=500,
-        )
-        system = MicroblogSystem(config)
+        system = MicroblogSystem(replace(BASE_CONFIG, policy=policy))
         stream = MicroblogStream(
             StreamConfig(seed=7, vocabulary_size=5_000, with_locations=False)
         )
@@ -518,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--figure",
         default="all",
-        choices=sorted(ALL_FIGURES) + ["all"],
+        choices=sorted(FIGURES) + ["all"],
         help="which paper figure to regenerate",
     )
     run.add_argument(
@@ -528,29 +490,17 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--jobs",
         type=int,
-        default=None,
-        help=(
-            "worker processes for the trial grid (default: REPRO_JOBS env "
-            "or 1; negative = all cores); results match a serial run"
-        ),
-    )
-    run.add_argument(
-        "--shards",
-        type=int,
         default=1,
         help=(
-            "hash-partition each trial's system over N shards (total "
-            "memory budget split N ways; 1 = the paper's single partition)"
+            "worker processes for the trial grid (negative = all cores); "
+            "results, metrics and events match a serial run"
         ),
     )
     run.add_argument(
         "--metrics-out",
         default=None,
         metavar="PATH",
-        help=(
-            "stream instrumentation events of the run to this JSONL file "
-            "(works with --jobs: worker metric shards are merged in)"
-        ),
+        help="stream instrumentation events of the run to this JSONL file",
     )
     run.add_argument(
         "--serve",
@@ -562,67 +512,18 @@ def build_parser() -> argparse.ArgumentParser:
             "duration of the run (0 = OS-assigned)"
         ),
     )
-    run.add_argument(
-        "--slo",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "SLO spec (JSON file path or inline JSON object): every "
-            "system of the run tracks its error budgets at flush "
-            "boundaries, and the run exits non-zero when the aggregate "
-            "registry violates any objective; with --serve also turns "
-            "on /slo and breach-aware /healthz"
-        ),
-    )
-    run.add_argument(
-        "--flight-recorder",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "keep the last N instrumentation events in a flight-recorder "
-            "ring per system; an SLO breach dumps them plus the registry "
-            "and SLO state as JSONL (0 = off, zero overhead)"
-        ),
-    )
-    run.add_argument(
-        "--flight-recorder-dump",
-        default=None,
-        metavar="PATH",
-        help=(
-            "where breach dumps are written (default: "
-            "flight_recorder_dump.jsonl in the working directory)"
-        ),
-    )
+    _add_config_flags(run, TrialSpec, RUN_FIELDS)
     run.set_defaults(fn=_cmd_run)
 
     stats = sub.add_parser(
         "stats", help="run a tiny workload and dump the metrics registry"
     )
-    stats.add_argument(
-        "--policy",
-        default="kflushing",
-        choices=("fifo", "kflushing", "kflushing-mk", "lru"),
-        help="flushing policy to exercise",
-    )
+    _add_config_flags(stats, BASE_CONFIG, STATS_FIELDS)
     stats.add_argument("--records", type=int, default=20_000, help="records to ingest")
     stats.add_argument(
         "--queries", type=int, default=2_000, help="queries interleaved with ingestion"
     )
-    stats.add_argument("--k", type=int, default=20, help="top-k answer size")
-    stats.add_argument(
-        "--capacity-bytes",
-        type=int,
-        default=2_000_000,
-        help="modelled memory budget (small by default so flushes happen)",
-    )
     stats.add_argument("--seed", type=int, default=42, help="workload seed")
-    stats.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="hash-partition the system over N shards (adds shard.<i>.* series)",
-    )
     stats.add_argument(
         "--format",
         default="json",
@@ -705,41 +606,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=8080, help="HTTP port (0 = OS-assigned)"
     )
-    serve.add_argument(
-        "--policy",
-        default="kflushing",
-        choices=("fifo", "kflushing", "kflushing-mk", "lru"),
-        help="flushing policy to drive",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=1, help="hash-partition over N shards"
-    )
+    _add_config_flags(serve, BASE_CONFIG, SERVE_FIELDS)
     serve.add_argument("--seed", type=int, default=42, help="workload seed")
     serve.add_argument(
         "--duration",
         type=float,
         default=0.0,
         help="seconds to run before exiting (0 = until interrupted)",
-    )
-    serve.add_argument(
-        "--slo",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "SLO spec (JSON file or inline JSON): the system tracks "
-            "error budgets at flush boundaries and serves /slo; /healthz "
-            "turns 503 while any budget is exhausted"
-        ),
-    )
-    serve.add_argument(
-        "--flight-recorder",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "flight-recorder ring of the last N events; SLO breaches "
-            "dump it as JSONL (0 = off)"
-        ),
     )
     serve.set_defaults(fn=_cmd_serve)
 

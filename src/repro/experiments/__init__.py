@@ -1,27 +1,17 @@
-"""Experiment harness: scaling presets, trial runner, per-figure sweeps."""
+"""Experiment harness: scaling presets, trial runner, the figure table."""
 
+from repro.experiments.export import export_figure, figure_to_dict
 from repro.experiments.figures import (
-    ALL_FIGURES,
+    FIGURES,
+    Figure,
     FigureResult,
+    Sweep,
     SweepResult,
     TableResult,
-    fig1_snapshot,
-    fig5_timeline,
-    fig7_k_filled,
-    fig8_hit_correlated,
-    fig9_hit_uniform,
-    fig10_overhead,
-    fig11_spatial,
-    fig12_user,
+    run_figure,
 )
-from repro.experiments.export import export_figure, figure_to_dict
-from repro.experiments.extensions import ext_and_semantics, ext_skew_sensitivity
-from repro.experiments.figures import ALL_FIGURES as _registry
-from repro.experiments.report import format_figure, format_panel, print_figure
-
-_registry.setdefault("ext1", ext_skew_sensitivity)
-_registry.setdefault("ext2", ext_and_semantics)
 from repro.experiments.parallel import resolve_jobs, run_trials
+from repro.experiments.report import format_figure, format_panel, print_figure
 from repro.experiments.runner import (
     TrialResult,
     TrialSpec,
@@ -38,35 +28,28 @@ from repro.experiments.scale import (
 )
 
 __all__ = [
-    "ALL_FIGURES",
+    "FIGURES",
     "FULL",
+    "Figure",
     "FigureResult",
     "PRESETS",
     "SMALL",
     "ScalePreset",
+    "Sweep",
     "SweepResult",
     "TINY",
     "TableResult",
     "TrialResult",
     "TrialSpec",
     "export_figure",
-    "ext_and_semantics",
-    "ext_skew_sensitivity",
     "figure_to_dict",
-    "fig1_snapshot",
-    "fig5_timeline",
-    "fig7_k_filled",
-    "fig8_hit_correlated",
-    "fig9_hit_uniform",
-    "fig10_overhead",
-    "fig11_spatial",
-    "fig12_user",
     "format_figure",
     "format_panel",
     "preset_from_env",
     "print_figure",
     "resolve_jobs",
     "run_digestion_stress",
+    "run_figure",
     "run_trial",
     "run_trials",
 ]

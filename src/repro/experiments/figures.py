@@ -1,17 +1,21 @@
-"""One experiment definition per figure of the paper's evaluation.
+"""The paper's evaluation as data: one :data:`FIGURES` row per figure.
 
-Each ``figN`` function runs the sweeps behind the corresponding paper
-figure and returns a :class:`FigureResult` whose panels can be printed
-with :mod:`repro.experiments.report`.  The ``expectation`` string on each
-panel records the paper's qualitative shape, which is what this
-reproduction is judged against (absolute numbers belong to the authors'
-testbed; see EXPERIMENTS.md).
+Section V of the paper is one parameter grid — policy × {k, flushing
+budget B, memory budget} × {correlated, uniform} load × {keyword,
+spatial, user} attribute — and this module declares it that way.  A
+:class:`Figure` row names its trials (:meth:`Figure.grid`), the runner
+that measures each one, and how the results fold into the
+:class:`FigureResult` that :mod:`repro.experiments.report` prints; its
+sweep panels are :class:`Sweep` values.  :func:`run_figure` runs any
+row.  The ``expectation`` string on each panel records the paper's
+qualitative shape, which is what this reproduction is judged against
+(absolute numbers belong to the authors' testbed; see EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from repro.config import SystemConfig
 from repro.engine.system import MicroblogSystem
@@ -22,29 +26,16 @@ from repro.experiments.runner import (
     run_digestion_stress,
     run_trial,
 )
-from repro.experiments.scale import (
-    PAPER_FLUSH_BUDGET,
-    PAPER_K,
-    PAPER_MEMORY_GB,
-    SMALL,
-    ScalePreset,
-)
-from repro.workload.stream import MicroblogStream, StreamConfig
+from repro.experiments.scale import SMALL, ScalePreset
 
 __all__ = [
+    "Figure",
+    "FigureResult",
+    "FIGURES",
+    "Sweep",
     "SweepResult",
     "TableResult",
-    "FigureResult",
-    "fig1_snapshot",
-    "fig5_timeline",
-    "fig7_k_filled",
-    "fig8_hit_correlated",
-    "fig9_hit_uniform",
-    "fig10_overhead",
-    "fig11_spatial",
-    "fig12_user",
-    "shard_sweep",
-    "ALL_FIGURES",
+    "run_figure",
 ]
 
 ALL_POLICIES = ("fifo", "kflushing", "kflushing-mk", "lru")
@@ -54,9 +45,10 @@ SINGLE_KEY_POLICIES = ("fifo", "kflushing", "lru")
 
 K_SWEEP = (5, 10, 20, 40, 60, 80, 100)
 K_SWEEP_SHORT = (5, 20, 40, 60, 80, 100)
-BUDGET_SWEEP = (0.2, 0.4, 0.6, 0.8, 1.0)
+BUDGET_SWEEP_PCT = tuple(100 * b for b in (0.2, 0.4, 0.6, 0.8, 1.0))
 MEMORY_SWEEP_GB = (10.0, 20.0, 30.0, 40.0, 50.0)
 SHARD_SWEEP = (1, 2, 4, 8)
+ZIPF_SWEEP = (0.0, 0.4, 0.7, 1.0, 1.2)
 
 
 @dataclass
@@ -95,52 +87,125 @@ class FigureResult:
     panels: list[Panel] = field(default_factory=list)
 
 
-def _sweep(
-    panel_id: str,
-    title: str,
-    x_label: str,
-    y_label: str,
-    xs: Sequence[float],
-    policies: Sequence[str],
-    spec_for: Callable[[str, float], TrialSpec],
-    measure: Callable[[TrialResult], float],
-    expectation: str,
-    runner: Callable[[TrialSpec], TrialResult] = run_trial,
-    jobs: int = 1,
-) -> SweepResult:
-    # Build the whole (x, policy) grid up front and hand it to the
-    # (optionally process-parallel) trial runner; results come back in
-    # grid order, so the per-series append order matches the old loops.
-    grid = [(x, policy) for x in xs for policy in policies]
-    results = run_trials(
-        [spec_for(policy, x) for x, policy in grid], jobs=jobs, runner=runner
-    )
-    series: dict[str, list[float]] = {policy: [] for policy in policies}
-    for (_x, policy), result in zip(grid, results):
-        series[policy].append(measure(result))
-    return SweepResult(
-        panel_id=panel_id,
-        title=title,
-        x_label=x_label,
-        y_label=y_label,
-        xs=list(xs),
-        series=series,
-        expectation=expectation,
+def _identity(x):
+    return x
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One sweep panel as data: every series measured at every x.
+
+    The trial at ``(x, label)`` is the figure's base spec plus
+    ``series[label]``, with the ``axis`` field set to ``value(x)``.
+    ``derived`` series are computed from the measured ones afterwards.
+    """
+
+    panel_id: str
+    title: str
+    x_label: str
+    y_label: str
+    axis: str
+    xs: tuple
+    series: Mapping[str, Mapping[str, object]]
+    measure: Callable[[TrialResult], float]
+    expectation: str
+    value: Callable[[float], object] = _identity
+    derived: Mapping[str, Callable[[dict[str, list[float]]], list[float]]] = field(
+        default_factory=dict
     )
 
 
-# ----------------------------------------------------------------------
-# Section V-A / Figure 1: snapshot of in-memory contents
-# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Figure:
+    """One row of :data:`FIGURES`."""
 
-def fig1_snapshot(
+    name: str
+    title: str
+    panels: tuple[Sweep, ...] = ()
+    #: TrialSpec fields shared by every trial of the figure.
+    base: Mapping[str, object] = field(default_factory=dict)
+    runner: Callable[..., TrialResult] = run_trial
+    #: Each grid point runs under seeds ``seed .. seed + seeds - 1`` and
+    #: its panels report the mean of the measure.
+    seeds: int = 1
+    #: TrialSpec fields this figure cannot take as overrides.
+    ignores: frozenset[str] = frozenset()
+    #: A figure that drives systems directly instead of a trial grid:
+    #: ``body(preset, seed, **overrides) -> list[Panel]``.
+    body: Optional[Callable[..., list[Panel]]] = None
+
+    def grid(self, preset: ScalePreset, seed: int) -> list[TrialSpec]:
+        """Every trial of the figure, panel by panel, x by x, series by
+        series, seed by seed (the order :meth:`reduce` reads)."""
+        return [
+            TrialSpec(
+                **{**self.base, **overrides, sweep.axis: sweep.value(x)},
+                scale=preset,
+                seed=s,
+            )
+            for sweep in self.panels
+            for x in sweep.xs
+            for overrides in sweep.series.values()
+            for s in range(seed, seed + self.seeds)
+        ]
+
+    def reduce(self, results: Sequence[TrialResult]) -> list[Panel]:
+        """Fold results, in :meth:`grid` order, into the figure's panels."""
+        measured = iter(results)
+        panels: list[Panel] = []
+        for sweep in self.panels:
+            series: dict[str, list[float]] = {label: [] for label in sweep.series}
+            for _x in sweep.xs:
+                for values in series.values():
+                    point = [sweep.measure(next(measured)) for _ in range(self.seeds)]
+                    values.append(sum(point) / len(point))
+            for label, derive in sweep.derived.items():
+                series[label] = derive(series)
+            panels.append(
+                SweepResult(
+                    sweep.panel_id,
+                    sweep.title,
+                    sweep.x_label,
+                    sweep.y_label,
+                    list(sweep.xs),
+                    series,
+                    sweep.expectation,
+                )
+            )
+        return panels
+
+
+def run_figure(
+    figure: Union[str, Figure],
     preset: ScalePreset = SMALL,
     seed: int = 42,
-    shards: int = 1,
-    slo_spec: Optional[str] = None,
-    flight_recorder_events: int = 0,
-    flight_recorder_path: Optional[str] = None,
+    jobs: int = 1,
+    **overrides,
 ) -> FigureResult:
+    """Run one figure — a :data:`FIGURES` name or a :class:`Figure` row.
+
+    ``overrides`` (TrialSpec field names) apply to every trial; those the
+    row ``ignores`` are dropped.  The deduplicated grid runs once through
+    :func:`~repro.experiments.parallel.run_trials` over ``jobs`` worker
+    processes, with results identical to a serial run.
+    """
+    row = FIGURES[figure] if isinstance(figure, str) else figure
+    overrides = {name: v for name, v in overrides.items() if name not in row.ignores}
+    if row.body is not None:
+        panels = row.body(preset, seed, **overrides)
+    else:
+        specs = [replace(spec, **overrides) for spec in row.grid(preset, seed)]
+        unique = list(dict.fromkeys(specs))
+        by_spec = dict(zip(unique, run_trials(unique, jobs=jobs, runner=row.runner)))
+        panels = row.reduce([by_spec[spec] for spec in specs])
+    return FigureResult(row.name, row.title, panels)
+
+
+# ----------------------------------------------------------------------
+# Bodies of the two figures that drive a system directly
+# ----------------------------------------------------------------------
+
+def _fig1_snapshot(preset: ScalePreset, seed: int, **overrides) -> list[Panel]:
     """Memory-content snapshots under temporal flushing vs kFlushing.
 
     Reproduces the paper's motivating observation: under temporal (FIFO)
@@ -151,15 +216,7 @@ def fig1_snapshot(
     """
     rows: list[list] = []
     for policy in ("fifo", "kflushing"):
-        spec = TrialSpec(
-            policy=policy,
-            scale=preset,
-            seed=seed,
-            shards=shards,
-            slo_spec=slo_spec,
-            flight_recorder_events=flight_recorder_events,
-            flight_recorder_path=flight_recorder_path,
-        )
+        spec = TrialSpec(policy=policy, scale=preset, seed=seed, **overrides)
         system = spec.build_system()
         stream = spec.build_stream()
         while (
@@ -195,38 +252,30 @@ def fig1_snapshot(
                 system.k_filled_count(),
             ]
         )
-    return FigureResult(
-        figure_id="fig1",
-        title="Snapshot of in-memory contents (Sec V-A / Fig 1)",
-        panels=[
-            TableResult(
-                panel_id="fig1",
-                title="In-memory keyword frequency snapshot at steady state (k=20)",
-                headers=[
-                    "policy",
-                    "postings",
-                    "useless postings (beyond top-k)",
-                    "useless %",
-                    "keys <k",
-                    "keys =k",
-                    "keys >k",
-                    "k-filled keys",
-                ],
-                rows=rows,
-                expectation=(
-                    "FIFO: most postings useless (paper: >75% of memory); "
-                    "kFlushing: useless% near zero, far more k-filled keys."
-                ),
-            )
-        ],
-    )
+    return [
+        TableResult(
+            panel_id="fig1",
+            title="In-memory keyword frequency snapshot at steady state (k=20)",
+            headers=[
+                "policy",
+                "postings",
+                "useless postings (beyond top-k)",
+                "useless %",
+                "keys <k",
+                "keys =k",
+                "keys >k",
+                "k-filled keys",
+            ],
+            rows=rows,
+            expectation=(
+                "FIFO: most postings useless (paper: >75% of memory); "
+                "kFlushing: useless% near zero, far more k-filled keys."
+            ),
+        )
+    ]
 
 
-# ----------------------------------------------------------------------
-# Figure 5: memory consumption behaviour of the phases
-# ----------------------------------------------------------------------
-
-def fig5_timeline(preset: ScalePreset = SMALL, seed: int = 42) -> FigureResult:
+def _fig5_timeline(preset: ScalePreset, seed: int) -> list[Panel]:
     """Per-flush freed fraction: Phase-1-only saturates, full kFlushing
     keeps flushing the budgeted share (Figure 5(a) vs 5(b))."""
     max_flushes = 12
@@ -261,544 +310,350 @@ def fig5_timeline(preset: ScalePreset = SMALL, seed: int = 42) -> FigureResult:
         # memory can be freed by that variant.
         freed.extend([0.0] * (max_flushes - len(freed)))
         series[label] = freed
-    return FigureResult(
-        figure_id="fig5",
-        title="Memory consumption behaviour (Fig 5)",
-        panels=[
-            SweepResult(
-                panel_id="fig5",
-                title="Freed memory per flush operation (% of budgeted capacity)",
-                x_label="flush #",
-                y_label="freed (% of memory)",
-                xs=flush_x,
-                series=series,
-                expectation=(
-                    "phase1-only decays toward zero (saturation, Fig 5a); "
-                    "the full three-phase policy keeps freeing ~the flush "
-                    "budget every time (Fig 5b)."
-                ),
-            )
-        ],
-    )
-
-
-# ----------------------------------------------------------------------
-# Figure 7: k-filled keywords
-# ----------------------------------------------------------------------
-
-def fig7_k_filled(
-    preset: ScalePreset = SMALL,
-    seed: int = 42,
-    jobs: int = 1,
-    shards: int = 1,
-) -> FigureResult:
-    def measure(result: TrialResult) -> float:
-        return float(result.k_filled)
-
-    panels = [
-        _sweep(
-            "fig7a",
-            "k-filled keywords vs k",
-            "k",
-            "k-filled keys",
-            K_SWEEP,
-            ALL_POLICIES,
-            lambda policy, x: TrialSpec(
-                policy=policy,
-                k=int(x),
-                scale=preset,
-                seed=seed,
-                shards=shards,
+    return [
+        SweepResult(
+            panel_id="fig5",
+            title="Freed memory per flush operation (% of budgeted capacity)",
+            x_label="flush #",
+            y_label="freed (% of memory)",
+            xs=flush_x,
+            series=series,
+            expectation=(
+                "phase1-only decays toward zero (saturation, Fig 5a); "
+                "the full three-phase policy keeps freeing ~the flush "
+                "budget every time (Fig 5b)."
             ),
-            measure,
-            "Decreasing in k for all; kFlushing variants several times "
-            "above FIFO and LRU (paper: >=7x FIFO, up to 3x LRU); "
-            "kFlushing-MK slightly below kFlushing.",
-            jobs=jobs,
-        ),
-        _sweep(
-            "fig7b",
-            "k-filled keywords vs flushing budget",
-            "flushing budget (%)",
-            "k-filled keys",
-            [100 * b for b in BUDGET_SWEEP],
-            ALL_POLICIES,
-            lambda policy, x: TrialSpec(
-                policy=policy,
-                flush_budget=x / 100.0,
-                scale=preset,
-                seed=seed,
-                shards=shards,
-            ),
-            measure,
-            "Decreasing in budget; kFlushing variants 8-10x FIFO and "
-            "2-9x LRU across budgets.",
-            jobs=jobs,
-        ),
-        _sweep(
-            "fig7c",
-            "k-filled keywords vs memory budget",
-            "memory budget (GB)",
-            "k-filled keys",
-            MEMORY_SWEEP_GB,
-            ALL_POLICIES,
-            lambda policy, x: TrialSpec(
-                policy=policy,
-                memory_gb=x,
-                scale=preset,
-                seed=seed,
-                shards=shards,
-            ),
-            measure,
-            "kFlushing advantage largest at tight memory (paper: ~13x FIFO "
-            "and ~50x LRU at 10GB), narrowing as memory grows.",
-            jobs=jobs,
-        ),
+        )
     ]
-    return FigureResult("fig7", "Number of memory-hit keywords (Fig 7)", panels)
 
 
 # ----------------------------------------------------------------------
-# Figures 8 and 9: memory hit ratio
+# Measures and sweep building blocks
 # ----------------------------------------------------------------------
 
-def _hit_figure(
+def _policies(names: Sequence[str]) -> dict[str, dict[str, object]]:
+    return {policy: {"policy": policy} for policy in names}
+
+
+def _k_filled(result: TrialResult) -> float:
+    return float(result.k_filled)
+
+
+def _hit(result: TrialResult) -> float:
+    return round(result.hit_percent, 2)
+
+
+def _and_hit(result: TrialResult) -> float:
+    return round(100.0 * result.hit_ratio_by_mode["and"], 2)
+
+
+def _digestion_k(result: TrialResult) -> float:
+    return round(result.effective_digestion_rate / 1000.0, 1)
+
+
+def _overhead_gb(result: TrialResult) -> float:
+    return round(result.policy_overhead_bytes / result.spec.scale.bytes_per_gb, 4)
+
+
+def _percent(x: float) -> float:
+    return x / 100.0
+
+
+def _kflushing_gain(series: dict[str, list[float]]) -> list[float]:
+    return [round(kf - fifo, 2) for kf, fifo in zip(series["kflushing"], series["fifo"])]
+
+
+def _parameter_sweeps(
     figure_id: str,
-    workload_mode: str,
-    preset: ScalePreset,
-    seed: int,
-    expectation: str,
-    jobs: int = 1,
-    shards: int = 1,
-    slo_spec: Optional[str] = None,
-    flight_recorder_events: int = 0,
-    flight_recorder_path: Optional[str] = None,
-) -> FigureResult:
-    service_kwargs = dict(
-        slo_spec=slo_spec,
-        flight_recorder_events=flight_recorder_events,
-        flight_recorder_path=flight_recorder_path,
+    what: str,
+    load: str,
+    y_label: str,
+    measure: Callable[[TrialResult], float],
+    k_xs: tuple,
+    expectations: Sequence[str],
+) -> tuple[Sweep, ...]:
+    """Figures 7-9: one panel per paper parameter (k, flushing budget B,
+    memory budget), every policy as a series."""
+    axes = (
+        ("k", "k", "k", k_xs, _identity),
+        ("flushing budget", "flushing budget (%)", "flush_budget", BUDGET_SWEEP_PCT, _percent),
+        ("memory budget", "memory budget (GB)", "memory_gb", MEMORY_SWEEP_GB, _identity),
     )
-
-    def measure(result: TrialResult) -> float:
-        return round(result.hit_percent, 2)
-
-    def spec_k(policy: str, x: float) -> TrialSpec:
-        return TrialSpec(
-            policy=policy,
-            k=int(x),
-            workload_mode=workload_mode,
-            scale=preset,
-            seed=seed,
-            shards=shards,
-            **service_kwargs,
+    return tuple(
+        Sweep(
+            panel_id=figure_id + panel,
+            title=f"{what} vs {name}{load}",
+            x_label=x_label,
+            y_label=y_label,
+            axis=axis,
+            xs=xs,
+            series=_policies(ALL_POLICIES),
+            measure=measure,
+            expectation=expectation,
+            value=value,
         )
-
-    def spec_budget(policy: str, x: float) -> TrialSpec:
-        return TrialSpec(
-            policy=policy,
-            flush_budget=x / 100.0,
-            workload_mode=workload_mode,
-            scale=preset,
-            seed=seed,
-            shards=shards,
-            **service_kwargs,
+        for panel, (name, x_label, axis, xs, value), expectation in zip(
+            "abc", axes, expectations
         )
-
-    def spec_memory(policy: str, x: float) -> TrialSpec:
-        return TrialSpec(
-            policy=policy,
-            memory_gb=x,
-            workload_mode=workload_mode,
-            scale=preset,
-            seed=seed,
-            shards=shards,
-            **service_kwargs,
-        )
-
-    panels = [
-        _sweep(
-            f"{figure_id}a",
-            f"hit ratio vs k ({workload_mode} load)",
-            "k",
-            "hit ratio (%)",
-            K_SWEEP_SHORT,
-            ALL_POLICIES,
-            spec_k,
-            measure,
-            expectation,
-            jobs=jobs,
-        ),
-        _sweep(
-            f"{figure_id}b",
-            f"hit ratio vs flushing budget ({workload_mode} load)",
-            "flushing budget (%)",
-            "hit ratio (%)",
-            [100 * b for b in BUDGET_SWEEP],
-            ALL_POLICIES,
-            spec_budget,
-            measure,
-            expectation,
-            jobs=jobs,
-        ),
-        _sweep(
-            f"{figure_id}c",
-            f"hit ratio vs memory budget ({workload_mode} load)",
-            "memory budget (GB)",
-            "hit ratio (%)",
-            MEMORY_SWEEP_GB,
-            ALL_POLICIES,
-            spec_memory,
-            measure,
-            expectation,
-            jobs=jobs,
-        ),
-    ]
-    title = (
-        "Hit ratio on correlated query load (Fig 8)"
-        if workload_mode == "correlated"
-        else "Hit ratio on uniform query load (Fig 9)"
-    )
-    return FigureResult(figure_id, title, panels)
-
-
-def fig8_hit_correlated(
-    preset: ScalePreset = SMALL,
-    seed: int = 42,
-    jobs: int = 1,
-    shards: int = 1,
-    slo_spec: Optional[str] = None,
-    flight_recorder_events: int = 0,
-    flight_recorder_path: Optional[str] = None,
-) -> FigureResult:
-    return _hit_figure(
-        "fig8",
-        "correlated",
-        preset,
-        seed,
-        "kFlushing variants above LRU above FIFO for every parameter "
-        "(paper: 12-20% absolute over FIFO, 2-18% over LRU); decreasing "
-        "in k and flushing budget, increasing in memory budget.",
-        jobs=jobs,
-        shards=shards,
-        slo_spec=slo_spec,
-        flight_recorder_events=flight_recorder_events,
-        flight_recorder_path=flight_recorder_path,
     )
 
 
-def fig9_hit_uniform(
-    preset: ScalePreset = SMALL,
-    seed: int = 42,
-    jobs: int = 1,
-    shards: int = 1,
-    slo_spec: Optional[str] = None,
-    flight_recorder_events: int = 0,
-    flight_recorder_path: Optional[str] = None,
-) -> FigureResult:
-    return _hit_figure(
-        "fig9",
-        "uniform",
-        preset,
-        seed,
-        "Absolute hit ratios low for all policies (rare keys dominate a "
-        "uniform load); kFlushing variants give large *relative* gains "
-        "(paper: 100-330% over FIFO, 26-240% over LRU).",
-        jobs=jobs,
-        shards=shards,
-        slo_spec=slo_spec,
-        flight_recorder_events=flight_recorder_events,
-        flight_recorder_path=flight_recorder_path,
-    )
-
-
-# ----------------------------------------------------------------------
-# Figure 10: flushing overhead
-# ----------------------------------------------------------------------
-
-def fig10_overhead(
-    preset: ScalePreset = SMALL,
-    seed: int = 42,
-    jobs: int = 1,
-    digestion_seeds: int = 1,
-    shards: int = 1,
-) -> FigureResult:
-    """Figure 10 grid: one digestion-stress run per (policy, k).
-
-    ``digestion_seeds`` > 1 repeats the grid under ``seed``, ``seed+1``,
-    ... and reports the *mean* digestion rate per (policy, k).  Single-run
-    wall-clock timings are noisy enough that the paper's policy ordering
-    (FIFO > kFlushing > MK > LRU) can flip at individual points on a
-    loaded machine; averaging a few seeds makes the comparison stable.
-    The overhead panel (modelled bytes, deterministic) uses the base seed
-    only.
-    """
-    seeds = [seed + i for i in range(max(1, digestion_seeds))]
-    grid = [
-        (policy, k, s)
-        for s in seeds
-        for k in K_SWEEP_SHORT
-        for policy in ALL_POLICIES
-    ]
-    trial_results = run_trials(
-        [
-            TrialSpec(
-                policy=policy,
-                k=k,
-                scale=preset,
-                seed=s,
-                shards=shards,
-            )
-            for policy, k, s in grid
-        ],
-        jobs=jobs,
-        runner=run_digestion_stress,
-    )
-    by_point: dict[tuple[str, int, int], TrialResult] = {
-        point: result for point, result in zip(grid, trial_results)
-    }
-    results: dict[tuple[str, int], TrialResult] = {
-        (policy, k): by_point[(policy, k, seeds[0])]
-        for policy in ALL_POLICIES
-        for k in K_SWEEP_SHORT
-    }
-
-    def mean_digestion(policy: str, k: int) -> float:
-        rates = [by_point[(policy, k, s)].effective_digestion_rate for s in seeds]
-        return sum(rates) / len(rates)
-
-    xs = list(K_SWEEP_SHORT)
-    overhead = SweepResult(
-        panel_id="fig10a",
-        title="Policy bookkeeping memory vs k",
-        x_label="k",
-        y_label="overhead (simulated GB)",
-        xs=xs,
-        series={
-            policy: [
-                round(results[(policy, k)].policy_overhead_bytes / preset.bytes_per_gb, 4)
-                for k in xs
-            ]
-            for policy in ALL_POLICIES
-        },
-        expectation=(
-            "Stable in k for all policies; LRU highest (per-item list "
-            "nodes; paper ~2-2.5x the kFlushing variants), FIFO lowest "
-            "(segment headers only); kFlushing's cost is per-entry "
-            "timestamps plus the temporary flush buffer."
+def _hit_figure(name: str, mode: str, title: str, expectation: str) -> Figure:
+    """Figures 8 and 9: hit ratio under one query load."""
+    return Figure(
+        name,
+        title,
+        base={"workload_mode": mode},
+        panels=_parameter_sweeps(
+            name, "hit ratio", f" ({mode} load)", "hit ratio (%)", _hit,
+            K_SWEEP_SHORT, (expectation,) * 3,
         ),
     )
-    digestion = SweepResult(
-        panel_id="fig10b",
-        title="Digestion rate vs k (unbounded arrival, wall-paced queries)",
-        x_label="k",
-        y_label="digestion rate (K records/s)",
-        xs=xs,
-        series={
-            policy: [round(mean_digestion(policy, k) / 1000.0, 1) for k in xs]
-            for policy in ALL_POLICIES
-        },
-        expectation=(
-            "Roughly flat in k; FIFO highest (paper ~120K/s), kFlushing "
-            "close behind (~100K/s), kFlushing-MK below it (~80K/s), LRU "
-            "far lowest (~29K/s, per-item bookkeeping on the query path)."
-        ),
-    )
-    return FigureResult("fig10", "Flushing overhead vs k (Fig 10)", [overhead, digestion])
 
 
-# ----------------------------------------------------------------------
-# Figures 11 and 12: extensibility (spatial and user attributes)
-# ----------------------------------------------------------------------
-
-def _attribute_figure(
-    figure_id: str,
-    attribute: str,
-    key_label: str,
-    preset: ScalePreset,
-    seed: int,
-    jobs: int = 1,
-    shards: int = 1,
-) -> FigureResult:
-    # Both panels draw from the same (policy, memory, mode) trial grid;
-    # enumerate it once so the whole figure can fan out in parallel.
-    points = [
-        (policy, gb, mode)
-        for mode in ("correlated", "uniform")
+def _attribute_figure(name: str, attribute: str, key_label: str, title: str) -> Figure:
+    """Figures 11 and 12: kFlushing on a non-keyword attribute.  Panel a's
+    (correlated) trials are also panel b's, so the grid runs them once."""
+    memory_axis = dict(x_label="memory budget (GB)", axis="memory_gb", xs=MEMORY_SWEEP_GB)
+    by_load = {
+        f"{policy}-{mode}": {"policy": policy, "workload_mode": mode}
+        for mode in ("uniform", "correlated")
         for policy in SINGLE_KEY_POLICIES
-        for gb in MEMORY_SWEEP_GB
-    ]
-    trial_results = run_trials(
-        [
-            TrialSpec(
-                policy=policy,
-                attribute=attribute,
-                workload_mode=mode,
-                memory_gb=gb,
-                scale=preset,
-                seed=seed,
-                shards=shards,
-            )
-            for policy, gb, mode in points
-        ],
-        jobs=jobs,
-    )
-    cache: dict[tuple[str, float, str], TrialResult] = {
-        point: result for point, result in zip(points, trial_results)
     }
-
-    def trial(policy: str, memory_gb: float, mode: str) -> TrialResult:
-        return cache[(policy, memory_gb, mode)]
-
-    xs = list(MEMORY_SWEEP_GB)
-    k_filled = SweepResult(
-        panel_id=f"{figure_id}a",
-        title=f"k-filled {key_label} vs memory budget",
-        x_label="memory budget (GB)",
-        y_label=f"k-filled {key_label}",
-        xs=xs,
-        series={
-            policy: [float(trial(policy, gb, "correlated").k_filled) for gb in xs]
-            for policy in SINGLE_KEY_POLICIES
-        },
-        expectation=(
-            "kFlushing 2-5x the baselines, holding up at tight budgets "
-            "(paper Fig 11a / 12a)."
+    return Figure(
+        name,
+        title,
+        base={"attribute": attribute},
+        panels=(
+            Sweep(
+                panel_id=f"{name}a",
+                title=f"k-filled {key_label} vs memory budget",
+                y_label=f"k-filled {key_label}",
+                series=_policies(SINGLE_KEY_POLICIES),
+                measure=_k_filled,
+                expectation=(
+                    "kFlushing 2-5x the baselines, holding up at tight budgets "
+                    "(paper Fig 11a / 12a)."
+                ),
+                **memory_axis,
+            ),
+            Sweep(
+                panel_id=f"{name}b",
+                title=f"hit ratio vs memory budget ({attribute} attribute)",
+                y_label="hit ratio (%)",
+                series=by_load,
+                measure=_hit,
+                expectation=(
+                    "kFlushing above FIFO and LRU on both workloads at every "
+                    "budget, with the largest margins at <=30GB (paper Fig 11b / "
+                    "12b)."
+                ),
+                **memory_axis,
+            ),
         ),
     )
-    hit_series: dict[str, list[float]] = {}
-    for mode in ("uniform", "correlated"):
-        for policy in SINGLE_KEY_POLICIES:
-            hit_series[f"{policy}-{mode}"] = [
-                round(trial(policy, gb, mode).hit_percent, 2) for gb in xs
-            ]
-    hit = SweepResult(
-        panel_id=f"{figure_id}b",
-        title=f"hit ratio vs memory budget ({attribute} attribute)",
-        x_label="memory budget (GB)",
-        y_label="hit ratio (%)",
-        xs=xs,
-        series=hit_series,
-        expectation=(
-            "kFlushing above FIFO and LRU on both workloads at every "
-            "budget, with the largest margins at <=30GB (paper Fig 11b / "
-            "12b)."
+
+
+_BY_K = dict(x_label="k", axis="k", xs=K_SWEEP_SHORT, series=_policies(ALL_POLICIES))
+_BY_SHARDS = dict(
+    x_label="shards", axis="shards", xs=SHARD_SWEEP, series=_policies(("fifo", "kflushing"))
+)
+_BY_ZIPF = dict(
+    x_label="zipf exponent", axis="keyword_zipf", xs=ZIPF_SWEEP,
+    series=_policies(("fifo", "kflushing")),
+)
+
+
+#: Every figure ``repro run`` and the figure suite regenerate, by name.
+FIGURES: dict[str, Figure] = {
+    row.name: row
+    for row in (
+        Figure(
+            "fig1",
+            "Snapshot of in-memory contents (Sec V-A / Fig 1)",
+            body=_fig1_snapshot,
         ),
-    )
-    title = (
-        "kFlushing on the spatial attribute (Fig 11)"
-        if attribute == "spatial"
-        else "kFlushing on the user attribute (Fig 12)"
-    )
-    return FigureResult(figure_id, title, [k_filled, hit])
-
-
-def fig11_spatial(
-    preset: ScalePreset = SMALL,
-    seed: int = 42,
-    jobs: int = 1,
-    shards: int = 1,
-) -> FigureResult:
-    return _attribute_figure(
-        "fig11",
-        "spatial",
-        "spatial tiles",
-        preset,
-        seed,
-        jobs=jobs,
-        shards=shards,
-    )
-
-
-def fig12_user(
-    preset: ScalePreset = SMALL,
-    seed: int = 42,
-    jobs: int = 1,
-    shards: int = 1,
-) -> FigureResult:
-    return _attribute_figure(
-        "fig12",
-        "user",
-        "user ids",
-        preset,
-        seed,
-        jobs=jobs,
-        shards=shards,
-    )
-
-
-# ----------------------------------------------------------------------
-# Shard-count sweep (sharded-architecture experiment; no paper analogue)
-# ----------------------------------------------------------------------
-
-def shard_sweep(
-    preset: ScalePreset = SMALL,
-    seed: int = 42,
-    jobs: int = 1,
-    shard_counts: Sequence[int] = SHARD_SWEEP,
-) -> FigureResult:
-    """Hit ratio and effective digestion rate vs shard count.
-
-    Every trial keeps the *total* memory budget fixed and splits it over
-    N hash-partitioned shards (capacity/N each, independent flush
-    cycles).  Two effects compete as N grows: per-shard flushes are
-    smaller and cheaper, but multi-key records are replicated into every
-    owning shard, so the same budget holds fewer distinct records — the
-    hit-ratio curve prices that replication.
-    """
-    policies = ("fifo", "kflushing")
-
-    def spec_for(policy: str, x: float) -> TrialSpec:
-        return TrialSpec(
-            policy=policy,
-            scale=preset,
-            seed=seed,
-            shards=int(x),
-        )
-
-    panels = [
-        _sweep(
-            "shardsa",
-            "hit ratio vs shard count",
+        # An engine-level experiment: it caps the phases kFlushing may
+        # run, which no TrialSpec field expresses.
+        Figure(
+            "fig5",
+            "Memory consumption behaviour (Fig 5)",
+            body=_fig5_timeline,
+            ignores=frozenset(f.name for f in fields(TrialSpec)),
+        ),
+        Figure(
+            "fig7",
+            "Number of memory-hit keywords (Fig 7)",
+            panels=_parameter_sweeps(
+                "fig7", "k-filled keywords", "", "k-filled keys", _k_filled, K_SWEEP,
+                (
+                    "Decreasing in k for all; kFlushing variants several times "
+                    "above FIFO and LRU (paper: >=7x FIFO, up to 3x LRU); "
+                    "kFlushing-MK slightly below kFlushing.",
+                    "Decreasing in budget; kFlushing variants 8-10x FIFO and "
+                    "2-9x LRU across budgets.",
+                    "kFlushing advantage largest at tight memory (paper: ~13x FIFO "
+                    "and ~50x LRU at 10GB), narrowing as memory grows.",
+                ),
+            ),
+        ),
+        _hit_figure(
+            "fig8",
+            "correlated",
+            "Hit ratio on correlated query load (Fig 8)",
+            "kFlushing variants above LRU above FIFO for every parameter "
+            "(paper: 12-20% absolute over FIFO, 2-18% over LRU); decreasing "
+            "in k and flushing budget, increasing in memory budget.",
+        ),
+        _hit_figure(
+            "fig9",
+            "uniform",
+            "Hit ratio on uniform query load (Fig 9)",
+            "Absolute hit ratios low for all policies (rare keys dominate a "
+            "uniform load); kFlushing variants give large *relative* gains "
+            "(paper: 100-330% over FIFO, 26-240% over LRU).",
+        ),
+        # One digestion-stress run per (policy, k) feeds both panels.  Its
+        # rates are wall-clock timings, noisy enough that the paper's
+        # ordering (FIFO > kFlushing > MK > LRU) can flip at single points
+        # on a loaded machine; the figure suite averages a few seeds
+        # (``seeds=``) to compare them.
+        Figure(
+            "fig10",
+            "Flushing overhead vs k (Fig 10)",
+            runner=run_digestion_stress,
+            panels=(
+                Sweep(
+                    panel_id="fig10a",
+                    title="Policy bookkeeping memory vs k",
+                    y_label="overhead (simulated GB)",
+                    measure=_overhead_gb,
+                    expectation=(
+                        "Stable in k for all policies; LRU highest (per-item list "
+                        "nodes; paper ~2-2.5x the kFlushing variants), FIFO lowest "
+                        "(segment headers only); kFlushing's cost is per-entry "
+                        "timestamps plus the temporary flush buffer."
+                    ),
+                    **_BY_K,
+                ),
+                Sweep(
+                    panel_id="fig10b",
+                    title="Digestion rate vs k (unbounded arrival, wall-paced queries)",
+                    y_label="digestion rate (K records/s)",
+                    measure=_digestion_k,
+                    expectation=(
+                        "Roughly flat in k; FIFO highest (paper ~120K/s), kFlushing "
+                        "close behind (~100K/s), kFlushing-MK below it (~80K/s), LRU "
+                        "far lowest (~29K/s, per-item bookkeeping on the query path)."
+                    ),
+                    **_BY_K,
+                ),
+            ),
+        ),
+        _attribute_figure(
+            "fig11", "spatial", "spatial tiles", "kFlushing on the spatial attribute (Fig 11)"
+        ),
+        _attribute_figure(
+            "fig12", "user", "user ids", "kFlushing on the user attribute (Fig 12)"
+        ),
+        # Sharded-architecture experiment (no paper analogue).  Every trial
+        # keeps the *total* memory budget fixed and splits it over N
+        # hash-partitioned shards.  Per-shard flushes get smaller and
+        # cheaper as N grows, but multi-key records are replicated into
+        # every owning shard, so the same budget holds fewer distinct
+        # records — the hit-ratio curve prices that replication.
+        Figure(
             "shards",
-            "hit ratio (%)",
-            list(shard_counts),
-            policies,
-            spec_for,
-            lambda result: round(result.hit_percent, 2),
-            "Gently decreasing in N (fan-out replication dilutes the "
-            "fixed total budget); kFlushing stays above FIFO at every N.",
-            jobs=jobs,
+            "Hash-partitioned shard-count sweep",
+            ignores=frozenset({"shards"}),
+            panels=(
+                Sweep(
+                    panel_id="shardsa",
+                    title="hit ratio vs shard count",
+                    y_label="hit ratio (%)",
+                    measure=_hit,
+                    expectation=(
+                        "Gently decreasing in N (fan-out replication dilutes the "
+                        "fixed total budget); kFlushing stays above FIFO at every N."
+                    ),
+                    **_BY_SHARDS,
+                ),
+                Sweep(
+                    panel_id="shardsb",
+                    title="effective digestion rate vs shard count",
+                    y_label="digestion rate (K records/s)",
+                    measure=_digestion_k,
+                    expectation=(
+                        "Within a small factor of N=1 (single-process simulation pays "
+                        "routing overhead without the parallel-flush win a threaded "
+                        "deployment would collect); smaller per-shard flushes shorten "
+                        "the ingestion stalls."
+                    ),
+                    **_BY_SHARDS,
+                ),
+            ),
         ),
-        _sweep(
-            "shardsb",
-            "effective digestion rate vs shard count",
-            "shards",
-            "digestion rate (K records/s)",
-            list(shard_counts),
-            policies,
-            spec_for,
-            lambda result: round(result.effective_digestion_rate / 1000.0, 1),
-            "Within a small factor of N=1 (single-process simulation pays "
-            "routing overhead without the parallel-flush win a threaded "
-            "deployment would collect); smaller per-shard flushes shorten "
-            "the ingestion stalls.",
-            jobs=jobs,
+        # Extension: kFlushing's advantage comes from keyword-frequency
+        # skew (the useless beyond-top-k mass under temporal flushing).
+        Figure(
+            "ext1",
+            "Extension: sensitivity to keyword skew",
+            panels=(
+                Sweep(
+                    panel_id="ext1a",
+                    title="hit ratio vs keyword Zipf exponent",
+                    y_label="hit ratio (%)",
+                    measure=_hit,
+                    derived={"kflushing-gain-pts": _kflushing_gain},
+                    expectation=(
+                        "The margin is a hump: small at zero skew (nothing to "
+                        "trim), peaking at moderate skew where the mid-tail "
+                        "is both queried and salvageable, and narrowing at "
+                        "extreme skew where a correlated load is served off "
+                        "the always-resident head by any policy.  This is why "
+                        "the paper's *uniform* load (which keeps querying the "
+                        "tail) shows kFlushing's largest relative gains."
+                    ),
+                    **_BY_ZIPF,
+                ),
+                Sweep(
+                    panel_id="ext1b",
+                    title="k-filled keys vs keyword Zipf exponent",
+                    y_label="k-filled keys",
+                    measure=_k_filled,
+                    expectation="Same mechanism seen structurally.",
+                    **_BY_ZIPF,
+                ),
+            ),
         ),
-    ]
-    return FigureResult("shards", "Hash-partitioned shard-count sweep", panels)
-
-
-#: Registry used by the CLI and the benchmark harness.  The extension
-#: experiments register themselves on import (see experiments/__init__).
-ALL_FIGURES: dict[str, Callable[..., FigureResult]] = {
-    "fig1": fig1_snapshot,
-    "fig5": fig5_timeline,
-    "fig7": fig7_k_filled,
-    "fig8": fig8_hit_correlated,
-    "fig9": fig9_hit_uniform,
-    "fig10": fig10_overhead,
-    "fig11": fig11_spatial,
-    "fig12": fig12_user,
-    "shards": shard_sweep,
+        # Extension: the paper counts an AND query as a memory hit when k
+        # intersecting records are found in memory (operational); this repo
+        # can also *prove* hits via completeness floors (strict).  The gap
+        # is how much of the AND hit ratio rests on unprovable answers.
+        Figure(
+            "ext2",
+            "Extension: AND hit accounting — operational vs strict",
+            panels=(
+                Sweep(
+                    panel_id="ext2",
+                    title="AND-query hit ratio (x=0 operational, x=1 strict)",
+                    x_label="accounting (0=operational, 1=strict)",
+                    y_label="AND hit ratio (%)",
+                    axis="strict_and",
+                    xs=(0.0, 1.0),
+                    value=bool,
+                    series=_policies(("kflushing", "kflushing-mk")),
+                    measure=_and_hit,
+                    expectation=(
+                        "Strict accounting can only lower AND hit ratios; the "
+                        "gap is the share of AND answers assembled from "
+                        "postings below completeness floors — precisely what "
+                        "the MK trim rules retain.  kFlushing-MK keeps a "
+                        "large operational win and retains part of it even "
+                        "under strict proof."
+                    ),
+                ),
+            ),
+        ),
+    )
 }

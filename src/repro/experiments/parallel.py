@@ -1,9 +1,9 @@
-"""Process-parallel trial execution for the figure sweeps.
+"""Process-parallel trial execution for the figure grids.
 
-Every figure of the paper's evaluation is a grid of independent
-``(policy, x-value)`` trials; nothing is shared between them (each trial
-builds its own system, stream, and query load from the seeds carried in
-its :class:`~repro.experiments.runner.TrialSpec`).  That makes the grid
+Every figure of the paper's evaluation is a grid of independent trials;
+nothing is shared between them (each trial builds its own system,
+stream, and query load from the seeds carried in its
+:class:`~repro.experiments.runner.TrialSpec`).  That makes the grid
 embarrassingly parallel — :func:`run_trials` fans it out over a
 ``ProcessPoolExecutor`` while guaranteeing that the *results* are
 indistinguishable from a serial run:
@@ -13,23 +13,22 @@ indistinguishable from a serial run:
   at spec construction, so a trial computes the same result in any
   process, in any order;
 * **ordered merge** — results come back in spec order regardless of
-  completion order (``ProcessPoolExecutor.map`` semantics), so callers
-  index them positionally exactly as the old serial loops did.
+  completion order (``ProcessPoolExecutor.map`` semantics).
 
 ``jobs=1`` (the default everywhere) bypasses the pool entirely and runs
-the trials inline — byte-identical to the pre-existing serial path, and
-the mode differential tests compare against.
+the trials inline.
 
-Instrumentation under parallelism: worker processes cannot reach the
-parent's JSONL sink, so each trial writes its events to a private
-*metric shard* (``<metrics_path>.wNNN``, one per spec) and
-:func:`run_trials` concatenates the shards — in spec order — into the
-parent file after the pool drains.  The shard files are deleted after
-the merge.  The target path is either passed explicitly
-(``metrics_path=``) or discovered from the enclosing
-``repro.obs.activated`` scope when its sink is a
-:class:`~repro.obs.JsonlSink`; this is what lets the CLI combine
-``--jobs`` with ``--metrics-out``.
+Instrumentation under parallelism: serial trials inside an
+``repro.obs.activated`` scope record straight into its registry and
+sink.  A worker process cannot reach them, so each worker runs its trial
+under a private Instrumentation with the scope's tracing and attribution
+switches and hands back its registry snapshot, which :func:`run_trials`
+merges into the scope's registry exactly once per trial.  When the
+scope's sink is a :class:`~repro.obs.JsonlSink`, the worker also writes
+its events to a private file beside it, which is appended to the sink in
+spec order and deleted.  This module names those files and gives each
+worker a distinct deterministic trace prefix (``w000.``, ``w001.``, ...),
+so trace ids stay unique in the merged stream.
 """
 
 from __future__ import annotations
@@ -38,123 +37,100 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from repro.experiments.runner import TrialResult, TrialSpec, run_trial
-from repro.obs import JsonlSink
+from repro.obs import Instrumentation, JsonlSink, activated
 from repro.obs.runtime import get_active
 
 __all__ = ["run_trials", "resolve_jobs"]
 
 
-def resolve_jobs(jobs: Optional[int]) -> int:
-    """Normalize a jobs request: None/0 → ``REPRO_JOBS`` env or 1.
-
-    A negative value means "all cores" (``os.cpu_count()``).
-    """
-    if jobs is None or jobs == 0:
-        env = os.environ.get("REPRO_JOBS", "").strip()
-        jobs = int(env) if env else 1
+def resolve_jobs(jobs: int) -> int:
+    """Worker count for a ``--jobs`` request; negative means all cores."""
     if jobs < 0:
-        jobs = os.cpu_count() or 1
+        return os.cpu_count() or 1
     return max(1, jobs)
 
 
 @dataclass(frozen=True)
-class _SinkedCall:
-    """Picklable wrapper running one trial with a private metric shard."""
+class _WorkerTrial:
+    """Picklable call running one trial in a worker process under a
+    private Instrumentation; returns the result and its registry."""
 
-    runner: Callable[..., TrialResult]
-    metrics_path: str
+    runner: Callable[[TrialSpec], TrialResult]
+    tracing: bool
+    attribution: bool
+    trace_prefix: str
+    events_path: Optional[Path]
 
-    def __call__(self, spec: TrialSpec) -> TrialResult:
-        return self.runner(spec, metrics_path=self.metrics_path)
+    def __call__(self, spec: TrialSpec) -> tuple[TrialResult, dict]:
+        obs = Instrumentation(
+            sink=JsonlSink(self.events_path) if self.events_path else None,
+            tracing=self.tracing,
+            attribution=self.attribution,
+            trace_prefix=self.trace_prefix,
+        )
+        with activated(obs):
+            result = self.runner(spec)
+        obs.close()
+        return result, obs.registry.snapshot()
 
 
-def _invoke(call: Callable[[TrialSpec], TrialResult], spec: TrialSpec) -> TrialResult:
+def _invoke(call: _WorkerTrial, spec: TrialSpec) -> tuple[TrialResult, dict]:
     """Module-level trampoline so ``pool.map`` can vary the callable."""
     return call(spec)
 
 
-def _active_jsonl_sink() -> Optional[JsonlSink]:
-    """The enclosing observation scope's JSONL sink, if there is one."""
-    active = get_active()
-    sink = getattr(active, "sink", None)
-    return sink if isinstance(sink, JsonlSink) else None
-
-
-def _merge_metric_shards(
-    shard_paths: Sequence[Path],
-    parent_sink: Optional[JsonlSink],
-    metrics_path: Union[str, Path],
-) -> None:
-    """Concatenate worker metric shards into the parent metrics file.
-
-    Shards are merged in spec order, so the combined file groups each
-    trial's events contiguously (a serial run interleaves them the same
-    way).  Missing shards — a trial that never emitted — are skipped;
-    merged shards are deleted.
-    """
-    sink = parent_sink if parent_sink is not None else JsonlSink(metrics_path)
-    try:
-        for path in shard_paths:
-            if not path.exists():
-                continue
-            with open(path, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.rstrip("\n")
-                    if line:
-                        sink.write_raw(line)
-            path.unlink()
-    finally:
-        if parent_sink is None:
-            sink.close()
+def _append_events(path: Path, sink: JsonlSink) -> None:
+    """Move one worker's events file into the scope's sink."""
+    if not path.exists():  # the trial emitted nothing
+        return
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            line = line.rstrip("\n")
+            if line:
+                sink.write_raw(line)
+    path.unlink()
 
 
 def run_trials(
     specs: Sequence[TrialSpec],
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     runner: Callable[..., TrialResult] = run_trial,
-    metrics_path: Optional[Union[str, Path]] = None,
 ) -> list[TrialResult]:
     """Run a grid of trials, optionally across processes.
 
     ``runner`` must be a picklable module-level callable taking a spec
-    plus a ``metrics_path`` keyword (``run_trial`` or
-    ``run_digestion_stress``).  Results are returned in ``specs`` order;
-    a failure in any trial propagates as the original exception after the
-    pool shuts down.
-
-    ``metrics_path`` streams every trial's instrumentation events to one
-    JSONL file even when ``jobs > 1`` (per-worker shards are merged after
-    the pool drains).  When omitted, an enclosing ``activated`` scope
-    with a JSONL sink is detected and its file is used as the merge
-    target — worker events then land in the same file the parent's own
-    events go to.
+    (``run_trial`` or ``run_digestion_stress``).  Results are returned in
+    ``specs`` order; a failure in any trial propagates as the original
+    exception after the pool shuts down.  Inside an ``activated`` scope
+    every trial's metrics and events reach the scope, whatever ``jobs``.
     """
     specs = list(specs)
-    jobs = resolve_jobs(jobs)
-    parent_sink = None
-    if metrics_path is None:
-        parent_sink = _active_jsonl_sink()
-        if parent_sink is not None:
-            metrics_path = parent_sink.path
-    if jobs <= 1 or len(specs) <= 1:
-        if parent_sink is not None:
-            # Serial trials inside an activated scope already share the
-            # parent registry and sink; passing the path too would build
-            # a second system/sink pair for the same file.
-            return [runner(spec) for spec in specs]
-        if metrics_path is not None:
-            return [runner(spec, metrics_path=metrics_path) for spec in specs]
+    workers = min(resolve_jobs(jobs), len(specs))
+    if workers <= 1:
         return [runner(spec) for spec in specs]
-    workers = min(jobs, len(specs))
-    if metrics_path is None:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(runner, specs, chunksize=1))
-    shard_paths = [Path(f"{metrics_path}.w{i:03d}") for i in range(len(specs))]
-    calls = [_SinkedCall(runner, str(path)) for path in shard_paths]
+    # Outside any scope the workers' registries are simply discarded.
+    scope = get_active() or Instrumentation()
+    sink = scope.sink if isinstance(scope.sink, JsonlSink) else None
+    calls = [
+        _WorkerTrial(
+            runner,
+            scope.tracing,
+            scope.attribution,
+            trace_prefix=f"w{i:03d}.",
+            events_path=Path(f"{sink.path}.w{i:03d}") if sink else None,
+        )
+        for i in range(len(specs))
+    ]
+    results = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_invoke, calls, specs, chunksize=1))
-    _merge_metric_shards(shard_paths, parent_sink, metrics_path)
+        for call, (result, snapshot) in zip(
+            calls, pool.map(_invoke, calls, specs, chunksize=1)
+        ):
+            scope.registry.merge(snapshot)
+            if sink is not None:
+                _append_events(call.events_path, sink)
+            results.append(result)
     return results

@@ -19,7 +19,6 @@ the way thread contention does in the paper's testbed.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Union
@@ -158,18 +157,7 @@ def _trial_obs(metrics_path: Optional[Union[str, Path]]) -> Optional[Instrumenta
     """
     if metrics_path is None:
         return None
-    # Parallel workers write per-spec shards named <parent>.wNNN that get
-    # merged into one file; namespace their trace ids by the shard index
-    # (deterministic — it is the spec's position in the grid) so ids from
-    # different workers never collide in the merged stream.
-    match = re.search(r"\.w(\d+)$", Path(metrics_path).name)
-    prefix = f"w{match.group(1)}." if match else ""
-    return Instrumentation(
-        sink=JsonlSink(metrics_path),
-        tracing=True,
-        attribution=True,
-        trace_prefix=prefix,
-    )
+    return Instrumentation(sink=JsonlSink(metrics_path), tracing=True, attribution=True)
 
 
 def _finish_trial_metrics(

@@ -318,8 +318,8 @@ def merge_snapshots(snapshots) -> dict:
     """Aggregate an iterable of registry snapshots into one snapshot.
 
     Convenience over :meth:`MetricsRegistry.merge` for offline
-    aggregation of the per-worker ``.wNNN`` part snapshots that
-    ``run_trials(jobs=N, metrics_path=...)`` leaves in the event stream.
+    aggregation, e.g. of the ``trial_snapshot`` events of several
+    ``run_trial(spec, metrics_path=...)`` files.
     """
     merged = MetricsRegistry()
     for snapshot in snapshots:

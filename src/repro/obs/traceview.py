@@ -264,11 +264,9 @@ def merge_snapshot_events(
     """Merge every snapshot event in a JSONL file into ``registry``.
 
     Scans cheaply (substring prefilter before ``json.loads``) so large
-    event files with few snapshots stay fast; this is what aggregates
-    the per-worker ``trial_snapshot`` events a ``--jobs --metrics-out``
-    run leaves behind into one registry.  ``types`` narrows which
-    snapshot event types are folded in (the CLI passes
-    ``("trial_snapshot",)`` to avoid re-merging its own run snapshot).
+    event files with few snapshots stay fast; ``repro slo --events``
+    evaluates the registry this builds.  ``types`` narrows which
+    snapshot event types are folded in.
     """
     if registry is None:
         registry = MetricsRegistry()

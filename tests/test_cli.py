@@ -1,10 +1,40 @@
 """Tests for the command-line interface."""
 
+import argparse
+import dataclasses
 import json
+import typing
+from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import CONFIG_FLAGS, build_parser, main
+from repro.config import SystemConfig
+from repro.core import policy_names
+from repro.experiments.figures import FIGURES
+from repro.experiments.runner import TrialSpec
+from repro.experiments.scale import PRESETS
+from tests.test_experiments import MICRO
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+
+
+def _subparser(name):
+    sub = next(
+        a
+        for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return sub.choices[name]
+
+
+def _flags(name):
+    return sorted(
+        flag
+        for action in _subparser(name)._actions
+        for flag in action.option_strings
+        if flag != "--help" and flag.startswith("--")
+    )
 
 
 class TestParser:
@@ -45,12 +75,61 @@ class TestParser:
         assert args.metrics_out == "m.jsonl"
 
 
+class TestFlagTable:
+    """The config flags are built from the dataclass fields they set."""
+
+    # Pinned from the hand-written parser the flag table replaced.
+    def test_run_flags(self):
+        assert _flags("run") == [
+            "--figure", "--flight-recorder", "--flight-recorder-dump", "--jobs",
+            "--metrics-out", "--scale", "--seed", "--serve", "--shards", "--slo",
+        ]
+
+    def test_stats_flags(self):
+        assert _flags("stats") == [
+            "--capacity-bytes", "--events-out", "--format", "--k", "--out",
+            "--policy", "--queries", "--records", "--seed", "--shards",
+        ]
+
+    def test_serve_flags(self):
+        assert _flags("serve") == [
+            "--duration", "--flight-recorder", "--policy", "--port", "--seed",
+            "--shards", "--slo",
+        ]
+
+    @pytest.mark.parametrize("command", ["run", "stats", "serve"])
+    def test_flags_match_their_fields(self, command):
+        config_actions = [
+            a for a in _subparser(command)._actions if a.dest in CONFIG_FLAGS
+        ]
+        assert config_actions
+        for action in config_actions:
+            owner = TrialSpec if command == "run" else SystemConfig
+            hint = typing.get_type_hints(owner)[action.dest]
+            assert action.option_strings == [CONFIG_FLAGS[action.dest][0]]
+            assert action.type is hint or action.type in typing.get_args(hint)
+            if action.dest == "policy":
+                assert tuple(action.choices) == policy_names()
+
+    def test_every_table_entry_is_a_field(self):
+        names = {f.name for f in dataclasses.fields(SystemConfig)}
+        names |= {f.name for f in dataclasses.fields(TrialSpec)}
+        assert set(CONFIG_FLAGS) <= names
+
+
 class TestExecution:
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "fig7" in out
         assert "tiny" in out
+
+    def test_list_describes_every_figure(self, capsys):
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name in FIGURES:
+            line = next(line for line in lines if line.split()[:1] == [name])
+            assert line.split(None, 1)[1].strip(), f"{name} has no description"
 
     def test_demo_command(self, capsys):
         assert main(["demo"]) == 0
@@ -67,6 +146,25 @@ class TestExecution:
         )
         assert main(run) == 0
         assert "ignored" not in capsys.readouterr().out
+
+    def test_parallel_run_reports_worker_metrics_to_slo(self, capsys, monkeypatch):
+        # Trials in worker processes must reach the run's registry, or the
+        # SLO verdict sees no data and passes an unmeetable spec.
+        monkeypatch.setitem(PRESETS, "tiny", MICRO)
+        unmeetable = str(EXAMPLES / "slo" / "fig1_unmeetable.json")
+        run = ["run", "--figure", "shards", "--scale", "tiny", "--slo", unmeetable]
+        assert main(run + ["--jobs", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "VIOLATED" in out and "NO DATA" not in out
+        assert "[slo: 1 objective(s) violated]" in out
+
+    def test_run_reports_objectives_without_data(self, capsys, monkeypatch):
+        monkeypatch.setitem(PRESETS, "tiny", MICRO)
+        spec = json.dumps({"objectives": [{"metric": "absent.metric", "min": 1}]})
+        assert main(["run", "--figure", "fig1", "--scale", "tiny", "--slo", spec]) == 0
+        out = capsys.readouterr().out
+        assert "[slo: 1 objective(s) had no data]" in out
+        assert "all objectives met" not in out
 
     def test_stats_command_emits_snapshot(self, capsys, tmp_path):
         events = tmp_path / "events.jsonl"

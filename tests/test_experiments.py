@@ -8,11 +8,11 @@ import pytest
 from repro.config import SystemConfig
 from repro.core.kflushing import KFlushingEngine
 from repro.experiments.figures import (
+    FIGURES,
     FigureResult,
     SweepResult,
     TableResult,
-    fig1_snapshot,
-    fig5_timeline,
+    run_figure,
 )
 from repro.experiments.report import format_figure, format_panel
 from repro.experiments.runner import TrialSpec, run_digestion_stress, run_trial
@@ -160,7 +160,7 @@ class TestSpecPlumbing:
 
 class TestFigureHarness:
     def test_fig1_snapshot_structure(self):
-        figure = fig1_snapshot(MICRO, seed=3)
+        figure = run_figure("fig1", MICRO, seed=3)
         assert isinstance(figure, FigureResult)
         panel = figure.panels[0]
         assert isinstance(panel, TableResult)
@@ -172,7 +172,7 @@ class TestFigureHarness:
         assert fifo_row[3] > kf_row[3]
 
     def test_fig5_saturation_shape(self):
-        figure = fig5_timeline(MICRO, seed=3)
+        figure = run_figure("fig5", MICRO, seed=3)
         panel = figure.panels[0]
         assert isinstance(panel, SweepResult)
         phase1 = panel.series["phase1-only"]
@@ -182,35 +182,69 @@ class TestFigureHarness:
         assert phase1[-1] < phase1[0] / 4
         assert full[-1] > phase1[-1]
 
+    @staticmethod
+    def _record_trials(monkeypatch):
+        from repro.experiments import figures
+        from repro.experiments.parallel import run_trials
+
+        seen = []
+
+        def recording(specs, jobs, runner):
+            seen.extend(specs)
+            return run_trials(specs, jobs=jobs, runner=runner)
+
+        monkeypatch.setattr(figures, "run_trials", recording)
+        return seen
+
+    @staticmethod
+    def _at(row, xs):
+        return dataclasses.replace(
+            row, panels=tuple(dataclasses.replace(p, xs=xs) for p in row.panels)
+        )
+
+    def test_trials_shared_by_panels_run_once(self, monkeypatch):
+        seen = self._record_trials(monkeypatch)
+        # fig11a's correlated trials are also fig11b's.
+        row = self._at(FIGURES["fig11"], (10.0,))
+        assert len(row.grid(MICRO, 3)) == 9
+        figure = run_figure(row, MICRO, seed=3)
+        assert len(seen) == len(set(seen)) == 6
+        assert set(figure.panels[1].series) == {
+            f"{p}-{m}" for p in ("fifo", "kflushing", "lru") for m in ("uniform", "correlated")
+        }
+
+    def test_overrides_reach_every_trial_but_not_the_axis(self, monkeypatch):
+        seen = self._record_trials(monkeypatch)
+        row = self._at(FIGURES["shards"], (1, 2))
+        run_figure(row, MICRO, seed=3, shards=4, k=7)
+        assert {spec.shards for spec in seen} == {1, 2}
+        assert {spec.k for spec in seen} == {7}
+
 
 class TestExtensions:
     def test_registered_in_figure_registry(self):
-        from repro.experiments import ALL_FIGURES
+        from repro.experiments import FIGURES as exported
 
-        assert "ext1" in ALL_FIGURES
-        assert "ext2" in ALL_FIGURES
+        assert exported is FIGURES
+        assert "ext1" in FIGURES
+        assert "ext2" in FIGURES
 
     def test_and_semantics_strict_never_above_operational(self):
-        from repro.experiments.extensions import ext_and_semantics
-
-        figure = ext_and_semantics(MICRO, seed=3)
+        figure = run_figure("ext2", MICRO, seed=3)
         panel = figure.panels[0]
         for policy in ("kflushing", "kflushing-mk"):
             operational, strict = panel.series[policy]
             assert strict <= operational + 1e-9
 
     def test_skew_sensitivity_structure(self):
-        from repro.experiments.extensions import ext_skew_sensitivity, ZIPF_SWEEP
-
         # Two zipf points keep this a fast structural test.
-        import repro.experiments.extensions as ext
-
-        original = ext.ZIPF_SWEEP
-        ext.ZIPF_SWEEP = (0.0, 1.0)
-        try:
-            figure = ext_skew_sensitivity(MICRO, seed=3)
-        finally:
-            ext.ZIPF_SWEEP = original
+        row = FIGURES["ext1"]
+        two_points = dataclasses.replace(
+            row,
+            panels=tuple(dataclasses.replace(p, xs=(0.0, 1.0)) for p in row.panels),
+        )
+        assert {s.keyword_zipf for s in two_points.grid(MICRO, 3)} == {0.0, 1.0}
+        figure = run_figure(two_points, MICRO, seed=3)
         panel = figure.panels[0]
         assert "kflushing-gain-pts" in panel.series
         assert len(panel.series["fifo"]) == 2
@@ -244,6 +278,6 @@ class TestReportFormatting:
         assert "a" in text and "y" in text
 
     def test_format_figure(self):
-        figure = fig5_timeline(MICRO, seed=3)
+        figure = run_figure("fig5", MICRO, seed=3)
         text = format_figure(figure)
         assert text.startswith("==== fig5")

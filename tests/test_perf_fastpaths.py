@@ -183,15 +183,11 @@ class TestFlushCacheDifferential:
 
 
 class TestParallelRunner:
-    def test_resolve_jobs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs(None) == 1
+    def test_resolve_jobs(self):
+        assert resolve_jobs(1) == 1
         assert resolve_jobs(0) == 1
         assert resolve_jobs(3) == 3
         assert resolve_jobs(-1) >= 1
-        monkeypatch.setenv("REPRO_JOBS", "5")
-        assert resolve_jobs(None) == 5
-        assert resolve_jobs(2) == 2
 
     def test_parallel_equals_serial(self):
         specs = [

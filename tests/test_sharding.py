@@ -9,9 +9,9 @@ The correctness anchors of the hash-partitioned system:
   single-, OR-, and AND-mode queries must equal the unsharded system's
   exactly (same postings, same order), under the strict/unbounded
   configuration where every answer is provably exact;
-* **metrics shard merge** — ``run_trials`` with ``jobs > 1`` and a
-  metrics path must produce the same JSONL event stream a serial run
-  writes, with no worker shard files left behind.
+* **metrics merge** — ``run_trials`` with ``jobs > 1`` inside an
+  ``activated`` scope must leave the same counters and JSONL event
+  stream a serial run leaves, with no worker event files behind.
 """
 
 import dataclasses
@@ -431,40 +431,50 @@ class TestMergeTopk:
 
 
 class TestParallelMetricsMerge:
-    """--jobs now composes with --metrics-out: shards merge into one file."""
+    """Inside an activated scope, worker trials report to the scope: each
+    worker's registry is merged into it once and its events are appended
+    to the scope's JSONL sink in spec order."""
 
     def _specs(self):
         return [
             TrialSpec(policy="fifo", scale=MICRO, seed=s) for s in (1, 2)
         ] + [TrialSpec(policy="kflushing", scale=MICRO, seed=3, shards=2)]
 
+    def _run(self, path, specs, jobs, **switches):
+        obs = Instrumentation(sink=JsonlSink(path), **switches)
+        with activated(obs):
+            results = run_trials(specs, jobs=jobs)
+        obs.close()
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        return results, obs.registry.snapshot()["counters"], events
+
     def test_parallel_matches_serial_events(self, tmp_path):
         specs = self._specs()
-        serial_path = tmp_path / "serial.jsonl"
-        parallel_path = tmp_path / "parallel.jsonl"
-        serial = run_trials(specs, jobs=1, metrics_path=serial_path)
-        parallel = run_trials(specs, jobs=2, metrics_path=parallel_path)
+        switches = dict(tracing=True, attribution=True)
+        serial, serial_counters, serial_events = self._run(
+            tmp_path / "serial.jsonl", specs, 1, **switches
+        )
+        parallel, parallel_counters, parallel_events = self._run(
+            tmp_path / "parallel.jsonl", specs, 2, **switches
+        )
         for a, b in zip(serial, parallel):
             for name in DETERMINISTIC_FIELDS:
                 assert getattr(a, name) == getattr(b, name)
-        serial_events = [json.loads(l) for l in serial_path.read_text().splitlines()]
-        parallel_events = [
-            json.loads(l) for l in parallel_path.read_text().splitlines()
-        ]
-        # Trials are merged in spec order, so modulo wall-clock fields the
-        # streams should describe the same events; cheap invariants:
+        # Modulo wall-clock fields the streams describe the same events,
+        # and every trial's counters land in the scope exactly once.
         assert len(serial_events) == len(parallel_events)
-        snaps = [e for e in parallel_events if e["type"] == "trial_snapshot"]
-        assert len(snaps) == len(specs)
+        assert parallel_counters == serial_counters
+        assert parallel_counters["flush.count"] > 0
+        # Each worker's trace ids carry its own prefix.
+        prefixes = {e["trace"].split(".")[0] for e in parallel_events if "trace" in e}
+        assert prefixes == {"w000", "w001", "w002"}
         assert not list(tmp_path.glob("parallel.jsonl.w*")), "shards left behind"
 
     def test_activated_scope_discovery(self, tmp_path):
         specs = self._specs()[:2]
         path = tmp_path / "scope.jsonl"
-        obs = Instrumentation(sink=JsonlSink(path))
-        with activated(obs):
-            run_trials(specs, jobs=2)
-        obs.close()
-        events = [json.loads(l) for l in path.read_text().splitlines()]
-        assert sum(1 for e in events if e["type"] == "trial_snapshot") == len(specs)
+        _, counters, events = self._run(path, specs, 2)
+        assert counters["flush.count"] > 0
+        assert any(e["type"] == "flush" for e in events)
+        assert not any(e["type"] == "trial_snapshot" for e in events)
         assert not list(tmp_path.glob("scope.jsonl.w*"))
