@@ -13,8 +13,8 @@ Subcommands
     (flush spans, query events, final snapshot) to a JSONL file.
 ``stats [--shards 4]``
     Run a tiny synthetic workload and dump the instrumentation registry
-    (flush phase spans, per-mode query counters, disk I/O, ingest-stall
-    histogram, per-shard gauges when sharded) as JSON or
+    (flush and phase spans, per-mode query counters, disk I/O, memory
+    peaks, ``shard.<i>.*`` twins when sharded) as JSON or
     Prometheus-style text; the system's invariants are checked before
     the dump.
 ``trace metrics.jsonl [--top 5] [--require-miss-causes] [--strict]``
@@ -67,6 +67,7 @@ from repro.obs import (
     to_json,
     to_prometheus_text,
 )
+from repro.obs.catalog import QUERY_MISS_CAUSE
 from repro.obs.slo import SLOSpec, evaluate_registry
 from repro.obs.traceview import (
     build_traces_report,
@@ -207,7 +208,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if value != getattr(TrialSpec, name)
     }
     # Fail fast: a malformed spec should die before hours of trials.
-    slo_spec = SLOSpec.parse(args.slo_spec) if args.slo_spec else None
+    try:
+        slo_spec = SLOSpec.parse(args.slo_spec) if args.slo_spec else None
+    except (ValueError, OSError) as exc:
+        print(f"error: invalid SLO spec: {exc}")
+        return 2
     obs: Optional[Instrumentation] = None
     if args.metrics_out or slo_spec is not None or args.serve is not None:
         # Every system of the run, in this process or a worker, reports to
@@ -245,7 +250,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print_figure(figure)
             print(f"[{name} completed in {elapsed:.1f}s at scale={preset.name}]\n")
         if args.metrics_out:
-            causes = obs.registry.counter_values("query.miss.cause.")
+            causes = obs.registry.counter_values(QUERY_MISS_CAUSE.prefix)
             if causes:
                 print(format_miss_attribution(causes))
                 print()
@@ -414,9 +419,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     # Invariant check through the facade: per-engine structure plus, when
     # sharded, the router's key-ownership invariant on every shard.
     system.check_integrity()
-    # snapshot() refreshes the per-shard gauges into the registry, so the
-    # rendered dump includes shard.<i>.* series for a sharded run; it also
-    # carries the per-key hotness tables when query-heat tracking is on.
+    # The snapshot carries the per-key hotness tables (attribution is on).
     snap = system.snapshot()
     obs.close()
     if args.format == "prom":

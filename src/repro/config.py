@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 from typing import Union
 
 from repro.core import policy_names
-from repro.core.eviction_ledger import EvictionLedger
 from repro.errors import ConfigurationError
 from repro.model.attributes import AttributeExtractor, attribute_from_name
 from repro.model.ranking import RankingFunction, ranking_from_name
@@ -91,9 +90,6 @@ class SystemConfig:
     shards: int = 1
     #: Optional per-shard budgets overriding the even capacity/N split.
     shard_capacity_bytes: Union[tuple[int, ...], None] = None
-    #: Eviction-cause ledger capacity (keys).  Evictions recorded past
-    #: it drop the oldest entry and bump ``eviction_ledger.dropped``.
-    eviction_ledger_capacity: int = EvictionLedger.DEFAULT_CAPACITY
     #: Declarative SLO objectives (``repro.obs.slo``): a spec dict, a
     #: JSON string, or a path to a spec file.  None (default) = no
     #: tracker is built and flush boundaries pay one None test.
@@ -148,11 +144,6 @@ class SystemConfig:
                     raise ConfigurationError(
                         f"shard_capacity_bytes[{i}] must be positive, got {budget}"
                     )
-        if self.eviction_ledger_capacity < 1:
-            raise ConfigurationError(
-                f"eviction_ledger_capacity must be >= 1, got "
-                f"{self.eviction_ledger_capacity}"
-            )
         if self.flight_recorder_events < 0:
             raise ConfigurationError(
                 f"flight_recorder_events must be >= 0, got "

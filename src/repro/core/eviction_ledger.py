@@ -83,6 +83,7 @@ class EvictionRecord(NamedTuple):
 class EvictionLedger:
     """Bounded key → latest :class:`EvictionRecord` map (LRU eviction)."""
 
+    #: Keys kept; every memory engine's ledger has this capacity.
     DEFAULT_CAPACITY = 65536
 
     __slots__ = ("capacity", "_records")

@@ -12,9 +12,10 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Optional, Sequence
 
 from repro.core.flush_cache import FlushCycleCache
-from repro.core.phases import FlushContext, run_phase1, run_phase2, run_phase3
+from repro.core.phases import PHASES, FlushContext, run_phase1, run_phase2, run_phase3
 from repro.core.policy import FlushReport, LookupResult, MemoryEngine
 from repro.model.microblog import Microblog
+from repro.obs import catalog
 from repro.storage.flush_buffer import FlushBuffer
 from repro.storage.inverted_index import HashInvertedIndex
 from repro.storage.posting_list import MIN_SORT_KEY, Posting, SortKey
@@ -51,6 +52,13 @@ class KFlushingEngine(MemoryEngine):
         #: :mod:`repro.core.flush_cache`).  Non-None only while a flush is
         #: running.
         self.flush_cache: Optional[FlushCycleCache] = None
+        #: Phase -> its span name and its ``flush.<phase>.freed_bytes`` counter.
+        self.phase_spans = {
+            p: self.obs.bind_span(catalog.SPAN_FLUSH_PHASE, phase=p) for p in PHASES
+        }
+        self.phase_freed = {
+            p: catalog.FLUSH_PHASE_FREED.bind(self.obs.registry, phase=p) for p in PHASES
+        }
 
     @property
     def mk_enabled(self) -> bool:

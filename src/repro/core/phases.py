@@ -48,6 +48,7 @@ __all__ = [
 PHASE_REGULAR = "phase1-regular"
 PHASE_AGGRESSIVE = "phase2-aggressive"
 PHASE_FORCED = "phase3-forced"
+PHASES = (PHASE_REGULAR, PHASE_AGGRESSIVE, PHASE_FORCED)
 
 #: The victim orders of Phases 2 and 3.
 _LAST_ARRIVAL = attrgetter("last_arrival")
@@ -109,14 +110,14 @@ def _note_phase(
     """Fold one phase's freed bytes into the context and the metrics."""
     ctx.freed_bytes += freed
     ctx.phase_freed[phase] = ctx.phase_freed.get(phase, 0) + freed
-    engine.obs.registry.counter(f"flush.{phase}.freed_bytes").inc(freed)
+    engine.phase_freed[phase].inc(freed)
 
 
 def run_phase1(engine: "KFlushingEngine", ctx: FlushContext) -> None:
     """Regular flushing: trim overflow entries back to top-k."""
     freed = 0
     k = engine.k
-    with engine.obs.span(f"flush.{PHASE_REGULAR}"):
+    with engine.obs.span(engine.phase_spans[PHASE_REGULAR]):
         for key in list(engine.index.overflow_keys):
             entry = engine.index.get(key)
             if entry is None:
@@ -257,7 +258,7 @@ def run_phase2(engine: "KFlushingEngine", ctx: FlushContext) -> None:
     remaining = ctx.remaining
     if remaining <= 0:
         return
-    with engine.obs.span(f"flush.{PHASE_AGGRESSIVE}"):
+    with engine.obs.span(engine.phase_spans[PHASE_AGGRESSIVE]):
         index = engine.index
         k = index.k
         victims = _select_victims(
@@ -289,7 +290,7 @@ def run_phase3(engine: "KFlushingEngine", ctx: FlushContext) -> None:
     """
     freed = 0
     index = engine.index
-    with engine.obs.span(f"flush.{PHASE_FORCED}"):
+    with engine.obs.span(engine.phase_spans[PHASE_FORCED]):
         while ctx.freed_bytes + freed < ctx.target_bytes and len(index) > 0:
             # Each round re-selects with costs from live entry sizes and
             # the current record share.

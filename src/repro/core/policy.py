@@ -30,7 +30,7 @@ from repro.errors import ConfigurationError
 from repro.model.attributes import AttributeExtractor
 from repro.model.microblog import Microblog
 from repro.model.ranking import RankingFunction
-from repro.obs import Instrumentation
+from repro.obs import Instrumentation, catalog
 from repro.storage.disk import DiskArchive
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import MIN_SORT_KEY, Posting, SortKey
@@ -108,7 +108,6 @@ class MemoryEngine(ABC):
         flush_fraction: float,
         disk: DiskArchive,
         obs: Optional[Instrumentation] = None,
-        ledger_capacity: Optional[int] = None,
     ) -> None:
         if k <= 0:
             raise ConfigurationError(f"k must be positive, got {k}")
@@ -126,22 +125,19 @@ class MemoryEngine(ABC):
         self.flush_fraction = flush_fraction
         self.disk = disk
         self.obs = obs if obs is not None else Instrumentation()
-        #: Eviction-cause ledger (PR 5): populated when the shared
+        registry = self.obs.registry
+        self._flushes = catalog.FLUSH_COUNT.bind(registry)
+        self._freed_bytes = catalog.FLUSH_FREED.bind(registry)
+        self._flush_span = self.obs.bind_span(catalog.SPAN_FLUSH)
+        #: Eviction-cause ledger: populated when the shared
         #: Instrumentation has attribution on, None otherwise so the
         #: default path pays a single None test per eviction.
         self.eviction_ledger: Optional[EvictionLedger] = (
-            EvictionLedger(
-                ledger_capacity
-                if ledger_capacity is not None
-                else EvictionLedger.DEFAULT_CAPACITY
-            )
-            if self.obs.attribution
-            else None
+            EvictionLedger() if self.obs.attribution else None
         )
-        #: Ledger-overflow counter, pre-created so it is present (at 0)
-        #: in every snapshot dump whenever the ledger itself exists.
+        #: Ledger-overflow counter, bound (at 0) whenever the ledger exists.
         self._ledger_dropped = (
-            self.obs.registry.counter("eviction_ledger.dropped")
+            catalog.LEDGER_DROPPED.bind(registry)
             if self.eviction_ledger is not None
             else None
         )
@@ -226,11 +222,11 @@ class MemoryEngine(ABC):
 
     def run_flush(self, now: float) -> FlushReport:
         """Template wrapper: times the flush, records the report, and
-        emits the flush span/event plus freed-byte counters.  With
+        emits the flush span/event plus the flush counters.  With
         tracing on, the whole cycle becomes a ``flush`` trace the
         per-phase spans attach to."""
         with self.obs.trace("flush", policy=self.name) as trace_ctx:
-            with self.obs.span("flush", policy=self.name):
+            with self.obs.span(self._flush_span, policy=self.name):
                 # Time exactly the eviction work: entering/exiting the
                 # trace and span managers (and emitting their events) is
                 # observability overhead that must not be charged to
@@ -245,14 +241,8 @@ class MemoryEngine(ABC):
                 trace_ctx.fields["target_bytes"] = report.target_bytes
                 trace_ctx.fields["at"] = now
         self.flush_reports.append(report)
-        registry = self.obs.registry
-        registry.counter("flush.count").inc()
-        registry.counter("flush.freed_bytes").inc(report.freed_bytes)
-        registry.counter("flush.records_flushed").inc(report.records_flushed)
-        registry.counter("flush.postings_flushed").inc(report.postings_flushed)
-        registry.counter("flush.entries_flushed").inc(report.entries_flushed)
-        if not report.met_target:
-            registry.counter("flush.target_missed").inc()
+        self._flushes.inc()
+        self._freed_bytes.inc(report.freed_bytes)
         self.obs.event(
             "flush",
             policy=self.name,

@@ -2,7 +2,7 @@
 
 from repro.engine.clock import LogicalClock
 from repro.engine.executor import QueryExecutor, QueryResult
-from repro.engine.latency import LatencyHistogram, QueryCostModel
+from repro.engine.latency import QueryCostModel
 from repro.engine.parser import parse_query
 from repro.engine.queries import (
     AndQuery,
@@ -22,7 +22,6 @@ __all__ = [
     "CombineMode",
     "IngestStats",
     "KeywordQuery",
-    "LatencyHistogram",
     "LogicalClock",
     "MicroblogSystem",
     "OrQuery",

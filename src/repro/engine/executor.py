@@ -22,12 +22,12 @@ import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.core.eviction_ledger import CAUSE_NEVER_RESIDENT
+from repro.core.eviction_ledger import ALL_CAUSES, CAUSE_NEVER_RESIDENT
 from repro.core.policy import MemoryEngine
 from repro.engine.latency import QueryCostModel
 from repro.engine.queries import CombineMode, TopKQuery
 from repro.model.microblog import Microblog
-from repro.obs import Instrumentation
+from repro.obs import Instrumentation, catalog
 from repro.storage.disk import DiskArchive
 from repro.storage.posting_list import Posting
 from repro.storage.topk import merge_topk
@@ -95,6 +95,25 @@ class QueryExecutor:
         #: Eviction-cause miss attribution (PR 5): cached so the hot
         #: path pays one boolean test when the switch is off.
         self._attribution = self._obs.attribution
+        registry = self._obs.registry
+        modes = [mode.value for mode in CombineMode]
+        per_mode = (catalog.QUERY_HITS, catalog.QUERY_MISSES, catalog.QUERY_DISK_LOOKUPS)
+        self._latency = catalog.QUERY_LATENCY.bind(registry)
+        #: Mode -> its (hits, misses, disk lookups) counters.
+        self._modes = {
+            mode: tuple(metric.bind(registry, mode=mode) for metric in per_mode)
+            for mode in modes
+        }
+        #: (mode, cause) -> the all-mode and the per-mode miss-cause
+        #: counters; empty with attribution off.
+        self._causes = {
+            (mode, cause): (
+                catalog.QUERY_MISS_CAUSE.bind(registry, cause=cause),
+                catalog.QUERY_MODE_MISS_CAUSE.bind(registry, mode=mode, cause=cause),
+            )
+            for mode in modes
+            for cause in (ALL_CAUSES if self._attribution else ())
+        }
         #: Wall seconds spent in policy bookkeeping triggered by queries
         #: (LRU recency touches, kFlushing last-query stamps).  In a real
         #: deployment this work contends with the digestion thread, which
@@ -148,21 +167,18 @@ class QueryExecutor:
     def _observe(self, query: TopKQuery, result: QueryResult) -> None:
         """Per-mode hit/miss/disk-lookup counters plus one query event."""
         mode = query.mode.value
-        registry = self._obs.registry
-        registry.counter(f"query.{mode}.{'hits' if result.memory_hit else 'misses'}").inc()
+        hits, misses, disk_lookups = self._modes[mode]
+        (hits if result.memory_hit else misses).inc()
         if result.disk_lookups:
-            registry.counter("query.disk_lookups").inc(result.disk_lookups)
-            registry.counter(f"query.{mode}.disk_lookups").inc(result.disk_lookups)
-        registry.histogram("query.simulated_latency_seconds").record(
-            result.simulated_latency
-        )
+            disk_lookups.inc(result.disk_lookups)
+        self._latency.record(result.simulated_latency)
         extra: dict = {}
         if self._attribution:
             self._engine.note_heat(query.keys)
             if not result.memory_hit:
                 cause = self._miss_cause(query)
-                registry.counter(f"query.miss.cause.{cause}").inc()
-                registry.counter(f"query.{mode}.miss.cause.{cause}").inc()
+                for counter in self._causes[mode, cause]:
+                    counter.inc()
                 extra["miss_cause"] = cause
         trace_ctx = self._obs.current_trace
         if trace_ctx is not None:

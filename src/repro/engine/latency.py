@@ -12,16 +12,16 @@ user's response time.  This module prices each query:
   :class:`~repro.storage.disk.DiskCostModel` charged for the lookups and
   reads this query triggered.
 
-and aggregates latencies in a log-bucketed histogram so experiments can
-report p50/p95/p99 without storing millions of samples.
+Latencies are aggregated in a :class:`~repro.obs.metrics.Histogram`
+(``QueryStats.latency``), so experiments can report p50/p95/p99 without
+storing millions of samples.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-__all__ = ["QueryCostModel", "LatencyHistogram"]
+__all__ = ["QueryCostModel"]
 
 
 @dataclass(frozen=True)
@@ -35,65 +35,3 @@ class QueryCostModel:
 
     def memory_cost(self, key_count: int) -> float:
         return self.base_seconds + key_count * self.per_key_seconds
-
-
-class LatencyHistogram:
-    """Log₂-bucketed latency histogram with percentile estimation.
-
-    Buckets span 1µs to ~17 minutes in powers of two; each recorded value
-    lands in one counter, so memory stays O(60) regardless of query count
-    and percentiles are accurate to within a factor of two — plenty for
-    the orders-of-magnitude gap between memory hits and disk visits.
-    """
-
-    _MIN_SECONDS = 1e-6
-    _BUCKETS = 60
-
-    def __init__(self) -> None:
-        self._counts = [0] * self._BUCKETS
-        self._total = 0
-        self._sum = 0.0
-        self._max = 0.0
-
-    def __len__(self) -> int:
-        return self._total
-
-    def _bucket(self, seconds: float) -> int:
-        if seconds <= self._MIN_SECONDS:
-            return 0
-        index = int(math.log2(seconds / self._MIN_SECONDS))
-        return min(index, self._BUCKETS - 1)
-
-    def record(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError(f"latency must be non-negative, got {seconds}")
-        self._counts[self._bucket(seconds)] += 1
-        self._total += 1
-        self._sum += seconds
-        if seconds > self._max:
-            self._max = seconds
-
-    @property
-    def mean(self) -> float:
-        return self._sum / self._total if self._total else 0.0
-
-    @property
-    def max(self) -> float:
-        return self._max
-
-    def percentile(self, p: float) -> float:
-        """Upper bound of the bucket containing the p-th percentile.
-
-        ``p`` is in (0, 100].  Returns 0 when nothing was recorded.
-        """
-        if not 0.0 < p <= 100.0:
-            raise ValueError(f"p must be in (0, 100], got {p}")
-        if self._total == 0:
-            return 0.0
-        threshold = math.ceil(self._total * p / 100.0)
-        running = 0
-        for index, count in enumerate(self._counts):
-            running += count
-            if running >= threshold:
-                return self._MIN_SECONDS * (2.0 ** (index + 1))
-        return self._max  # pragma: no cover - unreachable

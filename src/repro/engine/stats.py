@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.engine.latency import LatencyHistogram
 from repro.engine.queries import CombineMode
+from repro.obs.metrics import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.policy import FlushReport
@@ -32,7 +32,9 @@ class QueryStats:
     memory_hits: int = 0
     disk_reads: int = 0
     by_mode: dict[str, list] = field(default_factory=dict)  # mode -> [queries, hits]
-    latency: LatencyHistogram = field(default_factory=LatencyHistogram)
+    #: Simulated latency of every query (log₂ buckets, percentiles
+    #: interpolated within a bucket and clamped to the observed range).
+    latency: Histogram = field(default_factory=Histogram)
 
     def record(
         self,

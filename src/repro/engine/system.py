@@ -20,7 +20,7 @@ routing one partition is the identity and costs 11-21 % throughput
 from __future__ import annotations
 
 import time
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable, NamedTuple, Optional
 
 from repro.config import SystemConfig
 from repro.core import create_engine
@@ -38,14 +38,24 @@ from repro.engine.sharded import (
 from repro.engine.stats import SystemStats
 from repro.errors import CapacityError
 from repro.model.microblog import Microblog
-from repro.obs import Instrumentation
+from repro.obs import Counter, Gauge, Instrumentation, catalog
 from repro.obs.recorder import FlightRecorder, attach_flight_recorder
 from repro.obs.runtime import get_active
 from repro.obs.slo import SLOTracker
-from repro.obs.watermarks import WatermarkTracker
 from repro.storage.disk import DiskArchive
 
 __all__ = ["MicroblogSystem", "Partition"]
+
+
+class _Twins(NamedTuple):
+    """One partition's ``shard.<i>.*`` series (sharded systems only)."""
+
+    flushes: Counter
+    freed_bytes: Counter
+    memory_bytes: Gauge
+    memory_peak: Gauge
+
+    METRICS = (catalog.FLUSH_COUNT, catalog.FLUSH_FREED, catalog.MEMORY_BYTES, catalog.MEMORY_PEAK)
 
 
 class Partition:
@@ -53,7 +63,7 @@ class Partition:
 
     With a ``router`` the slice is one of several: its engine indexes
     only the keys it owns (:class:`ShardAttributeView`) and its flushes
-    additionally feed the ``shard.<i>.*`` series and the per-shard
+    additionally feed the ``shard.<i>.*`` twins and the per-shard
     timeline.  Without one it is the whole system, and those series —
     exact copies of the global ones — are not emitted.
     """
@@ -64,8 +74,6 @@ class Partition:
         config = system.config
         self.system = system
         self.shard_id = shard_id
-        #: Prefix of this slice's own series; empty when it is the only one.
-        self.label = f"shard.{shard_id}." if router is not None else ""
         self.capacity_bytes = config.shard_capacity(shard_id)
         self.disk = DiskArchive(
             config.memory_model,
@@ -86,8 +94,13 @@ class Partition:
             flush_fraction=config.flush_fraction,
             disk=self.disk,
             obs=system.obs,
-            ledger_capacity=config.eviction_ledger_capacity,
         )
+        #: This slice's ``shard.<i>.*`` series; None when it is the only one.
+        self.twins: Optional[_Twins] = None
+        if router is not None:
+            self.twins = _Twins(
+                *(metric.bind(system.obs.registry, shard=shard_id) for metric in _Twins.METRICS)
+            )
 
     # ------------------------------------------------------------------
     # Flush cycle
@@ -99,19 +112,13 @@ class Partition:
         if self.engine.needs_flush():
             now = self.system.now
             self._before_flush(now)
-            report = self.engine.run_flush(now)
-            # The flush stalls ingest for its whole wall time: one
-            # stall sample per flush.
-            registry = self.system.obs.registry
-            registry.counter("ingest.stalls").inc()
-            registry.histogram("ingest.stall_seconds").record(report.wall_seconds)
-            self._after_flush(report, now)
+            self._after_flush(self.engine.run_flush(now), now)
 
     def _sample(self, now: float, kind: str, own: int, total: int) -> None:
         """One timeline point per level, so before/after always pair up:
         this shard's (when it is one of several) and the system's."""
         stats, capacity = self.system.stats, self.system.config.total_capacity_bytes
-        if self.label:
+        if self.twins is not None:
             stats.sample_memory(
                 now, own, self.capacity_bytes, kind=kind, shard=self.shard_id
             )
@@ -128,17 +135,14 @@ class Partition:
         after = self.engine.memory_bytes
         total = system.total_memory_bytes()
         self._sample(now, "after", after, total)
-        registry = system.obs.registry
-        registry.gauge("memory.bytes_used").set(total)
-        registry.gauge("memory.capacity_bytes").set(system.config.total_capacity_bytes)
-        if self.label:
-            prefix = self.label
-            registry.counter(prefix + "flush.count").inc()
-            registry.counter(prefix + "flush.freed_bytes").inc(report.freed_bytes)
-            registry.gauge(prefix + "memory.bytes_used").set(after)
-            registry.gauge(prefix + "memory.capacity_bytes").set(self.capacity_bytes)
+        system._memory_bytes.set(total)
+        twins = self.twins
+        if twins is not None:
+            twins.flushes.inc()
+            twins.freed_bytes.inc(report.freed_bytes)
+            twins.memory_bytes.set(after)
         if report.freed_bytes <= 0 and after >= self.capacity_bytes:
-            who = f"shard {self.shard_id} flush" if self.label else "flush"
+            who = "flush" if twins is None else f"shard {self.shard_id} flush"
             raise CapacityError(
                 f"{who} freed nothing at {after} bytes used of "
                 f"{self.capacity_bytes}; a single record may exceed the "
@@ -197,7 +201,6 @@ class MicroblogSystem:
             self.shards = self.partitions
             engine = _RoutedEngine(self.partitions, self.router, self.obs)
             disk = _RoutedDisk(self.partitions, self.router, self.obs)
-            self.obs.registry.gauge("shards.count").set(config.shards)
         self.executor = QueryExecutor(
             engine,
             disk,
@@ -206,8 +209,15 @@ class MicroblogSystem:
             and_disk_limit=config.and_disk_limit,
             obs=self.obs,
         )
-        #: Resource high-water marks, sampled at flush boundaries.
-        self.watermarks = WatermarkTracker(self.obs.registry)
+        registry = self.obs.registry
+        self._memory_bytes = catalog.MEMORY_BYTES.bind(registry)
+        #: Run-wide resource peaks, raised at flush boundaries: the
+        #: registry gauge itself holds the peak, so every system sharing
+        #: the registry raises one mark.
+        self._memory_peak = catalog.MEMORY_PEAK.bind(registry)
+        self._ledger_peak = (
+            catalog.LEDGER_PEAK.bind(registry) if self.obs.attribution else None
+        )
         #: Error-budget tracker (``config.slo_spec`` set), ticked per flush.
         self.slo_tracker: Optional[SLOTracker] = None
         spec = config.build_slo_spec()
@@ -288,31 +298,25 @@ class MicroblogSystem:
         return self.executor.materialize(result)
 
     # ------------------------------------------------------------------
-    # Service levels (SLO tracker, flight recorder, watermarks)
+    # Service levels (SLO tracker, flight recorder, resource peaks)
     # ------------------------------------------------------------------
 
     def _service_level_tick(self) -> None:
-        """One flush-boundary heartbeat: sample resource watermarks,
-        then evaluate the SLO objectives."""
-        self._sample_watermarks()
-        if self.slo_tracker is not None:
-            self.slo_tracker.tick()
-
-    def _sample_watermarks(self) -> None:
-        watermarks = self.watermarks
+        """One flush-boundary heartbeat: raise the resource peaks, then
+        evaluate the SLO objectives."""
         total = 0
         for partition in self.partitions:
             used = partition.engine.memory_bytes
             total += used
-            if partition.label:
-                watermarks.observe(partition.label + "memory.bytes_used", used)
-        watermarks.observe("memory.bytes_used", total)
-        # One rule at any partition count: a source is observed whenever
-        # it is configured, from the first sample on (an empty ledger
-        # reads 0, it is not skipped).
-        ledgers = [p.engine.eviction_ledger for p in self.partitions]
-        if ledgers[0] is not None:
-            watermarks.observe("eviction_ledger.entries", sum(map(len, ledgers)))
+            if partition.twins is not None:
+                partition.twins.memory_peak.set_max(used)
+        self._memory_peak.set_max(total)
+        if self._ledger_peak is not None:
+            self._ledger_peak.set_max(
+                sum(len(p.engine.eviction_ledger) for p in self.partitions)
+            )
+        if self.slo_tracker is not None:
+            self.slo_tracker.tick()
 
     def slo_state(self) -> Optional[dict]:
         """The SLO tracker's state dict, or None when no spec is set."""
@@ -361,7 +365,7 @@ class MicroblogSystem:
         them: ``{"phase1-regular": 12, "never-resident": 3, ...}``.
         Empty unless the shared Instrumentation has ``attribution=True``
         (and at least one miss occurred)."""
-        return self.obs.registry.counter_values("query.miss.cause.")
+        return self.obs.registry.counter_values(catalog.QUERY_MISS_CAUSE.prefix)
 
     def k_filled_count(self) -> int:
         """Keys whose provable in-memory top-k is complete (Fig 7)."""
@@ -440,18 +444,12 @@ class MicroblogSystem:
         counter, gauge, and histogram this system's components recorded
         (flush spans, per-mode query hits/misses, disk I/O, ...), plus
         the per-key hotness table (``hot_keys``) when heat tracking is
-        on and, with several partitions, refreshed ``shard.<i>.*`` gauges,
-        per-shard state (``shards``) and the ``shard_skew`` summary."""
-        registry = self.obs.registry
-        if self.router is None:
-            snap = registry.snapshot()
-        else:
-            skew = self.shard_skew()
-            registry.gauge("shards.record_skew").set(skew["record_skew"])
-            registry.gauge("shards.flush_skew").set(skew["flush_skew"])
-            per_shard = {}
-            for p in self.partitions:
-                info = per_shard[str(p.shard_id)] = {
+        on and, with several partitions, per-shard state (``shards``)
+        and the ``shard_skew`` summary."""
+        snap = self.obs.registry.snapshot()
+        if self.router is not None:
+            snap["shards"] = {
+                str(p.shard_id): {
                     "capacity_bytes": p.capacity_bytes,
                     "memory_bytes": p.engine.memory_bytes,
                     "utilization": p.engine.memory_bytes / p.capacity_bytes,
@@ -461,15 +459,9 @@ class MicroblogSystem:
                     "disk_records": p.disk.record_count,
                     "disk_keys": p.disk.key_count,
                 }
-                prefix = p.label
-                registry.gauge(prefix + "memory.bytes_used").set(info["memory_bytes"])
-                registry.gauge(prefix + "memory.capacity_bytes").set(p.capacity_bytes)
-                registry.gauge(prefix + "memory.utilization").set(info["utilization"])
-                registry.gauge(prefix + "records").set(info["records"])
-                registry.gauge(prefix + "k_filled").set(info["k_filled"])
-            snap = registry.snapshot()
-            snap["shards"] = per_shard
-            snap["shard_skew"] = skew
+                for p in self.partitions
+            }
+            snap["shard_skew"] = self.shard_skew()
         hot = self.hot_keys()
         if hot:
             snap["hot_keys"] = hot

@@ -1,16 +1,16 @@
 """Observability: metrics, spans, and structured events (``repro.obs``).
 
 The instrumentation substrate every performance PR reports against — see
-``docs/OBSERVABILITY.md`` for the metric and event schema.  The package
-is dependency-free and always-on: components hold an
-:class:`Instrumentation` (registry + sink) and record into it; the
-default :class:`NullSink` makes the event side free until an entry point
-opts in via :func:`activated` or an explicit sink.
+``docs/OBSERVABILITY.md`` for the metric and event schema, and
+:mod:`repro.obs.catalog` for the one declaration of every metric.  The
+package is dependency-free and always-on: components hold an
+:class:`Instrumentation` (registry + sink) and record into handles bound
+at construction; the default :class:`NullSink` makes the event side free
+until an entry point opts in via :func:`activated` or an explicit sink.
 
-On top of the substrate sit the service-level pieces (PR 10): declarative
-SLO tracking with error budgets (:mod:`repro.obs.slo`), the black-box
-flight recorder (:mod:`repro.obs.recorder`), and resource high-watermark
-accounting (:mod:`repro.obs.watermarks`).
+On top of the substrate sit the service-level pieces: declarative SLO
+tracking with error budgets (:mod:`repro.obs.slo`) and the black-box
+flight recorder (:mod:`repro.obs.recorder`).
 """
 
 from repro.obs.events import EventSink, JsonlSink, ListSink, NullSink
@@ -29,7 +29,6 @@ from repro.obs.runtime import activated, get_active, set_active
 from repro.obs.server import OpsServer
 from repro.obs.slo import SLObjective, SLOSpec, SLOTracker, evaluate_registry
 from repro.obs.trace import TraceContext
-from repro.obs.watermarks import WatermarkTracker
 
 __all__ = [
     "Counter",
@@ -47,7 +46,6 @@ __all__ = [
     "SLOSpec",
     "SLOTracker",
     "TraceContext",
-    "WatermarkTracker",
     "activated",
     "attach_flight_recorder",
     "evaluate_registry",

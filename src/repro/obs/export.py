@@ -11,9 +11,10 @@ snapshot:
 
 Metric names are sanitised to the Prometheus charset (dots and dashes
 become underscores) and prefixed ``repro_`` to namespace them.  Each
-family gets a ``# HELP`` line (matched by metric-name prefix) and
-histograms expose ``_min``/``_max``/``_mean`` alongside the quantiles,
-since log₂-bucketed quantiles are bounds while min/max/mean are exact.
+series' ``# HELP`` line is the help text of its
+:mod:`repro.obs.catalog` entry, and histograms expose
+``_min``/``_max``/``_mean`` alongside the quantiles, since
+log₂-bucketed quantiles are bounds while min/max/mean are exact.
 """
 
 from __future__ import annotations
@@ -21,26 +22,14 @@ from __future__ import annotations
 import json
 import re
 
+from repro.obs.catalog import lookup
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["to_json", "to_prometheus_text"]
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
-
-# Longest-prefix-match HELP text for metric families.  The shard prefix
-# is stripped before matching so shard.3.disk.lookups shares disk.'s
-# help line.
-_HELP_PREFIXES = (
-    ("query.miss.cause.", "Memory misses attributed to the eviction decision that caused them"),
-    ("query.", "Query execution: per-mode hits/misses, disk lookups, latency"),
-    ("flush.", "Flush cycles: freed bytes, flushed records/postings, per-phase attribution"),
-    ("disk.", "Simulated disk tier I/O ledger"),
-    ("memory.", "In-memory index occupancy and capacity"),
-    ("span.", "Wall-clock span timings"),
-    ("slo.", "SLO objective state: windowed value, budget spent, burn rates"),
-    ("watermark.", "Resource high-water marks sampled at flush boundaries"),
-)
-_SHARD_RE = re.compile(r"^shard\.\d+\.")
+#: Snapshot section -> the Prometheus type its series are exposed as.
+_PROM_TYPES = {"counters": "counter", "gauges": "gauge", "histograms": "summary"}
 
 
 def _prom_name(name: str) -> str:
@@ -48,16 +37,6 @@ def _prom_name(name: str) -> str:
     if not sanitised or not (sanitised[0].isalpha() or sanitised[0] == "_"):
         sanitised = "_" + sanitised
     return f"repro_{sanitised}"
-
-
-def _help_text(name: str) -> str:
-    stripped = _SHARD_RE.sub("", name)
-    for prefix, text in _HELP_PREFIXES:
-        if stripped.startswith(prefix):
-            if stripped != name:
-                return f"{text} (per-shard twin)"
-            return text
-    return "repro metric"
 
 
 def _format_value(value: float) -> str:
@@ -75,28 +54,19 @@ def to_prometheus_text(registry: MetricsRegistry) -> str:
     """The registry in the Prometheus text exposition format."""
     snapshot = registry.snapshot()
     lines: list[str] = []
-    for name, value in snapshot["counters"].items():
-        prom = _prom_name(name)
-        lines.append(f"# HELP {prom}_total {_help_text(name)}")
-        lines.append(f"# TYPE {prom}_total counter")
-        lines.append(f"{prom}_total {_format_value(value)}")
-    for name, value in snapshot["gauges"].items():
-        prom = _prom_name(name)
-        lines.append(f"# HELP {prom} {_help_text(name)}")
-        lines.append(f"# TYPE {prom} gauge")
-        lines.append(f"{prom} {_format_value(value)}")
-    for name, hist in snapshot["histograms"].items():
-        prom = _prom_name(name)
-        lines.append(f"# HELP {prom} {_help_text(name)}")
-        lines.append(f"# TYPE {prom} summary")
-        for quantile in ("p50", "p95", "p99"):
-            lines.append(
-                f'{prom}{{quantile="0.{quantile[1:]}"}} '
-                f"{_format_value(hist[quantile])}"
-            )
-        lines.append(f"{prom}_count {_format_value(hist['count'])}")
-        lines.append(f"{prom}_sum {_format_value(hist['sum'])}")
-        lines.append(f"{prom}_min {_format_value(hist['min'])}")
-        lines.append(f"{prom}_max {_format_value(hist['max'])}")
-        lines.append(f"{prom}_mean {_format_value(hist['mean'])}")
+    for section, prom_type in _PROM_TYPES.items():
+        for name, value in snapshot[section].items():
+            prom = _prom_name(name) + ("_total" if prom_type == "counter" else "")
+            metric = lookup(name)
+            lines.append(f"# HELP {prom} {metric.help if metric else 'repro metric'}")
+            lines.append(f"# TYPE {prom} {prom_type}")
+            if prom_type != "summary":
+                lines.append(f"{prom} {_format_value(value)}")
+                continue
+            for quantile in ("p50", "p95", "p99"):
+                lines.append(
+                    f'{prom}{{quantile="0.{quantile[1:]}"}} {_format_value(value[quantile])}'
+                )
+            for stat in ("count", "sum", "min", "max", "mean"):
+                lines.append(f"{prom}_{stat} {_format_value(value[stat])}")
     return "\n".join(lines) + "\n"

@@ -1,21 +1,22 @@
 """The Instrumentation facade: one registry + one sink + span timing.
 
 Every instrumented component (system, engine, executor, disk archive)
-holds an :class:`Instrumentation` and calls three things on it:
+holds an :class:`Instrumentation` and uses three things on it:
 
-* ``obs.registry.counter/gauge/histogram(name)`` — aggregate metrics;
+* ``obs.registry`` — aggregate metrics, whose handles the component
+  binds once at construction from :mod:`repro.obs.catalog`;
 * ``obs.event(type, **fields)`` — one structured event to the sink;
 * ``with obs.span(name, **fields):`` — time a block, recording the
-  duration in the ``span.<name>.seconds`` histogram and emitting a
-  ``span`` event that carries its parent span's name, so nested spans
-  (``flush`` → ``flush.phase1-regular``) can be re-assembled from the
-  event stream.
+  duration in the ``span.<name>.seconds`` histogram (bound beforehand by
+  :meth:`Instrumentation.bind_span`) and emitting a ``span`` event that
+  carries its parent span's name, so nested spans (``flush`` →
+  ``flush.phase1-regular``) can be re-assembled from the event stream.
 
 Construction is cheap and the default sink is :class:`NullSink`, so
 components can instrument unconditionally; turning observability "on"
 means handing them a shared Instrumentation with a real sink.
 
-Tracing (PR 5) rides on the same object.  With ``tracing=True``:
+Tracing rides on the same object.  With ``tracing=True``:
 
 * ``with obs.trace(name, **fields):`` opens a new root trace with a
   deterministic id (see :mod:`repro.obs.trace`) and emits a
@@ -39,8 +40,9 @@ import time
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
+from repro.obs.catalog import Metric
 from repro.obs.events import EventSink, NullSink
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import TraceContext
 
 __all__ = ["Instrumentation"]
@@ -72,6 +74,8 @@ class Instrumentation:
         #: stay separable offline.
         self.trace_prefix = trace_prefix
         self._span_stack: list[str] = []
+        #: Span name -> its ``span.<name>.seconds`` histogram.
+        self._span_seconds: dict[str, Histogram] = {}
         self._trace: Optional[TraceContext] = None
         self._trace_serial = 0
 
@@ -89,17 +93,31 @@ class Instrumentation:
     # Spans
     # ------------------------------------------------------------------
 
+    def bind_span(self, metric: Metric, **labels) -> str:
+        """Bind the declared ``span.<name>.seconds`` histogram ``metric``
+        (with ``labels``); returns the span name to open with
+        :meth:`span`."""
+        name = metric.key(**labels)[len("span."):-len(".seconds")]
+        self._span_seconds[name] = metric.bind(self.registry, **labels)
+        return name
+
     @contextmanager
     def span(self, name: str, **fields) -> Iterator[None]:
         """Time a block of work.
 
         The wall-clock duration lands in the ``span.<name>.seconds``
-        histogram; the emitted ``span`` event records ``parent`` (the
-        enclosing span's name, or None at top level) plus any extra
-        ``fields``.  While a trace is open, the event additionally
-        carries ``trace``/``span``/``parent_span`` ids so the span slots
-        into the trace tree.
+        histogram (created now for a span :meth:`bind_span` never saw);
+        the emitted ``span`` event records ``parent`` (the enclosing
+        span's name, or None at top level) plus any extra ``fields``.
+        While a trace is open, the event additionally carries
+        ``trace``/``span``/``parent_span`` ids so the span slots into
+        the trace tree.
         """
+        seconds = self._span_seconds.get(name)
+        if seconds is None:
+            seconds = self._span_seconds[name] = self.registry.histogram(
+                f"span.{name}.seconds"
+            )
         parent = self._span_stack[-1] if self._span_stack else None
         self._span_stack.append(name)
         ctx = self._trace
@@ -113,7 +131,7 @@ class Instrumentation:
         finally:
             elapsed = time.perf_counter() - start
             self._span_stack.pop()
-            self.registry.histogram(f"span.{name}.seconds").record(elapsed)
+            seconds.record(elapsed)
             if ctx is not None:
                 ctx.pop()
                 self.event(
@@ -155,25 +173,11 @@ class Instrumentation:
         self._trace_serial += 1
         ctx = TraceContext(f"{self.trace_prefix}{name}-{self._trace_serial}", name)
         self._trace = ctx
-        root_id = ctx.allocate_span()
-        ctx.push(root_id)
-        start = time.perf_counter()
         try:
-            yield ctx
+            with self._trace_node(ctx, name, fields, ctx.fields):
+                yield ctx
         finally:
-            elapsed = time.perf_counter() - start
-            ctx.pop()
             self._trace = previous
-            self.event(
-                "trace",
-                trace=ctx.trace_id,
-                span=root_id,
-                parent_span=None,
-                name=name,
-                seconds=elapsed,
-                **fields,
-                **ctx.fields,
-            )
 
     @contextmanager
     def trace_span(self, name: str, **fields) -> Iterator[Optional[dict]]:
@@ -188,13 +192,20 @@ class Instrumentation:
         if ctx is None:
             yield None
             return
+        extra: dict = {}
+        with self._trace_node(ctx, name, fields, extra):
+            yield extra
+
+    @contextmanager
+    def _trace_node(self, ctx: TraceContext, name: str, fields: dict, extra: dict):
+        """Time one node of ``ctx``'s tree (the root when none is open) and
+        emit its ``{"type": "trace"}`` event, with ``extra`` read at exit."""
         span_id = ctx.allocate_span()
         parent_span = ctx.current_span_id
         ctx.push(span_id)
-        extra: dict = {}
         start = time.perf_counter()
         try:
-            yield extra
+            yield
         finally:
             elapsed = time.perf_counter() - start
             ctx.pop()
@@ -240,9 +251,6 @@ class Instrumentation:
             attribution=self.attribution if attribution is None else attribution,
             trace_prefix=self.trace_prefix if trace_prefix is None else trace_prefix,
         )
-
-    def snapshot(self) -> dict:
-        return self.registry.snapshot()
 
     def close(self) -> None:
         self.sink.close()

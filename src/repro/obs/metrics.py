@@ -1,11 +1,12 @@
 """Named metric primitives: counters, gauges, and histograms.
 
-A :class:`MetricsRegistry` is a flat namespace of metrics created on
-first use — ``registry.counter("flush.count").inc()`` — so call sites
-never coordinate about declaration order.  Everything is plain Python
-with no dependencies; a full registry snapshot is a JSON-serialisable
-dict, which is what :meth:`~repro.engine.system.MicroblogSystem.snapshot`
-and the exporters in :mod:`repro.obs.export` build on.
+A :class:`MetricsRegistry` is a flat namespace of metrics; its
+accessors get or create a metric by name.  Components do not call them
+on their hot paths: they bind each handle once, at construction, from
+its :mod:`repro.obs.catalog` entry.  Everything is plain Python with no
+dependencies; a full registry snapshot is a JSON-serialisable dict,
+which is what :meth:`~repro.engine.system.MicroblogSystem.snapshot` and
+the exporters in :mod:`repro.obs.export` build on.
 
 Metric names are dotted paths (``"flush.phase1-regular.freed_bytes"``).
 The dots are purely a naming convention here; the Prometheus exporter
@@ -15,6 +16,8 @@ flattens them to underscores.
 from __future__ import annotations
 
 import math
+
+from repro.obs.catalog import COUNTER, GAUGE, HISTOGRAM, lookup
 
 __all__ = [
     "Counter",
@@ -94,15 +97,19 @@ class Gauge:
     def dec(self, amount: float = 1) -> None:
         self.value -= amount
 
+    def set_max(self, value: float) -> None:
+        """Raise the value to ``value`` if that is a new high (peak gauges)."""
+        if value > self.value:
+            self.value = value
+
 
 class Histogram:
     """Log₂-bucketed distribution of non-negative samples.
 
     Tracks count/sum/min/max exactly; the bucket layout (powers of two
     from ``scale`` upward) bounds memory at O(64) counters per histogram
-    no matter how many samples arrive, mirroring the approach of
-    :class:`repro.engine.latency.LatencyHistogram` but generalised to any
-    unit (seconds, bytes, postings).
+    no matter how many samples arrive, in any unit (seconds, bytes,
+    postings).
     """
 
     _BUCKETS = 64
@@ -205,12 +212,15 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """A flat, create-on-first-use namespace of named metrics."""
+    """A flat namespace of named metrics."""
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        self._by_kind = {
+            COUNTER: self._counters, GAUGE: self._gauges, HISTOGRAM: self._histograms
+        }
 
     # ------------------------------------------------------------------
     # Accessors (get-or-create)
@@ -238,16 +248,11 @@ class MetricsRegistry:
     # Accessors (peek — never create)
     # ------------------------------------------------------------------
 
-    def get_counter(self, name: str):
-        """The named counter, or None — never creates (SLO probes must
-        not pollute the registry with metrics nothing ever recorded)."""
-        return self._counters.get(name)
-
-    def get_gauge(self, name: str):
-        return self._gauges.get(name)
-
-    def get_histogram(self, name: str):
-        return self._histograms.get(name)
+    def peek(self, kind: str, name: str):
+        """The named metric of catalog ``kind``, or None — never creates
+        (SLO probes must not pollute the registry with metrics nothing
+        ever recorded)."""
+        return self._by_kind[kind].get(name)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -293,25 +298,24 @@ class MetricsRegistry:
     def merge(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` dict into this registry.
 
-        Counters sum, gauges take the incoming value (last write wins —
-        point-in-time values from different workers are not additive),
-        histograms merge exactly via :meth:`Histogram.merge_snapshot`.
-        This is how per-worker registries from ``run_trials(jobs=N)``
-        aggregate into one picture.
+        Counters sum, histograms merge exactly via
+        :meth:`Histogram.merge_snapshot`, and gauges take the incoming
+        value (last write wins — point-in-time values from different
+        workers are not additive), except that a catalog ``peak`` gauge
+        keeps the larger value.  This is how per-worker registries from
+        ``run_trials(jobs=N)`` aggregate into one picture.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).inc(value)
         for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(value)
+            metric = lookup(name)
+            if metric is not None and metric.peak:
+                self.gauge(name).set_max(value)
+            else:
+                self.gauge(name).set(value)
         for name, hist_snap in snapshot.get("histograms", {}).items():
             scale = hist_snap.get("scale", 1e-6)
             self.histogram(name, scale=scale).merge_snapshot(hist_snap)
-
-    def reset(self) -> None:
-        """Drop every metric (measurement-window boundaries)."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
 
 
 def merge_snapshots(snapshots) -> dict:

@@ -50,7 +50,6 @@ class FlightRecorder(EventSink):
         self.inner = inner
         self._buffer: deque = deque(maxlen=capacity)
         self._lock = threading.Lock()
-        self.dumps = 0
 
     def emit(self, event: dict) -> None:
         with self._lock:
@@ -80,7 +79,6 @@ class FlightRecorder(EventSink):
         path = Path(path)
         with self._lock:
             events = list(self._buffer)
-            self.dumps += 1
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8") as handle:
             header = {

@@ -23,23 +23,14 @@ events through the normal event sink and fire registered callbacks
 (the flight recorder dumps on breach).  Everything is deterministic
 given the tick sequence: no wall clocks, no sampling.
 
-Metric selectors, resolved against the registry on every tick:
-
-* ``hit_ratio`` / ``hit_ratio.<mode>`` — derived from the
-  ``query.<mode>.hits``/``.misses`` counter deltas inside the window;
-  ticks with no queries are skipped (no data is not a violation);
-* ``<histogram>.p50|p90|p95|p99|mean|count|sum`` — the statistic of the
-  named histogram over the window's bucketwise deltas (percentiles
-  interpolated via
-  :func:`~repro.obs.metrics.percentile_from_buckets`, clamped to the
-  cumulative observed min/max); ``.max`` is the cumulative maximum
-  (log₂ buckets cannot recover a windowed max);
-* an exact gauge name — the gauge's current value (watermarks, queue
-  depth);
-* an exact counter name — the counter's delta across the window.
-
-Unknown selectors yield no data and never create metrics (the tracker
-probes with the registry's non-creating accessors).
+Metric selectors are checked against :mod:`repro.obs.catalog` when the
+spec is parsed (an undeclared selector is a spec error) and read from
+the registry on every tick: ``hit_ratio`` / ``hit_ratio.<mode>`` (from
+the per-mode hit/miss counter deltas), ``<histogram>.p50|p90|p95|p99|
+mean|max|count|sum`` (over the window's bucketwise deltas; ``.max`` is
+cumulative), a gauge's current value, or a counter's delta.  A window
+without samples yields no data — never a violation — and probing never
+creates a series.
 """
 
 from __future__ import annotations
@@ -48,9 +39,11 @@ import json
 import math
 import threading
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, field, fields
+from typing import Callable, Optional, Union
 
+from repro.obs import catalog
+from repro.obs.catalog import COUNTER, GAUGE, HISTOGRAM
 from repro.obs.metrics import MetricsRegistry, percentile_from_buckets
 
 __all__ = [
@@ -66,6 +59,33 @@ _HIST_STATS = ("p50", "p90", "p95", "p99", "mean", "max", "count", "sum")
 _PERCENTILES = {"p50": 50.0, "p90": 90.0, "p95": 95.0, "p99": 99.0}
 
 _DEFAULTS = {"budget": 0.1, "window": 5, "fast_window": 5, "slow_window": 60}
+
+#: The selector kind derived from the per-mode hit/miss counters.
+_HIT_RATIO = "hit_ratio"
+
+
+def _resolve(selector: str) -> tuple[str, str]:
+    """``(kind, series)`` a selector reads: the metric kind and series
+    name, or ``("hit_ratio", mode)`` with ``""`` for all modes.  Raises
+    ValueError when the catalog declares no such series."""
+    if selector == _HIT_RATIO:
+        return _HIT_RATIO, ""
+    if selector.startswith(_HIT_RATIO + "."):
+        mode = selector[len(_HIT_RATIO) + 1:]
+        if catalog.QUERY_HITS.matches(catalog.QUERY_HITS.key(mode=mode)):
+            return _HIT_RATIO, mode
+    else:
+        base, _, stat = selector.rpartition(".")
+        metric = catalog.lookup(base) if stat in _HIST_STATS else None
+        if metric is not None and metric.kind == HISTOGRAM:
+            return HISTOGRAM, base
+        metric = catalog.lookup(selector)
+        if metric is not None and metric.kind != HISTOGRAM:
+            return metric.kind, selector
+    raise ValueError(
+        f"undeclared metric selector {selector!r}: not a hit_ratio, a "
+        "histogram statistic, a gauge or a counter of repro.obs.catalog"
+    )
 
 
 @dataclass(frozen=True)
@@ -84,14 +104,20 @@ class SLObjective:
     fast_window: int = 5
     #: Ticks in the slow burn-rate window (the budget's denominator).
     slow_window: int = 60
+    #: What ``metric`` reads, from the catalog: ``(kind, series)``.
+    source: tuple[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.budget < 0:
+            raise ValueError(f"objective {self.name!r}: budget must be >= 0")
+        if min(self.window, self.fast_window, self.slow_window) < 1:
+            raise ValueError(f"objective {self.name!r}: windows must be >= 1")
+        object.__setattr__(self, "source", _resolve(self.metric))
 
     def complies(self, value: float) -> bool:
         if self.op == "<=":
             return value <= self.threshold
         return value >= self.threshold
-
-    def describe(self) -> str:
-        return f"{self.metric} {self.op} {self.threshold:g}"
 
 
 @dataclass(frozen=True)
@@ -120,35 +146,26 @@ class SLOSpec:
             metric = entry.get("metric")
             if not metric or not isinstance(metric, str):
                 raise ValueError(f"objective #{i} needs a 'metric' selector")
-            has_max = "max" in entry
-            has_min = "min" in entry
-            if has_max == has_min:
+            if ("max" in entry) == ("min" in entry):
                 raise ValueError(
                     f"objective #{i} ({metric}) needs exactly one of 'max'/'min'"
                 )
-            threshold = float(entry["max"] if has_max else entry["min"])
+            bound = "max" if "max" in entry else "min"
             name = entry.get("name") or metric
             if name in seen:
                 raise ValueError(f"duplicate objective name {name!r}")
             seen.add(name)
-            budget = float(entry.get("budget", defaults["budget"]))
-            if budget < 0:
-                raise ValueError(f"objective {name!r}: budget must be >= 0")
-            window = int(entry.get("window", defaults["window"]))
-            fast = int(entry.get("fast_window", defaults["fast_window"]))
-            slow = int(entry.get("slow_window", defaults["slow_window"]))
-            if min(window, fast, slow) < 1:
-                raise ValueError(f"objective {name!r}: windows must be >= 1")
+            settings = {key: entry.get(key, value) for key, value in defaults.items()}
             objectives.append(
                 SLObjective(
                     name=name,
                     metric=metric,
-                    op="<=" if has_max else ">=",
-                    threshold=threshold,
-                    budget=budget,
-                    window=window,
-                    fast_window=fast,
-                    slow_window=slow,
+                    op="<=" if bound == "max" else ">=",
+                    threshold=float(entry[bound]),
+                    budget=float(settings["budget"]),
+                    window=int(settings["window"]),
+                    fast_window=int(settings["fast_window"]),
+                    slow_window=int(settings["slow_window"]),
                 )
             )
         return cls(objectives=tuple(objectives))
@@ -165,13 +182,9 @@ class SLOSpec:
             text = spec.strip()
             if text.startswith("{"):
                 return cls.from_dict(json.loads(text))
-            return cls.from_json_file(spec)
+            with open(spec, "r", encoding="utf-8") as handle:
+                return cls.from_dict(json.load(handle))
         raise ValueError(f"cannot parse SLO spec from {type(spec).__name__}")
-
-    @classmethod
-    def from_json_file(cls, path: str) -> "SLOSpec":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
 
 
 # ----------------------------------------------------------------------
@@ -181,100 +194,57 @@ class SLOSpec:
 # ----------------------------------------------------------------------
 
 
-def _split_hit_ratio(metric: str) -> Optional[Optional[str]]:
-    """``hit_ratio`` → "" (aggregate), ``hit_ratio.and`` → "and",
-    anything else → None."""
-    if metric == "hit_ratio":
-        return ""
-    if metric.startswith("hit_ratio."):
-        return metric[len("hit_ratio."):]
-    return None
-
-
 def _hit_counts(registry: MetricsRegistry, mode: str) -> tuple[float, float]:
-    """Cumulative (hits, misses) for one mode, or summed over all modes
-    when ``mode`` is empty."""
-    if mode:
-        hits = registry.get_counter(f"query.{mode}.hits")
-        misses = registry.get_counter(f"query.{mode}.misses")
-        return (
-            hits.value if hits is not None else 0.0,
-            misses.value if misses is not None else 0.0,
-        )
+    """Cumulative (hits, misses) of one mode, or of every mode when
+    ``mode`` is empty."""
     hits = misses = 0.0
-    for name, value in registry.counter_values("query.").items():
-        parts = name.split(".")
-        if len(parts) != 2:
-            continue
-        if parts[1] == "hits":
+    scope = catalog.QUERY_HITS.prefix + (f"{mode}." if mode else "")
+    for rest, value in registry.counter_values(scope).items():
+        name = scope + rest
+        if catalog.QUERY_HITS.matches(name):
             hits += value
-        elif parts[1] == "misses":
+        elif catalog.QUERY_MISSES.matches(name):
             misses += value
     return hits, misses
 
 
-def _hist_selector(metric: str) -> Optional[tuple[str, str]]:
-    """``query.simulated_latency_seconds.p99`` → (histogram name, stat)."""
-    base, _, stat = metric.rpartition(".")
-    if base and stat in _HIST_STATS:
-        return base, stat
-    return None
-
-
 def _capture(registry: MetricsRegistry, objective: SLObjective):
     """A cheap, delta-able snapshot of the selector's current state, or
-    None when the metric does not exist (yet)."""
-    metric = objective.metric
-    mode = _split_hit_ratio(metric)
-    if mode is not None:
-        return ("hit_ratio", _hit_counts(registry, mode))
-    hist_sel = _hist_selector(metric)
-    if hist_sel is not None:
-        hist = registry.get_histogram(hist_sel[0])
-        if hist is not None:
-            return (
-                "histogram",
-                (
-                    hist.count,
-                    hist.total,
-                    hist.min,
-                    hist.max,
-                    tuple(hist._counts),
-                    hist.scale,
-                ),
-            )
-        # Fall through: a gauge/counter may legitimately end in ".count".
-    gauge = registry.get_gauge(metric)
-    if gauge is not None:
-        return ("gauge", gauge.value)
-    counter = registry.get_counter(metric)
-    if counter is not None:
-        return ("counter", counter.value)
-    return None
+    None while its series has not been recorded."""
+    kind, series = objective.source
+    if kind == _HIT_RATIO:
+        return _hit_counts(registry, series)
+    metric = registry.peek(kind, series)
+    if metric is None:
+        return None
+    if kind != HISTOGRAM:
+        return metric.value
+    return (
+        metric.count, metric.total, metric.min, metric.max, tuple(metric._counts), metric.scale
+    )
 
 
 def _window_value(objective: SLObjective, old, new) -> Optional[float]:
     """The objective's metric value over (old capture → new capture), or
     None when the window holds no data."""
-    kind, state = new
-    if kind == "gauge":
-        return float(state)
-    if kind == "counter":
-        base = old[1] if old is not None and old[0] == "counter" else 0.0
-        return float(state) - float(base)
-    if kind == "hit_ratio":
-        hits, misses = state
-        if old is not None and old[0] == "hit_ratio":
-            hits -= old[1][0]
-            misses -= old[1][1]
+    kind = objective.source[0]
+    if kind == GAUGE:
+        return float(new)
+    if kind == COUNTER:
+        return float(new) - float(old or 0.0)
+    if kind == _HIT_RATIO:
+        hits, misses = new
+        if old is not None:
+            hits -= old[0]
+            misses -= old[1]
         total = hits + misses
         if total <= 0:
             return None
         return hits / total
     # Histogram: bucketwise delta between the two cumulative states.
-    count, total, lo, hi, buckets, scale = state
-    if old is not None and old[0] == "histogram":
-        o_count, o_total, _, _, o_buckets, _ = old[1]
+    count, total, lo, hi, buckets, scale = new
+    if old is not None:
+        o_count, o_total, _, _, o_buckets, _ = old
         count -= o_count
         total -= o_total
         buckets = tuple(b - ob for b, ob in zip(buckets, o_buckets))
@@ -293,6 +263,15 @@ def _window_value(objective: SLObjective, old, new) -> Optional[float]:
     return percentile_from_buckets(buckets, count, _PERCENTILES[stat], scale, lo, hi)
 
 
+#: The per-objective state gauges, in ``_export_gauges`` order.
+_STATE_GAUGES = (
+    catalog.SLO_VALUE,
+    catalog.SLO_BUDGET_SPENT,
+    catalog.SLO_BURN_FAST,
+    catalog.SLO_BURN_SLOW,
+)
+
+
 @dataclass
 class _ObjectiveState:
     """Mutable per-objective tracking state (tracker-internal)."""
@@ -300,6 +279,7 @@ class _ObjectiveState:
     objective: SLObjective
     captures: deque  # recent raw captures, oldest ≤ window ticks back
     history: deque  # violating? bool per evaluated tick, slow window
+    gauges: tuple  # bound slo.<name>.value|budget_spent|burn_fast|burn_slow
     value: Optional[float] = None
     ticks: int = 0  # evaluated (data-bearing) ticks
     no_data: int = 0
@@ -311,25 +291,14 @@ class _ObjectiveState:
 
     def as_dict(self) -> dict:
         o = self.objective
-        return {
-            "name": o.name,
-            "metric": o.metric,
-            "op": o.op,
-            "threshold": o.threshold,
-            "budget": o.budget,
-            "window": o.window,
-            "fast_window": o.fast_window,
-            "slow_window": o.slow_window,
-            "value": self.value,
-            "ticks": self.ticks,
-            "no_data": self.no_data,
-            "violations": self.violations,
-            "budget_spent": self.budget_spent,
-            "burn_fast": self.burn_fast,
-            "burn_slow": self.burn_slow,
-            "breached": self.breached,
-            "healthy": not self.breached,
-        }
+        state = {f.name: getattr(o, f.name) for f in fields(o) if f.init}
+        state.update(
+            value=self.value, ticks=self.ticks, no_data=self.no_data,
+            violations=self.violations, budget_spent=self.budget_spent,
+            burn_fast=self.burn_fast, burn_slow=self.burn_slow,
+            breached=self.breached, healthy=not self.breached,
+        )
+        return state
 
 
 class SLOTracker:
@@ -345,19 +314,22 @@ class SLOTracker:
         spec: SLOSpec,
         registry: MetricsRegistry,
         emit: Optional[Callable[..., None]] = None,
-        on_breach: Sequence[Callable[[dict], None]] = (),
     ) -> None:
         self.spec = spec
         self.registry = registry
         self._emit = emit
-        self._on_breach = list(on_breach)
+        self._on_breach: list[Callable[[dict], None]] = []
         self._lock = threading.Lock()
         self._tick_count = 0
+        self._breaches = catalog.SLO_BREACHES.bind(registry)
         self._states = [
             _ObjectiveState(
                 objective=o,
                 captures=deque(maxlen=o.window + 1),
                 history=deque(maxlen=o.slow_window),
+                gauges=tuple(
+                    metric.bind(registry, objective=o.name) for metric in _STATE_GAUGES
+                ),
             )
             for o in spec.objectives
         ]
@@ -374,7 +346,6 @@ class SLOTracker:
         state; called at flush-cycle boundaries."""
         with self._lock:
             self._tick_count += 1
-            self.registry.counter("slo.ticks").inc()
             transitions = [self._tick_objective(state) for state in self._states]
         # Callbacks run outside the lock: a breach dump may serialise
         # the registry and must not deadlock against a concurrent tick.
@@ -383,7 +354,7 @@ class SLOTracker:
                 continue
             payload = state.as_dict()
             if transition == "breach":
-                self.registry.counter("slo.breaches").inc()
+                self._breaches.inc()
                 if self._emit is not None:
                     self._emit("slo_breach", **payload)
                 for callback in list(self._on_breach):
@@ -435,12 +406,9 @@ class SLOTracker:
         return None
 
     def _export_gauges(self, state: _ObjectiveState) -> None:
-        prefix = f"slo.{state.objective.name}."
-        registry = self.registry
-        registry.gauge(prefix + "value").set(state.value)
-        registry.gauge(prefix + "budget_spent").set(state.budget_spent)
-        registry.gauge(prefix + "burn_fast").set(state.burn_fast)
-        registry.gauge(prefix + "burn_slow").set(state.burn_slow)
+        values = (state.value, state.budget_spent, state.burn_fast, state.burn_slow)
+        for gauge, value in zip(state.gauges, values):
+            gauge.set(value)
 
     # ------------------------------------------------------------------
     # Inspection
@@ -467,7 +435,7 @@ class SLOTracker:
 def evaluate_registry(spec: SLOSpec, registry: MetricsRegistry) -> dict:
     """One-shot evaluation of a spec against a registry's cumulative
     state (the ``repro slo`` CLI shape: no history, the whole run is the
-    window).  Objectives whose selector resolves to nothing report
+    window).  Objectives whose series holds no samples report
     ``no_data``; callers decide whether that fails the check."""
     objectives = []
     for objective in spec.objectives:

@@ -65,11 +65,6 @@ class TraceContext:
     def pop(self) -> None:
         self._stack.pop()
 
-    @property
-    def span_count(self) -> int:
-        """Spans allocated so far (root included)."""
-        return self._next_span
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"TraceContext({self.trace_id!r}, spans={self._next_span}, "

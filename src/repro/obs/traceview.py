@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+from repro.obs.catalog import QUERY_MISS_CAUSE
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
@@ -88,9 +89,6 @@ class Trace:
     @property
     def span_count(self) -> int:
         return sum(1 for _ in self.root.walk())
-
-    def spans_named(self, name: str) -> list[SpanNode]:
-        return [node for node in self.root.walk() if node.name == name]
 
 
 _NODE_KEYS = ("type", "trace", "span", "parent_span", "name", "seconds")
@@ -239,7 +237,7 @@ def miss_cause_table(events: Iterable[dict]) -> dict[str, int]:
     """
     from_queries: dict[str, int] = {}
     from_snapshots: dict[str, int] = {}
-    prefix = "query.miss.cause."
+    prefix = QUERY_MISS_CAUSE.prefix
     for event in events:
         etype = event.get("type")
         if etype == "query" and not event.get("hit", True):

@@ -27,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import merge as _heap_merge
 from itertools import islice
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from repro.model.microblog import Microblog
-from repro.obs import Instrumentation
+from repro.obs import Counter, Instrumentation, catalog
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import Posting
 from repro.storage.topk import MergedRunsView
@@ -67,8 +67,16 @@ class DiskStats:
     simulated_io_seconds: float = 0.0
     compactions: int = 0
 
-    def snapshot(self) -> "DiskStats":
-        return DiskStats(**vars(self))
+
+class _ShardTee(NamedTuple):
+    """A shard archive's disk counter: the aggregate plus the shard's twin."""
+
+    total: Counter
+    shard: Counter
+
+    def inc(self, amount: float = 1) -> None:
+        self.total.inc(amount)
+        self.shard.inc(amount)
 
 
 class _PostingRuns:
@@ -188,18 +196,25 @@ class DiskArchive:
         self.stats = DiskStats()
         self.obs = obs if obs is not None else Instrumentation()
         #: Which shard's namespace this archive holds (None = unsharded).
-        #: A sharded system builds one archive per shard; the shard id
-        #: labels this archive's counters so ``snapshot()`` can expose
-        #: per-shard I/O alongside the aggregate ``disk.*`` series.
+        #: A sharded system builds one archive per shard; its counters
+        #: also feed the shard's ``shard.<i>.disk.*`` twins, so
+        #: ``snapshot()`` exposes per-shard I/O beside the aggregates.
         self.shard_id = shard_id
-        self._shard_prefix = None if shard_id is None else f"shard.{shard_id}.disk."
+        self._flush_batches = self._bind(catalog.DISK_FLUSH_BATCHES)
+        self._records_written = self._bind(catalog.DISK_RECORDS_WRITTEN)
+        self._postings_written = self._bind(catalog.DISK_POSTINGS_WRITTEN)
+        self._bytes_written = self._bind(catalog.DISK_BYTES_WRITTEN)
+        self._compactions = self._bind(catalog.DISK_COMPACTIONS)
+        self._index_lookups = self._bind(catalog.DISK_INDEX_LOOKUPS)
+        self._record_fetches = self._bind(catalog.DISK_RECORD_FETCHES)
+        self._bytes_read = self._bind(catalog.DISK_BYTES_READ)
 
-    def _count(self, name: str, amount: float = 1) -> None:
-        """Increment the aggregate counter and its per-shard twin."""
-        registry = self.obs.registry
-        registry.counter(f"disk.{name}").inc(amount)
-        if self._shard_prefix is not None:
-            registry.counter(self._shard_prefix + name).inc(amount)
+    def _bind(self, metric: catalog.Metric):
+        """The aggregate counter, teed to the shard's twin when sharded."""
+        total = metric.bind(self.obs.registry)
+        if self.shard_id is None:
+            return total
+        return _ShardTee(total, metric.bind(self.obs.registry, shard=self.shard_id))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -265,10 +280,10 @@ class DiskArchive:
         self.stats.postings_written += npostings
         self.stats.bytes_written += nbytes
         self.stats.simulated_io_seconds += self._cost.write_cost(nbytes)
-        self._count("flush_batches")
-        self._count("records_written", nrecords)
-        self._count("postings_written", npostings)
-        self._count("bytes_written", nbytes)
+        self._flush_batches.inc()
+        self._records_written.inc(nrecords)
+        self._postings_written.inc(npostings)
+        self._bytes_written.inc(nbytes)
         return nbytes
 
     def _commit_key(self, key: Hashable, postings: list[Posting]) -> int:
@@ -284,7 +299,7 @@ class DiskArchive:
         if len(entry.runs) > self._max_runs:
             entry.compact(max(1, self._max_runs // 2))
             self.stats.compactions += 1
-            self._count("compactions")
+            self._compactions.inc()
         return fresh
 
     # ------------------------------------------------------------------
@@ -329,8 +344,8 @@ class DiskArchive:
         self.stats.index_lookups += 1
         self.stats.bytes_read += nbytes
         self.stats.simulated_io_seconds += self._cost.read_cost(nbytes)
-        self._count("index_lookups")
-        self._count("bytes_read", nbytes)
+        self._index_lookups.inc()
+        self._bytes_read.inc(nbytes)
         return result
 
     def fetch_record(self, blog_id: int) -> Optional[Microblog]:
@@ -342,8 +357,8 @@ class DiskArchive:
         self.stats.record_fetches += 1
         self.stats.bytes_read += nbytes
         self.stats.simulated_io_seconds += self._cost.read_cost(nbytes)
-        self._count("record_fetches")
-        self._count("bytes_read", nbytes)
+        self._record_fetches.inc()
+        self._bytes_read.inc(nbytes)
         return record
 
     def peek_record(self, blog_id: int) -> Optional[Microblog]:

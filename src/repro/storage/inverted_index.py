@@ -21,10 +21,8 @@ lookup/insert it maintains what the kFlushing policy relies on:
   Each entry also carries a creation ``seq``, its rank in the index's
   dict order.
 
-The k-filled set stays exact as long as in-place entry mutations are
-reported with their key (``charge_removed_postings(count, key=...)``).  A
-legacy keyless charge only marks the set dirty; the next count rebuilds
-it, so external callers remain correct, merely slower.
+Every in-place entry mutation is reported with its key
+(``charge_removed_postings(count, key)``), which keeps all of them exact.
 """
 
 from __future__ import annotations
@@ -37,10 +35,6 @@ from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import MIN_SORT_KEY, Posting, PostingList, SortKey
 
 __all__ = ["HashInvertedIndex"]
-
-#: Distinguishes "caller did not name the mutated key" from a key that
-#: happens to be None.
-_UNSET: object = object()
 
 
 class RecencyOrder:
@@ -129,9 +123,6 @@ class HashInvertedIndex:
         self._postings_total = 0
         #: Keys whose entry is currently k-filled for the index's own k.
         self._k_filled: set[Hashable] = set()
-        #: Set when an entry mutated without telling us which one (legacy
-        #: keyless charge_removed_postings); the next count rebuilds.
-        self._k_filled_dirty = False
         #: Creation counter: the next entry's ``seq``.
         self._created = 0
         #: Keys of the entries holding fewer than k postings, by last arrival.
@@ -189,8 +180,6 @@ class HashInvertedIndex:
         threshold = self._k if k is None else k
         if threshold != self._k:
             return self.k_filled_count_bruteforce(threshold)
-        if self._k_filled_dirty:
-            self._rebuild_k_filled()
         return len(self._k_filled)
 
     def k_filled_count_bruteforce(self, k: Optional[int] = None) -> int:
@@ -212,7 +201,6 @@ class HashInvertedIndex:
         self._k_filled = {
             key for key, entry in self._entries.items() if entry.is_k_filled(k)
         }
-        self._k_filled_dirty = False
 
     def _refresh_k_filled(self, key: Hashable, entry: PostingList) -> None:
         """Re-derive one key's k-filled membership after a mutation."""
@@ -320,28 +308,22 @@ class HashInvertedIndex:
             self._by_query.move_to_end(key, now)
 
     def charge_removed_postings(
-        self, count: int, key: Hashable = _UNSET, *, entry: Optional[PostingList] = None
+        self, count: int, key: Hashable, *, entry: Optional[PostingList] = None
     ) -> int:
-        """Account for ``count`` postings removed directly from an entry.
+        """Account for ``count`` postings removed directly from ``key``'s
+        entry.
 
         Returns the bytes freed.  Callers that mutate a
         :class:`PostingList` in place (trims, per-item removals, drains)
-        must call this to keep the index byte counter truthful, and should
-        pass the mutated ``key`` (optionally with its ``entry`` to skip
-        the dict lookup) so the k-filled set and the arrival order stay
-        incremental.  A keyless charge is still correct: it marks the set
-        dirty (the next k-filled count pays one rebuild) and rebuilds the
-        arrival order.
+        must call this to keep the index byte counter, the k-filled set
+        and the arrival order truthful; passing the mutated ``entry``
+        skips the dict lookup.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         freed = count * self._model.posting_bytes
         self._bytes -= freed
         self._postings_total -= count
-        if key is _UNSET:
-            self._k_filled_dirty = True
-            self._rebuild_arrivals()
-            return freed
         if entry is None:
             entry = self._entries.get(key)
         if entry is not None:
@@ -391,8 +373,6 @@ class HashInvertedIndex:
             # Overflow may be stale-high after set_k shrinks k mid-cycle,
             # but must never contain entries at or below k postings when k
             # is unchanged; Phase 1 tolerates no-op trims either way.
-        if self._k_filled_dirty:
-            self._rebuild_k_filled()
         expected_k_filled = {
             key
             for key, entry in self._entries.items()

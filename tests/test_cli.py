@@ -160,7 +160,8 @@ class TestExecution:
 
     def test_run_reports_objectives_without_data(self, capsys, monkeypatch):
         monkeypatch.setitem(PRESETS, "tiny", MICRO)
-        spec = json.dumps({"objectives": [{"metric": "absent.metric", "min": 1}]})
+        # Declared, but fig1 runs no queries.
+        spec = json.dumps({"objectives": [{"metric": "hit_ratio", "min": 1}]})
         assert main(["run", "--figure", "fig1", "--scale", "tiny", "--slo", spec]) == 0
         out = capsys.readouterr().out
         assert "[slo: 1 objective(s) had no data]" in out

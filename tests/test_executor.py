@@ -66,7 +66,7 @@ class TestSingleKey:
             eng.insert(blog)
         entry = eng.index.get("k")
         entry.remove_id(blogs[1].blog_id)  # hole: floor rises
-        eng.index.charge_removed_postings(1)
+        eng.index.charge_removed_postings(1, "k")
         eng.raw.decref(blogs[1].blog_id)
         result = ex.execute(KeywordQuery("k", k=3), now=1e6)
         assert not result.memory_hit  # only 2 postings remain anyway

@@ -193,26 +193,25 @@ def test_trial_matches_recorded_row(policy, shards):
 
 
 #: ``snapshot()`` key sets of a kFlushing system (k=5, 60 kB) after 3 000
-#: records and 200 queries.
+#: records and 200 queries: every handle the system binds, recorded or
+#: not.
 COUNTERS = [
     "disk.bytes_read",
     "disk.bytes_written",
+    "disk.compactions",
     "disk.flush_batches",
     "disk.index_lookups",
     "disk.postings_written",
+    "disk.record_fetches",
     "disk.records_written",
     "flush.count",
-    "flush.entries_flushed",
     "flush.freed_bytes",
     "flush.phase1-regular.freed_bytes",
     "flush.phase2-aggressive.freed_bytes",
     "flush.phase3-forced.freed_bytes",
-    "flush.postings_flushed",
-    "flush.records_flushed",
-    "ingest.stalls",
     "query.and.disk_lookups",
+    "query.and.hits",
     "query.and.misses",
-    "query.disk_lookups",
     "query.or.disk_lookups",
     "query.or.hits",
     "query.or.misses",
@@ -222,34 +221,25 @@ COUNTERS = [
 ]
 GAUGES = [
     "memory.bytes_used",
-    "memory.capacity_bytes",
     "watermark.memory.bytes_used",
 ]
-#: What four shards add: these per shard under ``shard.<i>.``, ...
+#: What four shards add: these per shard under ``shard.<i>.``.
 SHARD_COUNTERS = [
     "disk.bytes_read",
     "disk.bytes_written",
+    "disk.compactions",
     "disk.flush_batches",
     "disk.index_lookups",
     "disk.postings_written",
+    "disk.record_fetches",
     "disk.records_written",
     "flush.count",
     "flush.freed_bytes",
 ]
 SHARD_GAUGES = [
-    "k_filled",
     "memory.bytes_used",
-    "memory.capacity_bytes",
-    "memory.utilization",
-    "records",
+    "watermark.memory.bytes_used",
 ]
-#: ... and these once.
-SHARDED_GAUGES = [
-    "shards.count",
-    "shards.flush_skew",
-    "shards.record_skew",
-]
-SHARD_WATERMARK = "watermark.shard.{}.memory.bytes_used"
 
 
 def _snapshot(shards):
@@ -277,9 +267,4 @@ def test_four_shard_snapshot_keys():
     assert sorted(snap) == ["counters", "gauges", "histograms", "shard_skew", "shards"]
     per_shard = lambda names: [f"shard.{i}.{n}" for i in range(4) for n in names]
     assert sorted(snap["counters"]) == sorted(COUNTERS + per_shard(SHARD_COUNTERS))
-    assert sorted(snap["gauges"]) == sorted(
-        GAUGES
-        + per_shard(SHARD_GAUGES)
-        + SHARDED_GAUGES
-        + [SHARD_WATERMARK.format(i) for i in range(4)]
-    )
+    assert sorted(snap["gauges"]) == sorted(GAUGES + per_shard(SHARD_GAUGES))

@@ -91,7 +91,7 @@ class TestKFilled:
     def test_respects_floors(self, index):
         fill(index, "a", [1, 2, 3])
         index.get("a").remove_id(2)  # punches a hole, floor rises
-        index.charge_removed_postings(1)
+        index.charge_removed_postings(1, "a")
         fill(index, "a", [4])  # back to 3 postings, but 1 is below floor
         assert index.k_filled_count() == 0
 
@@ -136,13 +136,13 @@ class TestRemovalAccounting:
         fill(index, "a", [1, 2, 3])
         entry = index.get("a")
         removed = entry.trim_beyond(1)
-        freed = index.charge_removed_postings(len(removed))
+        freed = index.charge_removed_postings(len(removed), "a")
         assert freed == 2 * model.posting_bytes
         index.check_integrity()
 
     def test_negative_charge_rejected(self, index):
         with pytest.raises(ValueError):
-            index.charge_removed_postings(-1)
+            index.charge_removed_postings(-1, "a")
 
     def test_posting_count_tracks(self, index):
         fill(index, "a", [1, 2, 3])
@@ -232,7 +232,7 @@ class TestRecencyOrders:
     def test_keyless_charge_rebuilds_arrival_order(self, index):
         fill(index, "a", [1, 2, 3])
         index.get("a").remove_id(3)
-        index.charge_removed_postings(1)
+        index.charge_removed_postings(1, "a")
         assert keys_of(index.oldest_arrivals()) == ["a"]
         index.check_integrity()
 

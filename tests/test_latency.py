@@ -1,8 +1,8 @@
-"""Tests for the simulated latency model and its percentile histogram."""
+"""Tests for the simulated latency model."""
 
 import pytest
 
-from repro.engine.latency import LatencyHistogram, QueryCostModel
+from repro.engine.latency import QueryCostModel
 from repro.engine.queries import KeywordQuery
 from tests.conftest import make_blogs, tiny_system
 
@@ -12,54 +12,6 @@ class TestQueryCostModel:
         cost = QueryCostModel(base_seconds=10e-6, per_key_seconds=5e-6)
         assert cost.memory_cost(1) == pytest.approx(15e-6)
         assert cost.memory_cost(3) == pytest.approx(25e-6)
-
-
-class TestLatencyHistogram:
-    def test_empty(self):
-        hist = LatencyHistogram()
-        assert len(hist) == 0
-        assert hist.percentile(95) == 0.0
-        assert hist.mean == 0.0
-
-    def test_single_value_percentiles(self):
-        hist = LatencyHistogram()
-        hist.record(100e-6)
-        p50 = hist.percentile(50)
-        assert 100e-6 <= p50 <= 400e-6  # factor-of-two bucket bound
-
-    def test_percentiles_separate_fast_and_slow(self):
-        hist = LatencyHistogram()
-        for _ in range(95):
-            hist.record(50e-6)  # memory hits
-        for _ in range(5):
-            hist.record(10e-3)  # disk visits
-        assert hist.percentile(90) < 1e-3
-        assert hist.percentile(99) > 5e-3
-
-    def test_mean_and_max(self):
-        hist = LatencyHistogram()
-        hist.record(1e-3)
-        hist.record(3e-3)
-        assert hist.mean == pytest.approx(2e-3)
-        assert hist.max == 3e-3
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyHistogram().record(-1.0)
-
-    def test_bad_percentile_rejected(self):
-        hist = LatencyHistogram()
-        hist.record(1e-3)
-        with pytest.raises(ValueError):
-            hist.percentile(0.0)
-        with pytest.raises(ValueError):
-            hist.percentile(101.0)
-
-    def test_monotone_percentiles(self):
-        hist = LatencyHistogram()
-        for i in range(1, 200):
-            hist.record(i * 1e-5)
-        assert hist.percentile(50) <= hist.percentile(90) <= hist.percentile(99.9)
 
 
 class TestSystemLatency:

@@ -46,6 +46,7 @@ class TestPrimitives:
         assert snap["sum"] == pytest.approx(0.007)
         assert snap["min"] == pytest.approx(0.001)
         assert snap["max"] == pytest.approx(0.004)
+        assert snap["mean"] == pytest.approx(0.007 / 3)
 
     def test_histogram_accepts_zero(self):
         hist = Histogram()
@@ -97,6 +98,29 @@ class TestPrimitives:
             percentile_from_buckets((), 0, 101.0, 1e-6, 0.0, 0.0)
         assert percentile_from_buckets((), 0, 99.0, 1e-6, 0.0, 0.0) == 0.0
 
+    def test_histogram_percentiles_separate_fast_and_slow(self):
+        hist = Histogram()
+        for _ in range(95):
+            hist.record(50e-6)  # memory hits
+        for _ in range(5):
+            hist.record(10e-3)  # disk visits
+        assert hist.percentile(90) < 1e-3
+        assert hist.percentile(99) > 5e-3
+
+    def test_histogram_percentiles_are_monotone(self):
+        hist = Histogram()
+        for i in range(1, 200):
+            hist.record(i * 1e-5)
+        assert hist.percentile(50) <= hist.percentile(90) <= hist.percentile(99.9)
+
+    def test_histogram_rejects_bad_percentile(self):
+        hist = Histogram()
+        hist.record(1e-3)
+        with pytest.raises(ValueError):
+            hist.percentile(0.0)
+        with pytest.raises(ValueError):
+            hist.percentile(101.0)
+
     def test_empty_histogram_snapshot(self):
         snap = Histogram().snapshot()
         assert snap["count"] == 0
@@ -123,11 +147,22 @@ class TestRegistry:
         assert snap["gauges"]["memory.bytes"] == 1024
         assert snap["histograms"]["lat"]["count"] == 1
 
-    def test_reset_clears_everything(self):
-        registry = MetricsRegistry()
-        registry.counter("a").inc()
-        registry.reset()
-        assert len(registry) == 0
+    def test_merge_keeps_the_larger_peak(self):
+        """Peak gauges merge by max, other gauges last-write-wins."""
+        big, small = MetricsRegistry(), MetricsRegistry()
+        for registry, value in ((big, 100), (small, 40)):
+            registry.gauge("watermark.memory.bytes_used").set(value)
+            registry.gauge("memory.bytes_used").set(value)
+        big.merge(small.snapshot())
+        gauges = big.snapshot()["gauges"]
+        assert gauges["watermark.memory.bytes_used"] == 100
+        assert gauges["memory.bytes_used"] == 40
+
+    def test_peak_gauge_only_rises(self):
+        gauge = Gauge()
+        gauge.set_max(5)
+        gauge.set_max(3)
+        assert gauge.value == 5
 
 
 class TestSpans:

@@ -40,16 +40,6 @@ class TestKFilledIncremental:
             assert index.k_filled_count() == index.k_filled_count_bruteforce()
         assert index.k_filled_count() == 1
 
-    def test_keyless_charge_falls_back_to_recount(self):
-        index = HashInvertedIndex(MemoryModel(), k=3)
-        for i in range(1, 5):
-            index.insert("a", posting(i), now=float(i))
-        entry = index.get("a")
-        entry.remove_id(4)
-        index.charge_removed_postings(1)  # legacy keyless call: dirty flag
-        assert index.k_filled_count() == index.k_filled_count_bruteforce()
-        index.check_integrity()
-
     def test_random_workload_never_drifts(self):
         rng = random.Random(1234)
         index = HashInvertedIndex(MemoryModel(), k=4)

@@ -1,11 +1,12 @@
-"""SLO engine, flight recorder, and resource watermarks (PR 10).
+"""SLO engine, flight recorder, and resource watermarks.
 
-Covers the spec parser, the tick-based tracker (windows, error budgets,
-burn rates, breach/recovery transitions), the metric probes, the
-flight-recorder ring and its black-box dump, watermark accounting, the
-``/slo`` + breach-aware ``/healthz`` endpoints, the ``repro slo`` CLI,
-and the default-off guarantee: with no spec configured, trial results
-are bit-identical to a build without any of this machinery.
+Covers the spec parser and its catalog check of selectors, the
+tick-based tracker (windows, error budgets, burn rates, breach/recovery
+transitions), the metric probes, the flight-recorder ring and its
+black-box dump, the run-wide watermark gauges, the ``/slo`` +
+breach-aware ``/healthz`` endpoints, the ``repro slo`` CLI, and the
+default-off guarantee: with no spec configured, trial results are
+bit-identical to a build without any of this machinery.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.obs import (
     OpsServer,
     SLOSpec,
     SLOTracker,
-    WatermarkTracker,
+    activated,
     attach_flight_recorder,
     evaluate_registry,
 )
@@ -42,6 +43,9 @@ from tests.test_experiments import MICRO
 # ----------------------------------------------------------------------
 # Spec parsing
 # ----------------------------------------------------------------------
+
+#: A declared histogram for the selector tests.
+_LATENCY = "query.simulated_latency_seconds"
 
 _SPEC = {
     "objectives": [
@@ -77,16 +81,17 @@ class TestSLOSpec:
         [
             {},
             {"objectives": []},
-            {"objectives": [{"metric": "m"}]},  # neither max nor min
-            {"objectives": [{"metric": "m", "max": 1, "min": 0}]},
+            {"objectives": [{"metric": "flush.count"}]},  # neither max nor min
+            {"objectives": [{"metric": "flush.count", "max": 1, "min": 0}]},
             {"objectives": [{"max": 1}]},  # no metric
-            {"objectives": [{"metric": "m", "max": 1, "budget": -0.1}]},
-            {"objectives": [{"metric": "m", "max": 1, "window": 0}]},
-            {"objectives": [{"metric": "a", "max": 1, "name": "x"},
-                            {"metric": "b", "max": 1, "name": "x"}]},
+            {"objectives": [{"metric": "flush.count", "max": 1, "budget": -0.1}]},
+            {"objectives": [{"metric": "flush.count", "max": 1, "window": 0}]},
+            {"objectives": [{"metric": "flush.count", "max": 1, "name": "x"},
+                            {"metric": "slo.breaches", "max": 1, "name": "x"}]},
+            {"objectives": [{"metric": "flush.cuont", "max": 1}]},
         ],
         ids=["empty", "no-objectives", "no-bound", "both-bounds", "no-metric",
-             "neg-budget", "zero-window", "dup-names"],
+             "neg-budget", "zero-window", "dup-names", "undeclared"],
     )
     def test_invalid_specs_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -107,6 +112,8 @@ class TestSLOSpec:
             SystemConfig(slo_spec='{"objectives": "nope"}')
         with pytest.raises(ConfigurationError):
             SystemConfig(flight_recorder_events=-1)
+        with pytest.raises(ConfigurationError, match="flush.cuont"):
+            SystemConfig(slo_spec={"objectives": [{"metric": "flush.cuont", "min": 1}]})
         # File paths resolve lazily: the file may be written later.
         config = SystemConfig(slo_spec="does/not/exist/yet.json")
         with pytest.raises(OSError):
@@ -118,8 +125,12 @@ class TestSLOSpec:
 # ----------------------------------------------------------------------
 
 
+#: A declared gauge the tracker tests set by hand.
+_GAUGE = "memory.bytes_used"
+
+
 def _gauge_spec(**overrides) -> SLOSpec:
-    entry = {"name": "depth", "metric": "queue.depth", "max": 10.0,
+    entry = {"name": "depth", "metric": _GAUGE, "max": 10.0,
              "budget": 0, "slow_window": 60}
     entry.update(overrides)
     return SLOSpec.from_dict({"objectives": [entry]})
@@ -128,7 +139,7 @@ def _gauge_spec(**overrides) -> SLOSpec:
 class TestSLOTracker:
     def test_compliant_ticks_stay_healthy(self):
         registry = MetricsRegistry()
-        registry.gauge("queue.depth").set(3)
+        registry.gauge(_GAUGE).set(3)
         tracker = SLOTracker(_gauge_spec(), registry)
         for _ in range(5):
             tracker.tick()
@@ -142,7 +153,7 @@ class TestSLOTracker:
 
     def test_zero_budget_breaches_on_first_violation(self):
         registry = MetricsRegistry()
-        registry.gauge("queue.depth").set(99)
+        registry.gauge(_GAUGE).set(99)
         events = []
         tracker = SLOTracker(
             _gauge_spec(), registry, emit=lambda t, **f: events.append((t, f))
@@ -159,7 +170,7 @@ class TestSLOTracker:
 
     def test_budget_tolerates_allowed_violations_then_breaches(self):
         registry = MetricsRegistry()
-        gauge = registry.gauge("queue.depth")
+        gauge = registry.gauge(_GAUGE)
         # budget 0.2 of slow_window 10 -> 2 violating ticks allowed.
         spec = _gauge_spec(budget=0.2, slow_window=10)
         tracker = SLOTracker(spec, registry)
@@ -173,7 +184,7 @@ class TestSLOTracker:
 
     def test_recovery_as_violations_age_out(self):
         registry = MetricsRegistry()
-        gauge = registry.gauge("queue.depth")
+        gauge = registry.gauge(_GAUGE)
         events = []
         spec = _gauge_spec(budget=0.25, slow_window=4)  # 1 violation allowed
         tracker = SLOTracker(
@@ -191,7 +202,7 @@ class TestSLOTracker:
 
     def test_burn_rates_distinguish_fast_and_slow(self):
         registry = MetricsRegistry()
-        gauge = registry.gauge("queue.depth")
+        gauge = registry.gauge(_GAUGE)
         spec = _gauge_spec(budget=0.1, fast_window=2, slow_window=20)
         tracker = SLOTracker(spec, registry)
         gauge.set(1)
@@ -208,14 +219,15 @@ class TestSLOTracker:
 
     def test_exports_state_gauges(self):
         registry = MetricsRegistry()
-        registry.gauge("queue.depth").set(4)
+        registry.gauge(_GAUGE).set(4)
         SLOTracker(_gauge_spec(), registry).tick()
-        assert registry.get_gauge("slo.depth.value").value == 4.0
-        assert registry.get_gauge("slo.depth.budget_spent").value == 0.0
+        gauges = registry.snapshot()["gauges"]
+        assert gauges["slo.depth.value"] == 4.0
+        assert gauges["slo.depth.budget_spent"] == 0.0
 
     def test_breach_callback_receives_payload(self):
         registry = MetricsRegistry()
-        registry.gauge("queue.depth").set(99)
+        registry.gauge(_GAUGE).set(99)
         payloads = []
         tracker = SLOTracker(_gauge_spec(), registry)
         tracker.add_breach_callback(payloads.append)
@@ -225,20 +237,30 @@ class TestSLOTracker:
 
 
 class TestProbes:
-    def test_unknown_selector_is_no_data_and_never_creates(self):
+    @pytest.mark.parametrize(
+        "selector",
+        ["no.such.metric", "flush.cuont", "flush.count.p99", "memory.bytes_used.p50",
+         "span.flush.seconds", "hit_ratio.a.b"],
+    )
+    def test_undeclared_selector_is_a_spec_error(self, selector):
+        with pytest.raises(ValueError, match="undeclared metric selector"):
+            SLOSpec.from_dict({"objectives": [{"metric": selector, "max": 1}]})
+
+    def test_declared_series_without_samples_is_no_data_and_never_creates(self):
         registry = MetricsRegistry()
         tracker = SLOTracker(
             SLOSpec.from_dict(
-                {"objectives": [{"metric": "no.such.metric", "max": 1}]}
+                {"objectives": [{"metric": "disk.bytes_read", "max": 1},
+                                {"metric": "hit_ratio.and", "min": 0.5}]}
             ),
             registry,
         )
         tracker.tick()
-        state = tracker.state()["objectives"][0]
-        assert state["no_data"] == 1 and state["ticks"] == 0
-        assert state["value"] is None
-        assert registry.get_gauge("no.such.metric") is None
-        assert registry.get_counter("no.such.metric") is None
+        for state in tracker.state()["objectives"]:
+            assert state["no_data"] == 1 and state["ticks"] == 0
+            assert state["value"] is None
+        assert "disk.bytes_read" not in registry
+        assert "query.and.hits" not in registry
 
     def test_counter_selector_is_windowed_delta(self):
         registry = MetricsRegistry()
@@ -273,7 +295,7 @@ class TestProbes:
         registry.counter("query.single.misses").inc(1)
         # Neither of these is a per-mode hit/miss counter.
         registry.counter("query.miss.cause.phase1-regular").inc(50)
-        registry.counter("query.disk_lookups").inc(50)
+        registry.counter("query.single.disk_lookups").inc(50)
         report = evaluate_registry(
             SLOSpec.from_dict({"objectives": [{"metric": "hit_ratio", "min": 0.7}]}),
             registry,
@@ -292,9 +314,9 @@ class TestProbes:
 
     def test_histogram_percentile_selector_windows_buckets(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("lat")
+        hist = registry.histogram(_LATENCY)
         spec = SLOSpec.from_dict(
-            {"objectives": [{"metric": "lat.p99", "max": 0.01, "window": 1,
+            {"objectives": [{"metric": f"{_LATENCY}.p99", "max": 0.01, "window": 1,
                              "budget": 0}]}
         )
         tracker = SLOTracker(spec, registry)
@@ -312,7 +334,7 @@ class TestProbes:
 
     def test_histogram_stat_selectors(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("lat")
+        hist = registry.histogram(_LATENCY)
         for value in (0.001, 0.002, 0.003):
             hist.record(value)
         def value_of(metric):
@@ -321,14 +343,14 @@ class TestProbes:
                 registry,
             )
             return report["objectives"][0]["value"]
-        assert value_of("lat.count") == 3.0
-        assert value_of("lat.sum") == pytest.approx(0.006)
-        assert value_of("lat.mean") == pytest.approx(0.002)
-        assert value_of("lat.max") == pytest.approx(0.003)
+        assert value_of(f"{_LATENCY}.count") == 3.0
+        assert value_of(f"{_LATENCY}.sum") == pytest.approx(0.006)
+        assert value_of(f"{_LATENCY}.mean") == pytest.approx(0.002)
+        assert value_of(f"{_LATENCY}.max") == pytest.approx(0.003)
 
     def test_evaluate_registry_one_shot(self):
         registry = MetricsRegistry()
-        registry.gauge("queue.depth").set(99)
+        registry.gauge(_GAUGE).set(99)
         report = evaluate_registry(_gauge_spec(), registry)
         assert report["healthy"] is False
         (obj,) = report["objectives"]
@@ -342,21 +364,21 @@ class TestProbes:
 
 
 class TestWatermarks:
-    def test_tracks_only_new_highs(self):
-        registry = MetricsRegistry()
-        marks = WatermarkTracker(registry)
-        marks.observe("memory.bytes_used", 100)
-        marks.observe("memory.bytes_used", 50)  # below the mark: ignored
-        marks.observe("memory.bytes_used", 120)
-        assert marks.get("memory.bytes_used") == 120
-        assert registry.get_gauge("watermark.memory.bytes_used").value == 120
-
-    def test_table_is_name_sorted(self):
-        marks = WatermarkTracker()
-        marks.observe("b", 2)
-        marks.observe("a", 1)
-        assert list(marks.table()) == ["a", "b"]
-        assert len(marks) == 2
+    def test_peak_is_run_wide_across_systems(self):
+        """Every system of a run shares one registry, so a later, smaller
+        trial must not lower the peak an earlier one set."""
+        stream = MicroblogStream(
+            StreamConfig(seed=11, vocabulary_size=2_000, with_locations=False)
+        )
+        obs = Instrumentation()
+        peaks = []
+        with activated(obs):
+            for capacity in (2_000_000, 500_000):
+                system = build_system(SystemConfig(memory_capacity_bytes=capacity))
+                system.ingest_many(stream.take(40_000))
+                peaks.append(obs.registry.snapshot()["gauges"]["watermark.memory.bytes_used"])
+        assert peaks[0] > 500_000
+        assert peaks[1] == peaks[0]
 
 
 # ----------------------------------------------------------------------
@@ -475,21 +497,19 @@ class TestSystemIntegration:
         config = SystemConfig(memory_capacity_bytes=400_000, **overrides)
         system = _drive(config)
         assert system.slo_state() is None  # no spec configured
-        marks = system.watermarks.table()
-        assert marks.get("memory.bytes_used", 0) > 0
         gauges = system.obs.registry.snapshot()["gauges"]
         assert gauges["watermark.memory.bytes_used"] > 0
         if overrides.get("shards"):
-            assert any(
-                name.startswith("watermark.shard.") for name in gauges
+            assert all(
+                gauges[f"shard.{i}.watermark.memory.bytes_used"] > 0
+                for i in range(overrides["shards"])
             )
 
 
 def test_watermark_names_do_not_depend_on_shard_count():
-    """One sampling rule: with every optional source on (the ledger),
-    the watermark set at 4 shards is the one-partition set plus the
-    per-shard memory marks — from the first sample on, when the ledgers
-    are still empty."""
+    """One rule: with every optional source on (the ledger), the
+    watermark set at 4 shards is the one-partition set plus the
+    per-shard memory marks — bound at construction, before any flush."""
     names = {}
     for shards in (1, 4):
         config = SystemConfig(
@@ -497,15 +517,14 @@ def test_watermark_names_do_not_depend_on_shard_count():
             shards=shards,
         )
         system = build_system(config, obs=Instrumentation(attribution=True))
-        system._sample_watermarks()
         names[shards] = {
             name
             for name in system.obs.registry.snapshot()["gauges"]
-            if name.startswith("watermark.")
+            if "watermark." in name
         }
     assert "watermark.eviction_ledger.entries" in names[1]
     assert names[4] - names[1] == {
-        f"watermark.shard.{i}.memory.bytes_used" for i in range(4)
+        f"shard.{i}.watermark.memory.bytes_used" for i in range(4)
     }
     assert names[1] <= names[4]
 
@@ -593,7 +612,7 @@ class TestOpsEndpoint:
 
     def test_slo_state_served_and_healthz_follows_budget(self):
         registry = MetricsRegistry()
-        registry.gauge("queue.depth").set(1)
+        registry.gauge(_GAUGE).set(1)
         tracker = SLOTracker(_gauge_spec(), registry)
         tracker.tick()
         with OpsServer(registry, port=0, slo_provider=tracker.state) as server:
@@ -604,7 +623,7 @@ class TestOpsEndpoint:
             assert state["objectives"][0]["name"] == "depth"
             assert _get(f"{server.url}/healthz")[0] == 200
             # Exhaust the budget: /healthz flips to 503.
-            registry.gauge("queue.depth").set(99)
+            registry.gauge(_GAUGE).set(99)
             tracker.tick()
             with pytest.raises(urllib.error.HTTPError) as err:
                 _get(f"{server.url}/healthz")
@@ -698,7 +717,8 @@ class TestSloCli:
 
     def test_check_fails_on_no_data(self, tmp_path, capsys):
         events = self._events_file(tmp_path)
-        spec = json.dumps({"objectives": [{"metric": "absent.metric", "min": 1}]})
+        # Declared, but the captured run answered no AND queries.
+        spec = json.dumps({"objectives": [{"metric": "hit_ratio.and", "min": 1}]})
         assert cli_main(["slo", spec, "--events", str(events)]) == 0
         assert cli_main(["slo", spec, "--events", str(events), "--check"]) == 1
 
@@ -718,7 +738,7 @@ class TestSloCli:
             assert cli_main(["slo", spec, "--url", server.url]) == 0
 
     def test_requires_exactly_one_source(self, tmp_path, capsys):
-        spec = json.dumps({"objectives": [{"metric": "x", "min": 1}]})
+        spec = json.dumps({"objectives": [{"metric": "flush.count", "min": 1}]})
         assert cli_main(["slo", spec]) == 2
         events = self._events_file(tmp_path)
         assert (
@@ -731,6 +751,16 @@ class TestSloCli:
     def test_bad_spec_is_a_usage_error(self, tmp_path):
         events = self._events_file(tmp_path)
         assert cli_main(["slo", '{"objectives": []}', "--events", str(events)]) == 2
+
+    def test_misspelled_selector_is_a_usage_error(self, tmp_path, capsys):
+        spec = json.dumps({"objectives": [{"metric": "flush.cuont", "min": 1}]})
+        events = self._events_file(tmp_path)
+        assert cli_main(["slo", spec, "--events", str(events)]) == 2
+        capsys.readouterr()
+        assert cli_main(["run", "--figure", "fig1", "--scale", "tiny", "--slo", spec]) == 2
+        out = capsys.readouterr().out
+        assert "flush.cuont" in out
+        assert "completed in" not in out  # no figure ran
 
 
 class TestTraceStrict:

@@ -39,7 +39,7 @@ class TestQueryStats:
         stats.record(CombineMode.SINGLE, True, latency_seconds=0.0)
         stats.record(CombineMode.SINGLE, True, latency_seconds=0.0)
         stats.record(CombineMode.SINGLE, False, latency_seconds=0.5)
-        assert len(stats.latency) == stats.queries == 3
+        assert stats.latency.count == stats.queries == 3
 
     def test_zero_latency_hits_pull_percentiles_down(self):
         stats = QueryStats()

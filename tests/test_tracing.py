@@ -350,22 +350,22 @@ class TestPrometheusGolden:
     def test_golden_text_round_trip(self):
         registry = MetricsRegistry()
         registry.counter("query.single.hits").inc(3)
-        registry.counter("shard.0.query.single.misses").inc(2)
+        registry.counter("shard.0.disk.index_lookups").inc(2)
         registry.gauge("memory.bytes").set(123)
         hist = registry.histogram("span.flush.seconds")
         hist.record(0.25)
         hist.record(0.5)
         expected = """\
-# HELP repro_query_single_hits_total Query execution: per-mode hits/misses, disk lookups, latency
+# HELP repro_query_single_hits_total Queries of one mode answered from memory
 # TYPE repro_query_single_hits_total counter
 repro_query_single_hits_total 3
-# HELP repro_shard_0_query_single_misses_total Query execution: per-mode hits/misses, disk lookups, latency (per-shard twin)
-# TYPE repro_shard_0_query_single_misses_total counter
-repro_shard_0_query_single_misses_total 2
-# HELP repro_memory_bytes In-memory index occupancy and capacity
+# HELP repro_shard_0_disk_index_lookups_total Disk index lookups, each paying one modelled seek
+# TYPE repro_shard_0_disk_index_lookups_total counter
+repro_shard_0_disk_index_lookups_total 2
+# HELP repro_memory_bytes repro metric
 # TYPE repro_memory_bytes gauge
 repro_memory_bytes 123
-# HELP repro_span_flush_seconds Wall-clock span timings
+# HELP repro_span_flush_seconds Wall time of one flush cycle, which is how long it stalled ingest
 # TYPE repro_span_flush_seconds summary
 repro_span_flush_seconds{quantile="0.50"} 0.262144
 repro_span_flush_seconds{quantile="0.95"} 0.5
