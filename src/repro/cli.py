@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import Optional, Sequence, get_args, get_type_hints
 
 from repro.config import SystemConfig
-from repro.core import policy_names
+from repro.core import POLICY_NAMES
 from repro.engine.sharded import build_system
 from repro.engine.system import MicroblogSystem
 from repro.experiments.figures import FIGURES, run_figure
@@ -148,7 +148,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, base, names: Sequence[str
             dest=name,
             type=scalar,
             default=getattr(base, name),
-            choices=policy_names() if name == "policy" else None,
+            choices=POLICY_NAMES if name == "policy" else None,
             metavar=metavar,
             help=help_text,
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Union
 
-from repro.core import policy_names
+from repro.core import POLICY_NAMES
 from repro.errors import ConfigurationError
 from repro.model.attributes import AttributeExtractor, attribute_from_name
 from repro.model.ranking import RankingFunction, ranking_from_name
@@ -104,9 +104,8 @@ class SystemConfig:
     flight_recorder_path: Union[str, None] = None
 
     def __post_init__(self) -> None:
-        names = policy_names()
-        if self.policy not in names:
-            valid = ", ".join(names)
+        if self.policy not in POLICY_NAMES:
+            valid = ", ".join(POLICY_NAMES)
             raise ConfigurationError(
                 f"unknown policy {self.policy!r}; expected one of: {valid}"
             )

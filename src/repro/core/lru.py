@@ -14,64 +14,37 @@ accounting instead of silently returning wrong answers.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from repro.core.eviction_ledger import CAUSE_TRIMMED_TOPK, CAUSE_WHOLE_KEY_LRU
-from repro.core.policy import FlushReport, LookupResult, MemoryEngine
+from repro.core.policy import FlushReport, IndexedEngine
 from repro.core.recency_list import RecencyList
 from repro.model.microblog import Microblog
-from repro.storage.flush_buffer import FlushBuffer
-from repro.storage.inverted_index import HashInvertedIndex
-from repro.storage.posting_list import MIN_SORT_KEY, Posting, SortKey
-from repro.storage.raw_store import RawDataStore
 
 __all__ = ["LRUEngine"]
 
 
-class LRUEngine(MemoryEngine):
-    """Inverted index plus a global per-record recency list."""
+class LRUEngine(IndexedEngine):
+    """The indexed layout plus a global per-record recency list."""
 
     name = "lru"
 
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
-        self.raw = RawDataStore(self.model)
-        self.index = HashInvertedIndex(self.model, self.k)
-        self.buffer = FlushBuffer(self.model, self.disk)
         #: Global recency order: the H-Store doubly-linked list, with a
         #: real node per record and a lock per mutation (see RecencyList).
         self._recency = RecencyList()
-        #: Floor seeded into entries (re-)created after wholesale removal.
-        self.global_floor: SortKey = MIN_SORT_KEY
 
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
 
     def insert(self, record: Microblog) -> bool:
-        keys = self.attribute.keys(record)
-        if not keys:
+        if not super().insert(record):
             return False
-        self.raw.add(record, pcount=len(keys))
-        posting = Posting(self.ranking.score(record), record.timestamp, record.blog_id)
-        for key in keys:
-            self.index.insert(
-                key, posting, now=record.timestamp, created_floor=self.global_floor
-            )
         # New data enters at the most-recently-used end of the list.
         self._recency.push(record.blog_id)
         return True
-
-    def lookup(self, key: Hashable, depth: Optional[int] = None) -> LookupResult:
-        entry = self.index.get(key)
-        if entry is None:
-            return LookupResult(key, (), self.global_floor)
-        if depth is None:
-            # Zero-copy unbounded lookup (see KFlushingEngine.lookup).
-            candidates = entry.best_first()
-        else:
-            candidates = tuple(entry.top(depth))
-        return LookupResult(key, candidates, entry.floor)
 
     def note_query(
         self,
@@ -86,22 +59,9 @@ class LRUEngine(MemoryEngine):
         for blog_id in accessed_ids:
             recency.touch(blog_id)
 
-    def get_record(self, blog_id: int) -> Optional[Microblog]:
-        if blog_id in self.raw:
-            return self.raw.get(blog_id)
-        return None
-
     # ------------------------------------------------------------------
     # Flushing
     # ------------------------------------------------------------------
-
-    @property
-    def memory_bytes(self) -> int:
-        return self.raw.bytes_used + self.index.bytes_used
-
-    def needs_flush(self) -> bool:
-        # Same hot-path shortcut as KFlushingEngine.needs_flush.
-        return self.raw._bytes + self.index._bytes >= self.capacity_bytes
 
     def flush(self, now: float) -> FlushReport:
         target = self.flush_target_bytes()
@@ -152,22 +112,8 @@ class LRUEngine(MemoryEngine):
         # buffer at its peak.
         return self.model.lru_node_bytes * len(self.raw) + self.buffer.steady_peak_bytes
 
-    def k_filled_count(self) -> int:
-        return self.index.k_filled_count(self.k)
-
-    def frequency_snapshot(self) -> dict[Hashable, int]:
-        return self.index.frequency_snapshot()
-
-    def record_count(self) -> int:
-        return len(self.raw)
-
-    def set_k(self, k: int) -> None:
-        super().set_k(k)
-        self.index.set_k(k)
-
     def check_integrity(self) -> None:
-        self.raw.check_integrity()
-        self.index.check_integrity()
+        super().check_integrity()
         assert set(self._recency.ids_lru_to_mru()) == {
             r.blog_id for r in self.raw
         }, "recency list out of sync with raw store"

@@ -1,8 +1,9 @@
 """The three kFlushing phases (Sections III-A, III-B, III-C).
 
-Each phase is a function over a :class:`KFlushingEngine` plus a shared
-:class:`FlushContext`, invoked in order by the engine's ``flush`` until the
-budget is met:
+Each phase is a function over a :class:`KFlushingEngine` plus the flush's
+:class:`~repro.core.policy.FlushReport`, which the phases add into
+directly; the engine's ``flush`` invokes them in order until the budget
+is met:
 
 * **Phase 1 — regular flushing**: walk the overflow list L and trim every
   entry back to its top-k, evicting postings that can never appear in a
@@ -20,25 +21,26 @@ Phases 2 and 3 pick exactly the victims the paper's heap picks over a
 scan of the whole index, but read only O(victims) entries: the index
 keeps both victim orders, and :func:`select_victims_pruned` replays the
 heap on the candidates that can affect it.  Victims are evicted in the
-index's dict order.
+index's dict order.  A wholesale eviction raises the engine's
+``global_floor`` to the best posting it evicted at that moment, so a
+re-created entry never claims completeness over flushed history — even
+when the disk commit that follows fails.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
+from repro.core.policy import FlushReport
 from repro.core.victim_selection import select_victims_pruned
-from repro.storage.flush_buffer import FlushBuffer
-from repro.storage.posting_list import MIN_SORT_KEY, Posting, PostingList, SortKey
+from repro.storage.posting_list import Posting, PostingList
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.kflushing import KFlushingEngine
 
 __all__ = [
-    "FlushContext",
     "entry_flush_cost",
     "run_phase1",
     "run_phase2",
@@ -55,65 +57,35 @@ _LAST_ARRIVAL = attrgetter("last_arrival")
 _LAST_QUERY = attrgetter("last_query")
 
 
-@dataclass
-class FlushContext:
-    """State shared by the phases of one flush operation."""
-
-    now: float
-    target_bytes: int
-    buffer: FlushBuffer
-    freed_bytes: int = 0
-    records_flushed: int = 0
-    postings_flushed: int = 0
-    entries_flushed: int = 0
-    #: Best sort key among postings evicted by *whole-entry* removal; the
-    #: engine folds this into its global floor so a re-created entry does
-    #: not claim completeness over the flushed period.
-    max_wholesale_key: SortKey = MIN_SORT_KEY
-    phase_freed: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def met(self) -> bool:
-        return self.freed_bytes >= self.target_bytes
-
-    @property
-    def remaining(self) -> int:
-        return max(0, self.target_bytes - self.freed_bytes)
-
-    def note_wholesale(self, sort_key: SortKey) -> None:
-        if sort_key > self.max_wholesale_key:
-            self.max_wholesale_key = sort_key
-
-
 def _evict_posting(
     engine: "KFlushingEngine",
-    ctx: FlushContext,
+    report: FlushReport,
     key: Hashable,
     posting: Posting,
 ) -> int:
     """Move one trimmed posting (and its record, if now unreferenced) to
     the flush buffer; returns bytes freed from memory."""
-    ctx.buffer.add_posting(key, posting)
-    ctx.postings_flushed += 1
+    engine.buffer.add_posting(key, posting)
+    report.postings_flushed += 1
     freed = engine.model.posting_bytes
     record = engine.raw.decref(posting.blog_id)
     if record is not None:
-        ctx.buffer.add_record(record)
-        ctx.records_flushed += 1
+        engine.buffer.add_record(record)
+        report.records_flushed += 1
         freed += engine.model.record_bytes(record)
     return freed
 
 
 def _note_phase(
-    engine: "KFlushingEngine", ctx: FlushContext, phase: str, freed: int
+    engine: "KFlushingEngine", report: FlushReport, phase: str, freed: int
 ) -> None:
-    """Fold one phase's freed bytes into the context and the metrics."""
-    ctx.freed_bytes += freed
-    ctx.phase_freed[phase] = ctx.phase_freed.get(phase, 0) + freed
+    """Fold one phase's freed bytes into the report and the metrics."""
+    report.freed_bytes += freed
+    report.phase_freed[phase] = report.phase_freed.get(phase, 0) + freed
     engine.phase_freed[phase].inc(freed)
 
 
-def run_phase1(engine: "KFlushingEngine", ctx: FlushContext) -> None:
+def run_phase1(engine: "KFlushingEngine", report: FlushReport) -> None:
     """Regular flushing: trim overflow entries back to top-k."""
     freed = 0
     k = engine.k
@@ -136,9 +108,11 @@ def run_phase1(engine: "KFlushingEngine", ctx: FlushContext) -> None:
             if removed:
                 if engine.flush_cache is not None:
                     engine.flush_cache.invalidate(key)
-                engine.note_eviction(key, PHASE_REGULAR, ctx.now, len(removed))
+                engine.note_eviction(
+                    key, PHASE_REGULAR, report.triggered_at, len(removed)
+                )
                 for posting in removed:
-                    freed += _evict_posting(engine, ctx, key, posting)
+                    freed += _evict_posting(engine, report, key, posting)
             if len(entry) <= k:
                 engine.index.clear_overflow(key)
         # The paper wipes L after Phase 1 completes.  Under MK, entries whose
@@ -147,12 +121,12 @@ def run_phase1(engine: "KFlushingEngine", ctx: FlushContext) -> None:
         # them and trim records that have since left every top-k.
         if not engine.mk_enabled:
             engine.index.wipe_overflow()
-    _note_phase(engine, ctx, PHASE_REGULAR, freed)
+    _note_phase(engine, report, PHASE_REGULAR, freed)
 
 
 def _flush_entry(
     engine: "KFlushingEngine",
-    ctx: FlushContext,
+    report: FlushReport,
     key: Hashable,
     spare_k_filled_residents: bool,
     cause: str,
@@ -162,7 +136,8 @@ def _flush_entry(
     With ``spare_k_filled_residents`` (MK Phase 2), postings whose record
     also exists in a k-filled entry stay behind and the entry survives,
     shrunken; otherwise the entry is removed wholesale.  ``cause`` is the
-    phase recorded in the eviction ledger.
+    phase recorded in the eviction ledger.  The engine's global floor
+    rises to the best posting evicted here.
     """
     entry = engine.index.get(key)
     if entry is None:
@@ -177,15 +152,18 @@ def _flush_entry(
     if removed:
         if engine.flush_cache is not None:
             engine.flush_cache.invalidate(key)
-        engine.note_eviction(key, cause, ctx.now, len(removed))
+        engine.note_eviction(key, cause, report.triggered_at, len(removed))
     freed = 0
+    floor = engine.global_floor
     for posting in removed:
-        freed += _evict_posting(engine, ctx, key, posting)
-        ctx.note_wholesale(posting.sort_key)
+        freed += _evict_posting(engine, report, key, posting)
+        if posting.sort_key > floor:
+            floor = posting.sort_key
+    engine.global_floor = floor
     if len(entry) == 0:
         engine.index.remove_entry(key)
         freed += engine.model.entry_overhead
-        ctx.entries_flushed += 1
+        report.entries_flushed += 1
     return freed
 
 
@@ -252,10 +230,10 @@ def _select_victims(
     return [entry for _ts, _cost, entry in victims]
 
 
-def run_phase2(engine: "KFlushingEngine", ctx: FlushContext) -> None:
+def run_phase2(engine: "KFlushingEngine", report: FlushReport) -> None:
     """Aggressive flushing: evict under-k entries, least recently arrived
     first, until the remaining budget is covered."""
-    remaining = ctx.remaining
+    remaining = report.target_bytes - report.freed_bytes
     if remaining <= 0:
         return
     with engine.obs.span(engine.phase_spans[PHASE_AGGRESSIVE]):
@@ -272,15 +250,15 @@ def run_phase2(engine: "KFlushingEngine", ctx: FlushContext) -> None:
         for entry in victims:
             freed += _flush_entry(
                 engine,
-                ctx,
+                report,
                 entry.key,
                 spare_k_filled_residents=engine.mk_enabled,
                 cause=PHASE_AGGRESSIVE,
             )
-    _note_phase(engine, ctx, PHASE_AGGRESSIVE, freed)
+    _note_phase(engine, report, PHASE_AGGRESSIVE, freed)
 
 
-def run_phase3(engine: "KFlushingEngine", ctx: FlushContext) -> None:
+def run_phase3(engine: "KFlushingEngine", report: FlushReport) -> None:
     """Forced flushing: evict any entries, least recently queried first.
 
     Identical in plain and MK modes (Section IV-D keeps Phase 3 intact).
@@ -291,7 +269,7 @@ def run_phase3(engine: "KFlushingEngine", ctx: FlushContext) -> None:
     freed = 0
     index = engine.index
     with engine.obs.span(engine.phase_spans[PHASE_FORCED]):
-        while ctx.freed_bytes + freed < ctx.target_bytes and len(index) > 0:
+        while report.freed_bytes + freed < report.target_bytes and len(index) > 0:
             # Each round re-selects with costs from live entry sizes and
             # the current record share.
             victims = _select_victims(
@@ -299,7 +277,7 @@ def run_phase3(engine: "KFlushingEngine", ctx: FlushContext) -> None:
                 index.entries(),
                 index.oldest_queries(),
                 _LAST_QUERY,
-                ctx.target_bytes - ctx.freed_bytes - freed,
+                report.target_bytes - report.freed_bytes - freed,
             )
             if not victims:
                 break
@@ -307,7 +285,7 @@ def run_phase3(engine: "KFlushingEngine", ctx: FlushContext) -> None:
             for entry in victims:
                 round_freed += _flush_entry(
                     engine,
-                    ctx,
+                    report,
                     entry.key,
                     spare_k_filled_residents=False,
                     cause=PHASE_FORCED,
@@ -316,4 +294,4 @@ def run_phase3(engine: "KFlushingEngine", ctx: FlushContext) -> None:
             if round_freed == 0:
                 # Every remaining victim was already empty; nothing more to do.
                 break
-    _note_phase(engine, ctx, PHASE_FORCED, freed)
+    _note_phase(engine, report, PHASE_FORCED, freed)

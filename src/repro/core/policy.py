@@ -1,11 +1,12 @@
 """The memory-engine interface every flushing policy implements.
 
 The paper frames a flushing policy as a pluggable module over the
-in-memory store (Figure 2), but in practice each policy dictates part of
-the store's organisation — FIFO needs a temporally segmented index, LRU
-needs a global recency list, kFlushing needs reference counts and the
-overflow list.  A :class:`MemoryEngine` therefore bundles one policy with
-the store layout it needs, behind a uniform contract the
+in-memory store (Figure 2).  Two layouts serve the four policies: FIFO
+needs a temporally segmented index, while kFlushing and LRU share one
+:class:`IndexedEngine` layout — a raw store with ``pcount`` reference
+counts plus the hash inverted index — and differ only in their decision
+rule (LRU adds its recency list).  A :class:`MemoryEngine` bundles one
+policy with the store layout it needs, behind a uniform contract the
 :class:`~repro.engine.system.MicroblogSystem` and the query executor
 program against:
 
@@ -32,10 +33,13 @@ from repro.model.microblog import Microblog
 from repro.model.ranking import RankingFunction
 from repro.obs import Instrumentation, catalog
 from repro.storage.disk import DiskArchive
+from repro.storage.flush_buffer import FlushBuffer
+from repro.storage.inverted_index import HashInvertedIndex
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import MIN_SORT_KEY, Posting, SortKey
+from repro.storage.raw_store import RawDataStore
 
-__all__ = ["LookupResult", "FlushReport", "MemoryEngine"]
+__all__ = ["LookupResult", "FlushReport", "MemoryEngine", "IndexedEngine"]
 
 
 @dataclass(frozen=True)
@@ -62,10 +66,6 @@ class LookupResult:
         if top[-1].sort_key <= self.floor:
             return None
         return tuple(top)
-
-    @property
-    def count_above_floor(self) -> int:
-        return sum(1 for p in self.candidates if p.sort_key > self.floor)
 
 
 @dataclass
@@ -146,7 +146,6 @@ class MemoryEngine(ABC):
         self.key_heat: Optional[KeyHeat] = (
             KeyHeat() if self.eviction_ledger is not None else None
         )
-        self.flush_reports: list[FlushReport] = []
 
     # ------------------------------------------------------------------
     # Data path
@@ -221,7 +220,7 @@ class MemoryEngine(ABC):
         return ledger.get(key)
 
     def run_flush(self, now: float) -> FlushReport:
-        """Template wrapper: times the flush, records the report, and
+        """Template wrapper: times the flush, returns its report, and
         emits the flush span/event plus the flush counters.  With
         tracing on, the whole cycle becomes a ``flush`` trace the
         per-phase spans attach to."""
@@ -240,7 +239,6 @@ class MemoryEngine(ABC):
                 trace_ctx.fields["freed_bytes"] = report.freed_bytes
                 trace_ctx.fields["target_bytes"] = report.target_bytes
                 trace_ctx.fields["at"] = now
-        self.flush_reports.append(report)
         self._flushes.inc()
         self._freed_bytes.inc(report.freed_bytes)
         self.obs.event(
@@ -301,3 +299,106 @@ class MemoryEngine(ABC):
             f"{type(self).__name__}(k={self.k}, capacity={self.capacity_bytes}, "
             f"B={self.flush_fraction:.0%}, attr={self.attribute.name})"
         )
+
+
+class IndexedEngine(MemoryEngine):
+    """The store layout kFlushing and LRU share (Section V).
+
+    A raw data store whose records carry ``pcount`` reference counts, a
+    hash inverted index of floor-tracking posting lists, and the flush
+    buffer that stages evictions for one disk commit.  Subclasses supply
+    the decision rule: ``flush``, ``note_query`` and the policy's modelled
+    overhead.
+    """
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.raw = RawDataStore(self.model)
+        self.index = HashInvertedIndex(self.model, self.k)
+        self.buffer = FlushBuffer(self.model, self.disk)
+        #: Floor seeded into entries (re-)created after a wholesale
+        #: eviction; each policy raises it at the moment it evicts, so a
+        #: re-created entry never claims completeness over flushed history.
+        self.global_floor: SortKey = MIN_SORT_KEY
+
+    # ------------------------------------------------------------------
+    # Data path
+    # ------------------------------------------------------------------
+
+    def insert(self, record: Microblog) -> bool:
+        keys = self.attribute.keys(record)
+        if not keys:
+            return False
+        self.raw.add(record, pcount=len(keys))
+        posting = Posting(self.ranking.score(record), record.timestamp, record.blog_id)
+        for key in keys:
+            self.index.insert(
+                key, posting, now=record.timestamp, created_floor=self.global_floor
+            )
+        return True
+
+    def lookup(self, key: Hashable, depth: Optional[int] = None) -> LookupResult:
+        entry = self.index.get(key)
+        if entry is None:
+            return LookupResult(key, (), self.global_floor)
+        if depth is None:
+            # Zero-copy fast path: unbounded lookups on hot keys used to
+            # materialize the whole entry (list + tuple, O(entry) each);
+            # the lazy view aliases the entry's storage instead.
+            candidates = entry.best_first()
+        else:
+            candidates = tuple(entry.top(depth))
+        return LookupResult(key, candidates, entry.floor)
+
+    def get_record(self, blog_id: int) -> Optional[Microblog]:
+        if blog_id in self.raw:
+            return self.raw.get(blog_id)
+        return None
+
+    # ------------------------------------------------------------------
+    # Flushing
+    # ------------------------------------------------------------------
+
+    @property
+    def memory_bytes(self) -> int:
+        return self.raw.bytes_used + self.index.bytes_used
+
+    def needs_flush(self) -> bool:
+        # Checked after every single insert: read the two byte counters
+        # directly instead of through three property descriptors.
+        return self.raw._bytes + self.index._bytes >= self.capacity_bytes
+
+    # ------------------------------------------------------------------
+    # Metrics
+    # ------------------------------------------------------------------
+
+    def k_filled_count(self) -> int:
+        return self.index.k_filled_count(self.k)
+
+    def frequency_snapshot(self) -> dict[Hashable, int]:
+        return self.index.frequency_snapshot()
+
+    def record_count(self) -> int:
+        return len(self.raw)
+
+    def set_k(self, k: int) -> None:
+        super().set_k(k)
+        self.index.set_k(k)
+
+    def check_integrity(self) -> None:
+        self.raw.check_integrity()
+        self.index.check_integrity()
+        # Every posting must reference a resident record, and reference
+        # counts must equal the number of entries referencing the record.
+        refs: dict[int, int] = {}
+        for entry in self.index.entries():
+            for posting in entry:
+                refs[posting.blog_id] = refs.get(posting.blog_id, 0) + 1
+        for blog_id, count in refs.items():
+            assert blog_id in self.raw, f"posting for non-resident record {blog_id}"
+            assert self.raw.pcount(blog_id) == count, (
+                f"pcount mismatch for {blog_id}: "
+                f"{self.raw.pcount(blog_id)} != {count}"
+            )
+        for record in self.raw:
+            assert record.blog_id in refs, f"record {record.blog_id} unreferenced"

@@ -144,14 +144,14 @@ class QueryExecutor:
             return result
 
     def _execute(self, query: TopKQuery, now: float) -> QueryResult:
-        io_before = self._disk.stats.simulated_io_seconds
+        io_before = self._disk.simulated_io_seconds
         if query.mode is CombineMode.SINGLE:
             result = self._single(query, now)
         elif query.mode is CombineMode.OR:
             result = self._or(query, now)
         else:
             result = self._and(query, now)
-        io_delta = self._disk.stats.simulated_io_seconds - io_before
+        io_delta = self._disk.simulated_io_seconds - io_before
         result = replace(
             result,
             simulated_latency=self._cost.memory_cost(len(query.keys)) + io_delta,

@@ -138,25 +138,13 @@ class ShardAttributeView(AttributeExtractor):
         )
 
 
-class _RoutedDiskStats:
-    """Aggregate ``DiskStats`` view the executor's I/O accounting reads."""
-
-    __slots__ = ("_shards",)
-
-    def __init__(self, shards: "list[Partition]") -> None:
-        self._shards = shards
-
-    @property
-    def simulated_io_seconds(self) -> float:
-        return sum(shard.disk.stats.simulated_io_seconds for shard in self._shards)
-
-
 class _RoutedDisk:
     """Disk-archive adapter routing per-key lookups to the owning shard.
 
     Duck-types the slice of :class:`DiskArchive` the query executor
     uses: ``lookup`` (keyed — routed), ``fetch_record`` (by id — probed
-    across shard archives, charging exactly one read), and ``stats``.
+    across shard archives, charging exactly one read), and
+    ``simulated_io_seconds`` (summed over the shard archives).
     """
 
     def __init__(
@@ -165,7 +153,10 @@ class _RoutedDisk:
         self._shards = shards
         self._router = router
         self._obs = obs
-        self.stats = _RoutedDiskStats(shards)
+
+    @property
+    def simulated_io_seconds(self) -> float:
+        return sum(shard.disk.simulated_io_seconds for shard in self._shards)
 
     def lookup(self, key: Hashable, limit: Optional[int] = None):
         shard_id = self._router.shard_of(key)

@@ -95,6 +95,8 @@ class Partition:
             disk=self.disk,
             obs=system.obs,
         )
+        #: Flushes this slice has run (the system keeps the reports).
+        self.flush_count = 0
         #: This slice's ``shard.<i>.*`` series; None when it is the only one.
         self.twins: Optional[_Twins] = None
         if router is not None:
@@ -132,6 +134,7 @@ class Partition:
         system = self.system
         system.stats.ingest.flush_seconds += report.wall_seconds
         system._flush_reports.append(report)
+        self.flush_count += 1
         after = self.engine.memory_bytes
         total = system.total_memory_bytes()
         self._sample(now, "after", after, total)
@@ -423,7 +426,7 @@ class MicroblogSystem:
         counts (0.0 when no shard has flushed yet).
         """
         records = [p.engine.record_count() for p in self.partitions]
-        flushes = [len(p.engine.flush_reports) for p in self.partitions]
+        flushes = [p.flush_count for p in self.partitions]
         utils = [p.engine.memory_bytes / p.capacity_bytes for p in self.partitions]
         mean_records = sum(records) / len(records)
         mean_flushes = sum(flushes) / len(flushes)
@@ -455,7 +458,7 @@ class MicroblogSystem:
                     "utilization": p.engine.memory_bytes / p.capacity_bytes,
                     "records": p.engine.record_count(),
                     "k_filled": p.engine.k_filled_count(),
-                    "flush_count": len(p.engine.flush_reports),
+                    "flush_count": p.flush_count,
                     "disk_records": p.disk.record_count,
                     "disk_keys": p.disk.key_count,
                 }

@@ -1,6 +1,6 @@
 """Storage substrate: memory cost model, raw store, indexes, disk tier."""
 
-from repro.storage.disk import DiskArchive, DiskCostModel, DiskStats
+from repro.storage.disk import DiskArchive, DiskCostModel
 from repro.storage.flush_buffer import FlushBuffer
 from repro.storage.inverted_index import HashInvertedIndex
 from repro.storage.memory_model import MemoryModel
@@ -11,7 +11,6 @@ from repro.storage.segmented_index import Segment, SegmentedIndex
 __all__ = [
     "DiskArchive",
     "DiskCostModel",
-    "DiskStats",
     "FlushBuffer",
     "HashInvertedIndex",
     "MIN_SORT_KEY",

@@ -9,8 +9,9 @@ but (a) *how often* queries must fall to disk (the memory hit ratio) and
 
 Cost model: every batch write pays one seek plus bytes/bandwidth; every
 index lookup pays one seek plus the postings read; every record fetch pays
-one seek plus the record read.  The accumulated simulated seconds and the
-operation counters are exposed through :class:`DiskStats`.
+one seek plus the record read.  The accumulated simulated seconds are the
+archive's ``simulated_io_seconds``; the operation counters are the
+``disk.*`` metrics of the catalog, bound at construction.
 
 Index layout (PR 4): the attribute index is log-structured.  Each key
 holds a :class:`_PostingRuns` — a set of sorted *runs* appended O(1) per
@@ -35,7 +36,7 @@ from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import Posting
 from repro.storage.topk import MergedRunsView
 
-__all__ = ["DiskArchive", "DiskStats", "DiskCostModel"]
+__all__ = ["DiskArchive", "DiskCostModel"]
 
 
 @dataclass(frozen=True)
@@ -51,21 +52,6 @@ class DiskCostModel:
 
     def read_cost(self, nbytes: int) -> float:
         return self.seek_seconds + nbytes / self.read_bandwidth_bytes_per_s
-
-
-@dataclass
-class DiskStats:
-    """Counters accumulated by the disk archive."""
-
-    flush_batches: int = 0
-    records_written: int = 0
-    postings_written: int = 0
-    bytes_written: int = 0
-    index_lookups: int = 0
-    record_fetches: int = 0
-    bytes_read: int = 0
-    simulated_io_seconds: float = 0.0
-    compactions: int = 0
 
 
 class _ShardTee(NamedTuple):
@@ -193,7 +179,9 @@ class DiskArchive:
                 f"max_runs_per_key must be >= 1, got {max_runs_per_key}"
             )
         self._max_runs = max_runs_per_key
-        self.stats = DiskStats()
+        #: Modelled seconds of every write and read so far (the executor
+        #: charges each query its delta).
+        self.simulated_io_seconds = 0.0
         self.obs = obs if obs is not None else Instrumentation()
         #: Which shard's namespace this archive holds (None = unsharded).
         #: A sharded system builds one archive per shard; its counters
@@ -275,11 +263,7 @@ class DiskArchive:
                 continue
             npostings += fresh
             nbytes += self._model.postings_bytes(fresh)
-        self.stats.flush_batches += 1
-        self.stats.records_written += nrecords
-        self.stats.postings_written += npostings
-        self.stats.bytes_written += nbytes
-        self.stats.simulated_io_seconds += self._cost.write_cost(nbytes)
+        self.simulated_io_seconds += self._cost.write_cost(nbytes)
         self._flush_batches.inc()
         self._records_written.inc(nrecords)
         self._postings_written.inc(npostings)
@@ -298,7 +282,6 @@ class DiskArchive:
         fresh = entry.append_batch(postings)
         if len(entry.runs) > self._max_runs:
             entry.compact(max(1, self._max_runs // 2))
-            self.stats.compactions += 1
             self._compactions.inc()
         return fresh
 
@@ -341,9 +324,7 @@ class DiskArchive:
         else:
             result = entry.best_first_view()
         nbytes = self._model.postings_bytes(len(result))
-        self.stats.index_lookups += 1
-        self.stats.bytes_read += nbytes
-        self.stats.simulated_io_seconds += self._cost.read_cost(nbytes)
+        self.simulated_io_seconds += self._cost.read_cost(nbytes)
         self._index_lookups.inc()
         self._bytes_read.inc(nbytes)
         return result
@@ -354,13 +335,7 @@ class DiskArchive:
         if record is None:
             return None
         nbytes = self._model.record_bytes(record)
-        self.stats.record_fetches += 1
-        self.stats.bytes_read += nbytes
-        self.stats.simulated_io_seconds += self._cost.read_cost(nbytes)
+        self.simulated_io_seconds += self._cost.read_cost(nbytes)
         self._record_fetches.inc()
         self._bytes_read.inc(nbytes)
         return record
-
-    def peek_record(self, blog_id: int) -> Optional[Microblog]:
-        """Record access without I/O accounting (tests / ground truth)."""
-        return self._records.get(blog_id)

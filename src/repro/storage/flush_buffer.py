@@ -41,10 +41,6 @@ class FlushBuffer:
         self._recent_commit_bytes: deque[int] = deque(maxlen=4)
 
     @property
-    def bytes_buffered(self) -> int:
-        return self._bytes
-
-    @property
     def is_empty(self) -> bool:
         return not self._records and not self._postings
 
@@ -58,14 +54,6 @@ class FlushBuffer:
         """Stage one trimmed posting under ``key``."""
         self._postings.setdefault(key, []).append(posting)
         self._bytes += self._model.posting_bytes
-        self.peak_bytes = max(self.peak_bytes, self._bytes)
-
-    def add_postings(self, key: Hashable, postings: list[Posting]) -> None:
-        """Stage a batch of trimmed postings under ``key``."""
-        if not postings:
-            return
-        self._postings.setdefault(key, []).extend(postings)
-        self._bytes += self._model.postings_bytes(len(postings))
         self.peak_bytes = max(self.peak_bytes, self._bytes)
 
     @property

@@ -17,7 +17,7 @@ additions the kFlushing machinery needs:
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import insort
 from typing import Hashable, Iterator, NamedTuple, Optional
 
 __all__ = ["BestFirstView", "Posting", "PostingList", "MIN_SORT_KEY", "SortKey"]
@@ -145,11 +145,6 @@ class PostingList:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PostingList(key={self.key!r}, n={len(self._postings)})"
 
-    @property
-    def is_complete(self) -> bool:
-        """True when no posting was ever removed from this entry."""
-        return self.floor == MIN_SORT_KEY
-
     def top(self, k: int) -> list[Posting]:
         """Return up to ``k`` best-ranked postings, best first.
 
@@ -192,10 +187,6 @@ class PostingList:
         """The single best-ranked posting, or None when empty."""
         return self._postings[-1] if self._postings else None
 
-    def worst(self) -> Optional[Posting]:
-        """The single worst-ranked posting, or None when empty."""
-        return self._postings[0] if self._postings else None
-
     def contains_id(self, blog_id: int) -> bool:
         """Linear membership test by microblog id."""
         return any(p.blog_id == blog_id for p in self._postings)
@@ -229,19 +220,6 @@ class PostingList:
         if top[0].sort_key <= self.floor:
             return None
         return top[::-1]
-
-    def count_above_floor(self) -> int:
-        """Number of postings ranked strictly above the floor.
-
-        These are the postings that can participate in a provably-correct
-        in-memory answer.  After score-ordered trims every remaining
-        posting is above the floor; per-item eviction (LRU) can leave
-        postings below it.
-        """
-        if self.floor == MIN_SORT_KEY:
-            return len(self._postings)
-        keys = [p.sort_key for p in self._postings]
-        return len(keys) - bisect_right(keys, self.floor)
 
     # ------------------------------------------------------------------
     # Mutation

@@ -52,6 +52,11 @@ def make_blogs(count, keywords=("alpha",), start_id=None, **kwargs):
     return blogs
 
 
+def disk_counter(disk, name):
+    """The value of an archive's ``disk.<name>`` registry counter."""
+    return disk.obs.registry.peek("counter", f"disk.{name}").value
+
+
 @pytest.fixture
 def model():
     return MemoryModel()

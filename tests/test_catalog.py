@@ -12,7 +12,7 @@ import pytest
 
 from repro.cli import main
 from repro.config import SystemConfig
-from repro.core import policy_names
+from repro.core import POLICY_NAMES
 from repro.engine.sharded import build_system
 from repro.obs import Instrumentation, MetricsRegistry, catalog
 from repro.obs.catalog import CATALOG, COUNTER, GAUGE, HISTOGRAM
@@ -50,7 +50,7 @@ def _system(policy="kflushing", shards=1, attribution=False, **config):
 
 
 def _grid():
-    for policy in policy_names():
+    for policy in POLICY_NAMES:
         for shards in (1, 4):
             for attribution in (False, True):
                 yield _system(policy, shards, attribution)
@@ -127,7 +127,7 @@ class TestCoverage:
 
 @pytest.mark.parametrize("attribution", [False, True])
 @pytest.mark.parametrize("shards", [1, 4])
-@pytest.mark.parametrize("policy", policy_names())
+@pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_hot_paths_use_bound_handles(policy, shards, attribution):
     """After construction no ingest, flush or query asks the registry
     for a metric by name."""

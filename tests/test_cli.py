@@ -10,7 +10,7 @@ import pytest
 
 from repro.cli import CONFIG_FLAGS, build_parser, main
 from repro.config import SystemConfig
-from repro.core import policy_names
+from repro.core import POLICY_NAMES
 from repro.experiments.figures import FIGURES
 from repro.experiments.runner import TrialSpec
 from repro.experiments.scale import PRESETS
@@ -109,7 +109,7 @@ class TestFlagTable:
             assert action.option_strings == [CONFIG_FLAGS[action.dest][0]]
             assert action.type is hint or action.type in typing.get_args(hint)
             if action.dest == "policy":
-                assert tuple(action.choices) == policy_names()
+                assert tuple(action.choices) == POLICY_NAMES
 
     def test_every_table_entry_is_a_field(self):
         names = {f.name for f in dataclasses.fields(SystemConfig)}

@@ -5,7 +5,7 @@ import pytest
 from repro.storage.disk import DiskArchive, DiskCostModel
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import Posting
-from tests.conftest import make_blog
+from tests.conftest import disk_counter, make_blog
 
 
 def posting(i):
@@ -50,11 +50,11 @@ class TestCommitFlush:
     def test_stats_counters(self, disk):
         blog = make_blog(keywords=("a",))
         disk.commit_flush([blog], {"a": [posting(blog.blog_id)]})
-        assert disk.stats.flush_batches == 1
-        assert disk.stats.records_written == 1
-        assert disk.stats.postings_written == 1
-        assert disk.stats.bytes_written > 0
-        assert disk.stats.simulated_io_seconds > 0
+        assert disk_counter(disk, "flush_batches") == 1
+        assert disk_counter(disk, "records_written") == 1
+        assert disk_counter(disk, "postings_written") == 1
+        assert disk_counter(disk, "bytes_written") > 0
+        assert disk.simulated_io_seconds > 0
 
 
 class TestLookup:
@@ -68,14 +68,14 @@ class TestLookup:
 
     def test_missing_key_empty(self, disk):
         assert disk.lookup("ghost") == []
-        assert disk.stats.index_lookups == 1
+        assert disk_counter(disk, "index_lookups") == 1
 
     def test_lookup_charges_io(self, disk):
         disk.commit_flush([], {"a": [posting(1)]})
-        before = disk.stats.simulated_io_seconds
+        before = disk.simulated_io_seconds
         disk.lookup("a")
-        assert disk.stats.simulated_io_seconds > before
-        assert disk.stats.bytes_read > 0
+        assert disk.simulated_io_seconds > before
+        assert disk_counter(disk, "bytes_read") > 0
 
 
 class TestFetchRecord:
@@ -84,18 +84,22 @@ class TestFetchRecord:
         disk.commit_flush([blog], {})
         fetched = disk.fetch_record(blog.blog_id)
         assert fetched is blog
-        assert disk.stats.record_fetches == 1
+        assert disk_counter(disk, "record_fetches") == 1
 
     def test_fetch_missing_returns_none(self, disk):
         assert disk.fetch_record(404) is None
-        assert disk.stats.record_fetches == 0
+        assert disk_counter(disk, "record_fetches") == 0
+        assert disk_counter(disk, "bytes_read") == 0
 
-    def test_peek_does_not_charge(self, disk):
+    def test_fetch_charges_the_record_bytes(self, disk, model):
         blog = make_blog(keywords=("a",))
         disk.commit_flush([blog], {})
-        before = disk.stats.bytes_read
-        assert disk.peek_record(blog.blog_id) is blog
-        assert disk.stats.bytes_read == before
+        before = disk.simulated_io_seconds
+        assert disk.fetch_record(blog.blog_id) is blog
+        assert disk_counter(disk, "bytes_read") == model.record_bytes(blog)
+        assert disk.simulated_io_seconds - before == pytest.approx(
+            DiskCostModel().read_cost(model.record_bytes(blog))
+        )
 
 
 class TestPostingIdempotency:
@@ -112,7 +116,7 @@ class TestPostingIdempotency:
         disk.commit_flush([], {"a": [posting(1)]})
         assert disk.posting_count("a") == 1
         assert [p.blog_id for p in disk.lookup("a")] == [1]
-        assert disk.stats.postings_written == 1
+        assert disk_counter(disk, "postings_written") == 1
 
     def test_reflush_charges_no_posting_bytes(self, disk, model):
         disk.commit_flush([], {"a": [posting(1)]})
@@ -155,7 +159,7 @@ class TestSegmentedRuns:
         for i in range(20, 0, -1):
             disk.commit_flush([], {"a": [posting(i)]})
         assert disk.run_count("a") <= 4
-        assert disk.stats.compactions > 0
+        assert disk_counter(disk, "compactions") > 0
         assert [p.blog_id for p in disk.lookup("a")] == list(range(20, 0, -1))
 
     def test_bounded_lookup_walks_run_tails(self, disk):
@@ -195,7 +199,7 @@ class TestSegmentedRuns:
             assert list(runs.lookup(key, limit=2)) == expected[:2]
             io_seconds += cost.read_cost(model.postings_bytes(len(expected)))
             io_seconds += cost.read_cost(model.postings_bytes(len(expected[:2])))
-        assert runs.stats.simulated_io_seconds == pytest.approx(io_seconds)
+        assert runs.simulated_io_seconds == pytest.approx(io_seconds)
 
 
 class TestCostModel:
@@ -213,7 +217,7 @@ class TestCostModel:
         fast = DiskArchive(model, DiskCostModel(seek_seconds=1e-6))
         slow.lookup("x")
         fast.lookup("x")
-        assert slow.stats.simulated_io_seconds > fast.stats.simulated_io_seconds
+        assert slow.simulated_io_seconds > fast.simulated_io_seconds
 
     def test_key_count(self, disk):
         disk.commit_flush([], {"a": [posting(1)], "b": [posting(2)]})

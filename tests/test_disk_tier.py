@@ -137,10 +137,10 @@ class TestRunsLayoutDifferential:
             system.ingest(record)
             if i % 10 == 0:
                 system.search(load.next_query())
-        assert system.disk.stats.simulated_io_seconds == pytest.approx(
+        assert system.disk.simulated_io_seconds == pytest.approx(
             seen["io_seconds"]
         )
-        assert system.disk.stats.simulated_io_seconds > 0
+        assert system.disk.simulated_io_seconds > 0
 
 
 # ----------------------------------------------------------------------

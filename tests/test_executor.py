@@ -7,7 +7,7 @@ from repro.engine.executor import QueryExecutor
 from repro.engine.queries import AndQuery, KeywordQuery, OrQuery
 from repro.storage.disk import DiskArchive
 from repro.storage.memory_model import MemoryModel
-from tests.conftest import engine_kwargs, make_blog, make_blogs
+from tests.conftest import disk_counter, engine_kwargs, make_blog, make_blogs
 
 
 @pytest.fixture
@@ -112,11 +112,11 @@ class TestOrQueries:
         for blog in make_blogs(4, keywords=("a",)):
             eng.insert(blog)
         eng.insert(make_blog(keywords=("b",)))
-        before = disk.stats.index_lookups
+        before = disk_counter(disk, "index_lookups")
         result = ex.execute(OrQuery(["a", "b"], k=3), now=1e6)
         assert result.disk_lookups == 1
         # The reported count matches the disk's own ledger.
-        assert disk.stats.index_lookups - before == 1
+        assert disk_counter(disk, "index_lookups") - before == 1
 
     def test_or_answer_is_true_union_topk(self, setup):
         eng, _, ex = setup

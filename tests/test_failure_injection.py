@@ -8,8 +8,10 @@ import pytest
 from repro.core.kflushing import KFlushingEngine
 from repro.core.recency_list import RecencyList
 from repro.errors import DuplicateRecordError
+from repro.model.ranking import PopularityRanking
 from repro.storage.disk import DiskArchive
 from repro.storage.memory_model import MemoryModel
+from repro.storage.posting_list import MIN_SORT_KEY
 from tests.conftest import engine_kwargs, make_blog, make_blogs
 
 
@@ -86,6 +88,32 @@ class TestDiskFaults:
         report = eng.run_flush(now=2e6)
         assert report.bytes_written_to_disk > 0
         assert disk.record_count > 0
+
+
+    def test_failed_commit_leaves_no_false_memory_hit(self, model, disk, monkeypatch):
+        """A wholesale eviction raises the global floor when it happens,
+        not after the commit: a commit that fails must not let a
+        re-created entry claim completeness over the evicted posting."""
+        kwargs = engine_kwargs(model, disk, k=2, capacity=100_000, flush_fraction=1.0)
+        kwargs["ranking"] = PopularityRanking()
+        eng = KFlushingEngine(mk=False, **kwargs)
+        star = make_blog(keywords=("a",), timestamp=1.0, followers=10**8)
+        eng.insert(star)
+        original = disk.commit_flush
+        monkeypatch.setattr(
+            disk, "commit_flush", lambda *a, **k: (_ for _ in ()).throw(IOError())
+        )
+        with pytest.raises(IOError):
+            eng.run_flush(now=10.0)  # Phase 2 evicts the under-k entry "a"
+        assert eng.index.get("a") is None
+        assert eng.global_floor > MIN_SORT_KEY
+        monkeypatch.setattr(disk, "commit_flush", original)
+        for ts in (2.0, 3.0):
+            eng.insert(make_blog(keywords=("a",), timestamp=ts, followers=0))
+        # The star still ranks first, so memory cannot prove a top-2.
+        assert eng.lookup("a").provable_top(2) is None
+        eng.run_flush(now=20.0)
+        assert disk.lookup("a", limit=1)[0].blog_id == star.blog_id
 
 
 class TestRecencyListThreadSafety:

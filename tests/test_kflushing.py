@@ -285,9 +285,10 @@ class TestBudget:
         eng = engine(model, disk, k=2)
         for blog in make_blogs(5, keywords=("hot",)):
             eng.insert(blog)
-        eng.run_flush(now=10.0)
-        assert len(eng.flush_reports) == 1
-        assert eng.flush_reports[0].wall_seconds >= 0.0
+        report = eng.run_flush(now=10.0)
+        assert report.policy == "kflushing"
+        assert report.wall_seconds >= 0.0
+        assert eng.obs.registry.peek("counter", "flush.count").value == 1
 
     def test_max_phase_1_saturates(self, model, disk):
         eng = engine(model, disk, k=3, capacity=100_000, flush_fraction=0.5)

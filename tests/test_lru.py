@@ -184,3 +184,24 @@ class TestBookkeeping:
         eng = engine(model, disk)
         eng.set_k(7)
         assert eng.index.k == 7
+
+
+class TestIntegrity:
+    def test_check_passes_across_flushes(self, model, disk):
+        eng = engine(model, disk, capacity=30_000, flush_fraction=0.2)
+        for i in range(600):
+            eng.insert(make_blog(keywords=(f"kw{i % 7}", f"kw{i % 11 + 7}")))
+            if eng.needs_flush():
+                eng.run_flush(now=1e6 + i)
+        eng.check_integrity()
+
+    def test_corrupt_pcount_detected(self, model, disk):
+        """LRU evicts a record from all of its entries at once, so the
+        shared pcount invariant holds under it and is checked."""
+        eng = engine(model, disk, capacity=10**6)
+        blog = make_blog(keywords=("a", "b"))
+        eng.insert(blog)
+        eng.check_integrity()
+        eng.raw._pcounts[blog.blog_id] = 1  # two entries reference it
+        with pytest.raises(AssertionError, match="pcount mismatch"):
+            eng.check_integrity()

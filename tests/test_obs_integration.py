@@ -133,14 +133,6 @@ class TestQueryInstrumentation:
         assert len(events) == 4
         assert {e["mode"] for e in events} == {"single", "or", "and"}
 
-    def test_disk_counters_track_stats(self):
-        system, obs, sink = observed_system(memory_capacity_bytes=60_000)
-        system.ingest(make_blog(keywords=("x",)))
-        system.search(KeywordQuery("x", k=3))  # miss: only 1 posting
-        counters = system.snapshot()["counters"]
-        assert counters["disk.index_lookups"] == system.disk.stats.index_lookups
-        assert counters["disk.index_lookups"] >= 1
-
     def test_query_latency_histogram_counts_every_query(self):
         system, obs, sink = observed_system(memory_capacity_bytes=60_000)
         for blog in make_blogs(6, keywords=("hot",)):

@@ -63,9 +63,9 @@ class TestTopAndBest:
     def test_best_and_worst(self):
         entry = fresh(3)
         assert entry.best().blog_id == 3
-        assert entry.worst().blog_id == 1
+        assert entry.top(3)[-1].blog_id == 1
         assert PostingList("kw", 0.0).best() is None
-        assert PostingList("kw", 0.0).worst() is None
+        assert PostingList("kw", 0.0).top(1) == []
 
 
 class TestMembership:
@@ -93,7 +93,7 @@ class TestTrimBeyond:
         entry = fresh(2)
         assert entry.trim_beyond(5) == []
         assert len(entry) == 2
-        assert entry.is_complete
+        assert entry.floor == MIN_SORT_KEY
 
     def test_floor_rises_to_best_removed(self):
         entry = fresh(5)
@@ -130,7 +130,7 @@ class TestTrimIf:
         entry = fresh(5)
         removed = entry.trim_if(2, keep=lambda p: True)
         assert removed == []
-        assert entry.is_complete
+        assert entry.floor == MIN_SORT_KEY
 
     def test_none_kept_equals_trim_beyond(self):
         a, b = fresh(6), fresh(6)
@@ -157,7 +157,8 @@ class TestRemoveId:
         entry.remove_id(2)
         assert entry.floor == posting(2).sort_key
         # Posting 1 is now below the floor: unprovable territory.
-        assert entry.count_above_floor() == 1
+        assert entry.provable_top(1) is not None
+        assert entry.provable_top(2) is None
 
 
 class TestDrain:
@@ -171,7 +172,7 @@ class TestDrain:
     def test_drain_empty_entry(self):
         entry = PostingList("kw", 0.0)
         assert entry.drain() == []
-        assert entry.is_complete
+        assert entry.floor == MIN_SORT_KEY
 
     def test_drain_if_keeps_matching(self):
         entry = fresh(4)
@@ -183,7 +184,7 @@ class TestDrain:
     def test_drain_if_keep_all_is_noop(self):
         entry = fresh(4)
         assert entry.drain_if(keep=lambda p: True) == []
-        assert entry.is_complete
+        assert entry.floor == MIN_SORT_KEY
 
 
 class TestProvableTop:
@@ -214,9 +215,10 @@ class TestProvableTop:
         entry.touch_query(3.0)
         assert entry.last_query == 5.0
 
-    def test_count_above_floor_complete(self):
+    def test_complete_entry_proves_every_depth(self):
         entry = fresh(4)
-        assert entry.count_above_floor() == 4
+        assert entry.floor == MIN_SORT_KEY
+        assert [p.blog_id for p in entry.provable_top(4)] == [4, 3, 2, 1]
 
     def test_min_sort_key_is_minimal(self):
         assert posting(0, score=-1e300).sort_key > MIN_SORT_KEY
