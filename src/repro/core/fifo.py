@@ -40,12 +40,8 @@ class FIFOEngine(MemoryEngine):
     # Data path
     # ------------------------------------------------------------------
 
-    def insert(self, record: Microblog) -> bool:
-        keys = self.attribute.keys(record)
-        if not keys:
-            return False
+    def insert(self, record: Microblog, keys: tuple[Hashable, ...]) -> None:
         self.segmented.insert(record, keys, self.ranking.score(record))
-        return True
 
     def lookup(self, key: Hashable, depth: Optional[int] = None) -> LookupResult:
         candidates = self.segmented.candidates(key, depth=depth)

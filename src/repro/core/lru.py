@@ -39,12 +39,10 @@ class LRUEngine(IndexedEngine):
     # Data path
     # ------------------------------------------------------------------
 
-    def insert(self, record: Microblog) -> bool:
-        if not super().insert(record):
-            return False
+    def insert(self, record: Microblog, keys: tuple[Hashable, ...]) -> None:
+        super().insert(record, keys)
         # New data enters at the most-recently-used end of the list.
         self._recency.push(record.blog_id)
-        return True
 
     def note_query(
         self,

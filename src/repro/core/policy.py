@@ -10,7 +10,8 @@ policy with the store layout it needs, behind a uniform contract the
 :class:`~repro.engine.system.MicroblogSystem` and the query executor
 program against:
 
-* ``insert`` digests one record;
+* ``insert`` digests one record under the keys the facade extracted for
+  it (a sharded partition receives only the keys it owns);
 * ``lookup`` returns the in-memory postings of a key together with its
   **completeness floor**, so the executor can decide provable memory hits;
 * ``note_query`` feeds query-access information back to the policy (LRU
@@ -119,6 +120,9 @@ class MemoryEngine(ABC):
             )
         self.model = model
         self.ranking = ranking
+        #: The system's attribute, for flush-time walks over a record's
+        #: keys; on a sharded partition the keys it does not own simply
+        #: have no index entry here.
         self.attribute = attribute
         self.k = k
         self.capacity_bytes = capacity_bytes
@@ -152,9 +156,9 @@ class MemoryEngine(ABC):
     # ------------------------------------------------------------------
 
     @abstractmethod
-    def insert(self, record: Microblog) -> bool:
-        """Digest one record.  Returns False when the record has no keys
-        under this attribute (and is therefore skipped)."""
+    def insert(self, record: Microblog, keys: tuple[Hashable, ...]) -> None:
+        """Digest one record under ``keys`` — the non-empty subset of its
+        keys this engine owns, extracted once by the facade."""
 
     @abstractmethod
     def lookup(self, key: Hashable, depth: Optional[int] = None) -> LookupResult:
@@ -325,17 +329,13 @@ class IndexedEngine(MemoryEngine):
     # Data path
     # ------------------------------------------------------------------
 
-    def insert(self, record: Microblog) -> bool:
-        keys = self.attribute.keys(record)
-        if not keys:
-            return False
+    def insert(self, record: Microblog, keys: tuple[Hashable, ...]) -> None:
         self.raw.add(record, pcount=len(keys))
         posting = Posting(self.ranking.score(record), record.timestamp, record.blog_id)
         for key in keys:
             self.index.insert(
                 key, posting, now=record.timestamp, created_floor=self.global_floor
             )
-        return True
 
     def lookup(self, key: Hashable, depth: Optional[int] = None) -> LookupResult:
         entry = self.index.get(key)

@@ -14,7 +14,7 @@ from repro.engine.queries import (
     UserQuery,
 )
 from repro.engine.sharded import ShardRouter, build_system
-from repro.engine.stats import IngestStats, QueryStats, SystemStats, TimelinePoint
+from repro.engine.stats import IngestStats, QueryStats, SystemStats
 from repro.engine.system import MicroblogSystem, Partition
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "parse_query",
     "SpatialQuery",
     "SystemStats",
-    "TimelinePoint",
     "TopKQuery",
     "UserQuery",
 ]

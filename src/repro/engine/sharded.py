@@ -12,10 +12,10 @@ wires its partitions together with the pieces in this module:
   ``hash()``, so routing survives process boundaries and reruns);
 * each :class:`~repro.engine.system.Partition` is a full vertical slice
   (engine, budget — ``capacity/N`` unless overridden per shard — flush
-  cycle, disk namespace) indexing only the keys it owns
-  (:class:`ShardAttributeView`);
-* records **fan out**: a record is digested by every shard owning at
-  least one of its keys, so each shard holds the *complete* posting set
+  cycle, disk namespace) indexing only the keys it owns;
+* records **fan out**: the facade extracts a record's keys once, groups
+  them by owner (:meth:`ShardRouter.group_by_shard`) and hands every
+  owning shard its group, so each shard holds the *complete* posting set
   for the keys it owns.  That per-key completeness is what makes
   scatter-gather answers equal to the one-partition system's for
   single-, OR-, and AND-mode queries alike;
@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Hashable, Iterable, Optional, Sequence
 from repro.config import SystemConfig
 from repro.core.policy import LookupResult
 from repro.errors import ConfigurationError
-from repro.model.attributes import AttributeExtractor
 from repro.model.microblog import Microblog
 from repro.obs import Instrumentation
 
@@ -45,7 +44,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ShardRouter",
-    "ShardAttributeView",
     "build_system",
     "stable_key_hash",
 ]
@@ -111,31 +109,6 @@ class ShardRouter:
         for key in keys:
             groups.setdefault(self.shard_of(key), []).append(key)
         return {shard: tuple(group) for shard, group in groups.items()}
-
-
-class ShardAttributeView(AttributeExtractor):
-    """The base attribute restricted to one shard's owned keys.
-
-    Each shard's engine indexes a record under only the keys its shard
-    owns — this wrapper is what enforces the partitioning at the engine
-    boundary, so engines themselves stay completely shard-unaware.
-    """
-
-    def __init__(
-        self, base: AttributeExtractor, router: ShardRouter, shard_id: int
-    ) -> None:
-        self._base = base
-        self._router = router
-        self._shard_id = shard_id
-        self.name = base.name
-        self.multi_key = base.multi_key
-
-    def keys(self, record: Microblog) -> tuple[Hashable, ...]:
-        return tuple(
-            key
-            for key in self._base.keys(record)
-            if self._router.shard_of(key) == self._shard_id
-        )
 
 
 class _RoutedDisk:

@@ -6,14 +6,14 @@
   11(a), 12(a));
 * **digestion** — records ingested and the wall time spent in the insert
   path, yielding the digestion rate of Figure 10(b);
-* **flushing** — per-flush reports plus a memory-consumption timeline
-  (Figure 5) sampled around every flush.
+* **flushing** — a summary of the system's per-flush reports (Figure 5
+  reads the reports themselves).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.engine.queries import CombineMode
 from repro.obs.metrics import Histogram
@@ -21,7 +21,7 @@ from repro.obs.metrics import Histogram
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.policy import FlushReport
 
-__all__ = ["QueryStats", "IngestStats", "TimelinePoint", "SystemStats"]
+__all__ = ["QueryStats", "IngestStats", "SystemStats"]
 
 
 @dataclass
@@ -99,45 +99,12 @@ class IngestStats:
         return self.indexed / self.insert_seconds
 
 
-@dataclass(frozen=True)
-class TimelinePoint:
-    """One sample of the memory-consumption timeline (Figure 5)."""
-
-    time: float
-    bytes_used: int
-    capacity: int
-    #: "before" (flush trigger), "after" (flush done), or "sample".
-    kind: str = "sample"
-    #: Which shard this sample describes; None = the whole system
-    #: (always None on an unsharded system).
-    shard: Optional[int] = None
-
-    @property
-    def utilization(self) -> float:
-        return self.bytes_used / self.capacity if self.capacity else 0.0
-
-
 @dataclass
 class SystemStats:
     """All metrics of one running system."""
 
     ingest: IngestStats = field(default_factory=IngestStats)
     queries: QueryStats = field(default_factory=QueryStats)
-    timeline: list[TimelinePoint] = field(default_factory=list)
-
-    def sample_memory(
-        self,
-        time: float,
-        bytes_used: int,
-        capacity: int,
-        kind: str = "sample",
-        shard: Optional[int] = None,
-    ) -> None:
-        self.timeline.append(TimelinePoint(time, bytes_used, capacity, kind, shard))
-
-    def shard_timeline(self, shard: Optional[int]) -> list[TimelinePoint]:
-        """The timeline restricted to one shard (None = system-level)."""
-        return [point for point in self.timeline if point.shard == shard]
 
     def flush_summary(self, reports: list["FlushReport"]) -> dict[str, float]:
         """Aggregate per-flush reports into one summary dict."""

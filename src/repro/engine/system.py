@@ -12,9 +12,11 @@ Figure 2 over a list of :class:`Partition` slices:
 The paper's system is the one-partition case; ``config.shards > 1``
 hash-partitions the key space over N such slices behind the same facade
 (:mod:`repro.engine.sharded` has the router and scatter-gather adapters).
+Ingest is one path at every partition count: the facade extracts a
+record's keys once and hands each owning partition its share of them.
 A single partition is wired to the executor directly, with no router:
-routing one partition is the identity and costs 11-21 % throughput
-(docs/PERFORMANCE.md, "Why a single partition is not routed").
+routing one partition's queries is the identity and costs 11-21 %
+throughput (docs/PERFORMANCE.md, "Why a single partition is not routed").
 """
 
 from __future__ import annotations
@@ -29,12 +31,7 @@ from repro.core.policy import FlushReport, MemoryEngine
 from repro.engine.clock import LogicalClock
 from repro.engine.executor import QueryExecutor, QueryResult
 from repro.engine.queries import TopKQuery
-from repro.engine.sharded import (
-    ShardAttributeView,
-    ShardRouter,
-    _RoutedDisk,
-    _RoutedEngine,
-)
+from repro.engine.sharded import ShardRouter, _RoutedDisk, _RoutedEngine
 from repro.engine.stats import SystemStats
 from repro.errors import CapacityError
 from repro.model.microblog import Microblog
@@ -61,11 +58,10 @@ class _Twins(NamedTuple):
 class Partition:
     """One vertical slice: engine + budget + flush cycle + disk namespace.
 
-    With a ``router`` the slice is one of several: its engine indexes
-    only the keys it owns (:class:`ShardAttributeView`) and its flushes
-    additionally feed the ``shard.<i>.*`` twins and the per-shard
-    timeline.  Without one it is the whole system, and those series —
-    exact copies of the global ones — are not emitted.
+    With a ``router`` the slice is one of several: the facade hands its
+    engine only the keys it owns, and its flushes additionally feed the
+    ``shard.<i>.*`` twins.  Without one it is the whole system, and those
+    series — exact copies of the global ones — are not emitted.
     """
 
     def __init__(
@@ -81,14 +77,11 @@ class Partition:
             obs=system.obs,
             shard_id=shard_id if router is not None else None,
         )
-        self.attribute = system.attribute
-        if router is not None:
-            self.attribute = ShardAttributeView(system.attribute, router, shard_id)
         self.engine: MemoryEngine = create_engine(
             config.policy,
             model=config.memory_model,
             ranking=system.ranking,
-            attribute=self.attribute,
+            attribute=system.attribute,
             k=config.k,
             capacity_bytes=self.capacity_bytes,
             flush_fraction=config.flush_fraction,
@@ -111,39 +104,20 @@ class Partition:
     def maybe_flush(self) -> None:
         """Post-insert budget check: one synchronous flush when the
         engine crossed its capacity."""
-        if self.engine.needs_flush():
-            now = self.system.now
-            self._before_flush(now)
-            self._after_flush(self.engine.run_flush(now), now)
-
-    def _sample(self, now: float, kind: str, own: int, total: int) -> None:
-        """One timeline point per level, so before/after always pair up:
-        this shard's (when it is one of several) and the system's."""
-        stats, capacity = self.system.stats, self.system.config.total_capacity_bytes
-        if self.twins is not None:
-            stats.sample_memory(
-                now, own, self.capacity_bytes, kind=kind, shard=self.shard_id
-            )
-        stats.sample_memory(now, total, capacity, kind=kind)
-
-    def _before_flush(self, now: float) -> None:
-        total = self.system.total_memory_bytes()
-        self._sample(now, "before", self.engine.memory_bytes, total)
-
-    def _after_flush(self, report: FlushReport, now: float) -> None:
+        if not self.engine.needs_flush():
+            return
         system = self.system
+        report = self.engine.run_flush(system.now)
         system.stats.ingest.flush_seconds += report.wall_seconds
         system._flush_reports.append(report)
         self.flush_count += 1
         after = self.engine.memory_bytes
-        total = system.total_memory_bytes()
-        self._sample(now, "after", after, total)
-        system._memory_bytes.set(total)
         twins = self.twins
         if twins is not None:
             twins.flushes.inc()
             twins.freed_bytes.inc(report.freed_bytes)
             twins.memory_bytes.set(after)
+        system._service_level_tick()
         if report.freed_bytes <= 0 and after >= self.capacity_bytes:
             who = "flush" if twins is None else f"shard {self.shard_id} flush"
             raise CapacityError(
@@ -151,7 +125,6 @@ class Partition:
                 f"{self.capacity_bytes}; a single record may exceed the "
                 "memory budget"
             )
-        system._service_level_tick()
 
 
 class MicroblogSystem:
@@ -248,27 +221,26 @@ class MicroblogSystem:
         ingest = self.stats.ingest
         ingest.offered += 1
         start = time.perf_counter()
-        if self.router is None:
-            owners = self.partitions
-            indexed = owners[0].engine.insert(record)
+        keys = self.attribute.keys(record)
+        if not keys:
+            owners = ()
+        elif self.router is None:
+            owners = ((self.partitions[0], keys),)
         else:
             # Fan-out: every partition owning one of the record's keys
-            # indexes it under those keys only (its attribute view
-            # filters); the record body is replicated to each.
-            owners = [
-                self.partitions[i]
-                for i in self.router.shards_for(self.attribute.keys(record))
-            ]
-            indexed = False
-            for partition in owners:
-                if partition.engine.insert(record):
-                    indexed = True
+            # indexes it under those keys only, in ascending shard id;
+            # the record body is replicated to each.
+            groups = self.router.group_by_shard(keys)
+            owners = [(self.partitions[i], groups[i]) for i in sorted(groups)]
+        for partition, owned in owners:
+            partition.engine.insert(record, owned)
         ingest.insert_seconds += time.perf_counter() - start
-        if not indexed:
+        if not owners:
             ingest.skipped += 1
             return False
         ingest.indexed += 1
-        for partition in owners:
+        # Every owner inserts before any owner flushes.
+        for partition, _ in owners:
             partition.maybe_flush()
         return True
 
@@ -305,14 +277,15 @@ class MicroblogSystem:
     # ------------------------------------------------------------------
 
     def _service_level_tick(self) -> None:
-        """One flush-boundary heartbeat: raise the resource peaks, then
-        evaluate the SLO objectives."""
+        """One flush-boundary heartbeat: set the memory gauge, raise the
+        resource peaks, then evaluate the SLO objectives."""
         total = 0
         for partition in self.partitions:
             used = partition.engine.memory_bytes
             total += used
             if partition.twins is not None:
                 partition.twins.memory_peak.set_max(used)
+        self._memory_bytes.set(total)
         self._memory_peak.set_max(total)
         if self._ledger_peak is not None:
             self._ledger_peak.set_max(

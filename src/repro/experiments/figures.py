@@ -19,6 +19,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from repro.config import SystemConfig
 from repro.engine.system import MicroblogSystem
+from repro.errors import CapacityError
 from repro.experiments.parallel import run_trials
 from repro.experiments.runner import (
     TrialResult,
@@ -292,20 +293,19 @@ def _fig5_timeline(preset: ScalePreset, seed: int) -> list[Panel]:
         system = MicroblogSystem(config)
         system.engine.max_phase = max_phase
         stream = spec.build_stream()
-        freed: list[float] = []
-        saturated = False
-        while len(freed) < max_flushes and not saturated:
-            for record in stream.take(2048):
-                record_ok = system.engine.insert(record)
-                if not record_ok:
-                    continue
-                if system.engine.needs_flush():
-                    report = system.engine.run_flush(record.timestamp)
-                    freed.append(100.0 * report.freed_bytes / max(1, report.target_bytes) * spec.flush_budget)
-                    if report.freed_bytes <= 0:
-                        saturated = True
-                    if len(freed) >= max_flushes or saturated:
+        reports = system.flush_reports()
+        try:
+            while len(reports) < max_flushes:
+                for record in stream.take(2048):
+                    system.ingest(record)
+                    if len(reports) >= max_flushes:
                         break
+        except CapacityError:
+            pass  # saturated: the last flush freed nothing
+        freed = [
+            100.0 * report.freed_bytes / max(1, report.target_bytes) * spec.flush_budget
+            for report in reports
+        ]
         # Pad a saturated run with zeros: after saturation no further
         # memory can be freed by that variant.
         freed.extend([0.0] * (max_flushes - len(freed)))

@@ -55,9 +55,10 @@ class Microblog:
         Raw text of the microblog.  Only its length matters to the memory
         model, but examples render it.
     keywords:
-        Extracted, normalised keywords (the paper uses hashtags).  May be
-        empty, in which case the record is unindexable by keyword and a
-        keyword-attribute system ignores it.
+        Extracted, normalised keywords (the paper uses hashtags).  Kept
+        distinct, in first-appearance order.  May be empty, in which case
+        the record is unindexable by keyword and a keyword-attribute
+        system ignores it.
     location:
         Optional point location; required for spatial indexing.
     followers:
@@ -78,10 +79,13 @@ class Microblog:
             raise ValueError(f"blog_id must be non-negative, got {self.blog_id}")
         if self.followers < 0:
             raise ValueError(f"followers must be non-negative, got {self.followers}")
-        if not isinstance(self.keywords, tuple):
-            # Accept any iterable at construction for caller convenience but
-            # store a tuple so the record stays hashable and immutable.
-            object.__setattr__(self, "keywords", tuple(self.keywords))
+        # Accept any iterable, but store a tuple (hashable, immutable) of
+        # distinct keywords: a repeated one would be indexed twice.  Keep
+        # first-appearance order: key order is index insert order, so a
+        # set would tie the stored record to the hash seed.
+        keywords = tuple(dict.fromkeys(self.keywords))
+        if keywords != self.keywords:
+            object.__setattr__(self, "keywords", keywords)
         for kw in self.keywords:
             if not kw:
                 raise ValueError("keywords must be non-empty strings")

@@ -181,10 +181,9 @@ class MicroblogStream:
                 if companion_coins[cursor + j] < cfg.cooccurrence_prob:
                     ranks[j] = self.cooccurrence.sample_companion(primary, rng)
             cursor += count
-            # De-duplicate tags within one record (a Zipf head tag can be
-            # drawn twice) in first-appearance order: key order is index
-            # insert order, so a set would tie the stream to the hash seed.
-            keywords = tuple(dict.fromkeys(vocab.tag(r) for r in ranks))
+            # A Zipf head tag can be drawn twice; Microblog keeps the
+            # first appearance.
+            keywords = [vocab.tag(r) for r in ranks]
             user_id = int(user_ranks[i])
             location = None
             if points is not None:

@@ -52,6 +52,13 @@ def make_blogs(count, keywords=("alpha",), start_id=None, **kwargs):
     return blogs
 
 
+def insert(engine, *records):
+    """Digest ``records`` into a bare engine as the facade does: each
+    under every key the engine's attribute extracts from it."""
+    for record in records:
+        engine.insert(record, engine.attribute.keys(record))
+
+
 def disk_counter(disk, name):
     """The value of an archive's ``disk.<name>`` registry counter."""
     return disk.obs.registry.peek("counter", f"disk.{name}").value

@@ -7,7 +7,7 @@ from repro.engine.executor import QueryExecutor
 from repro.engine.queries import AndQuery, KeywordQuery, OrQuery
 from repro.storage.disk import DiskArchive
 from repro.storage.memory_model import MemoryModel
-from tests.conftest import disk_counter, engine_kwargs, make_blog, make_blogs
+from tests.conftest import disk_counter, engine_kwargs, insert, make_blog, make_blogs
 
 
 @pytest.fixture
@@ -25,7 +25,7 @@ class TestSingleKey:
         eng, _, ex = setup
         blogs = make_blogs(5, keywords=("hot",))
         for blog in blogs:
-            eng.insert(blog)
+            insert(eng, blog)
         result = ex.execute(KeywordQuery("hot", k=3), now=1e6)
         assert result.memory_hit
         assert result.provably_exact
@@ -35,7 +35,7 @@ class TestSingleKey:
 
     def test_miss_when_too_few(self, setup):
         eng, _, ex = setup
-        eng.insert(make_blog(keywords=("rare",)))
+        insert(eng, make_blog(keywords=("rare",)))
         result = ex.execute(KeywordQuery("rare", k=3), now=1e6)
         assert not result.memory_hit
         assert result.disk_lookups == 1
@@ -45,7 +45,7 @@ class TestSingleKey:
         eng, disk, ex = setup
         blogs = make_blogs(6, keywords=("hot",))
         for blog in blogs:
-            eng.insert(blog)
+            insert(eng, blog)
         eng.run_flush(now=1e6)  # trims to top-3, rest on disk
         result = ex.execute(KeywordQuery("hot", k=5), now=1e6)
         assert not result.memory_hit  # memory holds only 3
@@ -63,7 +63,7 @@ class TestSingleKey:
         eng, _, ex = setup
         blogs = make_blogs(3, keywords=("k",))
         for blog in blogs:
-            eng.insert(blog)
+            insert(eng, blog)
         entry = eng.index.get("k")
         entry.remove_id(blogs[1].blog_id)  # hole: floor rises
         eng.index.charge_removed_postings(1, "k")
@@ -76,9 +76,9 @@ class TestOrQueries:
     def test_hit_when_all_keys_filled(self, setup):
         eng, _, ex = setup
         for blog in make_blogs(4, keywords=("a",)):
-            eng.insert(blog)
+            insert(eng, blog)
         for blog in make_blogs(4, keywords=("b",)):
-            eng.insert(blog)
+            insert(eng, blog)
         result = ex.execute(OrQuery(["a", "b"], k=3), now=1e6)
         assert result.memory_hit
         assert result.provably_exact
@@ -87,7 +87,7 @@ class TestOrQueries:
         eng, _, ex = setup
         shared = make_blogs(4, keywords=("a", "b"))
         for blog in shared:
-            eng.insert(blog)
+            insert(eng, blog)
         result = ex.execute(OrQuery(["a", "b"], k=3), now=1e6)
         assert result.memory_hit
         assert len(set(result.blog_ids)) == 3
@@ -95,8 +95,8 @@ class TestOrQueries:
     def test_miss_when_one_key_short(self, setup):
         eng, _, ex = setup
         for blog in make_blogs(4, keywords=("a",)):
-            eng.insert(blog)
-        eng.insert(make_blog(keywords=("b",)))
+            insert(eng, blog)
+        insert(eng, make_blog(keywords=("b",)))
         result = ex.execute(OrQuery(["a", "b"], k=3), now=1e6)
         assert not result.memory_hit
         # Only the short key pays disk: "a" holds a provable top-3 in
@@ -110,8 +110,8 @@ class TestOrQueries:
         every key, including those whose in-memory top-k was provable."""
         eng, disk, ex = setup
         for blog in make_blogs(4, keywords=("a",)):
-            eng.insert(blog)
-        eng.insert(make_blog(keywords=("b",)))
+            insert(eng, blog)
+        insert(eng, make_blog(keywords=("b",)))
         before = disk_counter(disk, "index_lookups")
         result = ex.execute(OrQuery(["a", "b"], k=3), now=1e6)
         assert result.disk_lookups == 1
@@ -123,7 +123,7 @@ class TestOrQueries:
         a_blogs = make_blogs(4, keywords=("a",))
         b_blogs = make_blogs(4, keywords=("b",))
         for blog in a_blogs + b_blogs:
-            eng.insert(blog)
+            insert(eng, blog)
         result = ex.execute(OrQuery(["a", "b"], k=4), now=1e6)
         all_ids = sorted((b.blog_id for b in a_blogs + b_blogs), reverse=True)
         assert list(result.blog_ids) == all_ids[:4]
@@ -134,7 +134,7 @@ class TestAndQueries:
         eng, _, ex = setup
         both = make_blogs(4, keywords=("a", "b"))
         for blog in both:
-            eng.insert(blog)
+            insert(eng, blog)
         result = ex.execute(AndQuery(["a", "b"], k=3), now=1e6)
         assert result.memory_hit
         assert result.provably_exact
@@ -143,11 +143,11 @@ class TestAndQueries:
 
     def test_miss_when_intersection_small(self, setup):
         eng, _, ex = setup
-        eng.insert(make_blog(keywords=("a", "b")))
+        insert(eng, make_blog(keywords=("a", "b")))
         for blog in make_blogs(3, keywords=("a",)):
-            eng.insert(blog)
+            insert(eng, blog)
         for blog in make_blogs(3, keywords=("b",)):
-            eng.insert(blog)
+            insert(eng, blog)
         result = ex.execute(AndQuery(["a", "b"], k=2), now=1e6)
         assert not result.memory_hit
         assert len(result.postings) == 1  # only one record has both
@@ -156,9 +156,9 @@ class TestAndQueries:
         eng, _, ex = setup
         both = make_blogs(6, keywords=("a", "b"))
         for blog in both:
-            eng.insert(blog)
+            insert(eng, blog)
         for blog in make_blogs(6, keywords=("a",)):
-            eng.insert(blog)
+            insert(eng, blog)
         eng.run_flush(now=1e6)  # "a" and "b" trimmed to top-3
         result = ex.execute(AndQuery(["a", "b"], k=5), now=1e6)
         expected = sorted((b.blog_id for b in both), reverse=True)[:5]
@@ -171,11 +171,11 @@ class TestAndQueries:
         eng, disk, _ = setup
         both = make_blogs(3, keywords=("a", "b"))
         for blog in both:
-            eng.insert(blog)
+            insert(eng, blog)
         # Push "a" over k so a flush raises its floor above the shared
         # records, while MK-free trimming drops them from "a".
         for blog in make_blogs(6, keywords=("a",)):
-            eng.insert(blog)
+            insert(eng, blog)
         eng.run_flush(now=1e6)
         lax = QueryExecutor(eng, disk, strict_and=False)
         strict = QueryExecutor(eng, disk, strict_and=True)
@@ -197,9 +197,9 @@ class TestDepthCaps:
         )
         capped = QueryExecutor(eng, disk, and_scan_depth=5, and_disk_limit=5)
         for blog in make_blogs(10, keywords=("a", "b")):
-            eng.insert(blog)
+            insert(eng, blog)
         for blog in make_blogs(10, keywords=("a",)):
-            eng.insert(blog)
+            insert(eng, blog)
         eng.run_flush(now=1e6)
         result = capped.execute(AndQuery(["a", "b"], k=3), now=1e6)
         # Whatever the outcome, a capped evaluation never claims proof
@@ -213,7 +213,7 @@ class TestMaterialize:
         eng, disk, ex = setup
         blogs = make_blogs(6, keywords=("hot",))
         for blog in blogs:
-            eng.insert(blog)
+            insert(eng, blog)
         eng.run_flush(now=1e6)
         result = ex.execute(KeywordQuery("hot", k=5), now=1e6)
         records = ex.materialize(result)
@@ -222,7 +222,7 @@ class TestMaterialize:
     def test_bookkeeping_timer_accumulates(self, setup):
         eng, _, ex = setup
         for blog in make_blogs(4, keywords=("hot",)):
-            eng.insert(blog)
+            insert(eng, blog)
         before = ex.bookkeeping_seconds
         ex.execute(KeywordQuery("hot", k=3), now=1e6)
         assert ex.bookkeeping_seconds >= before

@@ -12,7 +12,7 @@ from repro.model.ranking import PopularityRanking
 from repro.storage.disk import DiskArchive
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import MIN_SORT_KEY
-from tests.conftest import engine_kwargs, make_blog, make_blogs
+from tests.conftest import engine_kwargs, insert, make_blog, make_blogs
 
 
 @pytest.fixture
@@ -29,14 +29,14 @@ class TestDuplicateAndUnderflow:
     def test_duplicate_ingest_rejected_everywhere(self, model, disk):
         eng = KFlushingEngine(mk=False, **engine_kwargs(model, disk))
         blog = make_blog()
-        eng.insert(blog)
+        insert(eng, blog)
         with pytest.raises(DuplicateRecordError):
-            eng.insert(blog)
+            insert(eng, blog)
 
     def test_pcount_underflow_detected(self, model, disk):
         eng = KFlushingEngine(mk=False, **engine_kwargs(model, disk))
         blog = make_blog(keywords=("a",))
-        eng.insert(blog)
+        insert(eng, blog)
         eng.raw.decref(blog.blog_id)  # record leaves the store
         with pytest.raises(Exception):
             eng.raw.decref(blog.blog_id)
@@ -44,7 +44,7 @@ class TestDuplicateAndUnderflow:
     def test_integrity_check_catches_manual_corruption(self, model, disk):
         eng = KFlushingEngine(mk=False, **engine_kwargs(model, disk))
         for blog in make_blogs(5, keywords=("a",)):
-            eng.insert(blog)
+            insert(eng, blog)
         # Corrupt: remove a posting without charging the index.
         eng.index.get("a")._postings.pop()
         with pytest.raises(AssertionError):
@@ -59,7 +59,7 @@ class TestDiskFaults:
             mk=False, **engine_kwargs(model, disk, k=2, capacity=100_000)
         )
         for blog in make_blogs(10, keywords=("hot",)):
-            eng.insert(blog)
+            insert(eng, blog)
 
         def boom(*args, **kwargs):
             raise IOError("disk unplugged")
@@ -73,7 +73,7 @@ class TestDiskFaults:
             mk=False, **engine_kwargs(model, disk, k=2, capacity=100_000)
         )
         for blog in make_blogs(10, keywords=("hot",)):
-            eng.insert(blog)
+            insert(eng, blog)
         original = disk.commit_flush
         monkeypatch.setattr(
             disk, "commit_flush", lambda *a, **k: (_ for _ in ()).throw(IOError())
@@ -84,7 +84,7 @@ class TestDiskFaults:
         # The staged buffer survived the failed commit; the next flush
         # lands everything (idempotent record writes make this safe).
         for blog in make_blogs(10, keywords=("hot",)):
-            eng.insert(blog)
+            insert(eng, blog)
         report = eng.run_flush(now=2e6)
         assert report.bytes_written_to_disk > 0
         assert disk.record_count > 0
@@ -98,7 +98,7 @@ class TestDiskFaults:
         kwargs["ranking"] = PopularityRanking()
         eng = KFlushingEngine(mk=False, **kwargs)
         star = make_blog(keywords=("a",), timestamp=1.0, followers=10**8)
-        eng.insert(star)
+        insert(eng, star)
         original = disk.commit_flush
         monkeypatch.setattr(
             disk, "commit_flush", lambda *a, **k: (_ for _ in ()).throw(IOError())
@@ -109,7 +109,7 @@ class TestDiskFaults:
         assert eng.global_floor > MIN_SORT_KEY
         monkeypatch.setattr(disk, "commit_flush", original)
         for ts in (2.0, 3.0):
-            eng.insert(make_blog(keywords=("a",), timestamp=ts, followers=0))
+            insert(eng, make_blog(keywords=("a",), timestamp=ts, followers=0))
         # The star still ranks first, so memory cannot prove a top-2.
         assert eng.lookup("a").provable_top(2) is None
         eng.run_flush(now=20.0)

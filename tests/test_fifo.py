@@ -5,7 +5,7 @@ import pytest
 from repro.core.fifo import FIFOEngine
 from repro.storage.disk import DiskArchive
 from repro.storage.memory_model import MemoryModel
-from tests.conftest import engine_kwargs, make_blog, make_blogs
+from tests.conftest import engine_kwargs, insert, make_blog, make_blogs, tiny_system
 
 
 @pytest.fixture
@@ -34,18 +34,21 @@ class TestInsert:
     def test_indexes_and_counts(self, model, disk):
         eng = engine(model, disk)
         blog = make_blog(keywords=("a", "b"))
-        assert eng.insert(blog)
+        insert(eng, blog)
         assert eng.record_count() == 1
         assert [p.blog_id for p in eng.lookup("a").candidates] == [blog.blog_id]
 
-    def test_keywordless_skipped(self, model, disk):
-        eng = engine(model, disk)
-        assert not eng.insert(make_blog(keywords=()))
+    def test_keywordless_skipped(self):
+        # The facade drops a keyless record before any engine sees it.
+        system = tiny_system("fifo")
+        assert not system.ingest(make_blog(keywords=()))
+        assert system.engine.record_count() == 0
+        assert system.frequency_snapshot() == {}
 
     def test_get_record(self, model, disk):
         eng = engine(model, disk)
         blog = make_blog()
-        eng.insert(blog)
+        insert(eng, blog)
         assert eng.get_record(blog.blog_id) is blog
         assert eng.get_record(10**9) is None
 
@@ -54,7 +57,7 @@ class TestFlush:
     def fill(self, eng, n=200, key="hot"):
         blogs = make_blogs(n, keywords=(key,))
         for blog in blogs:
-            eng.insert(blog)
+            insert(eng, blog)
         return blogs
 
     def test_flush_evicts_oldest_data(self, model, disk):
@@ -92,7 +95,7 @@ class TestFlush:
         eng = engine(model, disk, capacity=15_000)
         i = 0
         while not eng.needs_flush():
-            eng.insert(make_blog(keywords=(f"kw{i % 10}",)))
+            insert(eng, make_blog(keywords=(f"kw{i % 10}",)))
             i += 1
         eng.run_flush(now=1e6)
         assert eng.memory_bytes < eng.capacity_bytes
@@ -102,32 +105,32 @@ class TestMetrics:
     def test_k_filled(self, model, disk):
         eng = engine(model, disk, capacity=10**6)
         for blog in make_blogs(5, keywords=("hot",)):
-            eng.insert(blog)
-        eng.insert(make_blog(keywords=("cold",)))
+            insert(eng, blog)
+        insert(eng, make_blog(keywords=("cold",)))
         assert eng.k_filled_count() == 1  # k=3: only "hot" qualifies
 
     def test_policy_overhead_is_segment_headers_only(self, model, disk):
         eng = engine(model, disk)
         for blog in make_blogs(100):
-            eng.insert(blog)
+            insert(eng, blog)
         expected = model.segment_overhead * eng.segmented.segment_count
         assert eng.policy_overhead_bytes == expected
 
     def test_frequency_snapshot(self, model, disk):
         eng = engine(model, disk, capacity=10**6)
-        eng.insert(make_blog(keywords=("a", "b")))
-        eng.insert(make_blog(keywords=("a",)))
+        insert(eng, make_blog(keywords=("a", "b")))
+        insert(eng, make_blog(keywords=("a",)))
         assert eng.frequency_snapshot() == {"a": 2, "b": 1}
 
     def test_note_query_is_noop(self, model, disk):
         eng = engine(model, disk)
-        eng.insert(make_blog(keywords=("a",)))
+        insert(eng, make_blog(keywords=("a",)))
         eng.note_query(["a"], [1], now=50.0)  # must not raise
 
     def test_lookup_depth(self, model, disk):
         eng = engine(model, disk, capacity=10**6)
         for blog in make_blogs(10, keywords=("hot",)):
-            eng.insert(blog)
+            insert(eng, blog)
         top = eng.lookup("hot", depth=4).candidates
         full = eng.lookup("hot").candidates
         assert top == full[:4]

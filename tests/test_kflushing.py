@@ -9,7 +9,7 @@ from repro.storage.disk import DiskArchive
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import MIN_SORT_KEY
 from repro.workload.stream import MicroblogStream, StreamConfig
-from tests.conftest import engine_kwargs, make_blog, make_blogs
+from tests.conftest import engine_kwargs, insert, make_blog, make_blogs, tiny_system
 
 
 @pytest.fixture
@@ -38,27 +38,29 @@ class TestInsert:
     def test_indexes_under_every_keyword(self, model, disk):
         eng = engine(model, disk)
         blog = make_blog(keywords=("a", "b"))
-        assert eng.insert(blog)
+        insert(eng, blog)
         assert eng.lookup("a").candidates[0].blog_id == blog.blog_id
         assert eng.lookup("b").candidates[0].blog_id == blog.blog_id
         assert eng.raw.pcount(blog.blog_id) == 2
 
-    def test_keywordless_record_skipped(self, model, disk):
-        eng = engine(model, disk)
-        assert not eng.insert(make_blog(keywords=()))
-        assert eng.record_count() == 0
+    def test_keywordless_record_skipped(self):
+        # The facade drops a keyless record before any engine sees it.
+        system = tiny_system("kflushing")
+        assert not system.ingest(make_blog(keywords=()))
+        assert system.engine.record_count() == 0
+        assert system.frequency_snapshot() == {}
 
     def test_memory_bytes_grow(self, model, disk):
         eng = engine(model, disk)
         before = eng.memory_bytes
-        eng.insert(make_blog())
+        insert(eng, make_blog())
         assert eng.memory_bytes > before
 
     def test_needs_flush_at_capacity(self, model, disk):
         eng = engine(model, disk, capacity=500)
         assert not eng.needs_flush()
         while not eng.needs_flush():
-            eng.insert(make_blog())
+            insert(eng, make_blog())
         assert eng.memory_bytes >= 500
 
 
@@ -66,7 +68,7 @@ class TestPhase1:
     def test_trims_overflow_to_k(self, model, disk):
         eng = engine(model, disk, k=3)
         for blog in make_blogs(10, keywords=("hot",)):
-            eng.insert(blog)
+            insert(eng, blog)
         report = eng.run_flush(now=100.0)
         assert len(eng.index.get("hot")) == 3
         assert report.phase_freed.get("phase1-regular", 0) > 0
@@ -76,7 +78,7 @@ class TestPhase1:
         eng = engine(model, disk, k=3)
         blogs = make_blogs(10, keywords=("hot",))
         for blog in blogs:
-            eng.insert(blog)
+            insert(eng, blog)
         eng.run_flush(now=100.0)
         kept = [p.blog_id for p in eng.lookup("hot").candidates]
         expected = sorted((b.blog_id for b in blogs), reverse=True)[:3]
@@ -86,7 +88,7 @@ class TestPhase1:
         eng = engine(model, disk, k=3)
         blogs = make_blogs(5, keywords=("hot",))
         for blog in blogs:
-            eng.insert(blog)
+            insert(eng, blog)
         eng.run_flush(now=100.0)
         oldest = blogs[0]
         assert oldest.blog_id not in eng.raw
@@ -96,9 +98,9 @@ class TestPhase1:
     def test_shared_record_stays_while_referenced(self, model, disk):
         eng = engine(model, disk, k=1)
         shared = make_blog(keywords=("hot", "cold"))
-        eng.insert(shared)
+        insert(eng, shared)
         for blog in make_blogs(3, keywords=("hot",)):
-            eng.insert(blog)
+            insert(eng, blog)
         eng.run_flush(now=100.0)
         # Trimmed from "hot" (beyond top-1) but still top-1 of "cold":
         # the record must remain memory-resident with pcount 1.
@@ -115,7 +117,7 @@ class TestPhase1:
     def test_overflow_list_wiped_after_flush(self, model, disk):
         eng = engine(model, disk, k=2)
         for blog in make_blogs(6, keywords=("hot",)):
-            eng.insert(blog)
+            insert(eng, blog)
         assert "hot" in eng.index.overflow_keys
         eng.run_flush(now=100.0)
         assert eng.index.overflow_keys == frozenset()
@@ -123,7 +125,7 @@ class TestPhase1:
     def test_floor_makes_trimmed_range_unprovable(self, model, disk):
         eng = engine(model, disk, k=3)
         for blog in make_blogs(10, keywords=("hot",)):
-            eng.insert(blog)
+            insert(eng, blog)
         eng.run_flush(now=100.0)
         lookup = eng.lookup("hot")
         assert lookup.provable_top(3) is not None
@@ -134,7 +136,7 @@ class TestPhase2:
     def _saturate_phase1(self, eng, n_keys=30):
         """Build memory with no overflow: every key holds < k postings."""
         for i in range(n_keys):
-            eng.insert(make_blog(keywords=(f"kw{i}",)))
+            insert(eng, make_blog(keywords=(f"kw{i}",)))
 
     def test_flushes_low_frequency_keys_when_phase1_insufficient(self, model, disk):
         eng = engine(model, disk, k=3, capacity=100_000, flush_fraction=0.3)
@@ -148,7 +150,7 @@ class TestPhase2:
         eng = engine(model, disk, k=5, capacity=100_000, flush_fraction=0.1)
         keys = [f"kw{i}" for i in range(20)]
         for i, key in enumerate(keys):
-            eng.insert(make_blog(keywords=(key,), timestamp=float(i), blog_id=1000 + i))
+            insert(eng, make_blog(keywords=(key,), timestamp=float(i), blog_id=1000 + i))
         eng.run_flush(now=1000.0)
         surviving = {key for key in keys if eng.index.get(key) is not None}
         flushed = [key for key in keys if key not in surviving]
@@ -167,10 +169,10 @@ class TestPhase2:
     def test_k_filled_keys_not_flushed_by_phase2(self, model, disk):
         eng = engine(model, disk, k=3, capacity=100_000, flush_fraction=0.15)
         for blog in make_blogs(3, keywords=("filled",), start_id=1):
-            eng.insert(blog)
+            insert(eng, blog)
         for i in range(30):
-            eng.insert(
-                make_blog(keywords=(f"kw{i}",), blog_id=100 + i, timestamp=100.0 + i)
+            insert(
+                eng, make_blog(keywords=(f"kw{i}",), blog_id=100 + i, timestamp=100.0 + i)
             )
         eng.run_flush(now=1000.0)
         # "filled" has exactly k postings: it is in neither phase-1 nor
@@ -184,7 +186,7 @@ class TestPhase3:
         eng = engine(model, disk, k=2, capacity=100_000, flush_fraction=0.3)
         for i in range(25):
             for blog in make_blogs(2, keywords=(f"kw{i}",)):
-                eng.insert(blog)
+                insert(eng, blog)
         report = eng.run_flush(now=1000.0)
         assert report.met_target
         assert report.phase_freed.get("phase3-forced", 0) > 0
@@ -194,7 +196,7 @@ class TestPhase3:
         keys = [f"kw{i}" for i in range(10)]
         for key in keys:
             for blog in make_blogs(2, keywords=(key,)):
-                eng.insert(blog)
+                insert(eng, blog)
         # Touch all but the first three keys recently.
         for key in keys[3:]:
             eng.note_query([key], [], now=500.0)
@@ -207,7 +209,7 @@ class TestPhase3:
         eng = engine(model, disk, k=2, capacity=100_000, flush_fraction=0.5)
         for i in range(20):
             for blog in make_blogs(2, keywords=(f"kw{i}",)):
-                eng.insert(blog)
+                insert(eng, blog)
         assert eng.global_floor == MIN_SORT_KEY
         eng.run_flush(now=1000.0)
         assert eng.global_floor > MIN_SORT_KEY
@@ -215,13 +217,13 @@ class TestPhase3:
     def test_recreated_entry_not_falsely_complete(self, model, disk):
         eng = engine(model, disk, k=3, capacity=100_000, flush_fraction=0.9)
         for blog in make_blogs(3, keywords=("victim",)):
-            eng.insert(blog)
+            insert(eng, blog)
         eng.run_flush(now=1000.0)
         assert eng.index.get("victim") is None
         # Re-create the entry; auto timestamps continue increasing, so the
         # new postings arrive after the flush horizon.
         for blog in make_blogs(3, keywords=("victim",)):
-            eng.insert(blog)
+            insert(eng, blog)
         lookup = eng.lookup("victim")
         # New postings arrived after the flush: they are provable.
         assert lookup.provable_top(3) is not None
@@ -235,12 +237,12 @@ class TestFullEscalation:
         # Overflow entry for Phase 1, under-k entries for Phase 2, and
         # exactly-k entries only Phase 3 will take.
         for blog in make_blogs(6, keywords=("hot",)):
-            eng.insert(blog)
+            insert(eng, blog)
         for i in range(5):
-            eng.insert(make_blog(keywords=(f"rare{i}",)))
+            insert(eng, make_blog(keywords=(f"rare{i}",)))
         for i in range(5):
             for blog in make_blogs(3, keywords=(f"mid{i}",)):
-                eng.insert(blog)
+                insert(eng, blog)
         report = eng.run_flush(now=1e6)
         assert set(report.phase_freed) == {
             "phase1-regular",
@@ -256,12 +258,12 @@ class TestFullEscalation:
             mk=True, **engine_kwargs(model, disk, k=3, flush_fraction=1.0)
         )
         for blog in make_blogs(6, keywords=("hot",)):
-            eng.insert(blog)
+            insert(eng, blog)
         for i in range(5):
-            eng.insert(make_blog(keywords=(f"rare{i}",)))
+            insert(eng, make_blog(keywords=(f"rare{i}",)))
         for i in range(5):
             for blog in make_blogs(3, keywords=(f"mid{i}",)):
-                eng.insert(blog)
+                insert(eng, blog)
         report = eng.run_flush(now=1e6)
         assert set(report.phase_freed) == {
             "phase1-regular",
@@ -276,7 +278,7 @@ class TestBudget:
         eng = engine(model, disk, k=3, capacity=50_000, flush_fraction=0.25)
         i = 0
         while not eng.needs_flush():
-            eng.insert(make_blog(keywords=(f"kw{i % 50}",)))
+            insert(eng, make_blog(keywords=(f"kw{i % 50}",)))
             i += 1
         report = eng.run_flush(now=1e6)
         assert report.freed_bytes >= report.target_bytes
@@ -284,7 +286,7 @@ class TestBudget:
     def test_flush_report_recorded(self, model, disk):
         eng = engine(model, disk, k=2)
         for blog in make_blogs(5, keywords=("hot",)):
-            eng.insert(blog)
+            insert(eng, blog)
         report = eng.run_flush(now=10.0)
         assert report.policy == "kflushing"
         assert report.wall_seconds >= 0.0
@@ -294,7 +296,7 @@ class TestBudget:
         eng = engine(model, disk, k=3, capacity=100_000, flush_fraction=0.5)
         eng.max_phase = 1
         for i in range(50):
-            eng.insert(make_blog(keywords=(f"kw{i}",)))
+            insert(eng, make_blog(keywords=(f"kw{i}",)))
         report = eng.run_flush(now=1000.0)
         # Nothing exceeds k: phase 1 alone cannot free anything.
         assert report.freed_bytes == 0
@@ -309,7 +311,7 @@ class TestDynamicK:
     def test_decreasing_k_trims_next_flush(self, model, disk):
         eng = engine(model, disk, k=5)
         for blog in make_blogs(5, keywords=("hot",)):
-            eng.insert(blog)
+            insert(eng, blog)
         eng.set_k(2)
         assert eng.k == 2
         eng.run_flush(now=100.0)
@@ -318,7 +320,7 @@ class TestDynamicK:
     def test_increasing_k_keeps_more(self, model, disk):
         eng = engine(model, disk, k=2)
         for blog in make_blogs(8, keywords=("hot",)):
-            eng.insert(blog)
+            insert(eng, blog)
         eng.set_k(4)
         eng.run_flush(now=100.0)
         assert len(eng.index.get("hot")) == 4
@@ -332,7 +334,7 @@ class TestDynamicK:
 class TestBookkeeping:
     def test_note_query_stamps_entries(self, model, disk):
         eng = engine(model, disk)
-        eng.insert(make_blog(keywords=("a",)))
+        insert(eng, make_blog(keywords=("a",)))
         eng.note_query(["a"], [1], now=1e9)
         assert eng.index.get("a").last_query == 1e9
 
@@ -340,20 +342,20 @@ class TestBookkeeping:
         eng = engine(model, disk)
         base = eng.policy_overhead_bytes
         for i in range(10):
-            eng.insert(make_blog(keywords=(f"kw{i}",)))
+            insert(eng, make_blog(keywords=(f"kw{i}",)))
         assert eng.policy_overhead_bytes >= base + 10 * 2 * model.timestamp_bytes
 
     def test_get_record(self, model, disk):
         eng = engine(model, disk)
         blog = make_blog()
-        eng.insert(blog)
+        insert(eng, blog)
         assert eng.get_record(blog.blog_id) is blog
         assert eng.get_record(424242) is None
 
     def test_frequency_snapshot(self, model, disk):
         eng = engine(model, disk)
-        eng.insert(make_blog(keywords=("a", "b")))
-        eng.insert(make_blog(keywords=("a",)))
+        insert(eng, make_blog(keywords=("a", "b")))
+        insert(eng, make_blog(keywords=("a",)))
         assert eng.frequency_snapshot() == {"a": 2, "b": 1}
 
 

@@ -6,7 +6,7 @@ from repro.core.kflushing import KFlushingEngine
 from repro.model.attributes import UserAttribute
 from repro.storage.disk import DiskArchive
 from repro.storage.memory_model import MemoryModel
-from tests.conftest import engine_kwargs, make_blog, make_blogs
+from tests.conftest import engine_kwargs, insert, make_blog, make_blogs
 
 
 @pytest.fixture
@@ -37,9 +37,9 @@ class TestPhase1MK:
         W2 — the extended Phase 1 keeps M1's id in W1."""
         eng = mk_engine(model, disk, k=2)
         m1 = make_blog(keywords=("w1", "w2"), blog_id=1, timestamp=1.0)
-        eng.insert(m1)
+        insert(eng, m1)
         for blog in make_blogs(4, keywords=("w1",), start_id=10):
-            eng.insert(blog)
+            insert(eng, blog)
         eng.run_flush(now=100.0)
         w1_ids = [p.blog_id for p in eng.lookup("w1").candidates]
         assert m1.blog_id in w1_ids  # kept despite being beyond top-2
@@ -52,9 +52,9 @@ class TestPhase1MK:
             mk=False, **engine_kwargs(model, disk, k=2, capacity=100_000)
         )
         m1 = make_blog(keywords=("w1", "w2"), blog_id=1, timestamp=1.0)
-        plain.insert(m1)
+        insert(plain, m1)
         for blog in make_blogs(4, keywords=("w1",), start_id=10):
-            plain.insert(blog)
+            insert(plain, blog)
         plain.run_flush(now=100.0)
         w1_ids = [p.blog_id for p in plain.lookup("w1").candidates]
         assert m1.blog_id not in w1_ids
@@ -65,14 +65,14 @@ class TestPhase1MK:
         all its keywords, the next Phase 1 removes it everywhere."""
         eng = mk_engine(model, disk, k=2)
         m1 = make_blog(keywords=("w1", "w2"), blog_id=1, timestamp=1.0)
-        eng.insert(m1)
+        insert(eng, m1)
         for blog in make_blogs(4, keywords=("w1",), start_id=10):
-            eng.insert(blog)
+            insert(eng, blog)
         eng.run_flush(now=100.0)
         assert m1.blog_id in eng.raw
         # Now push w2 beyond top-2 as well.
         for blog in make_blogs(4, keywords=("w2",), start_id=20):
-            eng.insert(blog)
+            insert(eng, blog)
         eng.run_flush(now=200.0)
         assert m1.blog_id not in eng.raw
         assert disk.contains_record(m1.blog_id)
@@ -86,7 +86,7 @@ class TestPhase1MK:
         eng = KFlushingEngine(mk=True, **kwargs)
         assert not eng.mk_enabled
         for blog in make_blogs(5, user_id=7):
-            eng.insert(blog)
+            insert(eng, blog)
         eng.run_flush(now=100.0)
         # Behaves exactly like plain kFlushing: trimmed to k.
         assert len(eng.index.get(7)) == 2
@@ -99,13 +99,13 @@ class TestPhase2MK:
         eng = mk_engine(model, disk, k=3, capacity=100_000, flush_fraction=0.5)
         # m1 lives in frequent key "hot" and rare key "rare".
         m1 = make_blog(keywords=("hot", "rare"), blog_id=1, timestamp=1.0)
-        eng.insert(m1)
+        insert(eng, m1)
         for blog in make_blogs(2, keywords=("hot",), start_id=10):
-            eng.insert(blog)
+            insert(eng, blog)
         # Many rare keys to give Phase 2 victims.
         for i in range(40):
-            eng.insert(
-                make_blog(keywords=(f"cold{i}",), blog_id=100 + i, timestamp=50.0 + i)
+            insert(
+                eng, make_blog(keywords=(f"cold{i}",), blog_id=100 + i, timestamp=50.0 + i)
             )
         eng.run_flush(now=1000.0)
         rare_entry = eng.index.get("rare")
@@ -119,7 +119,7 @@ class TestPhase2MK:
         eng = mk_engine(model, disk, k=3, capacity=50_000, flush_fraction=0.3)
         i = 0
         while not eng.needs_flush():
-            eng.insert(make_blog(keywords=(f"kw{i % 40}", f"kw{(i + 1) % 40}")))
+            insert(eng, make_blog(keywords=(f"kw{i % 40}", f"kw{(i + 1) % 40}")))
             i += 1
         report = eng.run_flush(now=1e6)
         assert report.freed_bytes >= report.target_bytes
@@ -130,7 +130,7 @@ class TestPhase2MK:
         for _ in range(3000):
             keywords = (f"kw{i % 25}", f"kw{(i * 7) % 25}")
             keywords = tuple(dict.fromkeys(keywords))
-            eng.insert(make_blog(keywords=keywords))
+            insert(eng, make_blog(keywords=keywords))
             i += 1
             if eng.needs_flush():
                 eng.run_flush(now=1e9 + i)

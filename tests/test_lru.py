@@ -6,7 +6,7 @@ from repro.core.lru import LRUEngine
 from repro.core.recency_list import RecencyList
 from repro.storage.disk import DiskArchive
 from repro.storage.memory_model import MemoryModel
-from tests.conftest import engine_kwargs, make_blog, make_blogs
+from tests.conftest import engine_kwargs, insert, make_blog, make_blogs
 
 
 @pytest.fixture
@@ -82,7 +82,7 @@ class TestEviction:
         eng = engine(model, disk, capacity=10**6)
         blogs = make_blogs(10, keywords=("k",))
         for blog in blogs:
-            eng.insert(blog)
+            insert(eng, blog)
         # Touch the oldest three so they become most recent.
         protected = [b.blog_id for b in blogs[:3]]
         eng.note_query(["k"], protected, now=1e6)
@@ -96,7 +96,7 @@ class TestEviction:
         eng = engine(model, disk, capacity=10**6, flush_fraction=0.4)
         blogs = make_blogs(10, keywords=("k",))
         for blog in blogs:
-            eng.insert(blog)
+            insert(eng, blog)
         eng.run_flush(now=1e6)
         remaining = {r.blog_id for r in eng.raw}
         flushed = {b.blog_id for b in blogs} - remaining
@@ -107,7 +107,7 @@ class TestEviction:
         eng = engine(model, disk, capacity=10**6)
         blogs = make_blogs(6, keywords=("k",))
         for blog in blogs:
-            eng.insert(blog)
+            insert(eng, blog)
         # Make a mid-list record the LRU victim: touch everything else.
         victim = blogs[2]
         others = [b.blog_id for b in blogs if b.blog_id != victim.blog_id]
@@ -124,7 +124,7 @@ class TestEviction:
     def test_multi_keyword_record_removed_from_all_entries(self, model, disk):
         eng = engine(model, disk, capacity=10**6, flush_fraction=0.01)
         blog = make_blog(keywords=("a", "b"))
-        eng.insert(blog)
+        insert(eng, blog)
         eng.run_flush(now=1e6)
         assert blog.blog_id not in eng.raw
         assert eng.index.get("a") is None  # entry became empty -> removed
@@ -137,7 +137,7 @@ class TestEviction:
         eng = engine(model, disk, capacity=30_000, flush_fraction=0.2)
         i = 0
         while not eng.needs_flush():
-            eng.insert(make_blog(keywords=(f"kw{i % 7}",)))
+            insert(eng, make_blog(keywords=(f"kw{i % 7}",)))
             i += 1
         report = eng.run_flush(now=1e6)
         assert report.freed_bytes >= report.target_bytes
@@ -148,10 +148,10 @@ class TestBookkeeping:
     def test_query_touch_protects_records(self, model, disk):
         eng = engine(model, disk, capacity=10**6)
         first = make_blog(keywords=("k",))
-        eng.insert(first)
+        insert(eng, first)
         rest = make_blogs(5, keywords=("k",))
         for blog in rest:
-            eng.insert(blog)
+            insert(eng, blog)
         eng.note_query(["k"], [first.blog_id], now=1e6)
         eng.flush_fraction = 0.15
         eng.run_flush(now=1e6)
@@ -159,20 +159,20 @@ class TestBookkeeping:
 
     def test_touch_of_nonresident_id_ignored(self, model, disk):
         eng = engine(model, disk)
-        eng.insert(make_blog(keywords=("k",)))
+        insert(eng, make_blog(keywords=("k",)))
         eng.note_query(["k"], [999_999], now=1.0)  # disk id: no-op
 
     def test_policy_overhead_scales_per_item(self, model, disk):
         eng = engine(model, disk, capacity=10**6)
         for blog in make_blogs(50):
-            eng.insert(blog)
+            insert(eng, blog)
         assert eng.policy_overhead_bytes >= 50 * model.lru_node_bytes
 
     def test_k_filled_respects_holes(self, model, disk):
         eng = engine(model, disk, capacity=10**6, k=3)
         blogs = make_blogs(3, keywords=("k",))
         for blog in blogs:
-            eng.insert(blog)
+            insert(eng, blog)
         assert eng.k_filled_count() == 1
         # Evict the middle record: 2 postings remain, plus a hole.
         eng.note_query(["k"], [blogs[0].blog_id, blogs[2].blog_id], now=1e6)
@@ -190,7 +190,7 @@ class TestIntegrity:
     def test_check_passes_across_flushes(self, model, disk):
         eng = engine(model, disk, capacity=30_000, flush_fraction=0.2)
         for i in range(600):
-            eng.insert(make_blog(keywords=(f"kw{i % 7}", f"kw{i % 11 + 7}")))
+            insert(eng, make_blog(keywords=(f"kw{i % 7}", f"kw{i % 11 + 7}")))
             if eng.needs_flush():
                 eng.run_flush(now=1e6 + i)
         eng.check_integrity()
@@ -200,7 +200,7 @@ class TestIntegrity:
         shared pcount invariant holds under it and is checked."""
         eng = engine(model, disk, capacity=10**6)
         blog = make_blog(keywords=("a", "b"))
-        eng.insert(blog)
+        insert(eng, blog)
         eng.check_integrity()
         eng.raw._pcounts[blog.blog_id] = 1  # two entries reference it
         with pytest.raises(AssertionError, match="pcount mismatch"):

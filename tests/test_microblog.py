@@ -47,6 +47,11 @@ class TestMicroblog:
         assert blog.keyword_count == 2
         assert blog.followers == 10
 
+    def test_repeated_keywords_kept_once_in_order(self):
+        blog = Microblog(blog_id=1, timestamp=0.0, user_id=0, keywords=["b", "a", "b"])
+        assert blog.keywords == ("b", "a")
+        assert blog.keyword_count == 2
+
     def test_defaults(self):
         blog = Microblog(blog_id=1, timestamp=0.0, user_id=0)
         assert blog.text == ""

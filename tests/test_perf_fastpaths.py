@@ -113,11 +113,11 @@ class TestBestFirstView:
     def test_lookup_depth_none_is_zero_copy(self, model_disk_engine):
         """Unbounded lookup must not materialize the posting list."""
         eng = model_disk_engine
-        from tests.conftest import make_blogs
+        from tests.conftest import insert, make_blogs
 
         blogs = make_blogs(500, keywords=("hot",))
         for blog in blogs:
-            eng.insert(blog)
+            insert(eng, blog)
         result = eng.lookup("hot")
         assert isinstance(result.candidates, BestFirstView)
         assert len(result.candidates) == 500

@@ -18,7 +18,7 @@ from repro.storage.disk import DiskArchive
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import Posting, PostingList
 from repro.storage.raw_store import RawDataStore
-from tests.conftest import engine_kwargs
+from tests.conftest import engine_kwargs, insert
 
 # ----------------------------------------------------------------------
 # PostingList
@@ -232,10 +232,11 @@ def test_kflushing_integrity_under_random_streams(keyword_sets, mk):
         **engine_kwargs(model, disk, k=3, capacity=6_000, flush_fraction=0.3),
     )
     for i, keywords in enumerate(keyword_sets):
-        eng.insert(
+        insert(
+            eng,
             Microblog(
                 blog_id=i, timestamp=float(i), user_id=0, keywords=tuple(keywords)
-            )
+            ),
         )
         if eng.needs_flush():
             eng.run_flush(now=float(i))

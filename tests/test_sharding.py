@@ -16,13 +16,13 @@ The correctness anchors of the hash-partitioned system:
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
 from repro.config import SystemConfig
 from repro.engine.executor import QueryExecutor
 from repro.engine.sharded import (
-    ShardAttributeView,
     ShardRouter,
     _RoutedDisk,
     _RoutedEngine,
@@ -135,19 +135,32 @@ class TestShardConfig:
             config.shard_capacity(2)
 
 
-class TestShardAttributeView:
-    def test_filters_to_owned_keys(self):
-        config = SystemConfig(shards=3)
-        base = config.build_attribute()
-        router = ShardRouter(3)
-        stream = MicroblogStream(StreamConfig(seed=5, vocabulary_size=200))
-        views = [ShardAttributeView(base, router, i) for i in range(3)]
-        for record in stream.take(50):
-            keys = base.keys(record)
-            partitioned = [view.keys(record) for view in views]
-            assert sorted(k for part in partitioned for k in part) == sorted(keys)
-            for shard_id, part in enumerate(partitioned):
-                assert all(router.shard_of(k) == shard_id for k in part)
+class TestFanOut:
+    """The facade extracts a record's keys once and hands each owning
+    shard only its own group of them."""
+
+    @pytest.mark.parametrize("policy", ["fifo", "kflushing", "kflushing-mk", "lru"])
+    def test_every_key_held_only_by_its_owner(self, policy):
+        system = build_system(
+            SystemConfig(policy=policy, shards=3, memory_capacity_bytes=60_000)
+        )
+        stream = MicroblogStream(
+            StreamConfig(seed=5, vocabulary_size=200, with_locations=False)
+        )
+        records = stream.take(3_000)
+        system.ingest_many(records)
+        assert system.flush_reports(), "no shard flushed: disk side untested"
+        system.check_integrity()
+        expected = Counter(key for record in records for key in record.keywords)
+        resident = [p.engine.frequency_snapshot() for p in system.partitions]
+        for key, count in expected.items():
+            held = [
+                memory.get(key, 0) + p.disk.posting_count(key)
+                for memory, p in zip(resident, system.partitions)
+            ]
+            owner = system.router.shard_of(key)
+            assert held[owner] == count, key
+            assert sum(held) == count, key
 
 
 class TestBuildSystem:
@@ -160,7 +173,7 @@ class TestBuildSystem:
         assert system.shards is None and system.router is None
         assert system.engine is system.partitions[0].engine
         assert system.disk is system.partitions[0].disk
-        # Wired directly: no attribute view, no routed adapters.
+        # Wired directly: no routed adapters.
         assert system.engine.attribute is system.attribute
         assert system.executor._engine is system.engine
 
@@ -171,6 +184,8 @@ class TestBuildSystem:
         assert all(isinstance(s, Partition) for s in system.shards)
         assert system.router.shard_count == 3
         assert system.engine is None and system.disk is None
+        # Every engine walks a record's keys with the system's attribute.
+        assert all(s.engine.attribute is system.attribute for s in system.shards)
 
 
 class TestRoutedReference:
@@ -335,15 +350,6 @@ class TestShardedSystem:
         # Gauges land in the registry for the prometheus/json exporters.
         assert "shard.0.memory.bytes_used" in snap["gauges"]
 
-    def test_shard_timeline_samples(self):
-        system = self._loaded()
-        per_shard = [system.stats.shard_timeline(i) for i in range(4)]
-        assert any(points for points in per_shard)
-        for shard_id, points in enumerate(per_shard):
-            assert all(p.shard == shard_id for p in points)
-        # System-level samples carry shard=None.
-        assert all(p.shard is None for p in system.stats.shard_timeline(None))
-
     def test_set_k_propagates(self):
         system = self._loaded()
         system.set_k(7)
@@ -356,42 +362,6 @@ class TestShardedSystem:
             len(shard.engine.frequency_snapshot()) for shard in system.shards
         )
         assert len(merged) == per_shard_total  # keys are partitioned
-
-
-class TestShardTimelinePairing:
-    def _flushed_sharded(self, shards=2):
-        system = build_system(
-            SystemConfig(
-                policy="kflushing", shards=shards, memory_capacity_bytes=30_000
-            )
-        )
-        stream = MicroblogStream(
-            StreamConfig(seed=3, vocabulary_size=100, with_locations=False)
-        )
-        system.ingest_many(stream.take(3_000))
-        assert len(system.flush_reports()) >= 1
-        return system
-
-    def test_system_level_points_paired(self):
-        system = self._flushed_sharded()
-        kinds = [
-            p.kind
-            for p in system.stats.shard_timeline(None)
-            if p.kind in ("before", "after")
-        ]
-        assert kinds, "no flush samples on the system-level timeline"
-        assert len(kinds) % 2 == 0
-        assert kinds == ["before", "after"] * (len(kinds) // 2)
-
-    def test_per_shard_points_paired(self):
-        system = self._flushed_sharded()
-        for shard in system.shards:
-            kinds = [
-                p.kind
-                for p in system.stats.shard_timeline(shard.shard_id)
-                if p.kind in ("before", "after")
-            ]
-            assert kinds == ["before", "after"] * (len(kinds) // 2)
 
 
 class TestMergeTopk:

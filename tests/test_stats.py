@@ -3,7 +3,7 @@
 from repro.core.policy import FlushReport
 from repro.engine.clock import LogicalClock
 from repro.engine.queries import CombineMode, KeywordQuery
-from repro.engine.stats import IngestStats, QueryStats, SystemStats, TimelinePoint
+from repro.engine.stats import IngestStats, QueryStats, SystemStats
 from tests.conftest import make_blogs, tiny_system
 
 import pytest
@@ -58,18 +58,6 @@ class TestIngestStats:
 
     def test_zero_time_rate(self):
         assert IngestStats(indexed=5).digestion_rate == 0.0
-
-
-class TestTimeline:
-    def test_utilization(self):
-        point = TimelinePoint(time=1.0, bytes_used=50, capacity=200)
-        assert point.utilization == 0.25
-
-    def test_sample_memory_appends(self):
-        stats = SystemStats()
-        stats.sample_memory(1.0, 10, 100, kind="before")
-        stats.sample_memory(1.0, 5, 100, kind="after")
-        assert [p.kind for p in stats.timeline] == ["before", "after"]
 
 
 class TestFlushSummary:

@@ -5,10 +5,13 @@ import threading
 import pytest
 
 from repro.config import SystemConfig
-from repro.engine.queries import KeywordQuery, UserQuery
+from repro.engine.queries import KeywordQuery, TopKQuery, UserQuery
 from repro.engine.system import MicroblogSystem
 from repro.errors import CapacityError, ConfigurationError
+from repro.model.microblog import Microblog
 from tests.conftest import make_blog, make_blogs, tiny_system
+
+POLICIES = ("fifo", "kflushing", "kflushing-mk", "lru")
 
 
 class TestIngest:
@@ -23,6 +26,29 @@ class TestIngest:
         assert system.stats.ingest.skipped == 1
         assert system.stats.ingest.indexed == 0
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_keywordless_record_skipped(self, policy, shards):
+        # The facade skips a keyless record itself: no engine sees it.
+        system = tiny_system(policy, shards=shards)
+        assert not system.ingest(make_blog(keywords=()))
+        assert system.stats.ingest.skipped == 1
+        assert system.stats.ingest.indexed == 0
+        assert all(p.engine.record_count() == 0 for p in system.partitions)
+
+    @pytest.mark.parametrize("policy", ["fifo", "kflushing", "lru"])
+    def test_repeated_keyword_indexed_once(self, policy):
+        system = tiny_system(policy, k=3)
+        system.ingest(Microblog(1, 1.0, 7, keywords=("a", "a")))
+        system.ingest(Microblog(2, 2.0, 7, keywords=("a",)))
+        result = system.search(TopKQuery(keys=("a",), k=3))
+        assert result.blog_ids == (2, 1)
+        assert not result.memory_hit
+        assert system.frequency_snapshot()["a"] == 2
+        if policy != "fifo":
+            assert system.engine.raw.pcount(1) == 1
+        system.check_integrity()
+
     def test_ingest_many_returns_indexed_count(self):
         system = tiny_system()
         blogs = make_blogs(3) + [make_blog(keywords=())]
@@ -34,30 +60,6 @@ class TestIngest:
             system.ingest(blog)
         assert len(system.flush_reports()) >= 1
         assert system.memory_utilization() < 1.0
-
-    def test_timeline_sampled_around_flushes(self):
-        system = tiny_system(memory_capacity_bytes=5_000)
-        for blog in make_blogs(60):
-            system.ingest(blog)
-        kinds = [p.kind for p in system.stats.timeline]
-        assert "before" in kinds and "after" in kinds
-
-    def test_timeline_before_after_pairs_bracket_each_flush(self):
-        system = tiny_system(memory_capacity_bytes=5_000)
-        for blog in make_blogs(120):
-            system.ingest(blog)
-        flush_samples = [
-            p for p in system.stats.timeline if p.kind in ("before", "after")
-        ]
-        # Every flush contributes exactly one before/after pair, in order.
-        assert len(flush_samples) == 2 * len(system.flush_reports())
-        for before, after in zip(flush_samples[::2], flush_samples[1::2]):
-            assert (before.kind, after.kind) == ("before", "after")
-            assert before.time == after.time
-            assert after.bytes_used < before.bytes_used
-        # The "before" samples sit at (or above) the trigger threshold.
-        capacity = system.config.memory_capacity_bytes
-        assert all(p.bytes_used >= capacity for p in flush_samples[::2])
 
     def test_oversized_records_survive_via_immediate_flush(self):
         # A record larger than the whole budget triggers a flush right
