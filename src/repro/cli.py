@@ -22,18 +22,8 @@ Subcommands
     ``--events-out`` output): reconstruct query/flush span trees, print
     the top-N slowest queries with their shard/disk breakdown, flush
     wall-time attribution per phase, the eviction-cause miss table, and
-    the count of orphan spans dropped during reconstruction
-    (``--strict`` turns orphans into a non-zero exit).
-``slo spec.json (--events m.jsonl | --url http://...) [--check]``
-    Evaluate a declarative SLO spec against captured metrics (registry
-    snapshots inside an events JSONL) or a live ops endpoint's
-    ``/snapshot``; exits non-zero on any violated objective (``--check``
-    also fails objectives with no data).
-``serve [--port 8080] [--policy kflushing] [--duration 0]``
-    Standalone ops-endpoint demo: drive a continuous synthetic workload
-    while serving ``/metrics`` (Prometheus), ``/snapshot`` (JSON) and
-    ``/healthz`` on the given port.  ``run --serve PORT`` serves the
-    same endpoints for the duration of a figure run.
+    the counts of orphan spans dropped during reconstruction and of
+    duplicate span ids (``--strict`` turns either into a non-zero exit).
 ``demo``
     A 30-second end-to-end demo: ingest a synthetic stream under two
     policies and compare their steady-state hit ratios.
@@ -47,7 +37,6 @@ import sys
 import time
 from contextlib import nullcontext
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence, get_args, get_type_hints
 
@@ -62,18 +51,15 @@ from repro.experiments.scale import PRESETS, SMALL
 from repro.obs import (
     Instrumentation,
     JsonlSink,
-    MetricsRegistry,
     activated,
     to_json,
     to_prometheus_text,
 )
 from repro.obs.catalog import QUERY_MISS_CAUSE
-from repro.obs.slo import SLOSpec, evaluate_registry
 from repro.obs.traceview import (
     build_traces_report,
     flush_attribution,
     load_events,
-    merge_snapshot_events,
     miss_cause_table,
     query_summaries,
 )
@@ -100,33 +86,11 @@ CONFIG_FLAGS = {
         "split N ways; 1 = the paper's single partition; adds shard.<i>.* "
         "series)",
     ),
-    "slo_spec": (
-        "--slo",
-        "SPEC",
-        "SLO spec (JSON file path or inline JSON object): every system "
-        "tracks its error budgets at flush boundaries; run exits non-zero "
-        "when the aggregate registry violates any objective; with an ops "
-        "endpoint also turns on /slo and breach-aware /healthz",
-    ),
-    "flight_recorder_events": (
-        "--flight-recorder",
-        "N",
-        "keep the last N instrumentation events in a flight-recorder ring "
-        "per system; an SLO breach dumps them plus the registry and SLO "
-        "state as JSONL (0 = off, zero overhead)",
-    ),
-    "flight_recorder_path": (
-        "--flight-recorder-dump",
-        "PATH",
-        "where breach dumps are written (default: "
-        "flight_recorder_dump.jsonl in the working directory)",
-    ),
 }
-RUN_FIELDS = ("shards", "slo_spec", "flight_recorder_events", "flight_recorder_path")
+RUN_FIELDS = ("shards",)
 STATS_FIELDS = ("policy", "k", "memory_capacity_bytes", "shards")
-SERVE_FIELDS = ("policy", "shards", "slo_spec", "flight_recorder_events")
 
-#: The small system ``stats``, ``serve`` and ``demo`` drive: a budget a
+#: The small system ``stats`` and ``demo`` drive: a budget a
 #: few thousand records overflow, so flushes happen within seconds.
 BASE_CONFIG = SystemConfig(
     memory_capacity_bytes=2_000_000, and_scan_depth=500, and_disk_limit=500
@@ -166,39 +130,6 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _slo_verdict(report: dict, check: bool = False, as_json: bool = False) -> int:
-    """Print an SLO evaluation and its verdict line; return the exit code.
-
-    Violations fail; objectives with no data fail only under ``check``.
-    """
-    objectives = report["objectives"]
-    if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print("-- SLO report --")
-        for obj in objectives:
-            if obj["no_data"]:
-                status, shown = "NO DATA", "-"
-            else:
-                status, shown = ("ok" if obj["ok"] else "VIOLATED"), f"{obj['value']:g}"
-            print(
-                f"  {status:9s} {obj['name']}: {obj['metric']} {obj['op']} "
-                f"{obj['threshold']:g} (observed {shown})"
-            )
-    violations = sum(1 for obj in objectives if not obj["no_data"] and not obj["ok"])
-    no_data = sum(1 for obj in objectives if obj["no_data"])
-    if violations:
-        print(f"[slo: {violations} objective(s) violated]")
-        return 1
-    if no_data:
-        print(f"[slo: {no_data} objective(s) had no data]")
-        # --check is the CI gate: an objective that silently never
-        # measured anything must fail loudly, not pass vacuously.
-        return 1 if check else 0
-    print("[slo: all objectives met]")
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     preset = PRESETS[args.scale]
     names = sorted(FIGURES) if args.figure == "all" else [args.figure]
@@ -207,65 +138,36 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for name, value in _config_values(args, RUN_FIELDS).items()
         if value != getattr(TrialSpec, name)
     }
-    # Fail fast: a malformed spec should die before hours of trials.
-    try:
-        slo_spec = SLOSpec.parse(args.slo_spec) if args.slo_spec else None
-    except (ValueError, OSError) as exc:
-        print(f"error: invalid SLO spec: {exc}")
-        return 2
     obs: Optional[Instrumentation] = None
-    if args.metrics_out or slo_spec is not None or args.serve is not None:
+    if args.metrics_out:
         # Every system of the run, in this process or a worker, reports to
-        # one registry: the miss table, the SLO verdict and /metrics read
-        # it.  Metrics-collecting runs also get trace trees; they and SLO
-        # runs get eviction-cause miss attribution.
+        # one registry and one JSONL sink, with trace trees and
+        # eviction-cause miss attribution.
         obs = Instrumentation(
-            sink=JsonlSink(args.metrics_out) if args.metrics_out else None,
-            tracing=bool(args.metrics_out),
-            attribution=bool(args.metrics_out) or slo_spec is not None,
+            sink=JsonlSink(args.metrics_out), tracing=True, attribution=True
         )
-    server = None
-    if args.serve is not None:
-        from repro.obs import OpsServer
-
-        slo_provider = None
-        if slo_spec is not None:
-            slo_provider = partial(evaluate_registry, slo_spec, obs.registry)
-        server = OpsServer(obs.registry, port=args.serve, slo_provider=slo_provider).start()
-        endpoints = "/metrics /snapshot /healthz" + (" /slo" if slo_spec else "")
-        print(f"[ops endpoint live at {server.url} — {endpoints}]")
-    exit_code = 0
-    try:
-        for name in names:
-            ignored = [CONFIG_FLAGS[f][0] for f in overrides if f in FIGURES[name].ignores]
-            if ignored:
-                print(
-                    f"[{name}: {', '.join(ignored)} not supported by this "
-                    "figure; ignored]"
-                )
-            start = time.perf_counter()
-            with activated(obs) if obs is not None else nullcontext():
-                figure = run_figure(name, preset, args.seed, args.jobs, **overrides)
-            elapsed = time.perf_counter() - start
-            print_figure(figure)
-            print(f"[{name} completed in {elapsed:.1f}s at scale={preset.name}]\n")
-        if args.metrics_out:
-            causes = obs.registry.counter_values(QUERY_MISS_CAUSE.prefix)
-            if causes:
-                print(format_miss_attribution(causes))
-                print()
-            obs.event("run_snapshot", figures=names, metrics=obs.registry.snapshot())
-            obs.close()
-            print(f"[metrics written to {args.metrics_out}]")
-        if slo_spec is not None:
-            # One-shot verdict over the whole run (the per-system
-            # SLOTrackers already ticked at flush boundaries; this is the
-            # CI-facing aggregate over the shared registry).
-            exit_code = _slo_verdict(evaluate_registry(slo_spec, obs.registry))
-    finally:
-        if server is not None:
-            server.stop()
-    return exit_code
+    for name in names:
+        ignored = [CONFIG_FLAGS[f][0] for f in overrides if f in FIGURES[name].ignores]
+        if ignored:
+            print(
+                f"[{name}: {', '.join(ignored)} not supported by this "
+                "figure; ignored]"
+            )
+        start = time.perf_counter()
+        with activated(obs) if obs is not None else nullcontext():
+            figure = run_figure(name, preset, args.seed, args.jobs, **overrides)
+        elapsed = time.perf_counter() - start
+        print_figure(figure)
+        print(f"[{name} completed in {elapsed:.1f}s at scale={preset.name}]\n")
+    if obs is not None:
+        causes = obs.registry.counter_values(QUERY_MISS_CAUSE.prefix)
+        if causes:
+            print(format_miss_attribution(causes))
+            print()
+        obs.event("run_snapshot", figures=names, metrics=obs.registry.snapshot())
+        obs.close()
+        print(f"[metrics written to {args.metrics_out}]")
+    return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -274,7 +176,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     report = build_traces_report(events)
     traces = report.traces
     print(f"[{args.path}: {len(events)} events, {len(traces)} complete traces]")
-    print(f"[dropped_orphans: {report.dropped_orphans}]")
+    print(
+        f"[dropped_orphans: {report.dropped_orphans}] "
+        f"[duplicate_spans: {report.duplicate_spans}]"
+    )
 
     queries = query_summaries(traces, top=args.top)
     print(f"\n-- Top {min(args.top, len(queries))} slowest query traces --")
@@ -315,82 +220,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             "attached to any trace (truncated or corrupt events file)"
         )
         return 1
-    return 0
-
-
-def _slo_registry_from_url(url: str) -> MetricsRegistry:
-    """Registry built from a live ops endpoint's ``/snapshot``."""
-    from urllib.request import urlopen
-
-    base = url.rstrip("/")
-    if not base.endswith("/snapshot"):
-        base = f"{base}/snapshot"
-    with urlopen(base, timeout=10.0) as response:
-        payload = json.loads(response.read().decode("utf-8"))
-    registry = MetricsRegistry()
-    registry.merge(payload)
-    return registry
-
-
-def _cmd_slo(args: argparse.Namespace) -> int:
-    """Evaluate an SLO spec against captured or live metrics."""
-    if bool(args.events) == bool(args.url):
-        print("error: provide exactly one of --events, --url")
-        return 2
-    try:
-        spec = SLOSpec.parse(args.spec)
-    except (ValueError, OSError) as exc:
-        print(f"error: invalid SLO spec: {exc}")
-        return 2
-    try:
-        if args.events:
-            registry = merge_snapshot_events(args.events)
-        else:
-            registry = _slo_registry_from_url(args.url)
-    except (OSError, ValueError) as exc:
-        print(f"error: could not load metrics: {exc}")
-        return 2
-    return _slo_verdict(evaluate_registry(spec, registry), args.check, args.json)
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Standalone ops-endpoint demo over a continuous workload."""
-    from repro.obs import OpsServer
-
-    obs = Instrumentation(attribution=True)
-    config = replace(BASE_CONFIG, **_config_values(args, SERVE_FIELDS))
-    system = build_system(config, obs=obs)
-    server = OpsServer(
-        system.obs.registry,
-        port=args.port,
-        snapshot_provider=system.snapshot,
-        slo_provider=system.slo_state if args.slo_spec else None,
-    ).start()
-    endpoints = "/metrics /snapshot /healthz" + (" /slo" if args.slo_spec else "")
-    print(f"[serving {endpoints} at {server.url}]")
-    if args.duration > 0:
-        print(f"[driving a {args.policy} workload for {args.duration:.0f}s ...]")
-    else:
-        print(f"[driving a {args.policy} workload until interrupted (Ctrl-C) ...]")
-    stream = MicroblogStream(
-        StreamConfig(seed=args.seed, vocabulary_size=5_000, with_locations=False)
-    )
-    queries = QueryLoad(QueryLoadConfig(seed=args.seed + 1, mode="correlated"), stream)
-    deadline = time.monotonic() + args.duration if args.duration > 0 else None
-    try:
-        while deadline is None or time.monotonic() < deadline:
-            for record in stream.take(500):
-                system.ingest(record)
-            for _ in range(50):
-                system.search(queries.next_query())
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    print(
-        f"[served {args.policy}: hit ratio {100 * system.hit_ratio():.1f}%, "
-        f"{len(system.flush_reports())} flushes]"
-    )
+    if args.strict and report.duplicate_spans:
+        print(
+            f"error: {report.duplicate_spans} span(s) reused a (trace, span) "
+            "id already seen (two writers shared a trace id)"
+        )
+        return 1
     return 0
 
 
@@ -505,16 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="stream instrumentation events of the run to this JSONL file",
     )
-    run.add_argument(
-        "--serve",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help=(
-            "serve /metrics, /snapshot and /healthz on this port for the "
-            "duration of the run (0 = OS-assigned)"
-        ),
-    )
     _add_config_flags(run, TrialSpec, RUN_FIELDS)
     run.set_defaults(fn=_cmd_run)
 
@@ -561,63 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "exit non-zero when any span could not be attached to a "
-            "complete trace (dropped_orphans > 0; CI gate for truncated "
-            "event files)"
+            "complete trace (dropped_orphans > 0; truncated event files) "
+            "or reused a span id already seen (duplicate_spans > 0)"
         ),
     )
     trace.set_defaults(fn=_cmd_trace)
-
-    slo = sub.add_parser(
-        "slo", help="evaluate an SLO spec against captured or live metrics"
-    )
-    slo.add_argument(
-        "spec", help="SLO spec: JSON file path or inline JSON object"
-    )
-    slo.add_argument(
-        "--events",
-        default=None,
-        metavar="PATH",
-        help=(
-            "evaluate against the merged registry snapshots of an events "
-            "JSONL (--metrics-out / --events-out output)"
-        ),
-    )
-    slo.add_argument(
-        "--url",
-        default=None,
-        metavar="URL",
-        help="evaluate against a live ops endpoint's /snapshot",
-    )
-    slo.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "CI gate: also exit non-zero when any objective had no data "
-            "(a spec that measures nothing must not pass vacuously)"
-        ),
-    )
-    slo.add_argument(
-        "--json",
-        action="store_true",
-        help="print the evaluation as JSON instead of a table",
-    )
-    slo.set_defaults(fn=_cmd_slo)
-
-    serve = sub.add_parser(
-        "serve", help="live ops endpoint over a continuous demo workload"
-    )
-    serve.add_argument(
-        "--port", type=int, default=8080, help="HTTP port (0 = OS-assigned)"
-    )
-    _add_config_flags(serve, BASE_CONFIG, SERVE_FIELDS)
-    serve.add_argument("--seed", type=int, default=42, help="workload seed")
-    serve.add_argument(
-        "--duration",
-        type=float,
-        default=0.0,
-        help="seconds to run before exiting (0 = until interrupted)",
-    )
-    serve.set_defaults(fn=_cmd_serve)
 
     sub.add_parser("demo", help="quick FIFO vs kFlushing comparison").set_defaults(
         fn=_cmd_demo

@@ -90,18 +90,6 @@ class SystemConfig:
     shards: int = 1
     #: Optional per-shard budgets overriding the even capacity/N split.
     shard_capacity_bytes: Union[tuple[int, ...], None] = None
-    #: Declarative SLO objectives (``repro.obs.slo``): a spec dict, a
-    #: JSON string, or a path to a spec file.  None (default) = no
-    #: tracker is built and flush boundaries pay one None test.
-    slo_spec: Union[str, dict, None] = None
-    #: Flight-recorder ring-buffer capacity in events (0 = off, the
-    #: default).  When on, the system's tracing routes through a
-    #: bounded :class:`~repro.obs.recorder.FlightRecorder` that dumps a
-    #: JSONL black box on SLO breach or on demand.
-    flight_recorder_events: int = 0
-    #: Where breach-triggered flight-recorder dumps land (None = the
-    #: default ``flight_recorder_dump.jsonl`` in the working directory).
-    flight_recorder_path: Union[str, None] = None
 
     def __post_init__(self) -> None:
         if self.policy not in POLICY_NAMES:
@@ -143,22 +131,7 @@ class SystemConfig:
                     raise ConfigurationError(
                         f"shard_capacity_bytes[{i}] must be positive, got {budget}"
                     )
-        if self.flight_recorder_events < 0:
-            raise ConfigurationError(
-                f"flight_recorder_events must be >= 0, got "
-                f"{self.flight_recorder_events}"
-            )
         # Fail fast on unknown names rather than at system build time.
-        # An inline slo_spec dict/JSON string is validated eagerly too;
-        # a file path is resolved lazily at system build (the file may
-        # be written after the config is constructed).
-        if isinstance(self.slo_spec, dict) or (
-            isinstance(self.slo_spec, str) and self.slo_spec.strip().startswith("{")
-        ):
-            try:
-                self.build_slo_spec()
-            except (ValueError, TypeError) as exc:
-                raise ConfigurationError(f"invalid slo_spec: {exc}") from exc
         self.build_attribute()
         self.build_ranking()
 
@@ -185,21 +158,6 @@ class SystemConfig:
         if self.shard_capacity_bytes is not None:
             return sum(self.shard_capacity_bytes)
         return self.memory_capacity_bytes
-
-    def build_slo_spec(self):
-        """The parsed :class:`~repro.obs.slo.SLOSpec`, or None when
-        ``slo_spec`` is unset (the legacy untracked path)."""
-        if self.slo_spec is None:
-            return None
-        from repro.obs.slo import SLOSpec
-
-        return SLOSpec.parse(self.slo_spec)
-
-    def resolved_flight_recorder_path(self) -> str:
-        """Where a breach-triggered flight-recorder dump is written."""
-        if self.flight_recorder_path is not None:
-            return self.flight_recorder_path
-        return "flight_recorder_dump.jsonl"
 
     def build_attribute(self) -> AttributeExtractor:
         """Resolve the configured attribute to an extractor instance."""

@@ -36,9 +36,7 @@ from repro.engine.stats import SystemStats
 from repro.errors import CapacityError
 from repro.model.microblog import Microblog
 from repro.obs import Counter, Gauge, Instrumentation, catalog
-from repro.obs.recorder import FlightRecorder, attach_flight_recorder
 from repro.obs.runtime import get_active
-from repro.obs.slo import SLOTracker
 from repro.storage.disk import DiskArchive
 
 __all__ = ["MicroblogSystem", "Partition"]
@@ -117,7 +115,7 @@ class Partition:
             twins.flushes.inc()
             twins.freed_bytes.inc(report.freed_bytes)
             twins.memory_bytes.set(after)
-        system._service_level_tick()
+        system._update_memory_gauges()
         if report.freed_bytes <= 0 and after >= self.capacity_bytes:
             who = "flush" if twins is None else f"shard {self.shard_id} flush"
             raise CapacityError(
@@ -141,17 +139,8 @@ class MicroblogSystem:
         #: Instrumentation shared by every component of this system.  An
         #: explicit argument wins; otherwise the enclosing
         #: ``repro.obs.activated`` scope (experiment runs) or a private
-        #: registry (the library default).  When the flight recorder is
-        #: configured the resolved instance is forked with the recorder
-        #: ring buffer tee'd in front of the sink — before any component
-        #: is built, so everything traces through the recorder.
+        #: registry (the library default).
         self.obs = obs if obs is not None else (get_active() or Instrumentation())
-        #: Black-box ring buffer (``config.flight_recorder_events > 0``).
-        self.flight_recorder: Optional[FlightRecorder] = None
-        if config.flight_recorder_events > 0:
-            self.obs, self.flight_recorder = attach_flight_recorder(
-                self.obs, config.flight_recorder_events
-            )
         self.attribute = config.build_attribute()
         self.ranking = config.build_ranking()
         self.clock = LogicalClock()
@@ -194,13 +183,6 @@ class MicroblogSystem:
         self._ledger_peak = (
             catalog.LEDGER_PEAK.bind(registry) if self.obs.attribution else None
         )
-        #: Error-budget tracker (``config.slo_spec`` set), ticked per flush.
-        self.slo_tracker: Optional[SLOTracker] = None
-        spec = config.build_slo_spec()
-        if spec is not None:
-            self.slo_tracker = SLOTracker(spec, self.obs.registry, emit=self.obs.event)
-            if self.flight_recorder is not None:
-                self.slo_tracker.add_breach_callback(self._dump_on_breach)
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -273,12 +255,12 @@ class MicroblogSystem:
         return self.executor.materialize(result)
 
     # ------------------------------------------------------------------
-    # Service levels (SLO tracker, flight recorder, resource peaks)
+    # Memory gauges
     # ------------------------------------------------------------------
 
-    def _service_level_tick(self) -> None:
-        """One flush-boundary heartbeat: set the memory gauge, raise the
-        resource peaks, then evaluate the SLO objectives."""
+    def _update_memory_gauges(self) -> None:
+        """At a flush boundary: set the memory gauge and raise the
+        run-wide memory and ledger peaks."""
         total = 0
         for partition in self.partitions:
             used = partition.engine.memory_bytes
@@ -291,34 +273,6 @@ class MicroblogSystem:
             self._ledger_peak.set_max(
                 sum(len(p.engine.eviction_ledger) for p in self.partitions)
             )
-        if self.slo_tracker is not None:
-            self.slo_tracker.tick()
-
-    def slo_state(self) -> Optional[dict]:
-        """The SLO tracker's state dict, or None when no spec is set."""
-        if self.slo_tracker is None:
-            return None
-        return self.slo_tracker.state()
-
-    def dump_flight_recorder(
-        self, path: Optional[str] = None, reason: str = "on_demand"
-    ):
-        """Write the black box (recent traces + registry snapshot + SLO
-        state) to ``path``; returns the path written, or None when the
-        recorder is off."""
-        if self.flight_recorder is None:
-            return None
-        if path is None:
-            path = self.config.resolved_flight_recorder_path()
-        return self.flight_recorder.dump(
-            path,
-            registry=self.obs.registry,
-            slo_state=self.slo_state(),
-            reason=reason,
-        )
-
-    def _dump_on_breach(self, payload: dict) -> None:
-        self.dump_flight_recorder(reason=f"slo_breach:{payload['name']}")
 
     # ------------------------------------------------------------------
     # Control and metrics

@@ -26,9 +26,10 @@ switches and hands back its registry snapshot, which :func:`run_trials`
 merges into the scope's registry exactly once per trial.  When the
 scope's sink is a :class:`~repro.obs.JsonlSink`, the worker also writes
 its events to a private file beside it, which is appended to the sink in
-spec order and deleted.  This module names those files and gives each
-worker a distinct deterministic trace prefix (``w000.``, ``w001.``, ...),
-so trace ids stay unique in the merged stream.
+spec order and deleted.  Each worker gets a deterministic trace prefix
+from the scope (:meth:`~repro.obs.Instrumentation.worker_prefix`:
+``w000.``, ``w001.``, ... numbered across every grid the scope runs), so
+trace ids stay unique in the merged stream.
 """
 
 from __future__ import annotations
@@ -119,10 +120,10 @@ def run_trials(
             runner,
             scope.tracing,
             scope.attribution,
-            trace_prefix=f"w{i:03d}.",
-            events_path=Path(f"{sink.path}.w{i:03d}") if sink else None,
+            trace_prefix=prefix,
+            events_path=Path(f"{sink.path}.{prefix}part") if sink else None,
         )
-        for i in range(len(specs))
+        for prefix in [scope.worker_prefix() for _ in specs]
     ]
     results = []
     with ProcessPoolExecutor(max_workers=workers) as pool:

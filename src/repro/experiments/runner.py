@@ -67,13 +67,6 @@ class TrialSpec:
     strict_and: bool = False
     #: Hash-partitioned shard count (1 = the paper's single partition).
     shards: int = 1
-    #: Declarative SLO objectives (a spec dict, JSON string, or file
-    #: path; None = no tracker, the paper's untracked path).
-    slo_spec: str | None = None
-    #: Flight-recorder ring capacity in events (0 = off).
-    flight_recorder_events: int = 0
-    #: Breach-dump path (None = ``flight_recorder_dump.jsonl``).
-    flight_recorder_path: str | None = None
 
     def build_system(self, obs: Optional[Instrumentation] = None) -> MicroblogSystem:
         # Every field this spec shares with SystemConfig is forwarded by

@@ -8,9 +8,11 @@ package is dependency-free and always-on: components hold an
 at construction; the default :class:`NullSink` makes the event side free
 until an entry point opts in via :func:`activated` or an explicit sink.
 
-On top of the substrate sit the service-level pieces: declarative SLO
-tracking with error budgets (:mod:`repro.obs.slo`) and the black-box
-flight recorder (:mod:`repro.obs.recorder`).
+Nothing here starts a thread or serves a socket: a run's metrics leave
+the process as a snapshot (``repro stats --format prom`` for Prometheus
+text, ``repro run --metrics-out`` for a JSONL stream that ``repro
+trace`` reads back); see ``docs/PERFORMANCE.md``, "Why there is no SLO
+tracker, flight recorder or ops server".
 """
 
 from repro.obs.events import EventSink, JsonlSink, ListSink, NullSink
@@ -21,19 +23,14 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    merge_snapshots,
     percentile_from_buckets,
 )
-from repro.obs.recorder import FlightRecorder, attach_flight_recorder
 from repro.obs.runtime import activated, get_active, set_active
-from repro.obs.server import OpsServer
-from repro.obs.slo import SLObjective, SLOSpec, SLOTracker, evaluate_registry
 from repro.obs.trace import TraceContext
 
 __all__ = [
     "Counter",
     "EventSink",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "Instrumentation",
@@ -41,16 +38,9 @@ __all__ = [
     "ListSink",
     "MetricsRegistry",
     "NullSink",
-    "OpsServer",
-    "SLObjective",
-    "SLOSpec",
-    "SLOTracker",
     "TraceContext",
     "activated",
-    "attach_flight_recorder",
-    "evaluate_registry",
     "get_active",
-    "merge_snapshots",
     "percentile_from_buckets",
     "set_active",
     "to_json",

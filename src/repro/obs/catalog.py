@@ -5,8 +5,8 @@ placeholders: ``query.{mode}.hits`` — with its kind, unit and help text;
 a ``sharded`` entry also has a ``shard.<i>.`` twin per partition.
 Components bind their handles at construction (:meth:`Metric.bind`), so
 no ingest, flush or query path looks a metric up by name.  Prometheus
-``# HELP``, the registry merge, SLO selector checks and the metric table
-of ``docs/OBSERVABILITY.md`` read this module, the one module under
+``# HELP``, the registry merge and the metric table of
+``docs/OBSERVABILITY.md`` read this module, the one module under
 ``src/`` that spells a metric name.
 """
 
@@ -22,7 +22,7 @@ __all__ = ["CATALOG", "COUNTER", "GAUGE", "HISTOGRAM", "Metric", "lookup", "rend
 COUNTER, GAUGE, HISTOGRAM = "counter", "gauge", "histogram"
 
 #: A placeholder, as ``re.escape`` spells it.
-_PLACEHOLDER = re.compile(r"\\\{(\w+)\\\}")
+_PLACEHOLDER = re.compile(r"\\\{\w+\\\}")
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,8 @@ class Metric:
 
 
 def _pattern(metric: Metric) -> re.Pattern:
-    """A placeholder matches one dotted segment; an objective name, which
-    defaults to the (dotted) selector it watches, matches any text."""
-    regex = _PLACEHOLDER.sub(
-        lambda m: ".+" if m[1] == "objective" else "[^.]+", re.escape(metric.name)
-    )
+    """A placeholder matches one dotted segment."""
+    regex = _PLACEHOLDER.sub("[^.]+", re.escape(metric.name))
     return re.compile(r"(?:shard\.\d+\.)?" + regex if metric.sharded else regex)
 
 
@@ -125,18 +122,6 @@ DISK_RECORD_FETCHES = Metric("disk.record_fetches", COUNTER, "records", sharded=
                              help="Record bodies fetched from disk")
 DISK_BYTES_READ = Metric("disk.bytes_read", COUNTER, "bytes", sharded=True,
                          help="Modelled bytes read from disk")
-
-# Service levels
-SLO_BREACHES = Metric("slo.breaches", COUNTER, "breaches",
-                      help="SLO objectives that exhausted their error budget")
-SLO_VALUE = Metric("slo.{objective}.value", GAUGE, "selector",
-                   help="Latest windowed value of an SLO objective's selector")
-SLO_BUDGET_SPENT = Metric("slo.{objective}.budget_spent", GAUGE, "ratio",
-                          help="Share of an SLO objective's error budget spent (>= 1 is a breach)")
-SLO_BURN_FAST = Metric("slo.{objective}.burn_fast", GAUGE, "ratio",
-                       help="Error-budget burn rate over an SLO objective's fast window")
-SLO_BURN_SLOW = Metric("slo.{objective}.burn_slow", GAUGE, "ratio",
-                       help="Error-budget burn rate over an SLO objective's slow window")
 
 #: Every declared metric, in documentation order.
 CATALOG: tuple[Metric, ...] = tuple(

@@ -78,6 +78,8 @@ class Instrumentation:
         self._span_seconds: dict[str, Histogram] = {}
         self._trace: Optional[TraceContext] = None
         self._trace_serial = 0
+        #: Worker trace prefixes handed out (:meth:`worker_prefix`).
+        self._workers = 0
 
     # ------------------------------------------------------------------
     # Events
@@ -225,32 +227,18 @@ class Instrumentation:
         """The open trace context, or None."""
         return self._trace
 
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
+    def worker_prefix(self) -> str:
+        """A fresh trace-id prefix for one worker process reporting into
+        this scope: ``w000.``, ``w001.``, ... numbered across every grid
+        the scope runs, so no two workers share a trace id in the merged
+        event stream."""
+        prefix = f"{self.trace_prefix}w{self._workers:03d}."
+        self._workers += 1
+        return prefix
 
-    def fork(
-        self,
-        *,
-        sink: Optional[EventSink] = None,
-        tracing: Optional[bool] = None,
-        attribution: Optional[bool] = None,
-        trace_prefix: Optional[str] = None,
-    ) -> "Instrumentation":
-        """A sibling Instrumentation sharing this one's registry.
-
-        Unspecified switches inherit; the sibling's trace serial starts
-        fresh, so components that fork (e.g. the flight recorder wiring)
-        get deterministic trace ids independent of how many traces the
-        parent already emitted.
-        """
-        return Instrumentation(
-            self.registry,
-            sink if sink is not None else self.sink,
-            tracing=self.tracing if tracing is None else tracing,
-            attribution=self.attribution if attribution is None else attribution,
-            trace_prefix=self.trace_prefix if trace_prefix is None else trace_prefix,
-        )
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
 
     def close(self) -> None:
         self.sink.close()

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 
-from repro.obs.catalog import COUNTER, GAUGE, HISTOGRAM, lookup
+from repro.obs.catalog import lookup
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "merge_snapshots",
     "percentile_from_buckets",
 ]
 
@@ -184,31 +183,22 @@ class Histogram:
 
         Count/sum add, min/max widen, and bucket counts add bucketwise —
         so percentiles of the merged histogram are exactly what a single
-        histogram fed both sample streams would report.  Snapshots that
-        predate the ``buckets`` field degrade gracefully: their whole
-        count lands in the bucket of their mean.
+        histogram fed both sample streams would report.
         """
-        count = snap.get("count", 0)
+        count = snap["count"]
         if not count:
             return
-        scale = snap.get("scale", self.scale)
-        if scale != self.scale:
+        if snap["scale"] != self.scale:
             raise ValueError(
                 f"cannot merge histogram snapshots with different scales "
-                f"({scale} != {self.scale})"
+                f"({snap['scale']} != {self.scale})"
             )
         self.count += count
-        self.total += snap.get("sum", 0.0)
-        if snap.get("min", math.inf) < self.min:
-            self.min = snap["min"]
-        if snap.get("max", 0.0) > self.max:
-            self.max = snap["max"]
-        buckets = snap.get("buckets")
-        if buckets is None:
-            self._counts[self._bucket(snap.get("mean", 0.0))] += count
-        else:
-            for index, bucket_count in enumerate(buckets[: self._BUCKETS]):
-                self._counts[index] += bucket_count
+        self.total += snap["sum"]
+        self.min = min(self.min, snap["min"])
+        self.max = max(self.max, snap["max"])
+        for index, bucket_count in enumerate(snap["buckets"]):
+            self._counts[index] += bucket_count
 
 
 class MetricsRegistry:
@@ -218,9 +208,6 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._by_kind = {
-            COUNTER: self._counters, GAUGE: self._gauges, HISTOGRAM: self._histograms
-        }
 
     # ------------------------------------------------------------------
     # Accessors (get-or-create)
@@ -243,16 +230,6 @@ class MetricsRegistry:
         if metric is None:
             metric = self._histograms[name] = Histogram(scale)
         return metric
-
-    # ------------------------------------------------------------------
-    # Accessors (peek — never create)
-    # ------------------------------------------------------------------
-
-    def peek(self, kind: str, name: str):
-        """The named metric of catalog ``kind``, or None — never creates
-        (SLO probes must not pollute the registry with metrics nothing
-        ever recorded)."""
-        return self._by_kind[kind].get(name)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -314,18 +291,5 @@ class MetricsRegistry:
             else:
                 self.gauge(name).set(value)
         for name, hist_snap in snapshot.get("histograms", {}).items():
-            scale = hist_snap.get("scale", 1e-6)
-            self.histogram(name, scale=scale).merge_snapshot(hist_snap)
+            self.histogram(name, scale=hist_snap["scale"]).merge_snapshot(hist_snap)
 
-
-def merge_snapshots(snapshots) -> dict:
-    """Aggregate an iterable of registry snapshots into one snapshot.
-
-    Convenience over :meth:`MetricsRegistry.merge` for offline
-    aggregation, e.g. of the ``trial_snapshot`` events of several
-    ``run_trial(spec, metrics_path=...)`` files.
-    """
-    merged = MetricsRegistry()
-    for snapshot in snapshots:
-        merged.merge(snapshot)
-    return merged.snapshot()

@@ -8,8 +8,8 @@ span *close*, so children always precede their parent in the file; the
 builder simply indexes every node by span id and links by
 ``parent_span`` at the end.
 
-On top of the reconstructed trees this module derives the reports the
-ops workflow needs:
+On top of the reconstructed trees this module derives the reports
+``repro trace`` prints:
 
 * :func:`query_summaries` — the top-N slowest query traces with their
   per-child (shard lookup / disk lookup) time breakdown;
@@ -17,20 +17,16 @@ ops workflow needs:
   kFlushing phase across all flush traces;
 * :func:`miss_cause_table` — the eviction-cause miss histogram, from
   per-query events when present, else from the ``query.miss.cause.*``
-  counters inside snapshot events;
-* :func:`merge_snapshot_events` — fold every ``trial_snapshot`` /
-  ``run_snapshot`` registry snapshot in a file into one registry (the
-  offline side of ``MetricsRegistry.merge``).
+  counters inside snapshot events.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.obs.catalog import QUERY_MISS_CAUSE
-from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "SpanNode",
@@ -40,7 +36,6 @@ __all__ = [
     "build_traces_report",
     "flush_attribution",
     "load_events",
-    "merge_snapshot_events",
     "miss_cause_table",
     "query_summaries",
 ]
@@ -118,10 +113,14 @@ class TraceBuildReport:
     ``dropped_orphans`` counts span nodes that are reachable from no
     returned root — spans of a rootless trace (a truncated file lost the
     root, which is emitted last) or spans whose parent chain is broken.
+    ``duplicate_spans`` counts events whose (trace, span) pair an earlier
+    event already had: two writers reused one trace id, and the later
+    node replaced the earlier one.
     """
 
     traces: list[Trace]
     dropped_orphans: int
+    duplicate_spans: int
 
 
 def build_traces(events: Iterable[dict]) -> list[Trace]:
@@ -136,8 +135,10 @@ def build_traces(events: Iterable[dict]) -> list[Trace]:
 
 
 def build_traces_report(events: Iterable[dict]) -> TraceBuildReport:
-    """Like :func:`build_traces`, also counting dropped orphan spans."""
+    """Like :func:`build_traces`, also counting dropped orphan spans and
+    duplicate (trace, span) pairs."""
     nodes_by_trace: dict[str, dict[int, SpanNode]] = {}
+    duplicate_spans = 0
     root_order: list[tuple[str, int]] = []
     seen_roots: set[tuple[str, int]] = set()
     for event in events:
@@ -152,13 +153,16 @@ def build_traces_report(events: Iterable[dict]) -> TraceBuildReport:
             parent_span=event.get("parent_span"),
             fields={k: v for k, v in event.items() if k not in _NODE_KEYS},
         )
-        nodes_by_trace.setdefault(trace_id, {})[span_id] = node
+        nodes = nodes_by_trace.setdefault(trace_id, {})
+        if span_id in nodes:
+            duplicate_spans += 1
+        nodes[span_id] = node
         if node.parent_span is None and (trace_id, span_id) not in seen_roots:
             seen_roots.add((trace_id, span_id))
             root_order.append((trace_id, span_id))
     # Link children exactly once per trace even if the same trace id has
-    # multiple roots (shouldn't happen with well-formed prefixed ids, but
-    # a corrupt/merged file must not double-append children).
+    # multiple roots (a file with duplicate ids must not double-append
+    # children).
     linked: set[str] = set()
     traces: list[Trace] = []
     for trace_id, root_span in root_order:
@@ -175,7 +179,11 @@ def build_traces_report(events: Iterable[dict]) -> TraceBuildReport:
         traces.append(Trace(trace_id, nodes[root_span]))
     total_nodes = sum(len(nodes) for nodes in nodes_by_trace.values())
     attached = sum(trace.span_count for trace in traces)
-    return TraceBuildReport(traces=traces, dropped_orphans=total_nodes - attached)
+    return TraceBuildReport(
+        traces=traces,
+        dropped_orphans=total_nodes - attached,
+        duplicate_spans=duplicate_spans,
+    )
 
 
 def query_summaries(traces: Iterable[Trace], top: int = 10) -> list[dict]:
@@ -253,33 +261,3 @@ def miss_cause_table(events: Iterable[dict]) -> dict[str, int]:
     table = from_queries if from_queries else from_snapshots
     return dict(sorted(table.items(), key=lambda item: (-item[1], item[0])))
 
-
-def merge_snapshot_events(
-    path: str,
-    registry: Optional[MetricsRegistry] = None,
-    types: Sequence[str] = SNAPSHOT_TYPES,
-) -> MetricsRegistry:
-    """Merge every snapshot event in a JSONL file into ``registry``.
-
-    Scans cheaply (substring prefilter before ``json.loads``) so large
-    event files with few snapshots stay fast; ``repro slo --events``
-    evaluates the registry this builds.  ``types`` narrows which
-    snapshot event types are folded in.
-    """
-    if registry is None:
-        registry = MetricsRegistry()
-    wanted = tuple(types)
-    markers = tuple(f'"type": "{t}"' for t in wanted) + tuple(
-        f'"type":"{t}"' for t in wanted
-    )
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            if not any(marker in line for marker in markers):
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if event.get("type") in wanted:
-                registry.merge(event.get("metrics", {}))
-    return registry

@@ -61,7 +61,7 @@ def insert(engine, *records):
 
 def disk_counter(disk, name):
     """The value of an archive's ``disk.<name>`` registry counter."""
-    return disk.obs.registry.peek("counter", f"disk.{name}").value
+    return disk.obs.registry.snapshot()["counters"][f"disk.{name}"]
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ from repro.engine.sharded import build_system
 from repro.obs import Instrumentation, MetricsRegistry, catalog
 from repro.obs.catalog import CATALOG, COUNTER, GAUGE, HISTOGRAM
 from repro.obs.export import _prom_name
-from repro.obs.slo import SLOSpec
 from repro.obs.traceview import miss_cause_table
 from repro.workload.queryload import QueryLoad, QueryLoadConfig
 from repro.workload.stream import MicroblogStream, StreamConfig
@@ -42,9 +41,9 @@ def _drive(system, records=3_000, queries=300):
     return system
 
 
-def _system(policy="kflushing", shards=1, attribution=False, **config):
+def _system(policy="kflushing", shards=1, attribution=False):
     config = SystemConfig(
-        policy=policy, k=5, memory_capacity_bytes=60_000, shards=shards, **config
+        policy=policy, k=5, memory_capacity_bytes=60_000, shards=shards
     )
     return build_system(config, obs=Instrumentation(attribution=attribution))
 
@@ -54,15 +53,6 @@ def _grid():
         for shards in (1, 4):
             for attribution in (False, True):
                 yield _system(policy, shards, attribution)
-    yield _system(
-        slo_spec={
-            "objectives": [
-                {"name": "latency", "metric": "query.simulated_latency_seconds.p99",
-                 "max": 1.0},
-            ]
-        },
-        flight_recorder_events=64,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -186,17 +176,3 @@ def test_observability_doc_table_is_the_catalog():
         "docs/OBSERVABILITY.md is stale; paste repro.obs.catalog.render_markdown()"
     )
 
-
-def _doc_specs():
-    for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
-        text = path.read_text(encoding="utf-8")
-        for block in re.findall(r"```json\n(.*?)```", text, re.S):
-            if '"objectives"' in block:
-                yield pytest.param(json.loads(block), id=path.name)
-    for path in sorted((ROOT / "examples" / "slo").glob("*.json")):
-        yield pytest.param(json.loads(path.read_text(encoding="utf-8")), id=path.name)
-
-
-@pytest.mark.parametrize("spec", list(_doc_specs()))
-def test_documented_slo_specs_parse(spec):
-    assert SLOSpec.from_dict(spec).objectives

@@ -4,7 +4,6 @@ import argparse
 import dataclasses
 import json
 import typing
-from pathlib import Path
 
 import pytest
 
@@ -13,10 +12,6 @@ from repro.config import SystemConfig
 from repro.core import POLICY_NAMES
 from repro.experiments.figures import FIGURES
 from repro.experiments.runner import TrialSpec
-from repro.experiments.scale import PRESETS
-from tests.test_experiments import MICRO
-
-EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
 def _subparser(name):
@@ -81,8 +76,7 @@ class TestFlagTable:
     # Pinned from the hand-written parser the flag table replaced.
     def test_run_flags(self):
         assert _flags("run") == [
-            "--figure", "--flight-recorder", "--flight-recorder-dump", "--jobs",
-            "--metrics-out", "--scale", "--seed", "--serve", "--shards", "--slo",
+            "--figure", "--jobs", "--metrics-out", "--scale", "--seed", "--shards",
         ]
 
     def test_stats_flags(self):
@@ -91,13 +85,7 @@ class TestFlagTable:
             "--policy", "--queries", "--records", "--seed", "--shards",
         ]
 
-    def test_serve_flags(self):
-        assert _flags("serve") == [
-            "--duration", "--flight-recorder", "--policy", "--port", "--seed",
-            "--shards", "--slo",
-        ]
-
-    @pytest.mark.parametrize("command", ["run", "stats", "serve"])
+    @pytest.mark.parametrize("command", ["run", "stats"])
     def test_flags_match_their_fields(self, command):
         config_actions = [
             a for a in _subparser(command)._actions if a.dest in CONFIG_FLAGS
@@ -146,26 +134,6 @@ class TestExecution:
         )
         assert main(run) == 0
         assert "ignored" not in capsys.readouterr().out
-
-    def test_parallel_run_reports_worker_metrics_to_slo(self, capsys, monkeypatch):
-        # Trials in worker processes must reach the run's registry, or the
-        # SLO verdict sees no data and passes an unmeetable spec.
-        monkeypatch.setitem(PRESETS, "tiny", MICRO)
-        unmeetable = str(EXAMPLES / "slo" / "fig1_unmeetable.json")
-        run = ["run", "--figure", "shards", "--scale", "tiny", "--slo", unmeetable]
-        assert main(run + ["--jobs", "2"]) == 1
-        out = capsys.readouterr().out
-        assert "VIOLATED" in out and "NO DATA" not in out
-        assert "[slo: 1 objective(s) violated]" in out
-
-    def test_run_reports_objectives_without_data(self, capsys, monkeypatch):
-        monkeypatch.setitem(PRESETS, "tiny", MICRO)
-        # Declared, but fig1 runs no queries.
-        spec = json.dumps({"objectives": [{"metric": "hit_ratio", "min": 1}]})
-        assert main(["run", "--figure", "fig1", "--scale", "tiny", "--slo", spec]) == 0
-        out = capsys.readouterr().out
-        assert "[slo: 1 objective(s) had no data]" in out
-        assert "all objectives met" not in out
 
     def test_stats_command_emits_snapshot(self, capsys, tmp_path):
         events = tmp_path / "events.jsonl"

@@ -132,12 +132,9 @@ class TestRunTrial:
 #: ``SystemConfig`` (the plumbing ``build_system`` threads by hand).
 _SHARED_FIELD_VALUES = {
     "attribute": "user",
-    "flight_recorder_events": 64,
-    "flight_recorder_path": "black_box.jsonl",
     "k": 7,
     "policy": "lru",
     "shards": 2,
-    "slo_spec": '{"objectives": [{"metric": "flush.count", "min": 0}]}',
 }
 
 

@@ -290,7 +290,7 @@ class TestBudget:
         report = eng.run_flush(now=10.0)
         assert report.policy == "kflushing"
         assert report.wall_seconds >= 0.0
-        assert eng.obs.registry.peek("counter", "flush.count").value == 1
+        assert eng.obs.registry.snapshot()["counters"]["flush.count"] == 1
 
     def test_max_phase_1_saturates(self, model, disk):
         eng = engine(model, disk, k=3, capacity=100_000, flush_fraction=0.5)

@@ -3,6 +3,8 @@
 import json
 import time
 
+import pytest
+
 from repro.config import SystemConfig
 from repro.core.eviction_ledger import EvictionLedger, KeyHeat
 from repro.engine.queries import AndQuery, KeywordQuery, OrQuery, TopKQuery
@@ -289,3 +291,69 @@ class TestKeyHeat:
         heat.note_query(("b", "a", "c"))
         # All counts equal: ties break on repr, not insertion order.
         assert [k for k, _ in heat.top_queried(3)] == ["a", "b", "c"]
+
+
+def _drive(config: SystemConfig, records: int = 15_000):
+    system = build_system(config)
+    stream = MicroblogStream(
+        StreamConfig(seed=11, vocabulary_size=2_000, with_locations=False)
+    )
+    system.ingest_many(stream.take(records))
+    return system
+
+
+class TestWatermarks:
+    """The ``watermark.*`` peaks, raised at flush boundaries."""
+
+    def test_peak_is_run_wide_across_systems(self):
+        """Every system of a run shares one registry, so a later, smaller
+        trial must not lower the peak an earlier one set."""
+        stream = MicroblogStream(
+            StreamConfig(seed=11, vocabulary_size=2_000, with_locations=False)
+        )
+        obs = Instrumentation()
+        peaks = []
+        with activated(obs):
+            for capacity in (2_000_000, 500_000):
+                system = build_system(SystemConfig(memory_capacity_bytes=capacity))
+                system.ingest_many(stream.take(40_000))
+                peaks.append(obs.registry.snapshot()["gauges"]["watermark.memory.bytes_used"])
+        assert peaks[0] > 500_000
+        assert peaks[1] == peaks[0]
+
+    def test_watermark_names_do_not_depend_on_shard_count(self):
+        """One rule: with every optional source on (the ledger), the
+        watermark set at 4 shards is the one-partition set plus the
+        per-shard memory marks — bound at construction, before any flush."""
+        names = {}
+        for shards in (1, 4):
+            config = SystemConfig(memory_capacity_bytes=400_000, shards=shards)
+            system = build_system(config, obs=Instrumentation(attribution=True))
+            names[shards] = {
+                name
+                for name in system.obs.registry.snapshot()["gauges"]
+                if "watermark." in name
+            }
+        assert "watermark.eviction_ledger.entries" in names[1]
+        assert names[4] - names[1] == {
+            f"shard.{i}.watermark.memory.bytes_used" for i in range(4)
+        }
+        assert names[1] <= names[4]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param({}, id="unsharded"),
+            pytest.param({"shards": 4}, id="sharded"),
+        ],
+    )
+    def test_watermarks_surface_in_registry(self, overrides):
+        config = SystemConfig(memory_capacity_bytes=400_000, **overrides)
+        system = _drive(config)
+        gauges = system.obs.registry.snapshot()["gauges"]
+        assert gauges["watermark.memory.bytes_used"] > 0
+        if overrides.get("shards"):
+            assert all(
+                gauges[f"shard.{i}.watermark.memory.bytes_used"] > 0
+                for i in range(overrides["shards"])
+            )

@@ -34,6 +34,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.parallel import run_trials
 from repro.experiments.runner import TrialSpec, run_trial
 from repro.obs import Instrumentation, JsonlSink, activated
+from repro.obs.traceview import build_traces_report
 from repro.storage.posting_list import Posting
 from repro.storage.topk import merge_run_tails, merge_topk
 from repro.workload.queryload import QueryLoad, QueryLoadConfig
@@ -439,6 +440,34 @@ class TestParallelMetricsMerge:
         prefixes = {e["trace"].split(".")[0] for e in parallel_events if "trace" in e}
         assert prefixes == {"w000", "w001", "w002"}
         assert not list(tmp_path.glob("parallel.jsonl.w*")), "shards left behind"
+
+    def test_two_grids_in_one_scope_keep_trace_ids_unique(self, tmp_path):
+        """A scope that runs two parallel grids (``repro run --figure all
+        --jobs 2 --metrics-out``) numbers its workers across both, so no
+        trace of the second grid overwrites one of the first."""
+        grids = [
+            [TrialSpec(policy="kflushing", scale=MICRO, seed=s) for s in seeds]
+            for seeds in ((1, 2), (3, 4))
+        ]
+        roots, reports = {}, {}
+        for jobs in (1, 2):
+            path = tmp_path / f"jobs{jobs}.jsonl"
+            obs = Instrumentation(sink=JsonlSink(path), tracing=True)
+            with activated(obs):
+                for specs in grids:
+                    run_trials(specs, jobs=jobs)
+            obs.close()
+            events = [json.loads(line) for line in path.read_text().splitlines()]
+            roots[jobs] = [
+                e["trace"] for e in events
+                if e["type"] == "trace" and e["parent_span"] is None
+            ]
+            reports[jobs] = build_traces_report(events)
+        assert len(roots[1]) == len(roots[2]) > 0
+        for jobs, ids in roots.items():
+            assert len(ids) == len(set(ids)), f"duplicate root ids at jobs={jobs}"
+        assert len(reports[2].traces) == len(reports[1].traces) == len(roots[1])
+        assert reports[2].duplicate_spans == reports[1].duplicate_spans == 0
 
     def test_activated_scope_discovery(self, tmp_path):
         specs = self._specs()[:2]

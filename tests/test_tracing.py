@@ -1,11 +1,11 @@
-"""PR 5 observability: trace trees, eviction-cause miss attribution,
-registry merging, the ops endpoint, and offline trace analysis."""
+"""Trace trees, eviction-cause miss attribution, registry merging, and
+offline trace analysis (``repro trace``)."""
 
 import json
-import urllib.request
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.config import SystemConfig
 from repro.core.eviction_ledger import (
     ALL_CAUSES,
@@ -21,15 +21,13 @@ from repro.obs import (
     Instrumentation,
     ListSink,
     MetricsRegistry,
-    OpsServer,
-    merge_snapshots,
     to_prometheus_text,
 )
 from repro.obs.traceview import (
     build_traces,
+    build_traces_report,
     flush_attribution,
     load_events,
-    merge_snapshot_events,
     miss_cause_table,
     query_summaries,
 )
@@ -312,29 +310,6 @@ class TestRegistryMerge:
         with pytest.raises(ValueError):
             hist.merge_snapshot({"count": 1, "sum": 1.0, "scale": 1e-3})
 
-    def test_merge_legacy_snapshot_without_buckets(self):
-        hist = Histogram()
-        hist.merge_snapshot({"count": 4, "sum": 0.4, "min": 0.1, "max": 0.1, "mean": 0.1})
-        assert hist.count == 4
-        assert hist.percentile(50.0) == pytest.approx(0.1)
-
-    def test_merge_snapshots_helper(self):
-        snaps = [self._loaded([0.1]).snapshot() for _ in range(3)]
-        merged = merge_snapshots(snaps)
-        assert merged["counters"]["query.single.hits"] == 9
-        assert merged["histograms"]["lat"]["count"] == 3
-
-    def test_merge_snapshot_events_from_file(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        snap = self._loaded([0.1]).snapshot()
-        with open(path, "w") as handle:
-            handle.write(json.dumps({"type": "query", "hit": True}) + "\n")
-            handle.write(json.dumps({"type": "trial_snapshot", "metrics": snap}) + "\n")
-            handle.write(json.dumps({"type": "trial_snapshot", "metrics": snap}) + "\n")
-            handle.write(json.dumps({"type": "run_snapshot", "metrics": snap}) + "\n")
-        registry = merge_snapshot_events(str(path), types=("trial_snapshot",))
-        assert registry.snapshot()["counters"]["query.single.hits"] == 6
-
     def test_counter_values_prefix_view(self):
         registry = MetricsRegistry()
         registry.counter("query.miss.cause.phase1-regular").inc(4)
@@ -383,34 +358,6 @@ repro_span_flush_seconds_mean 0.375
         registry.counter("query.miss.cause.phase1-regular").inc()
         text = to_prometheus_text(registry)
         assert "# HELP repro_query_miss_cause_phase1_regular_total" in text
-
-
-class TestOpsServer:
-    def _get(self, url):
-        with urllib.request.urlopen(url, timeout=5) as response:
-            return response.status, response.read().decode("utf-8")
-
-    def test_endpoints(self):
-        registry = MetricsRegistry()
-        registry.counter("query.single.hits").inc(5)
-        with OpsServer(
-            registry, port=0, snapshot_provider=lambda: {"extra": True}
-        ) as server:
-            status, body = self._get(f"{server.url}/healthz")
-            assert (status, body) == (200, "ok\n")
-            status, body = self._get(f"{server.url}/metrics")
-            assert status == 200
-            assert "repro_query_single_hits_total 5" in body
-            status, body = self._get(f"{server.url}/snapshot")
-            assert status == 200
-            assert json.loads(body) == {"extra": True}
-            with pytest.raises(urllib.error.HTTPError) as err:
-                self._get(f"{server.url}/nope")
-            assert err.value.code == 404
-
-    def test_port_zero_assigns_real_port(self):
-        with OpsServer(MetricsRegistry(), port=0) as server:
-            assert server.port > 0
 
 
 class TestTraceview:
@@ -511,3 +458,41 @@ class TestTraceCli:
         path = tmp_path / "empty.jsonl"
         path.write_text('{"type": "query", "hit": true}\n')
         assert main(["trace", str(path), "--require-miss-causes"]) == 1
+
+
+class TestTraceStrict:
+    def _write(self, tmp_path, events):
+        path = tmp_path / "events.jsonl"
+        path.write_text(
+            "".join(json.dumps(e) + "\n" for e in events), encoding="utf-8"
+        )
+        return path
+
+    _COMPLETE = {"type": "trace", "trace": "q1", "span": 0, "parent_span": None,
+                 "name": "query", "seconds": 0.01, "mode": "single", "hit": True,
+                 "disk_lookups": 0}
+    _ORPHAN = {"type": "trace", "trace": "q2", "span": 3, "parent_span": 0,
+               "name": "disk.lookup", "seconds": 0.001}
+
+    def test_clean_file_passes_strict(self, tmp_path, capsys):
+        path = self._write(tmp_path, [self._COMPLETE])
+        assert cli_main(["trace", str(path), "--strict"]) == 0
+        out = capsys.readouterr().out
+        assert "[dropped_orphans: 0]" in out
+        assert "[duplicate_spans: 0]" in out
+
+    def test_orphans_reported_and_fail_strict(self, tmp_path, capsys):
+        path = self._write(tmp_path, [self._COMPLETE, self._ORPHAN])
+        assert cli_main(["trace", str(path)]) == 0  # informational by default
+        assert "[dropped_orphans: 1]" in capsys.readouterr().out
+        assert cli_main(["trace", str(path), "--strict"]) == 1
+
+    def test_duplicate_span_ids_reported_and_fail_strict(self, tmp_path, capsys):
+        # Two writers that reused trace id q1: the second root replaces
+        # the first, so one trace comes back and one span is a duplicate.
+        path = self._write(tmp_path, [self._COMPLETE, dict(self._COMPLETE, seconds=0.02)])
+        report = build_traces_report([self._COMPLETE, dict(self._COMPLETE)])
+        assert (len(report.traces), report.dropped_orphans, report.duplicate_spans) == (1, 0, 1)
+        assert cli_main(["trace", str(path)]) == 0
+        assert "[duplicate_spans: 1]" in capsys.readouterr().out
+        assert cli_main(["trace", str(path), "--strict"]) == 1
