@@ -1,26 +1,31 @@
 """Query executor: memory-first top-k evaluation with disk fallback.
 
-The executor implements the paper's query engine (Figure 2): try to answer
-a top-k query entirely from in-memory contents; when that is impossible,
-pay the disk visit and merge both tiers into an exact answer.
+The executor implements the paper's query engine (Figure 2): answer a
+top-k query from memory when it can, else pay the disk visit and combine
+both tiers.  Every mode takes one path: look each key up in memory, apply
+the mode's hit rule, and on a miss read from disk each key that memory
+cannot prove, then combine again.  A single-key query is an OR over one
+key.  Single and OR combine by union (``merge_topk``), AND by
+intersection (``_intersect``).
 
-**Hit semantics.**  For single-key and OR queries a memory hit requires a
-*provably complete* in-memory top-k: each queried key must hold k postings
-all ranked above that key's completeness floor (for OR, the top-k of the
-union is always drawn from the per-key top-k lists, so per-key proof
-suffices).  For AND queries we follow the paper's operational definition —
-the in-memory intersection contains at least k records (Section IV-D) —
-because an AND answer can legitimately be assembled from postings below
-individual floors that the MK rules deliberately retained; the result
-additionally reports whether the answer is provably exact.  Setting
-``strict_and=True`` upgrades AND hits to the provable criterion.
+**Hit rules.**  Single and OR hit when each key's in-memory top-k is
+*provably complete*: k postings all ranked above that key's completeness
+floor (the union's top-k is drawn from the per-key top-k lists, so
+per-key proof suffices).  AND hits *confirmed* when its k-th common
+in-memory posting ranks above every key's floor; that hit is provably
+exact only when the scan is uncapped (``and_scan_depth`` None).  Failing
+that, AND takes the paper's *operational* hit (Section IV-D): k common
+records in memory, possibly below floors that the MK rules deliberately
+kept, never provably exact.  ``strict_and=True`` turns it off.  A miss
+is exact unless an AND scan or disk read was capped.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable, Optional
 
 from repro.core.eviction_ledger import ALL_CAUSES, CAUSE_NEVER_RESIDENT
 from repro.core.policy import MemoryEngine
@@ -45,8 +50,8 @@ class QueryResult:
     #: True when the full answer was served from memory.
     memory_hit: bool
     #: True when the answer is provably the true top-k.  Always true for
-    #: misses (disk merge is exact) and for single/OR hits; AND hits under
-    #: the operational criterion may be inexact (see module docstring).
+    #: single/OR; false for an AND operational hit and whenever an AND
+    #: scan or disk read was capped (see module docstring).
     provably_exact: bool
     #: Number of disk index lookups this query paid.
     disk_lookups: int
@@ -58,12 +63,6 @@ class QueryResult:
     @property
     def blog_ids(self) -> tuple[int, ...]:
         return tuple(p.blog_id for p in self.postings)
-
-
-#: Backwards-compatible alias: the merge now lives in
-#: :mod:`repro.storage.topk` so the executor, the sharded scatter-gather
-#: path, and the segmented index share one implementation.
-_merge_topk = merge_topk
 
 
 class QueryExecutor:
@@ -145,15 +144,10 @@ class QueryExecutor:
 
     def _execute(self, query: TopKQuery, now: float) -> QueryResult:
         io_before = self._disk.simulated_io_seconds
-        if query.mode is CombineMode.SINGLE:
-            result = self._single(query, now)
-        elif query.mode is CombineMode.OR:
-            result = self._or(query, now)
-        else:
-            result = self._and(query, now)
+        postings, hit, exact, disk_lookups = self._evaluate(query)
         io_delta = self._disk.simulated_io_seconds - io_before
-        result = replace(
-            result,
+        result = QueryResult(
+            query, postings, hit, exact, disk_lookups, now,
             simulated_latency=self._cost.memory_cost(len(query.keys)) + io_delta,
         )
         # Policy feedback: kFlushing stamps per-entry last-query times,
@@ -226,95 +220,68 @@ class QueryExecutor:
                 records.append(record)
         return records
 
-    # ------------------------------------------------------------------
-    # Single key
-    # ------------------------------------------------------------------
+    def _evaluate(self, query: TopKQuery) -> tuple[tuple[Posting, ...], bool, bool, int]:
+        """``(postings, memory hit, provably exact, disk lookups)``.
 
-    def _single(self, query: TopKQuery, now: float) -> QueryResult:
-        key = query.keys[0]
-        lookup = self._engine.lookup(key, depth=query.k)
-        top = lookup.provable_top(query.k)
-        if top is not None:
-            return QueryResult(query, top, True, True, 0, now)
-        # Memory miss: the true top-k is contained in the union of the
-        # memory top-k candidates and the disk's per-key top-k.
-        disk_top = self._disk.lookup(key, limit=query.k)
-        merged = _merge_topk([list(lookup.candidates), disk_top], query.k)
-        return QueryResult(query, tuple(merged), False, True, 1, now)
-
-    # ------------------------------------------------------------------
-    # OR
-    # ------------------------------------------------------------------
-
-    def _or(self, query: TopKQuery, now: float) -> QueryResult:
-        lookups = [self._engine.lookup(key, depth=query.k) for key in query.keys]
-        tops = [lookup.provable_top(query.k) for lookup in lookups]
-        if all(top is not None for top in tops):
-            merged = _merge_topk([list(top) for top in tops if top], query.k)
-            return QueryResult(query, tuple(merged), True, True, 0, now)
-        groups: list[list[Posting]] = []
-        disk_lookups = 0
+        Memory lookup, the mode's hit rule, then on a miss a disk read per
+        key that memory cannot prove, combined again.  Single and OR take
+        the union of their keys, AND the intersection.
+        """
+        k = query.k
+        union = query.mode is not CombineMode.AND
+        depth = k if union else self._and_scan_depth
+        lookups = [self._engine.lookup(key, depth=depth) for key in query.keys]
+        if union:
+            # The union's top-k is drawn from the per-key top-k lists, so
+            # per-key proof suffices.
+            tops = [lookup.provable_top(k) for lookup in lookups]
+            if None not in tops:
+                postings = tops[0] if len(tops) == 1 else tuple(merge_topk(tops, k))
+                return postings, True, True, 0
+        else:
+            tops = [None] * len(lookups)
+            in_memory = _intersect([lookup.candidates for lookup in lookups], k)
+            if len(in_memory) >= k:
+                max_floor = max(lookup.floor for lookup in lookups)
+                confirmed = in_memory[k - 1].sort_key > max_floor
+                # Unconfirmed, this is the paper's operational hit: k
+                # common records in memory, possibly below the floors.
+                if confirmed or not self._strict_and:
+                    return tuple(in_memory), True, confirmed and depth is None, 0
+        limit = k if union else self._and_disk_limit
+        groups: list[Iterable[Posting]] = []
+        truncated = False
         for lookup, top in zip(lookups, tops):
             if top is not None:
-                # This key's in-memory top-k is provably complete: the
-                # union's top-k can only draw from it, so disk adds nothing.
-                groups.append(list(top))
+                # Provably complete in memory: disk adds nothing.
+                groups.append(top)
                 continue
-            groups.append(list(lookup.candidates))
-            groups.append(self._disk.lookup(lookup.key, limit=query.k))
-            disk_lookups += 1
-        merged = _merge_topk(groups, query.k)
-        return QueryResult(query, tuple(merged), False, True, disk_lookups, now)
+            disk = self._disk.lookup(lookup.key, limit=limit)
+            truncated = truncated or (limit is not None and len(disk) >= limit)
+            groups.append(chain(lookup.candidates, disk))
+        disk_lookups = tops.count(None)
+        if union:
+            answer, exact = merge_topk(groups, k), True
+        else:
+            answer, exact = _intersect(groups, k), not truncated and depth is None
+        return tuple(answer), False, exact, disk_lookups
 
-    # ------------------------------------------------------------------
-    # AND
-    # ------------------------------------------------------------------
 
-    def _and(self, query: TopKQuery, now: float) -> QueryResult:
-        depth = self._and_scan_depth
-        lookups = [self._engine.lookup(key, depth=depth) for key in query.keys]
-        # Intersect in-memory candidate ids; order by the first key's
-        # postings (all keys agree on sort keys, they are per-record).
-        id_sets = [
-            {posting.blog_id for posting in lookup.candidates} for lookup in lookups
-        ]
-        common = set.intersection(*id_sets) if id_sets else set()
-        in_memory = [p for p in lookups[0].candidates if p.blog_id in common]
-        max_floor = max(lookup.floor for lookup in lookups)
-        confirmed = [p for p in in_memory if p.sort_key > max_floor]
-        provable = len(confirmed) >= query.k and depth is None
-        if provable:
-            return QueryResult(query, tuple(confirmed[: query.k]), True, True, 0, now)
-        if len(confirmed) >= query.k:
-            # Complete above the floors, but the scan was depth-capped so
-            # items below the cap could not be inspected.
-            return QueryResult(query, tuple(confirmed[: query.k]), True, False, 0, now)
-        if not self._strict_and and len(in_memory) >= query.k:
-            # The paper's operational AND hit: k intersecting records found
-            # in memory (Section IV-D), possibly below individual floors.
-            return QueryResult(query, tuple(in_memory[: query.k]), True, False, 0, now)
-        # Miss: merge each key's memory+disk posting set, intersect, and
-        # take the top-k — exact when no scan limits are configured.
-        disk_lookups = 0
-        truncated = False
-        full_sets: list[dict[int, Posting]] = []
-        for lookup in lookups:
-            by_id = {p.blog_id: p for p in lookup.candidates}
-            disk_postings = self._disk.lookup(lookup.key, limit=self._and_disk_limit)
-            if (
-                self._and_disk_limit is not None
-                and len(disk_postings) >= self._and_disk_limit
-            ):
-                truncated = True
-            for posting in disk_postings:
-                by_id.setdefault(posting.blog_id, posting)
-            disk_lookups += 1
-            full_sets.append(by_id)
-        common_ids = set.intersection(*(set(s) for s in full_sets))
-        answer = sorted(
-            (full_sets[0][blog_id] for blog_id in common_ids),
-            key=lambda p: p.sort_key,
-            reverse=True,
-        )[: query.k]
-        exact = not truncated and depth is None
-        return QueryResult(query, tuple(answer), False, exact, disk_lookups, now)
+def _intersect(groups: list[Iterable[Posting]], k: int) -> list[Posting]:
+    """Top-k records present in every group, best rank first.
+
+    Each group is iterated once.  The first group's first copy of a
+    record stands for it (a record's sort key is the same everywhere);
+    a ``Posting`` tuple orders by its sort key, so the sort needs no key.
+    """
+    common = {posting.blog_id for posting in groups[1]}
+    for group in groups[2:]:
+        common.intersection_update(posting.blog_id for posting in group)
+    answer = []
+    for posting in groups[0]:
+        if posting.blog_id in common:
+            common.discard(posting.blog_id)
+            answer.append(posting)
+    answer.sort(reverse=True)
+    del answer[k:]
+    return answer

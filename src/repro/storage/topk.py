@@ -32,13 +32,14 @@ __all__ = ["merge_topk", "merge_run_tails", "MergedRunsView"]
 
 
 def merge_topk(
-    groups: Iterable[Sequence[Posting]], k: Optional[int]
+    groups: Iterable[Iterable[Posting]], k: Optional[int]
 ) -> list[Posting]:
     """Deduplicated top-k across posting groups, best rank first.
 
-    ``groups`` is any iterable of posting sequences (lists, tuples,
-    :class:`~repro.storage.posting_list.BestFirstView` objects).  With
-    ``k=None`` the full deduplicated merge is returned.
+    ``groups`` is any iterable of posting iterables (lists, tuples,
+    :class:`~repro.storage.posting_list.BestFirstView` objects, chains of
+    them); each is iterated once.  With ``k=None`` the full deduplicated
+    merge is returned.
     """
     seen: set[int] = set()
     merged: list[Posting] = []

@@ -1,13 +1,23 @@
 """Unit tests for the query executor: hit semantics and exact fallback."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.kflushing import KFlushingEngine
 from repro.engine.executor import QueryExecutor
-from repro.engine.queries import AndQuery, KeywordQuery, OrQuery
+from repro.engine.queries import AndQuery, CombineMode, KeywordQuery, OrQuery, TopKQuery
 from repro.storage.disk import DiskArchive
 from repro.storage.memory_model import MemoryModel
-from tests.conftest import disk_counter, engine_kwargs, insert, make_blog, make_blogs
+from repro.workload.stream import MicroblogStream, StreamConfig
+from tests.conftest import (
+    disk_counter,
+    engine_kwargs,
+    insert,
+    make_blog,
+    make_blogs,
+    tiny_system,
+)
 
 
 @pytest.fixture
@@ -189,23 +199,80 @@ class TestAndQueries:
 
 
 class TestDepthCaps:
-    def test_and_disk_limit_flags_inexact(self):
+    """The AND branches under scan / disk-read caps, pinned exactly."""
+
+    @staticmethod
+    def _executor(**caps):
         model = MemoryModel()
         disk = DiskArchive(model)
         eng = KFlushingEngine(
             mk=False, **engine_kwargs(model, disk, k=3, capacity=10**6)
         )
-        capped = QueryExecutor(eng, disk, and_scan_depth=5, and_disk_limit=5)
-        for blog in make_blogs(10, keywords=("a", "b")):
-            insert(eng, blog)
-        for blog in make_blogs(10, keywords=("a",)):
+        return eng, QueryExecutor(eng, disk, **caps)
+
+    def _flushed(self, **caps):
+        """Ten "a b" records under ten newer "a"-only ones, flushed: memory
+        keeps no common record, so every AND over "a" and "b" misses."""
+        eng, ex = self._executor(**caps)
+        both = make_blogs(10, keywords=("a", "b"))
+        for blog in both + make_blogs(10, keywords=("a",)):
             insert(eng, blog)
         eng.run_flush(now=1e6)
-        result = capped.execute(AndQuery(["a", "b"], k=3), now=1e6)
-        # Whatever the outcome, a capped evaluation never claims proof
-        # unless it found k postings above all floors within the cap.
-        if result.memory_hit:
-            assert result.postings
+        expected = sorted((b.blog_id for b in both), reverse=True)[:3]
+        return ex.execute(AndQuery(["a", "b"], k=3), now=1e6), expected
+
+    def test_and_disk_limit_flags_inexact(self):
+        # The capped reads of "a" reach only "a"-only records.
+        result, _ = self._flushed(and_scan_depth=5, and_disk_limit=5)
+        assert not result.memory_hit
+        assert not result.provably_exact
+        assert result.disk_lookups == 2
+        assert result.postings == ()
+
+    @pytest.mark.parametrize("strict_and", [False, True])
+    def test_capped_confirmed_hit_is_inexact(self, strict_and):
+        eng, ex = self._executor(and_scan_depth=5, strict_and=strict_and)
+        both = make_blogs(5, keywords=("a", "b"))
+        for blog in both:
+            insert(eng, blog)
+        result = ex.execute(AndQuery(["a", "b"], k=3), now=1e6)
+        assert result.memory_hit
+        assert not result.provably_exact
+        assert result.disk_lookups == 0
+        assert list(result.blog_ids) == sorted((b.blog_id for b in both), reverse=True)[:3]
+
+    def test_truncated_disk_read_is_inexact_miss(self):
+        result, _ = self._flushed(and_disk_limit=3)
+        assert not result.memory_hit
+        assert not result.provably_exact
+        assert result.disk_lookups == 2
+        assert result.postings == ()
+
+    def test_uncapped_miss_is_exact(self):
+        result, expected = self._flushed()
+        assert not result.memory_hit
+        assert result.provably_exact
+        assert result.disk_lookups == 2
+        assert list(result.blog_ids) == expected
+
+
+@pytest.mark.parametrize("policy", ["fifo", "lru", "kflushing", "kflushing-mk"])
+def test_single_is_a_one_key_or(policy):
+    """SINGLE and OR over one key evaluate identically.  ``TopKQuery``
+    rejects a one-key OR, so the OR goes in as a bare query shape."""
+    system = tiny_system(policy)
+    records = MicroblogStream(
+        StreamConfig(seed=3, vocabulary_size=400, user_count=20)
+    ).take(2_000)
+    system.ingest_many(records)
+    ex = system.executor
+    hits = set()
+    for key in sorted({key for record in records for key in record.keywords}):
+        single = ex._evaluate(TopKQuery((key,), k=3))
+        one_key_or = ex._evaluate(SimpleNamespace(keys=(key,), k=3, mode=CombineMode.OR))
+        assert single == one_key_or
+        hits.add(single[1])
+    assert hits == {True, False}
 
 
 class TestMaterialize:

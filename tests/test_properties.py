@@ -315,3 +315,46 @@ def test_single_query_exactness_random(keyword_sets, seed):
     truth = [r.blog_id for r in records if key in r.keywords]
     truth.sort(reverse=True)
     assert list(result.blog_ids) == truth[:3]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.lists(keyword_strategy, min_size=30, max_size=120),
+    st.integers(0, 10**6),
+    st.integers(3, 8),
+    st.one_of(st.none(), st.integers(3, 8)),
+    st.booleans(),
+)
+def test_capped_and_is_never_exact_and_answers_from_the_intersection(
+    keyword_sets, seed, scan_depth, disk_limit, strict_and
+):
+    """With a scan cap no AND result claims exactness, and every answer,
+    hit or miss, is a best-first subset of the true intersection."""
+    from repro.config import SystemConfig
+    from repro.engine.queries import AndQuery
+    from repro.engine.system import MicroblogSystem
+
+    system = MicroblogSystem(
+        SystemConfig(
+            policy=("fifo", "kflushing", "kflushing-mk", "lru")[seed % 4],
+            k=3,
+            memory_capacity_bytes=6_000,
+            flush_fraction=0.3,
+            and_scan_depth=scan_depth,
+            and_disk_limit=disk_limit,
+        ),
+        strict_and=strict_and,
+    )
+    records = [
+        Microblog(blog_id=i, timestamp=float(i), user_id=0, keywords=tuple(kws))
+        for i, kws in enumerate(keyword_sets)
+    ]
+    for record in records:
+        system.ingest(record)
+    for offset in range(1, 12, 3):
+        a, b = f"kw{seed % 12}", f"kw{(seed + offset) % 12}"
+        result = system.search(AndQuery([a, b], k=3))
+        truth = {r.blog_id for r in records if a in r.keywords and b in r.keywords}
+        assert not result.provably_exact
+        assert set(result.blog_ids) <= truth
+        assert list(result.blog_ids) == sorted(result.blog_ids, reverse=True)

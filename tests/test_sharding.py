@@ -397,7 +397,7 @@ class TestMergeTopk:
         from repro.engine import executor as executor_mod
         from repro.storage import segmented_index as seg_mod
 
-        assert executor_mod._merge_topk is merge_topk
+        assert executor_mod.merge_topk is merge_topk
         assert seg_mod.merge_run_tails is merge_run_tails
 
 
