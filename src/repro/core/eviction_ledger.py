@@ -76,7 +76,7 @@ class EvictionRecord(NamedTuple):
     """One eviction decision: what rule fired, when, how much it dropped."""
 
     cause: str
-    at: int
+    at: float
     postings: int
 
 
@@ -94,7 +94,7 @@ class EvictionLedger:
         self.capacity = capacity
         self._records: OrderedDict = OrderedDict()
 
-    def record(self, key, cause: str, at: int, postings: int) -> int:
+    def record(self, key, cause: str, at: float, postings: int) -> int:
         """Note that ``postings`` postings of ``key`` were evicted at
         logical time ``at`` because ``cause`` fired.  The latest record
         per key wins; recording refreshes the key's LRU position.

@@ -10,9 +10,8 @@ AND-queries find their intersections in memory more often.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Sequence
 
-from repro.core.flush_cache import FlushCycleCache
 from repro.core.phases import PHASES, run_phase1, run_phase2, run_phase3
 from repro.core.policy import FlushReport, IndexedEngine
 from repro.obs import catalog
@@ -22,11 +21,6 @@ __all__ = ["KFlushingEngine"]
 
 class KFlushingEngine(IndexedEngine):
     """kFlushing (and kFlushing-MK when ``mk=True``)."""
-
-    #: Class-level switch for the per-flush :class:`FlushCycleCache`.
-    #: Always on in production; the differential tests flip it off to run
-    #: the brute-force reference path and assert bit-identical results.
-    use_flush_cache: bool = True
 
     def __init__(self, *, mk: bool = False, max_phase: int = 3, **kwargs) -> None:
         super().__init__(**kwargs)
@@ -38,10 +32,6 @@ class KFlushingEngine(IndexedEngine):
         #: the Figure 5 saturation experiment caps it to study Phase 1 (and
         #: Phases 1+2) in isolation.
         self.max_phase = max_phase
-        #: Per-flush memo of top-k id sets and entry id membership (see
-        #: :mod:`repro.core.flush_cache`).  Non-None only while a flush is
-        #: running.
-        self.flush_cache: Optional[FlushCycleCache] = None
         #: Phase -> its span name and its ``flush.<phase>.freed_bytes`` counter.
         self.phase_spans = {
             p: self.obs.bind_span(catalog.SPAN_FLUSH_PHASE, phase=p) for p in PHASES
@@ -75,19 +65,13 @@ class KFlushingEngine(IndexedEngine):
         report = FlushReport(
             policy=self.name, triggered_at=now, target_bytes=self.flush_target_bytes()
         )
-        self.flush_cache = (
-            FlushCycleCache(self.k) if self.use_flush_cache else None
-        )
         # The phases are called through this module's globals, which the
         # benchmark's tracer wraps.
-        try:
-            run_phase1(self, report)
-            if not report.met_target and self.max_phase >= 2:
-                run_phase2(self, report)
-            if not report.met_target and self.max_phase >= 3:
-                run_phase3(self, report)
-        finally:
-            self.flush_cache = None
+        run_phase1(self, report)
+        if not report.met_target and self.max_phase >= 2:
+            run_phase2(self, report)
+        if not report.met_target and self.max_phase >= 3:
+            run_phase3(self, report)
         report.bytes_written_to_disk = self.buffer.commit()
         return report
 
@@ -95,47 +79,52 @@ class KFlushingEngine(IndexedEngine):
     # MK trim-rule predicates (Section IV-D)
     # ------------------------------------------------------------------
 
-    def in_top_elsewhere(self, blog_id: int, exclude_key: Hashable) -> bool:
+    def in_top_elsewhere(
+        self, blog_id: int, exclude_key: Hashable, memo: dict[Hashable, frozenset[int]]
+    ) -> bool:
         """Whether the record is among the top-k of any *other* entry.
 
         MK Phase 1 keeps a beyond-top-k posting alive while this holds, so
         AND-queries intersecting this key with the other one still find
-        the record in memory.
+        the record in memory.  ``memo`` is the Phase 1 run's map of key
+        to top-k ids (see :func:`~repro.core.phases.run_phase1`).
         """
         record = self.raw.get(blog_id)
-        cache = self.flush_cache
         for key in self.attribute.keys(record):
             if key == exclude_key:
                 continue
-            entry = self.index.get(key)
-            if entry is None:
-                continue
-            if cache is not None:
-                if blog_id in cache.topk_ids(key, entry):
-                    return True
-            elif entry.contains_in_top(blog_id, self.k):
+            ids = memo.get(key)
+            if ids is None:
+                entry = self.index.get(key)
+                if entry is None:
+                    continue
+                ids = memo[key] = frozenset(p.blog_id for p in entry.top(self.k))
+            if blog_id in ids:
                 return True
         return False
 
-    def exists_in_k_filled(self, blog_id: int, exclude_key: Hashable) -> bool:
+    def exists_in_k_filled(
+        self, blog_id: int, exclude_key: Hashable, memo: dict[Hashable, frozenset[int]]
+    ) -> bool:
         """Whether the record exists in any entry holding >= k postings.
 
         MK Phase 2 spares such postings: flushing them could turn a
         would-be memory hit on the frequent keyword's AND-queries into a
-        disk access (Section IV-D, condition 3).
+        disk access (Section IV-D, condition 3).  ``memo`` is the Phase 2
+        run's map of key to all ids, for keys holding >= k postings (see
+        :func:`~repro.core.phases.run_phase2`).
         """
         record = self.raw.get(blog_id)
-        cache = self.flush_cache
         for key in self.attribute.keys(record):
             if key == exclude_key:
                 continue
-            entry = self.index.get(key)
-            if entry is None or len(entry) < self.k:
-                continue
-            if cache is not None:
-                if cache.contains_id(key, entry, blog_id):
-                    return True
-            elif entry.contains_id(blog_id):
+            ids = memo.get(key)
+            if ids is None:
+                entry = self.index.get(key)
+                if entry is None or len(entry) < self.k:
+                    continue
+                ids = memo[key] = frozenset(p.blog_id for p in entry)
+            if blog_id in ids:
                 return True
         return False
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Optional
 
 from repro.core.policy import FlushReport
 from repro.core.victim_selection import select_victims_pruned
@@ -89,6 +89,9 @@ def run_phase1(engine: "KFlushingEngine", report: FlushReport) -> None:
     """Regular flushing: trim overflow entries back to top-k."""
     freed = 0
     k = engine.k
+    # MK probe memo: Phase 1 trims only beyond the top-k, so each entry's
+    # top-k ids stay true for the whole phase.
+    topk_ids: dict[Hashable, frozenset[int]] = {}
     with engine.obs.span(engine.phase_spans[PHASE_REGULAR]):
         for key in list(engine.index.overflow_keys):
             entry = engine.index.get(key)
@@ -99,15 +102,13 @@ def run_phase1(engine: "KFlushingEngine", report: FlushReport) -> None:
                 removed = entry.trim_if(
                     k,
                     keep=lambda p, _key=key: engine.in_top_elsewhere(
-                        p.blog_id, _key
+                        p.blog_id, _key, topk_ids
                     ),
                 )
             else:
                 removed = entry.trim_beyond(k)
             engine.index.charge_removed_postings(len(removed), key, entry=entry)
             if removed:
-                if engine.flush_cache is not None:
-                    engine.flush_cache.invalidate(key)
                 engine.note_eviction(
                     key, PHASE_REGULAR, report.triggered_at, len(removed)
                 )
@@ -128,12 +129,12 @@ def _flush_entry(
     engine: "KFlushingEngine",
     report: FlushReport,
     key: Hashable,
-    spare_k_filled_residents: bool,
     cause: str,
+    k_filled_ids: Optional[dict[Hashable, frozenset[int]]] = None,
 ) -> int:
     """Evict (most of) one entry; returns bytes freed.
 
-    With ``spare_k_filled_residents`` (MK Phase 2), postings whose record
+    With ``k_filled_ids`` (MK Phase 2's probe memo), postings whose record
     also exists in a k-filled entry stay behind and the entry survives,
     shrunken; otherwise the entry is removed wholesale.  ``cause`` is the
     phase recorded in the eviction ledger.  The engine's global floor
@@ -142,16 +143,14 @@ def _flush_entry(
     entry = engine.index.get(key)
     if entry is None:
         return 0
-    if spare_k_filled_residents:
+    if k_filled_ids is not None:
         removed = entry.drain_if(
-            keep=lambda p: engine.exists_in_k_filled(p.blog_id, key)
+            keep=lambda p: engine.exists_in_k_filled(p.blog_id, key, k_filled_ids)
         )
     else:
         removed = entry.drain()
     engine.index.charge_removed_postings(len(removed), key, entry=entry)
     if removed:
-        if engine.flush_cache is not None:
-            engine.flush_cache.invalidate(key)
         engine.note_eviction(key, cause, report.triggered_at, len(removed))
     freed = 0
     floor = engine.global_floor
@@ -246,14 +245,13 @@ def run_phase2(engine: "KFlushingEngine", report: FlushReport) -> None:
             _LAST_ARRIVAL,
             remaining,
         )
+        # MK probe memo: it holds only entries of >= k postings, and the
+        # victims held fewer and only shrink, so no memoized entry changes.
+        k_filled_ids = {} if engine.mk_enabled else None
         freed = 0
         for entry in victims:
             freed += _flush_entry(
-                engine,
-                report,
-                entry.key,
-                spare_k_filled_residents=engine.mk_enabled,
-                cause=PHASE_AGGRESSIVE,
+                engine, report, entry.key, PHASE_AGGRESSIVE, k_filled_ids
             )
     _note_phase(engine, report, PHASE_AGGRESSIVE, freed)
 
@@ -283,13 +281,7 @@ def run_phase3(engine: "KFlushingEngine", report: FlushReport) -> None:
                 break
             round_freed = 0
             for entry in victims:
-                round_freed += _flush_entry(
-                    engine,
-                    report,
-                    entry.key,
-                    spare_k_filled_residents=False,
-                    cause=PHASE_FORCED,
-                )
+                round_freed += _flush_entry(engine, report, entry.key, PHASE_FORCED)
             freed += round_freed
             if round_freed == 0:
                 # Every remaining victim was already empty; nothing more to do.

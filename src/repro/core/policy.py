@@ -47,16 +47,15 @@ __all__ = ["LookupResult", "FlushReport", "MemoryEngine", "IndexedEngine"]
 class LookupResult:
     """In-memory postings of one key plus their completeness guarantee.
 
-    ``candidates`` are best-rank-first: a tuple for bounded lookups, or a
-    zero-copy :class:`~repro.storage.posting_list.BestFirstView` for
-    unbounded ones (both are read-only sequences; slicing always yields
-    tuples).  Every posting for this key whose sort key is strictly above
-    ``floor`` is guaranteed to be present in ``candidates``; below the
-    floor, memory may be missing items and only the disk knows the truth.
+    ``candidates`` are a best-rank-first tuple: the entry's ``top(depth)``,
+    and ``top(len(entry))`` for an uncapped lookup.  Every posting for
+    this key whose sort key is strictly above ``floor`` is guaranteed to
+    be present in ``candidates``; below the floor, memory may be missing
+    items and only the disk knows the truth.
     """
 
     key: Hashable
-    candidates: Sequence[Posting]
+    candidates: tuple[Posting, ...]
     floor: SortKey
 
     def provable_top(self, k: int) -> Optional[tuple[Posting, ...]]:
@@ -341,14 +340,8 @@ class IndexedEngine(MemoryEngine):
         entry = self.index.get(key)
         if entry is None:
             return LookupResult(key, (), self.global_floor)
-        if depth is None:
-            # Zero-copy fast path: unbounded lookups on hot keys used to
-            # materialize the whole entry (list + tuple, O(entry) each);
-            # the lazy view aliases the entry's storage instead.
-            candidates = entry.best_first()
-        else:
-            candidates = tuple(entry.top(depth))
-        return LookupResult(key, candidates, entry.floor)
+        candidates = entry.top(len(entry) if depth is None else depth)
+        return LookupResult(key, tuple(candidates), entry.floor)
 
     def get_record(self, blog_id: int) -> Optional[Microblog]:
         if blog_id in self.raw:

@@ -34,7 +34,6 @@ from repro.model.microblog import Microblog
 from repro.obs import Counter, Instrumentation, catalog
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import Posting
-from repro.storage.topk import MergedRunsView
 
 __all__ = ["DiskArchive", "DiskCostModel"]
 
@@ -143,10 +142,6 @@ class _PostingRuns:
         return list(
             islice(_heap_merge(*map(reversed, runs), reverse=True), limit)
         )
-
-    def best_first_view(self) -> MergedRunsView:
-        """Zero-copy best-first view over all runs (unbounded lookup)."""
-        return MergedRunsView(self.runs)
 
 
 class DiskArchive:
@@ -289,19 +284,14 @@ class DiskArchive:
     # Reads (called by the query executor on a memory miss)
     # ------------------------------------------------------------------
 
-    def lookup(
-        self, key: Hashable, limit: Optional[int] = None
-    ) -> Sequence[Posting]:
+    def lookup(self, key: Hashable, limit: Optional[int] = None) -> list[Posting]:
         """Return disk postings for ``key``, best rank first.
 
         ``limit`` bounds the number returned (a real system reads the head
         blocks of the posting file); the I/O cost charges one seek plus
-        the postings actually read.  Bounded lookups return a
-        materialized sequence; unbounded lookups return a zero-copy
-        best-first view over the live runs (consume it before the next
-        ``commit_flush``).  Inside an open trace, each lookup becomes a
-        ``disk.lookup`` child span recording runs merged and postings
-        returned.
+        the postings actually read.  Inside an open trace, each lookup
+        becomes a ``disk.lookup`` child span recording runs merged and
+        postings returned.
         """
         if self.obs.current_trace is None:
             return self._read(key, limit)
@@ -313,16 +303,14 @@ class DiskArchive:
             extra["runs"] = self.run_count(key)
             return result
 
-    def _read(self, key: Hashable, limit: Optional[int]) -> Sequence[Posting]:
-        """Materialize (bounded) or view (unbounded) one key's postings
-        and account the index read."""
+    def _read(self, key: Hashable, limit: Optional[int]) -> list[Posting]:
+        """One key's best ``limit`` postings (all of them when ``limit`` is
+        None), with the index read accounted."""
         entry = self._index.get(key)
         if entry is None:
-            result = [] if limit is not None else MergedRunsView(())
-        elif limit is not None:
-            result = entry.top(limit)
+            result = []
         else:
-            result = entry.best_first_view()
+            result = entry.top(len(entry) if limit is None else limit)
         nbytes = self._model.postings_bytes(len(result))
         self.simulated_io_seconds += self._cost.read_cost(nbytes)
         self._index_lookups.inc()

@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import insort
 from typing import Hashable, Iterator, NamedTuple, Optional
 
-__all__ = ["BestFirstView", "Posting", "PostingList", "MIN_SORT_KEY", "SortKey"]
+__all__ = ["Posting", "PostingList", "MIN_SORT_KEY", "SortKey"]
 
 #: Total-order key for postings: (score, timestamp, blog_id), higher wins.
 SortKey = tuple[float, float, int]
@@ -40,63 +40,6 @@ class Posting(NamedTuple):
     @property
     def sort_key(self) -> SortKey:
         return (self.score, self.timestamp, self.blog_id)
-
-
-class BestFirstView:
-    """A read-only, best-rank-first sequence view over a posting list.
-
-    Engines hand this to :class:`~repro.core.policy.LookupResult` for
-    unbounded lookups so that reading an entry never copies it: the view
-    aliases the entry's live storage and reverses lazily.  Indexing and
-    slicing follow best-first order (``view[0]`` is the best posting);
-    slices materialize tuples of just the requested size.
-
-    The view is a *snapshot by aliasing*: it reflects later mutations of
-    the entry.  Query evaluation reads it synchronously before any
-    bookkeeping or flushing can run, which is the only supported use.
-    """
-
-    __slots__ = ("_postings",)
-
-    def __init__(self, postings: list[Posting]) -> None:
-        self._postings = postings
-
-    def __len__(self) -> int:
-        return len(self._postings)
-
-    def __iter__(self) -> Iterator[Posting]:
-        return reversed(self._postings)
-
-    def __getitem__(self, index):
-        n = len(self._postings)
-        if isinstance(index, slice):
-            start, stop, step = index.indices(n)
-            if step == 1:
-                # One reversed extended slice of the underlying list —
-                # no per-element indexing loop, no intermediate copy.
-                if start >= stop:
-                    return ()
-                return tuple(self._postings[n - 1 - start : n - 1 - stop : -1]
-                             if n - 1 - stop >= 0
-                             else self._postings[n - 1 - start :: -1])
-            return tuple(
-                self._postings[n - 1 - i] for i in range(start, stop, step)
-            )
-        if index < -n or index >= n:
-            raise IndexError(index)
-        return self._postings[n - 1 - index if index >= 0 else -1 - index - n]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BestFirstView):
-            return self._postings == other._postings
-        if isinstance(other, (tuple, list)):
-            return len(self) == len(other) and all(
-                a == b for a, b in zip(self, other)
-            )
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"BestFirstView(n={len(self._postings)})"
 
 
 class PostingList:
@@ -155,20 +98,6 @@ class PostingList:
             return []
         return self._postings[-1 : -k - 1 : -1]
 
-    def iter_best_first(self) -> Iterator[Posting]:
-        """Iterate postings best-rank-first without copying the entry.
-
-        This is the allocation-free counterpart of
-        ``tuple(reversed(list(entry)))``: unbounded lookups on hot keys
-        hold thousands of postings, and materializing them per query was
-        a measurable hot path (see docs/PERFORMANCE.md).
-        """
-        return reversed(self._postings)
-
-    def best_first(self) -> BestFirstView:
-        """A lazy best-rank-first sequence view over this entry."""
-        return BestFirstView(self._postings)
-
     def is_k_filled(self, k: int) -> bool:
         """O(1) test for :meth:`provable_top` being non-None.
 
@@ -186,26 +115,6 @@ class PostingList:
     def best(self) -> Optional[Posting]:
         """The single best-ranked posting, or None when empty."""
         return self._postings[-1] if self._postings else None
-
-    def contains_id(self, blog_id: int) -> bool:
-        """Linear membership test by microblog id."""
-        return any(p.blog_id == blog_id for p in self._postings)
-
-    def contains_in_top(self, blog_id: int, k: int) -> bool:
-        """Whether ``blog_id`` is among this entry's top-k postings."""
-        if k <= 0:
-            return False
-        return any(p.blog_id == blog_id for p in self._postings[-k:])
-
-    def topk_id_set(self, k: int) -> frozenset[int]:
-        """Ids of the top-k postings (flush-cycle memo building block)."""
-        if k <= 0:
-            return frozenset()
-        return frozenset(p.blog_id for p in self._postings[-k:])
-
-    def id_set(self) -> set[int]:
-        """All member ids (flush-cycle memo building block)."""
-        return {p.blog_id for p in self._postings}
 
     def provable_top(self, k: int) -> Optional[list[Posting]]:
         """Return the top-k postings iff they are *provably* the true

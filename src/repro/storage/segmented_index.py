@@ -148,9 +148,7 @@ class SegmentedIndex:
         for segment in self._segments:
             entry = segment.postings_for(key)
             if entry is not None:
-                groups.append(
-                    entry.iter_best_first() if depth is None else entry.top(depth)
-                )
+                groups.append(entry.top(len(entry) if depth is None else depth))
         return merge_run_tails(groups, depth)
 
     def key_posting_counts(self) -> dict[Hashable, int]:

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from heapq import merge as _heap_merge
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.storage.posting_list import Posting
 
-__all__ = ["merge_topk", "merge_run_tails", "MergedRunsView"]
+__all__ = ["merge_topk", "merge_run_tails"]
 
 
 def merge_topk(
@@ -37,9 +37,8 @@ def merge_topk(
     """Deduplicated top-k across posting groups, best rank first.
 
     ``groups`` is any iterable of posting iterables (lists, tuples,
-    :class:`~repro.storage.posting_list.BestFirstView` objects, chains of
-    them); each is iterated once.  With ``k=None`` the full deduplicated
-    merge is returned.
+    chains of them); each is iterated once.  With ``k=None`` the full
+    deduplicated merge is returned.
     """
     seen: set[int] = set()
     merged: list[Posting] = []
@@ -61,8 +60,8 @@ def merge_run_tails(
 
     Each element of ``runs`` must already yield postings in descending
     sort-key order (a run *tail* walk — ``reversed(ascending_run)``, a
-    :meth:`PostingList.iter_best_first`, …), and blog ids must be
-    distinct across runs.  Unlike :func:`merge_topk` this never sorts or
+    :meth:`PostingList.top`, …), and blog ids must be distinct across
+    runs.  Unlike :func:`merge_topk` this never sorts or
     deduplicates: it lazily k-way-merges the streams and stops after
     ``k`` postings, so a bounded gather over many runs reads only the
     run tails.  ``k=None`` returns the full merge.
@@ -80,45 +79,3 @@ def merge_run_tails(
     if k is None:
         return list(stream)
     return list(islice(stream, k))
-
-
-class MergedRunsView:
-    """A lazy best-rank-first view over several ascending sorted runs.
-
-    The disk tier's unbounded ``lookup(limit=None)`` used to build a full
-    reversed copy of the posting list even though its only caller (the
-    AND miss path) immediately dict-ifies it.  This view is the zero-copy
-    replacement: it aliases the archive's live run storage, ``len()`` is
-    O(1), and merging happens only when (and as far as) the caller
-    iterates.  Like ``BestFirstView`` it is a snapshot by aliasing —
-    consume it before the next ``commit_flush`` can append or compact.
-    """
-
-    __slots__ = ("_runs", "_length")
-
-    def __init__(self, runs: Sequence[Sequence[Posting]]) -> None:
-        self._runs = tuple(runs)
-        self._length = sum(len(run) for run in self._runs)
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __iter__(self) -> Iterator[Posting]:
-        runs = self._runs
-        if not runs:
-            return iter(())
-        if len(runs) == 1:
-            return reversed(runs[0])
-        return _heap_merge(*map(reversed, runs), reverse=True)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, MergedRunsView):
-            return list(self) == list(other)
-        if isinstance(other, (tuple, list)):
-            return len(self) == len(other) and all(
-                a == b for a, b in zip(self, other)
-            )
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"MergedRunsView(runs={len(self._runs)}, n={self._length})"

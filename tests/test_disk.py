@@ -167,15 +167,6 @@ class TestSegmentedRuns:
         disk.commit_flush([], {"a": [posting(5), posting(9)]})
         assert [p.blog_id for p in disk.lookup("a", limit=3)] == [9, 8, 5]
 
-    def test_unbounded_lookup_is_lazy_view(self, disk):
-        from repro.storage.topk import MergedRunsView
-
-        disk.commit_flush([], {"a": [posting(1), posting(2)]})
-        view = disk.lookup("a")
-        assert isinstance(view, MergedRunsView)
-        assert len(view) == 2
-        assert view == [posting(2), posting(1)]
-
     def test_lookups_agree_with_sorted_reference(self, model):
         runs = DiskArchive(model)
         cost = DiskCostModel()

@@ -139,6 +139,47 @@ class TestPhase2MK:
         eng.check_integrity()
 
 
+class TestProbes:
+    """The two membership tests behind the MK rules, read through the
+    memo that one phase run shares."""
+
+    def test_in_top_elsewhere(self, model, disk):
+        eng = mk_engine(model, disk, k=2)
+        for blog_id in (1, 2, 3):
+            insert(eng, make_blog(keywords=("w1", "w2"), blog_id=blog_id))
+        insert(eng, make_blog(keywords=("w1",), blog_id=4))
+        memo = {}
+        # w2's top-2 is {3, 2}; w1's is {4, 3}.
+        assert eng.in_top_elsewhere(2, "w1", memo)
+        assert not eng.in_top_elsewhere(1, "w1", memo)
+        assert eng.in_top_elsewhere(3, "w2", memo)
+        assert not eng.in_top_elsewhere(2, "w2", memo)
+        assert not eng.in_top_elsewhere(4, "w1", memo)  # no other key
+        assert memo == {"w2": frozenset({2, 3}), "w1": frozenset({3, 4})}
+
+    def test_exists_in_k_filled(self, model, disk):
+        eng = mk_engine(model, disk, k=3)
+        for blog_id in (1, 2, 3):
+            insert(eng, make_blog(keywords=("big", "small"), blog_id=blog_id))
+        insert(eng, make_blog(keywords=("big",), blog_id=4))
+        memo = {}
+        # At k=3 both "big" (4 postings) and "small" (3) hold >= k.
+        assert eng.exists_in_k_filled(1, "small", memo)
+        assert eng.exists_in_k_filled(1, "big", memo)
+        assert not eng.exists_in_k_filled(4, "big", memo)  # no other key
+        assert set(memo) == {"big", "small"}
+        assert memo["big"] == frozenset({1, 2, 3, 4})
+        under = mk_engine(model, DiskArchive(model), k=4)
+        for blog_id in (1, 2, 3):
+            insert(under, make_blog(keywords=("big", "small"), blog_id=blog_id))
+        insert(under, make_blog(keywords=("big",), blog_id=4))
+        memo = {}
+        assert under.exists_in_k_filled(1, "small", memo)
+        # "small" holds 3 < k postings: never k-filled, never memoized.
+        assert not under.exists_in_k_filled(1, "big", memo)
+        assert set(memo) == {"big"}
+
+
 class TestNaming:
     def test_engine_name(self, model, disk):
         assert mk_engine(model, disk).name == "kflushing-mk"

@@ -68,20 +68,6 @@ class TestTopAndBest:
         assert PostingList("kw", 0.0).top(1) == []
 
 
-class TestMembership:
-    def test_contains_id(self):
-        entry = fresh(3)
-        assert entry.contains_id(2)
-        assert not entry.contains_id(99)
-
-    def test_contains_in_top(self):
-        entry = fresh(5)
-        assert entry.contains_in_top(5, 2)
-        assert entry.contains_in_top(4, 2)
-        assert not entry.contains_in_top(3, 2)
-        assert not entry.contains_in_top(5, 0)
-
-
 class TestTrimBeyond:
     def test_trims_worst_ranked(self):
         entry = fresh(5)
