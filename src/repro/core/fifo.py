@@ -40,8 +40,10 @@ class FIFOEngine(MemoryEngine):
     # Data path
     # ------------------------------------------------------------------
 
-    def insert(self, record: Microblog, keys: tuple[Hashable, ...]) -> None:
-        self.segmented.insert(record, keys, self.ranking.score(record))
+    def insert(
+        self, record: Microblog, keys: tuple[Hashable, ...], posting: Posting
+    ) -> None:
+        self.segmented.insert(record, keys, posting)
 
     def lookup(self, key: Hashable, depth: Optional[int] = None) -> LookupResult:
         candidates = self.segmented.candidates(key, depth=depth)

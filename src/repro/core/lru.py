@@ -20,6 +20,7 @@ from repro.core.eviction_ledger import CAUSE_TRIMMED_TOPK, CAUSE_WHOLE_KEY_LRU
 from repro.core.policy import FlushReport, IndexedEngine
 from repro.core.recency_list import RecencyList
 from repro.model.microblog import Microblog
+from repro.storage.posting_list import Posting
 
 __all__ = ["LRUEngine"]
 
@@ -39,8 +40,10 @@ class LRUEngine(IndexedEngine):
     # Data path
     # ------------------------------------------------------------------
 
-    def insert(self, record: Microblog, keys: tuple[Hashable, ...]) -> None:
-        super().insert(record, keys)
+    def insert(
+        self, record: Microblog, keys: tuple[Hashable, ...], posting: Posting
+    ) -> None:
+        super().insert(record, keys, posting)
         # New data enters at the most-recently-used end of the list.
         self._recency.push(record.blog_id)
 

@@ -11,7 +11,9 @@ policy with the store layout it needs, behind a uniform contract the
 program against:
 
 * ``insert`` digests one record under the keys the facade extracted for
-  it (a sharded partition receives only the keys it owns);
+  it (a sharded partition receives only the keys it owns) and the one
+  :class:`~repro.storage.posting_list.Posting` the facade scored for it,
+  which every owning partition shares;
 * ``lookup`` returns the in-memory postings of a key together with its
   **completeness floor**, so the executor can decide provable memory hits;
 * ``note_query`` feeds query-access information back to the policy (LRU
@@ -118,6 +120,9 @@ class MemoryEngine(ABC):
                 f"flush_fraction must be in (0, 1], got {flush_fraction}"
             )
         self.model = model
+        #: The system's ranking.  The facade scores each record with it
+        #: once and passes the posting to ``insert``; an engine driven
+        #: without a facade (a unit test) scores with it the same way.
         self.ranking = ranking
         #: The system's attribute, for flush-time walks over a record's
         #: keys; on a sharded partition the keys it does not own simply
@@ -155,9 +160,13 @@ class MemoryEngine(ABC):
     # ------------------------------------------------------------------
 
     @abstractmethod
-    def insert(self, record: Microblog, keys: tuple[Hashable, ...]) -> None:
+    def insert(
+        self, record: Microblog, keys: tuple[Hashable, ...], posting: Posting
+    ) -> None:
         """Digest one record under ``keys`` — the non-empty subset of its
-        keys this engine owns, extracted once by the facade."""
+        keys this engine owns, extracted once by the facade — as
+        ``posting``, the record's one sort key, scored once by the facade
+        and shared by every owning partition."""
 
     @abstractmethod
     def lookup(self, key: Hashable, depth: Optional[int] = None) -> LookupResult:
@@ -328,9 +337,10 @@ class IndexedEngine(MemoryEngine):
     # Data path
     # ------------------------------------------------------------------
 
-    def insert(self, record: Microblog, keys: tuple[Hashable, ...]) -> None:
+    def insert(
+        self, record: Microblog, keys: tuple[Hashable, ...], posting: Posting
+    ) -> None:
         self.raw.add(record, pcount=len(keys))
-        posting = Posting(self.ranking.score(record), record.timestamp, record.blog_id)
         for key in keys:
             self.index.insert(
                 key, posting, now=record.timestamp, created_floor=self.global_floor

@@ -13,7 +13,8 @@ The paper's system is the one-partition case; ``config.shards > 1``
 hash-partitions the key space over N such slices behind the same facade
 (:mod:`repro.engine.sharded` has the router and scatter-gather adapters).
 Ingest is one path at every partition count: the facade extracts a
-record's keys once and hands each owning partition its share of them.
+record's keys and scores its posting once, and hands each owning
+partition its share of the keys and that same posting.
 A single partition is wired to the executor directly, with no router:
 routing one partition's queries is the identity and costs 11-21 %
 throughput (docs/PERFORMANCE.md, "Why a single partition is not routed").
@@ -38,6 +39,7 @@ from repro.model.microblog import Microblog
 from repro.obs import Counter, Gauge, Instrumentation, catalog
 from repro.obs.runtime import get_active
 from repro.storage.disk import DiskArchive
+from repro.storage.posting_list import Posting
 
 __all__ = ["MicroblogSystem", "Partition"]
 
@@ -214,8 +216,13 @@ class MicroblogSystem:
             # the record body is replicated to each.
             groups = self.router.group_by_shard(keys)
             owners = [(self.partitions[i], groups[i]) for i in sorted(groups)]
-        for partition, owned in owners:
-            partition.engine.insert(record, owned)
+        if owners:
+            # Scored once: every owner indexes this same posting.
+            posting = Posting(
+                self.ranking.score(record), record.timestamp, record.blog_id
+            )
+            for partition, owned in owners:
+                partition.engine.insert(record, owned, posting)
         ingest.insert_seconds += time.perf_counter() - start
         if not owners:
             ingest.skipped += 1
@@ -419,10 +426,12 @@ class MicroblogSystem:
 
     def check_integrity(self) -> None:
         """Assert the system's internal invariants: every partition's
-        engine invariants plus, when routed, the partitioning invariant —
-        every key a partition holds is owned by it under the router."""
+        engine and disk-index invariants plus, when routed, the
+        partitioning invariant — every key a partition holds is owned by
+        it under the router."""
         for partition in self.partitions:
             partition.engine.check_integrity()
+            partition.disk.check_integrity()
             owned = partition.engine.frequency_snapshot() if self.router else ()
             for key in owned:
                 owner = self.router.shard_of(key)

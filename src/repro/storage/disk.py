@@ -13,11 +13,15 @@ one seek plus the record read.  The accumulated simulated seconds are the
 archive's ``simulated_io_seconds``; the operation counters are the
 ``disk.*`` metrics of the catalog, bound at construction.
 
-Index layout (PR 4): the attribute index is log-structured.  Each key
-holds a :class:`_PostingRuns` — a set of sorted *runs* appended O(1) per
-flush batch (flush batches arrive rank-ordered from the posting lists),
-lazily k-way-merged on read, and size-tiered-compacted when the run count
-exceeds ``max_runs_per_key``.  Every lookup pays its seek, including
+Index layout: the attribute index is log-structured.  Each key holds a
+:class:`_PostingRuns` — a few sorted *runs* and a posting count, nothing
+else per posting.  Flush batches arrive rank-ordered from the posting
+lists and are appended O(batch) per flush; reads take the best postings
+off the run tails (a slice of one run, or a heap merge of several), and
+the runs are size-tiered-compacted when their count exceeds
+``max_runs_per_key``.  Re-flush dedup reads the runs themselves: a sort
+key embeds its blog id, so a batch ranked above every stored posting
+needs no search at all.  Every lookup pays its seek, including
 one on a key the archive has never indexed: there is no read cache and
 no lookup elision (docs/PERFORMANCE.md, "Why there is no adaptive
 controller or disk cache").
@@ -25,9 +29,11 @@ controller or disk cache").
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import merge as _heap_merge
 from itertools import islice
+from operator import lt
 from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from repro.model.microblog import Microblog
@@ -64,56 +70,73 @@ class _ShardTee(NamedTuple):
         self.shard.inc(amount)
 
 
+def _holds(run: list[Posting], posting: Posting) -> bool:
+    """Whether the ascending ``run`` stores ``posting``."""
+    i = bisect_left(run, posting)
+    return i < len(run) and run[i] == posting
+
+
 class _PostingRuns:
-    """Per-key log-structured posting storage: sorted runs + id set.
+    """Per-key log-structured posting storage: sorted runs and a count.
 
     Each run is ascending by sort key (best posting at the end — the same
-    orientation as the in-memory :class:`PostingList`).  Blog ids are
-    unique across all runs (``commit_flush`` dedups against ``ids``), and
-    a posting's sort key embeds its blog id, so every sort key appears in
-    exactly one run and the merged best-first order is independent of the
-    order runs are stored in — compaction may regroup them freely.
+    orientation as the in-memory :class:`PostingList`).  A posting's sort
+    key embeds its blog id and a record has exactly one sort key, so no
+    sort key — and no blog id — appears twice across the runs; the merged
+    best-first order is then independent of the order runs are stored in,
+    and compaction may regroup them freely.
+
+    The runs are the only per-posting storage: re-flush dedup reads them
+    instead of a per-key id set, which cost about six times the run slot
+    that stores a posting (docs/PERFORMANCE.md, "Why the disk index keeps
+    no id set, and is not packed columns").
     """
 
-    __slots__ = ("runs", "ids")
+    __slots__ = ("runs", "count")
 
     def __init__(self) -> None:
         self.runs: list[list[Posting]] = []
-        self.ids: set[int] = set()
+        #: Postings held, the sum of the run lengths.
+        self.count = 0
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return self.count
 
     def append_batch(self, postings: Sequence[Posting]) -> int:
         """Append one flush batch; returns the count of fresh postings.
 
-        Postings whose blog id is already indexed under this key are
-        dropped (idempotent re-flush).  The batch lands as one new run —
+        Postings already stored under this key, and repeats inside the
+        batch, are dropped (idempotent re-flush).  A batch whose lowest
+        posting ranks above every run tail — every batch under temporal
+        ranking — cannot repeat a stored posting and is not searched;
+        any other batch bisects each run whose tail reaches its lowest
+        posting.  The batch lands as one new run,
         or extends the newest run in place when it ranks entirely above
-        it — so the per-batch cost is O(batch), not O(list).
+        it, so the per-batch cost is O(batch), not O(list).
         """
-        ids = self.ids
-        fresh = []
-        for p in postings:
-            # Membership check against ids as we go also drops duplicate
-            # blog ids *within* one batch.
-            if p.blog_id not in ids:
-                ids.add(p.blog_id)
-                fresh.append(p)
-        if not fresh:
-            return 0
         # Flush batches come off ascending posting lists and normally
-        # arrive already sorted; fall back to sorting when they don't.
-        for i in range(len(fresh) - 1):
-            if fresh[i] > fresh[i + 1]:
-                fresh.sort()
-                break
-        runs = self.runs
-        if runs and fresh[0] > runs[-1][-1]:
-            runs[-1].extend(fresh)
+        # arrive strictly ascending; otherwise drop the repeats and sort.
+        if all(map(lt, postings, islice(postings, 1, None))):
+            batch = list(postings)
         else:
-            runs.append(fresh)
-        return len(fresh)
+            batch = sorted(set(postings))
+        if not batch:
+            return 0
+        runs = self.runs
+        lowest = batch[0]
+        overlapping = [run for run in runs if run[-1] >= lowest]
+        if overlapping:
+            batch = [
+                p for p in batch if not any(_holds(run, p) for run in overlapping)
+            ]
+            if not batch:
+                return 0
+        if runs and batch[0] > runs[-1][-1]:
+            runs[-1].extend(batch)
+        else:
+            runs.append(batch)
+        self.count += len(batch)
+        return len(batch)
 
     def compact(self, target: int) -> int:
         """Merge the smallest runs until at most ``target`` remain.
@@ -237,7 +260,9 @@ class DiskArchive:
         Idempotent per ``(key, blog_id)``: a posting trimmed in one flush
         and re-flushed later (e.g. alongside its record body) is written
         once — re-commits neither inflate ``posting_count`` nor widen the
-        merge inputs of later lookups.
+        merge inputs of later lookups.  A record has one sort key, so the
+        runs dedup by sort key; :meth:`check_integrity` asserts the
+        result.
         """
         nbytes = 0
         nrecords = 0
@@ -279,6 +304,29 @@ class DiskArchive:
             entry.compact(max(1, self._max_runs // 2))
             self._compactions.inc()
         return fresh
+
+    def check_integrity(self) -> None:
+        """Assert the index invariants: per key, every run is strictly
+        ascending, no blog id appears twice within or across its runs,
+        the posting count is the sum of the run lengths, and there are
+        between 1 and ``max_runs_per_key`` runs."""
+        for key, entry in self._index.items():
+            runs = entry.runs
+            assert 0 < len(runs) <= self._max_runs, (
+                f"key {key!r} holds {len(runs)} runs, bound {self._max_runs}"
+            )
+            ids: set[int] = set()
+            total = 0
+            for run in runs:
+                assert all(map(lt, run, islice(run, 1, None))), (
+                    f"a run of key {key!r} is not strictly ascending"
+                )
+                ids.update(p.blog_id for p in run)
+                total += len(run)
+            assert len(ids) == total, f"key {key!r} repeats a blog id"
+            assert entry.count == total, (
+                f"key {key!r} counts {entry.count} postings, runs hold {total}"
+            )
 
     # ------------------------------------------------------------------
     # Reads (called by the query executor on a memory miss)

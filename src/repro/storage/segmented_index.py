@@ -49,13 +49,15 @@ class Segment:
     def __len__(self) -> int:
         return len(self.records)
 
-    def insert(self, record: Microblog, keys: tuple[Hashable, ...], score: float) -> None:
-        """Add ``record`` posted under ``keys`` to this segment."""
+    def insert(
+        self, record: Microblog, keys: tuple[Hashable, ...], posting: Posting
+    ) -> None:
+        """Add ``record`` posted under ``keys`` as ``posting`` to this
+        segment."""
         if record.blog_id in self.records:
             raise DuplicateRecordError(record.blog_id)
         self.records[record.blog_id] = record
         self._bytes += self._model.record_bytes(record)
-        posting = Posting(score, record.timestamp, record.blog_id)
         for key in keys:
             entry = self.entries.get(key)
             if entry is None:
@@ -178,14 +180,16 @@ class SegmentedIndex:
     # Mutation
     # ------------------------------------------------------------------
 
-    def insert(self, record: Microblog, keys: tuple[Hashable, ...], score: float) -> None:
+    def insert(
+        self, record: Microblog, keys: tuple[Hashable, ...], posting: Posting
+    ) -> None:
         """Insert into the open (newest) segment, sealing it when full."""
         current = self._segments[-1]
         if current.bytes_used >= self._segment_capacity:
             current.seal(record.timestamp)
             current = self._new_segment(record.timestamp)
             self._segments.append(current)
-        current.insert(record, keys, score)
+        current.insert(record, keys, posting)
 
     def pop_oldest(self) -> Segment:
         """Evict and return the oldest segment, raising the flushed floor.

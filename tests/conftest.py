@@ -13,6 +13,7 @@ from repro.model.microblog import GeoPoint, Microblog
 from repro.model.ranking import TemporalRanking
 from repro.storage.disk import DiskArchive
 from repro.storage.memory_model import MemoryModel
+from repro.storage.posting_list import Posting
 
 _id_counter = itertools.count(1)
 
@@ -54,9 +55,13 @@ def make_blogs(count, keywords=("alpha",), start_id=None, **kwargs):
 
 def insert(engine, *records):
     """Digest ``records`` into a bare engine as the facade does: each
-    under every key the engine's attribute extracts from it."""
+    under every key the engine's attribute extracts from it, as one
+    posting scored by the engine's ranking."""
     for record in records:
-        engine.insert(record, engine.attribute.keys(record))
+        posting = Posting(
+            engine.ranking.score(record), record.timestamp, record.blog_id
+        )
+        engine.insert(record, engine.attribute.keys(record), posting)
 
 
 def disk_counter(disk, name):

@@ -1,11 +1,14 @@
 """Unit tests for the simulated disk archive and its I/O accounting."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.storage.disk import DiskArchive, DiskCostModel
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import Posting
-from tests.conftest import disk_counter, make_blog
+from tests.conftest import disk_counter, make_blog, make_blogs, tiny_system
 
 
 def posting(i):
@@ -132,6 +135,124 @@ class TestPostingIdempotency:
         disk.commit_flush([], {"a": [posting(1), posting(2)]})
         assert disk.posting_count("a") == 2
         assert [p.blog_id for p in disk.lookup("a")] == [2, 1]
+
+
+class TestDedupFallback:
+    """A batch that does not rank above every stored posting is checked
+    against the runs themselves; these are the cases that take that path."""
+
+    def test_reflush_into_a_non_newest_run(self, disk):
+        disk.commit_flush([], {"a": [posting(5), posting(6)]})
+        # Out of order: opens a second run, which becomes the newest.
+        disk.commit_flush([], {"a": [posting(1), posting(2)]})
+        assert disk.run_count("a") == 2
+        written = disk.commit_flush([], {"a": [posting(5)]})
+        assert written == 0
+        disk.commit_flush([], {"a": [posting(3), posting(6)]})
+        assert disk.posting_count("a") == 5
+        assert [p.blog_id for p in disk.lookup("a")] == [6, 5, 3, 2, 1]
+        assert disk_counter(disk, "postings_written") == 5
+        disk.check_integrity()
+
+    def test_unsorted_batch_repeating_a_posting(self, disk):
+        disk.commit_flush([], {"a": [posting(4), posting(1), posting(4), posting(2)]})
+        assert disk.posting_count("a") == 3
+        assert disk.run_count("a") == 1
+        assert [p.blog_id for p in disk.lookup("a")] == [4, 2, 1]
+        assert disk_counter(disk, "postings_written") == 3
+        disk.check_integrity()
+
+    def test_repeat_across_a_compaction(self, model):
+        disk = DiskArchive(model, max_runs_per_key=2)
+        # Descending batches: each opens a run; the third compacts.
+        for i in (10, 9, 8):
+            disk.commit_flush([], {"a": [posting(i)]})
+        assert disk_counter(disk, "compactions") == 1
+        assert disk.run_count("a") == 1
+        assert disk.commit_flush([], {"a": [posting(9), posting(8)]}) == 0
+        disk.commit_flush([], {"a": [posting(7), posting(10)]})
+        assert disk.posting_count("a") == 4
+        assert [p.blog_id for p in disk.lookup("a")] == [10, 9, 8, 7]
+        disk.check_integrity()
+
+
+class TestCheckIntegrity:
+    def test_clean_archive_passes(self, disk):
+        disk.commit_flush([], {"a": [posting(2), posting(6)], "b": [posting(1)]})
+        disk.commit_flush([], {"a": [posting(1), posting(4)]})
+        disk.check_integrity()
+
+    def test_injected_duplicate_raises(self, disk):
+        disk.commit_flush([], {"a": [posting(1), posting(2)]})
+        entry = disk._index["a"]
+        entry.runs.append([posting(2)])
+        entry.count += 1
+        with pytest.raises(AssertionError, match="repeats a blog id"):
+            disk.check_integrity()
+
+    def test_unsorted_run_raises(self, disk):
+        disk.commit_flush([], {"a": [posting(1), posting(2)]})
+        disk._index["a"].runs[0].reverse()
+        with pytest.raises(AssertionError, match="not strictly ascending"):
+            disk.check_integrity()
+
+    def test_wrong_count_raises(self, disk):
+        disk.commit_flush([], {"a": [posting(1), posting(2)]})
+        disk._index["a"].count = 3
+        with pytest.raises(AssertionError, match="counts 3 postings"):
+            disk.check_integrity()
+
+    def test_too_many_runs_raises(self, model):
+        disk = DiskArchive(model, max_runs_per_key=2)
+        disk.commit_flush([], {"a": [posting(5)]})
+        disk._index["a"].runs.extend([[posting(3)], [posting(1)]])
+        disk._index["a"].count = 3
+        with pytest.raises(AssertionError, match="3 runs, bound 2"):
+            disk.check_integrity()
+
+    def test_system_checks_every_partition_archive(self):
+        system = tiny_system(shards=2)
+        system.ingest_many(make_blogs(400, keywords=("a", "b", "c")))
+        assert any(p.disk.key_count for p in system.partitions)
+        system.check_integrity()
+        partition = next(p for p in system.partitions if p.disk.key_count)
+        key, entry = next(iter(partition.disk._index.items()))
+        entry.runs.append([entry.runs[0][0]])
+        entry.count += 1
+        with pytest.raises(AssertionError, match="repeats a blog id"):
+            system.check_integrity()
+
+
+def test_heap_cost_per_posting():
+    """The index holds nothing per posting but its run slot: committing
+    50 000 pre-built postings (50 keys x 40 rank-ordered batches) grows
+    the traced heap by at most 16 B each.  A per-key id set costs about
+    five times that."""
+    keys, batches, per_batch = 50, 40, 25
+    commits = [
+        {
+            f"k{key}": [
+                posting(1_000_000 * key + batch * per_batch + i)
+                for i in range(per_batch)
+            ]
+            for key in range(keys)
+        }
+        for batch in range(batches)
+    ]
+    disk = DiskArchive(MemoryModel())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for by_key in commits:
+            disk.commit_flush([], by_key)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    total = keys * batches * per_batch
+    assert sum(disk.posting_count(f"k{key}") for key in range(keys)) == total
+    assert all(disk.run_count(f"k{key}") == 1 for key in range(keys))
+    assert grown / total <= 16, f"{grown / total:.1f} B per posting"
 
 
 class TestSegmentedRuns:

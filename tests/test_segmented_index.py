@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import DuplicateRecordError
 from repro.storage.memory_model import MemoryModel
-from repro.storage.posting_list import MIN_SORT_KEY
+from repro.storage.posting_list import MIN_SORT_KEY, Posting
 from repro.storage.segmented_index import SegmentedIndex
 from tests.conftest import make_blog
 
@@ -19,7 +19,7 @@ def build(model, capacity=2_000):
 
 
 def insert_blog(index, blog):
-    index.insert(blog, blog.keywords, score=blog.timestamp)
+    index.insert(blog, blog.keywords, Posting(blog.timestamp, blog.timestamp, blog.blog_id))
 
 
 class TestSegments:
