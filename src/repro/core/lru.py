@@ -77,8 +77,9 @@ class LRUEngine(IndexedEngine):
 
     def _evict_record(self, blog_id: int, report: FlushReport, now: float) -> int:
         """Remove one record from the raw store and all of its entries."""
-        record = self.raw.remove(blog_id)
-        freed = self.model.record_bytes(record)
+        record, freed = self.raw.remove(blog_id)
+        self.buffer.stage(None, [], (record,), (freed,))
+        report.records_flushed += 1
         for key in self.attribute.keys(record):
             entry = self.index.get(key)
             if entry is None:
@@ -87,7 +88,7 @@ class LRUEngine(IndexedEngine):
             if posting is None:
                 continue
             freed += self.index.charge_removed_postings(1, key, entry=entry)
-            self.buffer.add_posting(key, posting)
+            self.buffer.stage(key, [posting], (), ())
             report.postings_flushed += 1
             if len(entry) == 0:
                 if entry.floor > self.global_floor:
@@ -99,8 +100,6 @@ class LRUEngine(IndexedEngine):
             else:
                 # The entry survives with a hole punched in it.
                 self.note_eviction(key, CAUSE_TRIMMED_TOPK, now, 1)
-        self.buffer.add_record(record)
-        report.records_flushed += 1
         return freed
 
     # ------------------------------------------------------------------

@@ -25,6 +25,15 @@ index's dict order.  A wholesale eviction raises the engine's
 ``global_floor`` to the best posting it evicted at that moment, so a
 re-created entry never claims completeness over flushed history — even
 when the disk commit that follows fails.
+
+Every phase evicts an entry at a time, through one function
+(:func:`_evict`): a Phase 1 trim, an MK Phase 2 drain or a whole victim
+entry is charged to the index once, noted in the eviction ledger once,
+releases its records from the raw store in one call and is staged in
+the flush buffer in one call, each freed record at the bytes memoized
+when it was inserted.  This is the paper's per-entry (not per-item)
+bookkeeping carried down to the flush buffer; nothing on the flush path
+prices a record again after its insert.
 """
 
 from __future__ import annotations
@@ -55,24 +64,49 @@ PHASES = (PHASE_REGULAR, PHASE_AGGRESSIVE, PHASE_FORCED)
 #: The victim orders of Phases 2 and 3.
 _LAST_ARRIVAL = attrgetter("last_arrival")
 _LAST_QUERY = attrgetter("last_query")
+_BLOG_ID = attrgetter("blog_id")
 
 
-def _evict_posting(
+def _evict(
     engine: "KFlushingEngine",
     report: FlushReport,
-    key: Hashable,
-    posting: Posting,
+    cause: str,
+    entry: PostingList,
+    removed: Optional[list[Posting]] = None,
 ) -> int:
-    """Move one trimmed posting (and its record, if now unreferenced) to
-    the flush buffer; returns bytes freed from memory."""
-    engine.buffer.add_posting(key, posting)
-    report.postings_flushed += 1
-    freed = engine.model.posting_bytes
-    record = engine.raw.decref(posting.blog_id)
-    if record is not None:
-        engine.buffer.add_record(record)
-        report.records_flushed += 1
-        freed += engine.model.record_bytes(record)
+    """Evict one entry's postings in one step; returns bytes freed.
+
+    ``removed`` are the postings a Phase 1 trim or an MK Phase 2 drain
+    cut from ``entry``; None evicts the whole entry.  The index is
+    charged once, the eviction ledger notes ``cause`` once, the raw store
+    releases the postings' records in one call, and the postings and
+    every record they freed (at its memoized bytes) are staged together.
+    An entry left empty leaves the index.  A Phase 2/3 eviction raises
+    the engine's global floor to the best posting it evicted.
+    """
+    index = engine.index
+    key = entry.key
+    if removed is None:
+        index.remove_entry(key)  # charges the entry and all of its postings
+        removed = entry.drain()
+    else:
+        index.charge_removed_postings(len(removed), key, entry=entry)
+        if len(entry) == 0:
+            index.remove_entry(key)
+    freed = engine.model.posting_bytes * len(removed)
+    if len(entry) == 0:
+        freed += engine.model.entry_overhead
+        report.entries_flushed += 1
+    if removed:
+        engine.note_eviction(key, cause, report.triggered_at, len(removed))
+        records, costs = engine.raw.release(map(_BLOG_ID, removed))
+        engine.buffer.stage(key, removed, records, costs)
+        report.postings_flushed += len(removed)
+        report.records_flushed += len(records)
+        freed += sum(costs)
+        # Removed postings keep the entry's ascending sort-key order.
+        if cause != PHASE_REGULAR and removed[-1].sort_key > engine.global_floor:
+            engine.global_floor = removed[-1].sort_key
     return freed
 
 
@@ -107,13 +141,8 @@ def run_phase1(engine: "KFlushingEngine", report: FlushReport) -> None:
                 )
             else:
                 removed = entry.trim_beyond(k)
-            engine.index.charge_removed_postings(len(removed), key, entry=entry)
             if removed:
-                engine.note_eviction(
-                    key, PHASE_REGULAR, report.triggered_at, len(removed)
-                )
-                for posting in removed:
-                    freed += _evict_posting(engine, report, key, posting)
+                freed += _evict(engine, report, PHASE_REGULAR, entry, removed)
             if len(entry) <= k:
                 engine.index.clear_overflow(key)
         # The paper wipes L after Phase 1 completes.  Under MK, entries whose
@@ -123,47 +152,6 @@ def run_phase1(engine: "KFlushingEngine", report: FlushReport) -> None:
         if not engine.mk_enabled:
             engine.index.wipe_overflow()
     _note_phase(engine, report, PHASE_REGULAR, freed)
-
-
-def _flush_entry(
-    engine: "KFlushingEngine",
-    report: FlushReport,
-    key: Hashable,
-    cause: str,
-    k_filled_ids: Optional[dict[Hashable, frozenset[int]]] = None,
-) -> int:
-    """Evict (most of) one entry; returns bytes freed.
-
-    With ``k_filled_ids`` (MK Phase 2's probe memo), postings whose record
-    also exists in a k-filled entry stay behind and the entry survives,
-    shrunken; otherwise the entry is removed wholesale.  ``cause`` is the
-    phase recorded in the eviction ledger.  The engine's global floor
-    rises to the best posting evicted here.
-    """
-    entry = engine.index.get(key)
-    if entry is None:
-        return 0
-    if k_filled_ids is not None:
-        removed = entry.drain_if(
-            keep=lambda p: engine.exists_in_k_filled(p.blog_id, key, k_filled_ids)
-        )
-    else:
-        removed = entry.drain()
-    engine.index.charge_removed_postings(len(removed), key, entry=entry)
-    if removed:
-        engine.note_eviction(key, cause, report.triggered_at, len(removed))
-    freed = 0
-    floor = engine.global_floor
-    for posting in removed:
-        freed += _evict_posting(engine, report, key, posting)
-        if posting.sort_key > floor:
-            floor = posting.sort_key
-    engine.global_floor = floor
-    if len(entry) == 0:
-        engine.index.remove_entry(key)
-        freed += engine.model.entry_overhead
-        report.entries_flushed += 1
-    return freed
 
 
 def _mean_record_share(engine: "KFlushingEngine") -> float:
@@ -250,9 +238,14 @@ def run_phase2(engine: "KFlushingEngine", report: FlushReport) -> None:
         k_filled_ids = {} if engine.mk_enabled else None
         freed = 0
         for entry in victims:
-            freed += _flush_entry(
-                engine, report, entry.key, PHASE_AGGRESSIVE, k_filled_ids
-            )
+            removed = None
+            if k_filled_ids is not None:
+                removed = entry.drain_if(
+                    keep=lambda p, _key=entry.key: engine.exists_in_k_filled(
+                        p.blog_id, _key, k_filled_ids
+                    )
+                )
+            freed += _evict(engine, report, PHASE_AGGRESSIVE, entry, removed)
     _note_phase(engine, report, PHASE_AGGRESSIVE, freed)
 
 
@@ -281,7 +274,7 @@ def run_phase3(engine: "KFlushingEngine", report: FlushReport) -> None:
                 break
             round_freed = 0
             for entry in victims:
-                round_freed += _flush_entry(engine, report, entry.key, PHASE_FORCED)
+                round_freed += _evict(engine, report, PHASE_FORCED, entry)
             freed += round_freed
             if round_freed == 0:
                 # Every remaining victim was already empty; nothing more to do.

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from heapq import merge as _heap_merge
 from itertools import islice
 from operator import lt
-from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
+from typing import Collection, Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from repro.model.microblog import Microblog
 from repro.obs import Counter, Instrumentation, catalog
@@ -116,25 +116,28 @@ class _PostingRuns:
         """
         # Flush batches come off ascending posting lists and normally
         # arrive strictly ascending; otherwise drop the repeats and sort.
-        if all(map(lt, postings, islice(postings, 1, None))):
+        if len(postings) < 2 or all(map(lt, postings, islice(postings, 1, None))):
             batch = list(postings)
         else:
             batch = sorted(set(postings))
         if not batch:
             return 0
         runs = self.runs
-        lowest = batch[0]
-        overlapping = [run for run in runs if run[-1] >= lowest]
-        if overlapping:
-            batch = [
-                p for p in batch if not any(_holds(run, p) for run in overlapping)
-            ]
-            if not batch:
-                return 0
-        if runs and batch[0] > runs[-1][-1]:
-            runs[-1].extend(batch)
-        else:
+        if not runs:
             runs.append(batch)
+        else:
+            lowest = batch[0]
+            overlapping = [run for run in runs if run[-1] >= lowest]
+            if overlapping:
+                batch = [
+                    p for p in batch if not any(_holds(run, p) for run in overlapping)
+                ]
+                if not batch:
+                    return 0
+            if batch[0] > runs[-1][-1]:
+                runs[-1].extend(batch)
+            else:
+                runs.append(batch)
         self.count += len(batch)
         return len(batch)
 
@@ -252,10 +255,15 @@ class DiskArchive:
 
     def commit_flush(
         self,
-        records: Iterable[Microblog],
+        records: Collection[Microblog],
         postings_by_key: dict[Hashable, list[Posting]],
+        record_costs: Optional[Iterable[int]] = None,
     ) -> int:
         """Persist one flush batch; returns modelled bytes written.
+
+        ``record_costs`` are the bytes charged for each record when it
+        entered memory, in ``records`` order (the flush buffer stages
+        them); without them each record is priced by the model.
 
         Idempotent per ``(key, blog_id)``: a posting trimmed in one flush
         and re-flushed later (e.g. alongside its record body) is written
@@ -264,46 +272,37 @@ class DiskArchive:
         runs dedup by sort key; :meth:`check_integrity` asserts the
         result.
         """
-        nbytes = 0
-        nrecords = 0
-        for record in records:
+        if record_costs is None:
+            record_costs = map(self._model.record_bytes, records)
+        nbytes = nrecords = npostings = 0
+        for record, cost in zip(records, record_costs):
             # Re-flushing the same record id is idempotent (can happen when
             # a record's postings were flushed from several keys and the
             # record itself follows later).
             if record.blog_id not in self._records:
                 self._records[record.blog_id] = record
-                nbytes += self._model.record_bytes(record)
+                nbytes += cost
                 nrecords += 1
-        npostings = 0
         for key, postings in postings_by_key.items():
-            if not postings:
-                continue
-            fresh = self._commit_key(key, postings)
-            if not fresh:
-                continue
+            entry = self._index.get(key)
+            if entry is None:
+                entry = _PostingRuns()
+                fresh = entry.append_batch(postings)
+                if fresh:
+                    self._index[key] = entry
+            else:
+                fresh = entry.append_batch(postings)
+                if len(entry.runs) > self._max_runs:
+                    entry.compact(max(1, self._max_runs // 2))
+                    self._compactions.inc()
             npostings += fresh
-            nbytes += self._model.postings_bytes(fresh)
+        nbytes += self._model.postings_bytes(npostings)
         self.simulated_io_seconds += self._cost.write_cost(nbytes)
         self._flush_batches.inc()
         self._records_written.inc(nrecords)
         self._postings_written.inc(npostings)
         self._bytes_written.inc(nbytes)
         return nbytes
-
-    def _commit_key(self, key: Hashable, postings: list[Posting]) -> int:
-        """O(1) batch append plus occasional compaction."""
-        entry = self._index.get(key)
-        if entry is None:
-            entry = _PostingRuns()
-            fresh = entry.append_batch(postings)
-            if fresh:
-                self._index[key] = entry
-            return fresh
-        fresh = entry.append_batch(postings)
-        if len(entry.runs) > self._max_runs:
-            entry.compact(max(1, self._max_runs // 2))
-            self._compactions.inc()
-        return fresh
 
     def check_integrity(self) -> None:
         """Assert the index invariants: per key, every run is strictly

@@ -3,7 +3,8 @@
 "All flushed data are collected in a temporary main-memory buffer before
 writing them to disk.  This is mainly to reduce the number of I/O
 operations." (Section III-A.)  The buffer accumulates evicted records and
-postings during one flush operation and commits them to the
+postings during one flush operation — one :meth:`FlushBuffer.stage` call
+per evicted entry or trim — and commits them to the
 :class:`~repro.storage.disk.DiskArchive` in a single batch.  It also tracks
 its peak size — the paper reports the ~2 GB temporary buffer kFlushing
 needs — which feeds the Figure 10(a) overhead measurement.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import statistics
 from collections import deque
-from typing import Hashable
+from typing import Hashable, Sequence
 
 from repro.model.microblog import Microblog
 from repro.storage.disk import DiskArchive
@@ -30,6 +31,8 @@ class FlushBuffer:
         self._model = model
         self._disk = disk
         self._records: list[Microblog] = []
+        #: The bytes memoized for each staged record, in the same order.
+        self._costs: list[int] = []
         self._postings: dict[Hashable, list[Posting]] = {}
         self._bytes = 0
         #: Largest modelled size the buffer ever reached.
@@ -44,17 +47,27 @@ class FlushBuffer:
     def is_empty(self) -> bool:
         return not self._records and not self._postings
 
-    def add_record(self, record: Microblog) -> None:
-        """Stage a record whose reference count reached zero."""
-        self._records.append(record)
-        self._bytes += self._model.record_bytes(record)
-        self.peak_bytes = max(self.peak_bytes, self._bytes)
+    def stage(
+        self, key: Hashable, postings: list[Posting],
+        records: Sequence[Microblog], costs: Sequence[int],
+    ) -> None:
+        """Stage one eviction: ``postings`` cut from ``key``'s entry, and
+        the ``records`` they released with the bytes memoized for each.
 
-    def add_posting(self, key: Hashable, posting: Posting) -> None:
-        """Stage one trimmed posting under ``key``."""
-        self._postings.setdefault(key, []).append(posting)
-        self._bytes += self._model.posting_bytes
-        self.peak_bytes = max(self.peak_bytes, self._bytes)
+        The buffer keeps ``postings`` itself, not a copy, so the caller
+        hands it over (a drained or trimmed list nobody else holds).
+        """
+        if postings:
+            staged = self._postings.get(key)
+            if staged is None:
+                self._postings[key] = postings
+            else:
+                staged.extend(postings)
+        self._records.extend(records)
+        self._costs.extend(costs)
+        self._bytes += self._model.posting_bytes * len(postings) + sum(costs)
+        if self._bytes > self.peak_bytes:
+            self.peak_bytes = self._bytes
 
     @property
     def steady_peak_bytes(self) -> int:
@@ -74,8 +87,9 @@ class FlushBuffer:
         if self.is_empty:
             return 0
         self._recent_commit_bytes.append(self._bytes)
-        written = self._disk.commit_flush(self._records, self._postings)
+        written = self._disk.commit_flush(self._records, self._postings, self._costs)
         self._records = []
+        self._costs = []
         self._postings = {}
         self._bytes = 0
         return written

@@ -9,7 +9,7 @@ its ``pcount`` falls to zero.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import DuplicateRecordError, UnknownRecordError
 from repro.model.microblog import Microblog
@@ -90,41 +90,55 @@ class RawDataStore:
         return cost
 
     def decref(self, blog_id: int) -> Microblog | None:
-        """Drop one index reference from a record.
+        """Drop one index reference from a record: :meth:`release` of one
+        id.  Returns the record when that was its last reference (the
+        caller moves it to the flush buffer), else None."""
+        records, _costs = self.release((blog_id,))
+        return records[0] if records else None
 
-        When the count reaches zero the record is removed from the store
-        and returned (the caller moves it to the flush buffer, per the
-        paper: "whenever M.pcount reaches zero ... flushed to disk right
-        away").  Otherwise returns None and the record stays resident.
+    def release(self, blog_ids: Iterable[int]) -> tuple[list[Microblog], list[int]]:
+        """Drop one index reference from each record in ``blog_ids``.
+
+        Returns the records whose count reached zero, in the order their
+        last reference was dropped, and the bytes memoized for each at
+        insert.  Those records have left the store: per the paper,
+        "whenever M.pcount reaches zero ... flushed to disk right away".
+        An id that is not resident raises :class:`UnknownRecordError`
+        after the ids before it were released.
         """
-        try:
-            count = self._pcounts[blog_id]
-        except KeyError:
-            raise UnknownRecordError(blog_id) from None
-        if count <= 0:
-            raise ValueError(f"pcount underflow for blog_id={blog_id}")
-        count -= 1
-        if count > 0:
-            self._pcounts[blog_id] = count
-            return None
-        record = self._records.pop(blog_id)
-        del self._pcounts[blog_id]
-        self._bytes -= self._costs.pop(blog_id)
-        return record
+        pcounts, records, costs = self._pcounts, [], []
+        for blog_id in blog_ids:
+            try:
+                count = pcounts[blog_id]
+            except KeyError:
+                raise UnknownRecordError(blog_id) from None
+            if count > 1:
+                pcounts[blog_id] = count - 1
+                continue
+            if count != 1:
+                raise ValueError(f"pcount underflow for blog_id={blog_id}")
+            del pcounts[blog_id]
+            records.append(self._records.pop(blog_id))
+            cost = self._costs.pop(blog_id)
+            costs.append(cost)
+            self._bytes -= cost
+        return records, costs
 
-    def remove(self, blog_id: int) -> Microblog:
+    def remove(self, blog_id: int) -> tuple[Microblog, int]:
         """Forcibly remove a record regardless of its reference count.
 
         Used by per-item policies (LRU) that evict a record from all of its
-        entries at once.  Returns the removed record.
+        entries at once.  Returns the removed record and the bytes
+        memoized for it at insert.
         """
         try:
             record = self._records.pop(blog_id)
         except KeyError:
             raise UnknownRecordError(blog_id) from None
         del self._pcounts[blog_id]
-        self._bytes -= self._costs.pop(blog_id)
-        return record
+        cost = self._costs.pop(blog_id)
+        self._bytes -= cost
+        return record, cost
 
     def check_integrity(self) -> None:
         """Assert internal invariants (used by tests and debug builds).

@@ -14,8 +14,9 @@ Semantics:
   and a disk group — both carry identical sort keys, so this only
   matters for object identity);
 * the merged list is sorted best rank first by
-  :attr:`~repro.storage.posting_list.Posting.sort_key`; Python's sort is
-  stable, so equal keys keep group order;
+  :attr:`~repro.storage.posting_list.Posting.sort_key`, which is a
+  posting's own tuple order, so the sort compares postings directly;
+  Python's sort is stable, so equal keys keep group order;
 * ``k=None`` disables truncation (the segmented index's unbounded
   gather).
 """
@@ -47,7 +48,7 @@ def merge_topk(
             if posting.blog_id not in seen:
                 seen.add(posting.blog_id)
                 merged.append(posting)
-    merged.sort(key=lambda p: p.sort_key, reverse=True)
+    merged.sort(reverse=True)
     if k is not None:
         del merged[k:]
     return merged

@@ -60,7 +60,7 @@ def _check_against_reference(disk: DiskArchive, model: MemoryModel) -> dict:
     seen = {"lookups": 0, "io_seconds": 0.0}
     commit, lookup, fetch = disk.commit_flush, disk.lookup, disk.fetch_record
 
-    def commit_flush(new_records, postings_by_key):
+    def commit_flush(new_records, postings_by_key, record_costs=None):
         new_records = list(new_records)
         nbytes = 0
         for record in new_records:
@@ -73,7 +73,7 @@ def _check_against_reference(disk: DiskArchive, model: MemoryModel) -> dict:
                 by_id.setdefault(p.blog_id, p)
             nbytes += model.postings_bytes(len(by_id) - before)
         seen["io_seconds"] += cost.write_cost(nbytes)
-        return commit(new_records, postings_by_key)
+        return commit(new_records, postings_by_key, record_costs)
 
     def checked_lookup(key, limit=None):
         result = lookup(key, limit)

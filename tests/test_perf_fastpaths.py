@@ -7,6 +7,10 @@ tests are the proof obligations:
   any interleaving of inserts, trims, evictions, and ``set_k``;
 * a trial whose MK probes are brute-force definitions must be identical
   to one whose probes read the per-phase memos;
+* entry-at-a-time eviction (one index charge, one ledger note, one
+  record release and one staging call per entry, at memoized record
+  costs) must leave every report, floor, store, archive and buffer peak
+  exactly where the per-posting reference leaves them;
 * every posting store has one read, ``top(n)``: an uncapped lookup equals
   the lookup capped at the posting count, best first;
 * the process-parallel runner must return exactly what the serial loop
@@ -18,14 +22,22 @@ from collections import Counter
 
 import pytest
 
-from repro.core import create_engine
+from repro.config import SystemConfig
+from repro.core import create_engine, phases
+from repro.core.eviction_ledger import CAUSE_TRIMMED_TOPK, CAUSE_WHOLE_KEY_LRU
 from repro.core.kflushing import KFlushingEngine
+from repro.core.lru import LRUEngine
+from repro.engine.sharded import build_system
 from repro.experiments.parallel import resolve_jobs, run_trials
 from repro.experiments.runner import TrialSpec, run_digestion_stress, run_trial
+from repro.obs import Instrumentation
 from repro.storage.disk import DiskArchive
+from repro.storage.flush_buffer import FlushBuffer
 from repro.storage.inverted_index import HashInvertedIndex
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import Posting, PostingList
+from repro.workload.queryload import QueryLoad, QueryLoadConfig
+from repro.workload.stream import MicroblogStream, StreamConfig
 from tests.conftest import engine_kwargs, insert, make_blog
 from tests.test_experiments import MICRO
 
@@ -225,6 +237,166 @@ class TestMKProbeReference:
         assert memoized.memory_utilization == brute.memory_utilization
         assert memoized.mean_flush_freed_fraction == brute.mean_flush_freed_fraction
         assert memoized.policy_overhead_bytes == brute.policy_overhead_bytes
+
+
+def _per_posting_evict(engine, report, cause, entry, removed=None):
+    """The kFlushing eviction by its definition, one posting at a time:
+    each posting is staged on its own, drops one reference, and a record
+    whose count reaches zero is staged at its bytes priced again by the
+    model.  The floor rises posting by posting in Phases 2 and 3."""
+    key = entry.key
+    if removed is None:
+        removed = entry.drain()
+    engine.index.charge_removed_postings(len(removed), key, entry=entry)
+    if removed:
+        engine.note_eviction(key, cause, report.triggered_at, len(removed))
+    freed = 0
+    for posting in removed:
+        engine.buffer.stage(key, [posting], (), ())
+        report.postings_flushed += 1
+        freed += engine.model.posting_bytes
+        record = engine.raw.decref(posting.blog_id)
+        if record is not None:
+            cost = engine.model.record_bytes(record)
+            engine.buffer.stage(key, [], (record,), (cost,))
+            report.records_flushed += 1
+            freed += cost
+        if cause != phases.PHASE_REGULAR and posting.sort_key > engine.global_floor:
+            engine.global_floor = posting.sort_key
+    if len(entry) == 0:
+        engine.index.remove_entry(key)
+        freed += engine.model.entry_overhead
+        report.entries_flushed += 1
+    return freed
+
+
+def _per_item_evict_record(engine, blog_id, report, now):
+    """LRU's record eviction with the record priced again by the model."""
+    record = engine.raw.get(blog_id)
+    engine.raw.remove(blog_id)
+    freed = engine.model.record_bytes(record)
+    for key in engine.attribute.keys(record):
+        entry = engine.index.get(key)
+        posting = None if entry is None else entry.remove_id(blog_id)
+        if posting is None:
+            continue
+        freed += engine.index.charge_removed_postings(1, key, entry=entry)
+        engine.buffer.stage(key, [posting], (), ())
+        report.postings_flushed += 1
+        cause = CAUSE_TRIMMED_TOPK
+        if len(entry) == 0:
+            engine.global_floor = max(engine.global_floor, entry.floor)
+            engine.index.remove_entry(key)
+            freed += engine.model.entry_overhead
+            report.entries_flushed += 1
+            cause = CAUSE_WHOLE_KEY_LRU
+        engine.note_eviction(key, cause, now, 1)
+    engine.buffer.stage(None, [], (record,), (engine.model.record_bytes(record),))
+    report.records_flushed += 1
+    return freed
+
+
+def _per_item_stage(buffer, key, postings, records, costs):
+    """Staging one item at a time, the peak taken after each."""
+    for posting in postings:
+        buffer._postings.setdefault(key, []).append(posting)
+        buffer._bytes += buffer._model.posting_bytes
+        buffer.peak_bytes = max(buffer.peak_bytes, buffer._bytes)
+    for record, cost in zip(records, costs):
+        buffer._records.append(record)
+        buffer._costs.append(cost)
+        buffer._bytes += cost
+        buffer.peak_bytes = max(buffer.peak_bytes, buffer._bytes)
+
+
+def _ingest_state(policy: str, shards: int) -> tuple:
+    """Everything a seeded ingest (with queries between records) leaves
+    behind that eviction can touch."""
+    system = build_system(
+        SystemConfig(
+            policy=policy, k=5, memory_capacity_bytes=120_000, shards=shards,
+            and_scan_depth=50, and_disk_limit=50,
+        ),
+        obs=Instrumentation(attribution=True),
+    )
+    stream = MicroblogStream(
+        StreamConfig(seed=21, vocabulary_size=1500, with_locations=False)
+    )
+    load = QueryLoad(QueryLoadConfig(seed=22, mode="correlated", k=5), stream)
+    for i, record in enumerate(stream.take(6000)):
+        system.ingest(record)
+        if i % 3 == 0:
+            system.search(load.next_query())
+    system.check_integrity()
+    reports = [
+        {name: value for name, value in vars(r).items() if name != "wall_seconds"}
+        for r in system.flush_reports()
+    ]
+    partitions = []
+    for part in system.partitions:
+        engine, disk = part.engine, part.disk
+        index, raw = engine.index, engine.raw
+        partitions.append({
+            "global_floor": engine.global_floor,
+            "raw": (
+                raw.bytes_used,
+                [(r, raw.pcount(r.blog_id), raw._costs[r.blog_id]) for r in raw],
+            ),
+            "index": (
+                index.bytes_used, index.posting_count(),
+                sorted(index.overflow_keys), sorted(index._k_filled),
+                [
+                    (key, list(e), e.floor, e.last_arrival, e.last_query, e.seq)
+                    for key, e in index.items()
+                ],
+                [e.key for e in index.oldest_arrivals()],
+                [e.key for e in index.oldest_queries()],
+            ),
+            "disk": (
+                list(disk._records.items()),
+                {key: (runs.runs, runs.count) for key, runs in disk._index.items()},
+                disk.simulated_io_seconds,
+            ),
+            "buffer": (engine.buffer.peak_bytes, engine.buffer.steady_peak_bytes),
+            "ledger": list(engine.eviction_ledger._records.items()),
+        })
+    counters = {
+        name: value
+        for name, value in system.obs.registry.snapshot()["counters"].items()
+        if name.startswith(("disk.", "flush.", "shard."))
+    }
+    return reports, partitions, counters
+
+
+class TestBatchedEvictionReference:
+    """Entry-at-a-time eviction must be indistinguishable from evicting
+    posting by posting at recomputed record costs."""
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("policy", ["kflushing", "kflushing-mk", "lru"])
+    def test_ingest_matches_per_posting_reference(self, policy, shards, monkeypatch):
+        batched = _ingest_state(policy, shards)
+        reports = batched[0]
+        assert len(reports) > 20
+        if policy != "lru":
+            for phase in phases.PHASES:
+                assert any(r["phase_freed"].get(phase) for r in reports), phase
+        monkeypatch.setattr(phases, "_evict", _per_posting_evict)
+        monkeypatch.setattr(LRUEngine, "_evict_record", _per_item_evict_record)
+        monkeypatch.setattr(FlushBuffer, "stage", _per_item_stage)
+        commit = DiskArchive.commit_flush
+        monkeypatch.setattr(
+            DiskArchive, "commit_flush",
+            lambda disk, records, postings_by_key, record_costs=None: commit(
+                disk, records, postings_by_key
+            ),
+        )
+        reference = _ingest_state(policy, shards)
+        assert batched[0] == reference[0]
+        for mine, theirs in zip(batched[1], reference[1], strict=True):
+            for part in mine:
+                assert mine[part] == theirs[part], part
+        assert batched[2] == reference[2]
 
 
 class TestParallelRunner:

@@ -86,14 +86,78 @@ class TestDecref:
 class TestRemove:
     def test_remove_ignores_pcount(self, store):
         blog = make_blog()
-        store.add(blog, pcount=5)
-        assert store.remove(blog.blog_id) is blog
+        cost = store.add(blog, pcount=5)
+        record, released = store.remove(blog.blog_id)
+        assert record is blog
+        assert released == cost
         assert blog.blog_id not in store
         assert store.bytes_used == 0
 
     def test_remove_unknown_raises(self, store):
         with pytest.raises(UnknownRecordError):
             store.remove(42)
+
+
+class TestRelease:
+    """The bulk release the flush phases use: one call per evicted entry."""
+
+    def test_returns_freed_records_in_release_order(self, store):
+        blogs = [make_blog() for _ in range(4)]
+        for blog, pcount in zip(blogs, (1, 2, 1, 1)):
+            store.add(blog, pcount=pcount)
+        ids = [blogs[3].blog_id, blogs[1].blog_id, blogs[0].blog_id]
+        records, _costs = store.release(ids)
+        # blogs[1] keeps one reference and stays resident.
+        assert records == [blogs[3], blogs[0]]
+        assert store.pcount(blogs[1].blog_id) == 1
+        assert blogs[2].blog_id in store
+        records, _costs = store.release([blogs[1].blog_id, blogs[2].blog_id])
+        assert records == [blogs[1], blogs[2]]
+        assert len(store) == 0
+        assert store.bytes_used == 0
+
+    def test_costs_are_the_memoized_record_bytes(self, store, monkeypatch):
+        model = MemoryModel()
+        blogs = [make_blog(text="x" * n) for n in (1, 50, 200)]
+        charged = [store.add(blog, pcount=1) for blog in blogs]
+        assert charged == [model.record_bytes(blog) for blog in blogs]
+        # Releasing reads the memo, never the model.
+        monkeypatch.setattr(MemoryModel, "record_bytes", None)
+        records, costs = store.release(b.blog_id for b in blogs)
+        assert records == blogs
+        assert costs == charged
+        store.check_integrity()
+
+    def test_unknown_id_raises_after_releasing_the_ids_before_it(self, store):
+        blog = make_blog()
+        store.add(blog, pcount=1)
+        with pytest.raises(UnknownRecordError):
+            store.release([blog.blog_id, 12345])
+        assert blog.blog_id not in store
+        store.check_integrity()
+
+    def test_releasing_past_the_count_underflows(self, store):
+        blog = make_blog()
+        store.add(blog, pcount=2)
+        # Three references dropped from a count of two: the record leaves
+        # on the second and the third finds it gone.
+        with pytest.raises(UnknownRecordError):
+            store.release([blog.blog_id] * 3)
+        store.check_integrity()
+
+    def test_corrupt_count_is_an_underflow(self, store):
+        blog = make_blog()
+        store.add(blog, pcount=1)
+        store._pcounts[blog.blog_id] = 0
+        with pytest.raises(ValueError, match="underflow"):
+            store.release([blog.blog_id])
+
+    def test_decref_is_the_one_id_release(self, store):
+        blog = make_blog()
+        store.add(blog, pcount=2)
+        assert store.decref(blog.blog_id) is None
+        assert store.decref(blog.blog_id) is blog
+        assert store.release([]) == ([], [])
 
 
 class TestIntegrity:

@@ -16,6 +16,7 @@ The correctness anchors of the hash-partitioned system:
 
 import dataclasses
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -389,6 +390,30 @@ class TestMergeTopk:
     def test_unlimited_when_k_none(self):
         groups = [[self._posting(float(i), i)] for i in range(10)]
         assert len(merge_topk(groups, k=None)) == 10
+
+    def test_equals_the_sort_keyed_merge(self):
+        """A posting's tuple order is its sort key, so sorting the postings
+        themselves gives the keyed sort's output, object for object."""
+        rng = random.Random(5)
+        groups = [
+            [
+                Posting(
+                    float(rng.randrange(4)), float(rng.randrange(6)), rng.randrange(60)
+                )
+                for _ in range(rng.randrange(12))
+            ]
+            for _ in range(6)
+        ]
+        seen: set[int] = set()
+        expected = [
+            p for group in groups for p in group
+            if not (p.blog_id in seen or seen.add(p.blog_id))
+        ]
+        expected.sort(key=lambda p: p.sort_key, reverse=True)
+        for k in (None, 0, 1, 5, len(expected), len(expected) + 3):
+            merged = merge_topk(groups, k=k)
+            assert merged == expected[:k]
+            assert [id(p) for p in merged] == [id(p) for p in expected[:k]]
 
     def test_executor_and_segments_share_impl(self):
         # All merge sites draw from repro.storage.topk: the executor uses
